@@ -612,7 +612,7 @@ let bench_suite ~scaling ~warmup ~repeats ~quota =
             sim_experiment
               (Printf.sprintf "scaling/sim/stages=%d" stages)
               ~stages ~max_ns:4000)
-          [ 2; 4; 8 ];
+          [ 2; 4; 8; 32 ];
       ]
 
 let bench_cmd =

@@ -466,10 +466,10 @@ and elaborate_process ctx ~path ~subst ~functions ~signals ~guard (p : Kir.proce
   in
   let proc =
     Kernel.add_process ctx.kernel ~name:proc_path ~sensitivity
-      ~has_wait:(Kir_util.has_wait body)
+      ~has_wait:((if sensitivity = [] then Kir_util.has_wait else Kir_util.may_wait) body)
       ~body:(fun () ->
         match !env_ref with
-        | Some env -> List.iter (Interp.exec env) body
+        | Some env -> Interp.exec_list env body
         | None -> err "process %s has no environment" proc_path)
   in
   let display = Array.make 16 None in

@@ -267,7 +267,6 @@ let run ?(warmup = 1) ?(repeats = 5) ?quota_s ?phases ~name f =
   let extra_b = perturb_alloc_b ~name in
   let call () =
     f ();
-    if extra > 0.0 then spin extra;
     alloc_ballast extra_b
   in
   for _ = 1 to warmup do
@@ -290,6 +289,9 @@ let run ?(warmup = 1) ?(repeats = 5) ?quota_s ?phases ~name f =
        repetition's delta — a few words against millions, not worth a
        correction term *)
     let a1 = Telemetry.allocated_words_now () in
+    (* the time seam spins outside the allocation window: its clock reads
+       allocate, and it must slow the repetition, not fatten it *)
+    if extra > 0.0 then spin extra;
     times := (now () -. t0) :: !times;
     allocs := Float.max 0.0 (a1 -. a0) :: !allocs;
     incr n

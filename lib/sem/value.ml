@@ -21,7 +21,10 @@ type t =
          access equality is physical equality of the ref.  Access values
          exist only in variables, never in signals or the VIF. *)
 
-let vbool b = Venum (if b then 1 else 0) (* STANDARD.BOOLEAN: (FALSE, TRUE) *)
+(* STANDARD.BOOLEAN: (FALSE, TRUE); shared, so a comparison allocates nothing *)
+let v_false = Venum 0
+let v_true = Venum 1
+let vbool b = if b then v_true else v_false
 
 let truth = function
   | Venum 1 -> true

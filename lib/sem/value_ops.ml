@@ -34,7 +34,7 @@ let logical name f a b =
   | Value.Venum x, Value.Venum y ->
     (* BOOLEAN and BIT are both two-valued enumerations with FALSE/'0' at
        position 0, so the boolean tables apply to both *)
-    Value.Venum (if f (x = 1) (y = 1) then 1 else 0)
+    Value.vbool (f (x = 1) (y = 1))
   | Value.Varray { bounds; elems = xs }, Value.Varray { elems = ys; _ } ->
     if Array.length xs <> Array.length ys then
       fail "%s: arrays of different lengths" name
@@ -160,6 +160,7 @@ let unop (op : Kir.unop) a =
     | _ -> fail "abs: numeric operand required")
   | Kir.Unot -> (
     match a with
+    | Value.Venum ((0 | 1) as x) -> Value.vbool (x = 0)
     | Value.Venum x -> Value.Venum (1 - x)
     | Value.Varray { bounds; elems } ->
       Value.Varray

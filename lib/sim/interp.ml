@@ -273,7 +273,7 @@ and run_subprogram ?(sig_params = [||]) env mangled (args : Value.t list) :
       frame.vars.(n_params + i) <- v)
     sub.Kir.sub_locals;
   let result =
-    match List.iter (exec inner) sub.Kir.sub_body with
+    match exec_list inner sub.Kir.sub_body with
     | () -> None
     | exception Return_exc v -> v
   in
@@ -345,8 +345,41 @@ and apply_path env (t : Kir.sig_target) (whole : Value.t) : Value.t =
       (Value.as_int (eval env l), d, Value.as_int (eval env r))
   | Kir.Ts_field (t', f) -> Value_ops.field (apply_path env t' whole) f
 
+(* a waveform's transactions on a driver of [s], its elements evaluated in
+   order; on a composite path each element modifies the previous one *)
+and sig_transactions env s update ~now ~line base = function
+  | [] -> []
+  | (w : Kir.waveform_element) :: rest -> (
+    let delay =
+      match w.Kir.wv_after with
+      | None -> 0
+      | Some e -> Value.as_int (eval env e)
+    in
+    if delay < 0 then error env "negative delay in signal assignment at line %d" line;
+    match w.Kir.wv_value with
+    | None ->
+      (* null transaction: disconnect the driver when it matures
+         (LRM 8.3: only guarded signals may be assigned null) *)
+      if s.Rt.sig_kind = `Plain then
+        error env "line %d: null transaction on the unguarded signal %s" line s.Rt.sig_name;
+      (now + delay, None) :: sig_transactions env s update ~now ~line base rest
+    | Some ve ->
+      let whole = update base (eval env ve) in
+      (now + delay, Some whole) :: sig_transactions env s update ~now ~line whole rest)
+
 (* ------------------------------------------------------------------ *)
 (* Statements *)
+
+and exec_list env = function
+  | [] -> ()
+  | st :: rest ->
+    exec env st;
+    exec_list env rest
+
+and exec_if env els = function
+  | [] -> exec_list env els
+  | (c, body) :: rest ->
+    if Value.truth (eval env c) then exec_list env body else exec_if env els rest
 
 and exec env (st : Kir.stmt) : unit =
   match st with
@@ -359,47 +392,28 @@ and exec env (st : Kir.stmt) : unit =
       with Value_ops.Runtime_error m -> error env "%s" m)
     | None -> ());
     assign_target env t v
-  | Kir.Ssig_assign { target; mode; waveform; line; _ } -> (
+  | Kir.Ssig_assign { target; mode; waveform; line; _ } ->
     let s, update = sig_target_parts env target in
     let d = Rt.driver_of s ~proc_id:env.e_proc_id in
     let now = env.e_now () in
-    (* base value each transaction modifies (for composite paths) *)
+    (* base value each transaction of a composite path modifies: the
+       value the driver will hold last *)
     let base =
-      match List.rev d.Rt.drv_wave with
-      | (_, Some v) :: _ -> v
-      | (_, None) :: _ | [] -> d.Rt.drv_value
+      match target with
+      | Kir.Ts_sig _ -> d.Rt.drv_value
+      | _ -> (
+        match List.rev d.Rt.drv_wave with
+        | (_, Some v) :: _ -> v
+        | (_, None) :: _ | [] -> d.Rt.drv_value)
     in
-    let transactions, _ =
-      List.fold_left
-        (fun (acc, base) (w : Kir.waveform_element) ->
-          let delay =
-            match w.Kir.wv_after with
-            | None -> 0
-            | Some e -> Value.as_int (eval env e)
-          in
-          if delay < 0 then error env "negative delay in signal assignment at line %d" line;
-          match w.Kir.wv_value with
-          | None ->
-            (* null transaction: disconnect the driver when it matures
-               (LRM 8.3: only guarded signals may be assigned null) *)
-            if s.Rt.sig_kind = `Plain then
-              error env "line %d: null transaction on the unguarded signal %s" line
-                s.Rt.sig_name;
-            ((now + delay, None) :: acc, base)
-          | Some ve ->
-            let v = eval env ve in
-            let whole = update base v in
-            ((now + delay, Some whole) :: acc, whole))
-        ([], base) waveform
-    in
-    let transactions = List.rev transactions in
+    let transactions = sig_transactions env s update ~now ~line base waveform in
     (* range check scalar element assignments against the signal subtype *)
     (match transactions with
     | (_, Some v) :: _ -> (
       try Value_ops.check_constraint s.Rt.sig_ty v
       with Value_ops.Runtime_error m -> error env "line %d: %s" line m)
     | (_, None) :: _ | [] -> ());
-    Rt.schedule d ~mode ~transactions)
+    Rt.schedule d ~mode ~transactions
   | Kir.Sdisconnect target ->
     let s, _ = sig_target_parts env target in
     let d = Rt.driver_of s ~proc_id:env.e_proc_id in
@@ -409,13 +423,7 @@ and exec env (st : Kir.stmt) : unit =
       Rt.schedule d ~mode:Kir.Transport
         ~transactions:[ (env.e_now () + s.Rt.sig_disconnect, None) ]
     else Rt.disconnect d
-  | Kir.Sif (arms, els) -> (
-    let rec go = function
-      | [] -> List.iter (exec env) els
-      | (c, body) :: rest ->
-        if Value.truth (eval env c) then List.iter (exec env) body else go rest
-    in
-    go arms)
+  | Kir.Sif (arms, els) -> exec_if env els arms
   | Kir.Scase (e, alts) -> (
     let v = eval env e in
     let matches choice =
@@ -430,7 +438,7 @@ and exec env (st : Kir.stmt) : unit =
         | _ -> false)
     in
     match List.find_opt (fun (choices, _) -> List.exists matches choices) alts with
-    | Some (_, body) -> List.iter (exec env) body
+    | Some (_, body) -> exec_list env body
     | None -> error env "case statement: no choice matches %s" (Value.image v))
   | Kir.Sfor { var; range = lo_e, d, hi_e; body; loop_label; _ } -> (
     let vlo = eval env lo_e and vhi = eval env hi_e in
@@ -445,21 +453,21 @@ and exec env (st : Kir.stmt) : unit =
       List.iter
         (fun i ->
           write_var env ~level:0 ~index:(-var - 1) (rewrap i);
-          try List.iter (exec env) body
+          try exec_list env body
           with Next_exc l when loop_matches loop_label l -> ())
         indices
     with Exit_exc l when loop_matches loop_label l -> ())
   | Kir.Swhile (c, body, loop_label) -> (
     try
       while Value.truth (eval env c) do
-        try List.iter (exec env) body
+        try exec_list env body
         with Next_exc l when loop_matches loop_label l -> ()
       done
     with Exit_exc l when loop_matches loop_label l -> ())
   | Kir.Sloop (body, loop_label) -> (
     try
       while true do
-        try List.iter (exec env) body
+        try exec_list env body
         with Next_exc l when loop_matches loop_label l -> ()
       done
     with Exit_exc l when loop_matches loop_label l -> ())

@@ -45,6 +45,9 @@ val eval : env -> Kir.expr -> Value.t
 val exec : env -> Kir.stmt -> unit
 (** Execute one statement; may perform {!Wait}. *)
 
+val exec_list : env -> Kir.stmt list -> unit
+(** Execute statements in order (a process body, a branch). *)
+
 val call_function : env -> string -> Value.t list -> Value.t
 (** Call a function by mangled name with evaluated arguments (used by
     resolution closures and elaboration-time evaluation). *)

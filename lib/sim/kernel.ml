@@ -3,8 +3,10 @@
     Event-driven scheduler with delta cycles: advance time to the next
     transaction or timeout, update signals (resolve drivers, detect events),
     resume processes whose wait conditions are met, repeat until quiescent
-    at the current time, then advance again.  Processes are OCaml-5 effect
-    fibers suspended on the {!Interp.Wait} effect. *)
+    at the current time, then advance again.  Processes that can wait are
+    OCaml-5 effect fibers suspended on {!Interp.Wait}.  A cycle touches only
+    what is due: transactions and timeouts wait in time-ordered heaps, and
+    each signal lists the processes waiting on it. *)
 
 module Tm = Vhdl_telemetry.Telemetry
 
@@ -33,9 +35,12 @@ type stats = {
 
 type t = {
   mutable now : Rt.time;
-  mutable signals : Rt.signal list;
-  mutable processes : Rt.proc list;
   mutable next_proc_id : int;
+  drivers : Rt.driver Heap.t; (* by earliest pending transaction *)
+  timeouts : Rt.proc Heap.t; (* waiting processes by wake time *)
+  ready : Rt.proc Heap.t; (* to run this delta, by process id *)
+  touched : Rt.signal Heap.t; (* to update this cycle, by signal id *)
+  mutable updated : Rt.signal list; (* updated in the last cycle *)
   stats : stats;
   mutable on_message : Rt.time -> severity:int -> string -> unit;
   mutable delta_limit : int;
@@ -55,18 +60,15 @@ let severity_name = function
 let create ?(delta_limit = 5000) ?step_fuel () =
   {
     now = 0;
-    signals = [];
-    processes = [];
     next_proc_id = 0;
+    drivers = Heap.create ();
+    timeouts = Heap.create ();
+    ready = Heap.create ();
+    touched = Heap.create ();
+    updated = [];
     stats =
-      {
-        delta_cycles = 0;
-        time_steps = 0;
-        events = 0;
-        transactions = 0;
-        process_runs = 0;
-        severities = { notes = 0; warnings = 0; errors = 0; failures = 0 };
-      };
+      { delta_cycles = 0; time_steps = 0; events = 0; transactions = 0; process_runs = 0;
+        severities = { notes = 0; warnings = 0; errors = 0; failures = 0 } };
     on_message =
       (fun time ~severity msg ->
         Printf.eprintf "%s: %s: %s\n%!" (Rt.format_time time) (severity_name severity) msg);
@@ -76,10 +78,6 @@ let create ?(delta_limit = 5000) ?step_fuel () =
     stopped = false;
   }
 
-(** Bound the number of process resumptions the kernel will perform within
-    one simulated instant (across its delta cycles) — the complement of
-    [delta_limit] for designs whose processes chatter without advancing
-    time.  Exhaustion ends the run with the {!Fuel_exhausted} outcome. *)
 let set_step_fuel k fuel = k.step_fuel <- fuel
 
 let now k = k.now
@@ -87,12 +85,10 @@ let stats k = k.stats
 
 let set_message_handler k f = k.on_message <- f
 
-let register_signal k s = k.signals <- s :: k.signals
-
-let fresh_proc_id k =
-  let id = k.next_proc_id in
-  k.next_proc_id <- id + 1;
-  id
+(* a driver whose earliest transaction changed is queued under its new time;
+   entries it left behind are dropped when they surface *)
+let register_signal k (s : Rt.signal) =
+  s.Rt.sig_enqueue <- (fun d -> Heap.push k.drivers (Rt.head_time d) d)
 
 (** Record an assertion/report message; FAILURE stops the simulation. *)
 let emit k ~severity ~line:_ msg =
@@ -101,171 +97,165 @@ let emit k ~severity ~line:_ msg =
   | 1 -> k.stats.severities.warnings <- k.stats.severities.warnings + 1
   | 2 -> k.stats.severities.errors <- k.stats.severities.errors + 1
   | _ -> k.stats.severities.failures <- k.stats.severities.failures + 1);
-  Tm.incr m_messages;
   k.on_message k.now ~severity msg;
   if severity >= 3 then raise (Failure_severity { time = k.now; msg })
 
-(** Register a process.  [body] runs the statement list once; the kernel
-    restarts it forever, appending the implicit wait when [sensitivity] is
-    given (LRM 9.2).  [has_wait] tells us whether a sensitivity-free body
-    can suspend at all; if not, it runs once and terminates. *)
+(* move [p] onto the fanout lists of [signals]; a process that waits on the
+   same signals again (every sensitivity list) keeps its entries *)
+let watch (p : Rt.proc) signals =
+  if not (List.equal ( == ) signals p.Rt.wake_signals) then begin
+    List.iter
+      (fun s -> s.Rt.watchers <- List.filter (fun q -> q != p) s.Rt.watchers)
+      p.Rt.wake_signals;
+    List.iter (fun s -> s.Rt.watchers <- p :: s.Rt.watchers) signals;
+    p.Rt.wake_signals <- signals
+  end
+
+let make_ready k (p : Rt.proc) =
+  p.Rt.proc_state <- Rt.Ready;
+  Heap.push k.ready p.Rt.proc_id p
+
+(** Register a process (LRM 9.2; see the interface).  A body that cannot
+    suspend runs once if it has no sensitivity list and as a plain call per
+    resumption if it has one; every other process is an effect fiber. *)
 let add_process k ~name ~(sensitivity : Rt.signal list) ~has_wait ~(body : unit -> unit) =
+  k.next_proc_id <- k.next_proc_id + 1;
   let proc =
-    {
-      Rt.proc_id = fresh_proc_id k;
-      proc_name = name;
-      proc_state = Rt.Ready;
-      resume = (fun () -> ());
-      wake_signals = [];
-      wake_until = None;
-      wake_at = None;
-    }
+    { Rt.proc_id = k.next_proc_id - 1; proc_name = name; proc_state = Rt.Ready;
+      resume = ignore; wake_signals = []; wake_until = None; wake_at = None }
   in
   let open Effect.Deep in
   let fiber () =
     if sensitivity = [] && not has_wait then body ()
     else begin
+      let implicit = Interp.Wait { Interp.wr_on = sensitivity; wr_until = None; wr_for = None } in
       while true do
         body ();
-        if sensitivity <> [] then
-          Effect.perform
-            (Interp.Wait { Interp.wr_on = sensitivity; wr_until = None; wr_for = None })
+        if sensitivity <> [] then Effect.perform implicit
       done
     end
   in
+  (* the wait conditions are recorded before the continuation is captured,
+     so suspending allocates no per-wait handler *)
+  let suspend = Some (fun (cont : (unit, unit) continuation) ->
+      proc.Rt.resume <- (fun () -> continue cont ()))
+  in
   let handler =
     {
-      retc = (fun () -> proc.Rt.proc_state <- Rt.Terminated);
+      retc = (fun () -> watch proc []; proc.Rt.proc_state <- Rt.Terminated);
       exnc = (fun e -> raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
           | Interp.Wait req ->
-            Some
-              (fun (cont : (a, _) continuation) ->
-                proc.Rt.wake_signals <- req.Interp.wr_on;
-                proc.Rt.wake_until <- req.Interp.wr_until;
-                proc.Rt.wake_at <- req.Interp.wr_for;
-                proc.Rt.proc_state <- Rt.Waiting;
-                proc.Rt.resume <- (fun () -> continue cont ()))
+            watch proc req.Interp.wr_on;
+            proc.Rt.wake_until <- req.Interp.wr_until;
+            proc.Rt.wake_at <- req.Interp.wr_for;
+            (match req.Interp.wr_for with
+            | Some t -> Heap.push k.timeouts t proc
+            | None -> ());
+            proc.Rt.proc_state <- Rt.Waiting;
+            suspend
           | _ -> None);
     }
   in
-  proc.Rt.resume <- (fun () -> match_with fiber () handler);
-  k.processes <- k.processes @ [ proc ];
+  proc.Rt.resume <-
+    (if sensitivity <> [] && not has_wait then fun () -> body (); watch proc sensitivity
+     else fun () -> match_with fiber () handler);
+  make_ready k proc;
   proc
 
+(* run the ready processes in registration order, which fixes the order of
+   their messages and of the drivers they create *)
 let run_ready k =
-  let any = ref false in
-  List.iter
-    (fun p ->
-      if p.Rt.proc_state = Rt.Ready then begin
-        any := true;
-        k.steps_this_instant <- k.steps_this_instant + 1;
-        p.Rt.proc_state <- Rt.Waiting;
-        (* default: if the body doesn't set wake conditions it waits forever *)
-        p.Rt.wake_signals <- [];
-        p.Rt.wake_until <- None;
-        p.Rt.wake_at <- None;
-        k.stats.process_runs <- k.stats.process_runs + 1;
-        Tm.incr m_process_runs;
-        p.Rt.resume ()
-      end)
-    k.processes;
-  !any
+  while Heap.min_key k.ready < max_int do
+    let p = Heap.top k.ready in
+    Heap.pop k.ready;
+    k.steps_this_instant <- k.steps_this_instant + 1;
+    p.Rt.proc_state <- Rt.Waiting;
+    p.Rt.wake_until <- None;
+    p.Rt.wake_at <- None;
+    k.stats.process_runs <- k.stats.process_runs + 1;
+    p.Rt.resume ()
+  done
 
-(* earliest point of interest: driver transactions and process timeouts *)
+(* queue entries left behind by a rescheduled driver or an earlier wait *)
+let live_driver t (d : Rt.driver) = Rt.head_time d = t
+
+let live_timeout t (p : Rt.proc) =
+  p.Rt.proc_state = Rt.Waiting
+  && match p.Rt.wake_at with Some w -> w = t | None -> false
+
+let rec earliest q live =
+  let t = Heap.min_key q in
+  if t = max_int || live t (Heap.top q) then t
+  else begin
+    Heap.pop q;
+    earliest q live
+  end
+
+(* earliest point of interest: a driver transaction or a process timeout *)
 let next_event_time k =
-  let mins = ref None in
-  let consider t =
-    match !mins with
-    | None -> mins := Some t
-    | Some m -> if t < m then mins := Some t
-  in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun d ->
-          match Rt.next_transaction_time d with
-          | Some t -> consider t
-          | None -> ())
-        s.Rt.drivers)
-    k.signals;
-  List.iter
-    (fun p ->
-      if p.Rt.proc_state = Rt.Waiting then
-        match p.Rt.wake_at with
-        | Some t -> consider t
-        | None -> ())
-    k.processes;
-  !mins
+  let t = earliest k.drivers live_driver in
+  let t' = earliest k.timeouts live_timeout in
+  if t < t' then t else t'
 
-(* apply all transactions due at [now]; returns signals that became active *)
+let rec mature k (d : Rt.driver) =
+  match d.Rt.drv_wave with
+  | (t, v) :: rest when t <= k.now ->
+    (match v with
+    | Some v -> d.Rt.drv_value <- v; d.Rt.drv_connected <- true
+    | None -> d.Rt.drv_connected <- false);
+    d.Rt.drv_wave <- rest;
+    k.stats.transactions <- k.stats.transactions + 1;
+    mature k d
+  | [] -> ()
+  | (t, _) :: _ -> Heap.push k.drivers t d
+
+(* mature every transaction due now, collecting the signals it touches *)
 let apply_transactions k =
-  let touched = ref [] in
-  List.iter
-    (fun s ->
-      let any = ref false in
-      List.iter
-        (fun d ->
-          let rec pop () =
-            match d.Rt.drv_wave with
-            | (t, v) :: rest when t <= k.now ->
-              (match v with
-              | Some v ->
-                d.Rt.drv_value <- v;
-                d.Rt.drv_connected <- true
-              | None -> d.Rt.drv_connected <- false);
-              d.Rt.drv_wave <- rest;
-              any := true;
-              k.stats.transactions <- k.stats.transactions + 1;
-              Tm.incr m_transactions;
-              pop ()
-            | _ -> ()
-          in
-          pop ())
-        s.Rt.drivers;
-      if !any then touched := s :: !touched)
-    k.signals;
-  List.iter
-    (fun s ->
-      if Rt.update_signal ~now:k.now s then begin
-        k.stats.events <- k.stats.events + 1;
-        Tm.incr m_events
-      end)
-    !touched;
-  !touched <> []
+  while Heap.min_key k.drivers <= k.now do
+    let d = Heap.top k.drivers in
+    Heap.pop k.drivers;
+    if Rt.head_time d <= k.now then begin
+      mature k d;
+      let s = d.Rt.drv_signal in
+      if not s.Rt.active then begin
+        s.Rt.active <- true;
+        Heap.push k.touched s.Rt.sig_id s
+      end
+    end
+  done
 
-let wake_processes k =
-  let any = ref false in
-  List.iter
-    (fun p ->
-      if p.Rt.proc_state = Rt.Waiting then begin
-        let timeout =
-          match p.Rt.wake_at with
-          | Some t -> t <= k.now
-          | None -> false
-        in
-        let sig_event = List.exists (fun s -> s.Rt.event) p.Rt.wake_signals in
-        let cond_ok =
-          match p.Rt.wake_until with
-          | None -> true
-          | Some f -> ( try f () with _ -> false)
-        in
-        if timeout || (sig_event && cond_ok) then begin
-          p.Rt.proc_state <- Rt.Ready;
-          any := true
-        end
-      end)
-    k.processes;
-  !any
+let rec update_touched k acc =
+  if Heap.min_key k.touched = max_int then acc
+  else begin
+    let s = Heap.top k.touched in
+    Heap.pop k.touched;
+    if Rt.update_signal ~now:k.now s then k.stats.events <- k.stats.events + 1;
+    update_touched k (s :: acc)
+  end
 
-let clear_flags k =
-  List.iter
-    (fun s ->
-      s.Rt.active <- false;
-      s.Rt.event <- false)
-    k.signals
+let rec wake k = function
+  | [] -> ()
+  | (p : Rt.proc) :: rest ->
+    (if p.Rt.proc_state = Rt.Waiting then
+       match p.Rt.wake_until with
+       | None -> make_ready k p
+       | Some f -> if (try f () with _ -> false) then make_ready k p);
+    wake k rest
+
+(* resolve the touched signals in registration order, then wake the
+   processes waiting on those with an event (their conditions see every
+   new value) and those whose timeout is now *)
+let update_and_wake k =
+  k.updated <- update_touched k [];
+  List.iter (fun (s : Rt.signal) -> if s.Rt.event then wake k s.Rt.watchers) k.updated;
+  while Heap.min_key k.timeouts <= k.now do
+    let p = Heap.top k.timeouts in
+    Heap.pop k.timeouts;
+    if live_timeout k.now p then make_ready k p
+  done
 
 type outcome =
   | Quiescent (* no more events scheduled *)
@@ -273,50 +263,60 @@ type outcome =
   | Stopped (* a FAILURE assertion or explicit stop *)
   | Fuel_exhausted (* the per-instant process-step fuel ran out *)
 
+(* the sim.* counters hear of a run's work once, when it returns *)
+let exporting_stats k f =
+  let counts () =
+    let st = k.stats and sv = k.stats.severities in
+    [ (m_delta_cycles, st.delta_cycles); (m_time_steps, st.time_steps); (m_events, st.events);
+      (m_transactions, st.transactions); (m_process_runs, st.process_runs);
+      (m_messages, sv.notes + sv.warnings + sv.errors + sv.failures) ]
+  in
+  let before = counts () in
+  Fun.protect f ~finally:(fun () ->
+      List.iter2 (fun (m, n0) (_, n) -> Tm.add m (n - n0)) before (counts ()))
+
 (** Run the simulation until [max_time] (inclusive).  The initialization
     phase runs every process once, then the cycle loop proceeds. *)
 let run k ~max_time =
-  let outcome = ref Quiescent in
-  (try
-     (* initialization: every process executes until its first wait *)
-     ignore (run_ready k);
-     (* handle transactions scheduled at time 0 by initialization *)
-     let continue_sim = ref true in
-     let deltas_here = ref 0 in
-     while !continue_sim && not k.stopped do
-       match next_event_time k with
-       | None -> continue_sim := false
-       | Some t when t > max_time ->
-         k.now <- max_time;
-         outcome := Time_limit;
-         continue_sim := false
-       | Some t ->
-         if t = k.now then begin
-           incr deltas_here;
-           k.stats.delta_cycles <- k.stats.delta_cycles + 1;
-           Tm.incr m_delta_cycles;
-           if !deltas_here > k.delta_limit then
-             Rt.sim_error ~time:k.now "delta-cycle limit exceeded (combinational loop?)"
-         end
-         else begin
-           deltas_here := 0;
-           k.steps_this_instant <- 0;
-           k.stats.time_steps <- k.stats.time_steps + 1;
-           Tm.incr m_time_steps;
-           k.now <- t
-         end;
-         clear_flags k;
-         let _had_events = apply_transactions k in
-         let woke = wake_processes k in
-         if woke then ignore (run_ready k);
-         match k.step_fuel with
-         | Some fuel when k.steps_this_instant > fuel ->
-           outcome := Fuel_exhausted;
-           continue_sim := false
-         | _ -> ()
-     done
-   with Failure_severity _ -> outcome := Stopped);
-  !outcome
+  exporting_stats k @@ fun () ->
+  let rec cycle deltas_here =
+    let t = if k.stopped then max_int else next_event_time k in
+    if t = max_int then Quiescent
+    else if t > max_time then begin
+      k.now <- max_time;
+      Time_limit
+    end
+    else begin
+      let deltas_here = if t = k.now then deltas_here + 1 else 0 in
+      if t = k.now then begin
+        k.stats.delta_cycles <- k.stats.delta_cycles + 1;
+        if deltas_here > k.delta_limit then
+          Rt.sim_error ~time:k.now "delta-cycle limit exceeded (combinational loop?)"
+      end
+      else begin
+        k.steps_this_instant <- 0;
+        k.stats.time_steps <- k.stats.time_steps + 1;
+        k.now <- t
+      end;
+      List.iter
+        (fun (s : Rt.signal) ->
+          s.Rt.active <- false;
+          s.Rt.event <- false)
+        k.updated;
+      apply_transactions k;
+      update_and_wake k;
+      run_ready k;
+      match k.step_fuel with
+      | Some fuel when k.steps_this_instant > fuel -> Fuel_exhausted
+      | _ -> cycle deltas_here
+    end
+  in
+  (* initialization: every process executes until its first wait, then
+     the cycle loop handles what it scheduled at time 0 *)
+  try
+    run_ready k;
+    cycle 0
+  with Failure_severity _ -> Stopped
 
 (** Force a stop from a message handler or observer. *)
 let stop k = k.stopped <- true

@@ -1,7 +1,10 @@
 (** The simulation kernel: IEEE 1076 simulation-cycle semantics.
 
-    Event-driven scheduler with delta cycles; processes are OCaml-5 effect
-    fibers suspended on the {!Interp.Wait} effect. *)
+    Event-driven scheduler with delta cycles.  Pending transactions and
+    timeouts wait in time-ordered heaps and each signal lists the processes
+    waiting on it, so a cycle costs what is due, not the design's size.
+    Processes that can wait are OCaml-5 effect fibers suspended on the
+    {!Interp.Wait} effect. *)
 
 type severity_counts = {
   mutable notes : int;
@@ -39,11 +42,16 @@ val set_step_fuel : t -> int option -> unit
 
 val now : t -> Rt.time
 val stats : t -> stats
+(** The kernel's counts.  [run] adds its share to the [sim.*] telemetry
+    counters when it returns. *)
 
 val set_message_handler : t -> (Rt.time -> severity:int -> string -> unit) -> unit
 (** Where assert/report messages go (default: stderr). *)
 
 val register_signal : t -> Rt.signal -> unit
+(** Connect a signal to the kernel: its drivers' transactions (from
+    {!Rt.schedule}) join the kernel's queue.  Unregistered signals never
+    update. *)
 
 val emit : t -> severity:int -> line:int -> string -> unit
 (** Record an assertion/report message; severity >= 3 (FAILURE) stops the
@@ -58,8 +66,11 @@ val add_process :
   Rt.proc
 (** Register a process.  [body] runs the statement list once; the kernel
     restarts it forever, appending the implicit wait when [sensitivity] is
-    non-empty (LRM 9.2).  A sensitivity-free body without waits runs once
-    and terminates. *)
+    non-empty (LRM 9.2).  [has_wait] says whether the body can suspend at
+    all (for a process with a sensitivity list, count procedure calls that
+    might wait).  A sensitivity-free body without waits runs once and
+    terminates; one with a sensitivity list runs as a plain call per
+    resumption instead of an effect fiber. *)
 
 type outcome =
   | Quiescent (* no more events scheduled *)

@@ -25,8 +25,12 @@ type signal = {
   mutable sig_disconnect : time;
       (* disconnection specification (LRM 5.3): delay before a guarded
          disconnect takes effect; 0 = immediate *)
-  mutable watchers : watcher list; (* processes to consider on an event *)
+  mutable watchers : proc list;
+      (* fanout: the waiting processes whose wait lists this signal *)
   mutable observers : (time -> signal -> unit) list; (* tracing hooks *)
+  mutable sig_enqueue : driver -> unit;
+      (* called when a driver's earliest pending transaction changes: the
+         kernel queues the driver under that time *)
 }
 
 and driver = {
@@ -43,10 +47,6 @@ and driver = {
   mutable drv_indices : int list option;
 }
 
-and watcher = {
-  w_proc : proc;
-}
-
 and proc_state =
   | Ready (* run (again) this delta *)
   | Waiting
@@ -57,7 +57,8 @@ and proc = {
   proc_name : string;
   mutable proc_state : proc_state;
   mutable resume : unit -> unit; (* continues the fiber *)
-  (* wake conditions while Waiting *)
+  (* wake conditions while Waiting; the process sits in the [watchers] of
+     each of its [wake_signals] *)
   mutable wake_signals : signal list;
   mutable wake_until : (unit -> bool) option;
   mutable wake_at : time option;
@@ -79,14 +80,13 @@ let make_signal ~id ~name ~ty ~kind ~resolution ~init =
     sig_disconnect = 0;
     watchers = [];
     observers = [];
+    sig_enqueue = ignore;
   }
 
-(** The driver of [proc_id] on [s], created on first use (LRM: one driver
-    per process per driven signal). *)
-let driver_of s ~proc_id =
-  match List.find_opt (fun d -> d.drv_owner = proc_id) s.drivers with
-  | Some d -> d
-  | None ->
+let rec find_driver s proc_id = function
+  | d :: _ when d.drv_owner = proc_id -> d
+  | _ :: rest -> find_driver s proc_id rest
+  | [] ->
     let d =
       {
         drv_signal = s;
@@ -100,16 +100,28 @@ let driver_of s ~proc_id =
     s.drivers <- s.drivers @ [ d ];
     d
 
+(** The driver of [proc_id] on [s], created on first use (LRM: one driver
+    per process per driven signal). *)
+let driver_of s ~proc_id = find_driver s proc_id s.drivers
+
+(** Time of the earliest pending transaction of [d]; [max_int] if none. *)
+let head_time d =
+  match d.drv_wave with
+  | (t, _) :: _ -> t
+  | [] -> max_int
+
 (** Schedule [transactions] on [d] at absolute times (already >= now).
 
     Transport delay: delete all pending transactions at or after the first
     new one.  Inertial delay: additionally delete every earlier pending
     transaction (pulse rejection for the common single-element case,
-    per LRM 8.3.1 simplified — see DESIGN.md). *)
+    per LRM 8.3.1 simplified — see DESIGN.md).  A change of the earliest
+    pending time is reported to the signal's [sig_enqueue]. *)
 let schedule d ~mode ~(transactions : (time * Value.t option) list) =
   match transactions with
   | [] -> ()
   | (t0, _) :: _ ->
+    let before = head_time d in
     let kept =
       match mode with
       | Kir.Transport -> List.filter (fun (t, _) -> t < t0) d.drv_wave
@@ -123,64 +135,74 @@ let schedule d ~mode ~(transactions : (time * Value.t option) list) =
     (* the LRM requires waveform elements in ascending time order; sort
        defensively so an out-of-order waveform cannot corrupt the queue *)
     d.drv_wave <-
-      List.stable_sort (fun (a, _) (b, _) -> compare a b) (kept @ transactions)
+      (match (kept, transactions) with
+      | [], [ _ ] -> transactions
+      | _ -> List.stable_sort (fun (a, _) (b, _) -> compare a b) (kept @ transactions));
+    if head_time d <> before then d.drv_signal.sig_enqueue d
 
 let disconnect d = d.drv_connected <- false
-
-(** Earliest pending transaction time of a driver. *)
-let next_transaction_time d =
-  match d.drv_wave with
-  | (t, _) :: _ -> Some t
-  | [] -> None
 
 exception Simulation_error of { time : time; msg : string }
 
 let sim_error ~time fmt =
   Format.kasprintf (fun msg -> raise (Simulation_error { time; msg })) fmt
 
+(* the resolved value of the connected drivers (general case) *)
+let resolve ~now s =
+  let connected = List.filter (fun d -> d.drv_connected) s.drivers in
+  let driving_values = List.map (fun d -> d.drv_value) connected in
+  match (driving_values, s.sig_resolution) with
+  | [], _ -> (
+    (* all drivers disconnected: bus keeps its value only through the
+       resolution function on an empty list; register keeps last value *)
+    match (s.sig_kind, s.sig_resolution) with
+    | `Bus, Some f -> ( try f [] with _ -> s.current)
+    | _ -> s.current)
+  | [ v ], None -> v
+  | [ v ], Some f -> f [ v ]
+  | _ :: _ :: _, Some f -> f driving_values
+  | _ :: _ :: _, None ->
+    (* element drivers owning disjoint indices merge element-wise *)
+    let all_indices = List.map (fun d -> d.drv_indices) connected in
+    if List.for_all (fun i -> i <> None) all_indices then begin
+      let flat = List.concat_map (fun i -> Option.value i ~default:[]) all_indices in
+      let distinct = List.sort_uniq compare flat in
+      if List.length distinct <> List.length flat then
+        sim_error ~time:now "signal %s: overlapping element drivers" s.sig_name
+      else begin
+        (* write every owned element into one copy of the current value *)
+        let writes f =
+          List.iter
+            (fun d ->
+              List.iter
+                (fun ix -> Option.iter (f ix) (Value.array_get d.drv_value ix))
+                (Option.value d.drv_indices ~default:[]))
+            connected
+        in
+        match s.current with
+        | Value.Varray { bounds; elems } ->
+          let merged = Array.copy elems in
+          writes (fun ix e ->
+              match Value.array_offset bounds ix with
+              | Some off -> merged.(off) <- e
+              | None -> sim_error ~time:now "array index %d out of bounds in assignment" ix);
+          Value.Varray { bounds; elems = merged }
+        | v ->
+          writes (fun _ _ -> sim_error ~time:now "indexed assignment to a non-array value");
+          v
+      end
+    end
+    else
+      sim_error ~time:now "signal %s has multiple drivers but no resolution function"
+        s.sig_name
+
 (** Update a signal whose drivers have new values: resolve, detect events.
     Returns [true] if an event occurred. *)
 let update_signal ~now s =
-  let connected = List.filter (fun d -> d.drv_connected) s.drivers in
-  let driving_values = List.map (fun d -> d.drv_value) connected in
   let new_value =
-    match (driving_values, s.sig_resolution) with
-    | [], _ -> (
-      (* all drivers disconnected: bus keeps its value only through the
-         resolution function on an empty list; register keeps last value *)
-      match (s.sig_kind, s.sig_resolution) with
-      | `Bus, Some f -> ( try f [] with _ -> s.current)
-      | _ -> s.current)
-    | [ v ], None -> v
-    | [ v ], Some f -> f [ v ]
-    | _ :: _ :: _, Some f -> f driving_values
-    | _ :: _ :: _, None ->
-      (* element drivers owning disjoint indices merge element-wise *)
-      let all_indices =
-        List.map (fun d -> d.drv_indices) connected
-      in
-      if List.for_all (fun i -> i <> None) all_indices then begin
-        let flat = List.concat_map (fun i -> Option.value i ~default:[]) all_indices in
-        let distinct = List.sort_uniq compare flat in
-        if List.length distinct <> List.length flat then
-          sim_error ~time:now "signal %s: overlapping element drivers" s.sig_name
-        else
-          List.fold_left
-            (fun acc d ->
-              List.fold_left
-                (fun acc ix ->
-                  match Value.array_get d.drv_value ix with
-                  | Some e -> (
-                    try Value_ops.update_index acc ix e
-                    with Value_ops.Runtime_error m -> sim_error ~time:now "%s" m)
-                  | None -> acc)
-                acc
-                (Option.value d.drv_indices ~default:[]))
-            s.current connected
-      end
-      else
-        sim_error ~time:now "signal %s has multiple drivers but no resolution function"
-          s.sig_name
+    match (s.drivers, s.sig_resolution) with
+    | [ d ], None when d.drv_connected -> d.drv_value
+    | _ -> resolve ~now s
   in
   s.active <- true;
   if not (Value.equal new_value s.current) then begin
@@ -188,7 +210,9 @@ let update_signal ~now s =
     s.current <- new_value;
     s.last_event <- now;
     s.event <- true;
-    List.iter (fun f -> f now s) s.observers;
+    (match s.observers with
+    | [] -> ()
+    | observers -> List.iter (fun f -> f now s) observers);
     true
   end
   else false

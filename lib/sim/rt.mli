@@ -27,8 +27,14 @@ type signal = {
   mutable sig_disconnect : time;
       (** disconnection specification (LRM 5.3): delay before a guarded
           disconnect takes effect; 0 = immediate *)
-  mutable watchers : watcher list;  (** processes to consider on an event *)
+  mutable watchers : proc list;
+      (** fanout: the waiting processes whose wait lists this signal (kept
+          by the kernel) *)
   mutable observers : (time -> signal -> unit) list;  (** tracing hooks *)
+  mutable sig_enqueue : driver -> unit;
+      (** called by {!schedule} when a driver's earliest pending transaction
+          changes; the kernel installs it to queue the driver under that
+          time ([ignore] until the signal is registered) *)
 }
 
 and driver = {
@@ -45,8 +51,6 @@ and driver = {
           disjoint element drivers merge without a resolution function *)
 }
 
-and watcher = { w_proc : proc }
-
 and proc_state =
   | Ready  (** run (again) this delta *)
   | Waiting
@@ -58,6 +62,7 @@ and proc = {
   mutable proc_state : proc_state;
   mutable resume : unit -> unit;  (** continues the fiber *)
   mutable wake_signals : signal list;
+      (** the signals of the last wait; the process is in their [watchers] *)
   mutable wake_until : (unit -> bool) option;
   mutable wake_at : time option;
 }
@@ -85,13 +90,16 @@ val schedule :
 (** Edit the projected output waveform.  Transport delay deletes pending
     transactions at or after the first new one; inertial delay deletes all
     pending transactions (pulse rejection).  A leading value transaction
-    reconnects the driver; null transactions disconnect when they mature. *)
+    reconnects the driver; null transactions disconnect when they mature.
+    When the earliest pending transaction changes, the signal's
+    [sig_enqueue] hears of it. *)
 
 val disconnect : driver -> unit
 (** Immediate disconnect (a guarded assignment whose guard fell, with no
     disconnection specification). *)
 
-val next_transaction_time : driver -> time option
+val head_time : driver -> time
+(** Time of the driver's earliest pending transaction; [max_int] if none. *)
 
 val update_signal : now:time -> signal -> bool
 (** Resolve the connected drivers into a new current value: single driver

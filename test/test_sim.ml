@@ -396,8 +396,72 @@ let wave_sorted_invariant =
       in
       sorted d.Rt.drv_wave)
 
+(* the kernel's heaps: under any interleaving of pushes and pops, every pop
+   takes a smallest key still present *)
+let heap_pops_minimum =
+  let gen = QCheck.Gen.(list_size (int_range 1 60) (opt (int_range 0 40))) in
+  QCheck.Test.make ~name:"heap pops a minimum under random push/pop" ~count:300
+    (QCheck.make gen) (fun script ->
+      let h = Heap.create () in
+      let model = ref [] in
+      List.for_all
+        (function
+          | Some key ->
+            Heap.push h key key;
+            model := key :: !model;
+            true
+          | None -> (
+            match List.sort compare !model with
+            | [] -> Heap.min_key h = max_int
+            | least :: rest ->
+              let ok = Heap.min_key h = least && Heap.top h = least in
+              Heap.pop h;
+              model := rest;
+              ok))
+        script)
+
+(* Kernel.stats is the one source of the kernel's counts: a run exports
+   exactly its own work to the sim.* telemetry counters *)
+let test_stats_exported_to_telemetry () =
+  let module Tm = Vhdl_telemetry.Telemetry in
+  let names =
+    [ "sim.delta_cycles"; "sim.time_steps"; "sim.events"; "sim.transactions";
+      "sim.process_runs"; "sim.messages" ]
+  in
+  let before = List.map Tm.counter_value names in
+  let sim =
+    run_simulation ~ns:50
+      {|
+entity tb is end tb;
+architecture t of tb is
+  signal clk : bit := '0';
+  signal n : integer := 0;
+begin
+  clk <= not clk after 5 ns;
+  count : process (clk)
+  begin
+    n <= n + 1;
+    assert n /= 3 report "three" severity note;
+  end process;
+end t;
+|}
+      "tb"
+  in
+  let st = Kernel.stats (Vhdl_compiler.kernel sim) in
+  let sv = st.Kernel.severities in
+  List.iter2
+    (fun (name, expected) b ->
+      Alcotest.(check int) name expected (Tm.counter_value name - b))
+    (List.combine names
+       [ st.Kernel.delta_cycles; st.Kernel.time_steps; st.Kernel.events;
+         st.Kernel.transactions; st.Kernel.process_runs;
+         sv.Kernel.notes + sv.Kernel.warnings + sv.Kernel.errors + sv.Kernel.failures ])
+    before;
+  Alcotest.(check int) "one note" 1 sv.Kernel.notes
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest heap_pops_minimum;
     QCheck_alcotest.to_alcotest wave_sorted_invariant;
     QCheck_alcotest.to_alcotest vhdl_mod_sign;
     QCheck_alcotest.to_alcotest vhdl_rem_sign;
@@ -420,4 +484,6 @@ let suite =
     Alcotest.test_case "kernel statistics consistency" `Quick test_kernel_stats_consistency;
     Alcotest.test_case "register signals retain value on disconnect" `Quick
       test_register_retains_on_disconnect;
+    Alcotest.test_case "kernel stats exported to telemetry" `Quick
+      test_stats_exported_to_telemetry;
   ]

@@ -266,6 +266,66 @@ let test_roundtrip_corpus () =
       rest vcd_clk
   | _ -> Alcotest.fail "CLK history does not start at time 0")
 
+(* ------------------------------------------------------------------ *)
+(* Kernel goldens: every corpus design, run to four times its horizon,
+   must reproduce its committed [.golden] byte for byte — outcome and
+   kernel counts, messages, then the VCD.  The files were written by the
+   kernel that rescanned every driver and process on each delta cycle, so
+   they pin the event-driven kernel to its semantics: same cycles, same
+   process runs, same waveforms. *)
+
+let header src key =
+  let prefix = "-- " ^ key ^ ": " in
+  let n = String.length prefix in
+  List.find_map
+    (fun l ->
+      if String.length l > n && String.sub l 0 n = prefix then
+        Some (String.sub l n (String.length l - n))
+      else None)
+    (String.split_on_char '\n' src)
+
+let kernel_golden src =
+  let c = Vhdl_compiler.create () in
+  ignore (Vhdl_compiler.compile c src);
+  let top = Option.get (header src "top") in
+  let sim = Vhdl_compiler.elaborate c ~top () in
+  let max_ns = 4 * int_of_string (Option.get (header src "max-ns")) in
+  let outcome = Vhdl_compiler.run c sim ~max_ns in
+  let st = Kernel.stats (Vhdl_compiler.kernel sim) in
+  let b = Buffer.create 4096 in
+  Printf.bprintf b
+    "$comment outcome %s time_steps %d delta_cycles %d events %d transactions %d \
+     process_runs %d $end\n"
+    (match outcome with
+    | Kernel.Quiescent -> "quiescent"
+    | Kernel.Time_limit -> "time-limit"
+    | Kernel.Stopped -> "stopped"
+    | Kernel.Fuel_exhausted -> "fuel-exhausted")
+    st.Kernel.time_steps st.Kernel.delta_cycles st.Kernel.events st.Kernel.transactions
+    st.Kernel.process_runs;
+  List.iter
+    (fun (t, sev, msg) ->
+      Printf.bprintf b "$comment %s %s: %s $end\n" (Rt.format_time t)
+        (Kernel.severity_name sev) msg)
+    (Vhdl_compiler.messages sim);
+  Buffer.add_string b (Trace.to_vcd (Vhdl_compiler.trace sim) ~timescale_fs:1);
+  Buffer.contents b
+
+let test_kernel_goldens () =
+  let dir = Filename.dirname (corpus_path "x") in
+  let designs =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun n -> Filename.check_suffix n ".vhd")
+    |> List.sort String.compare
+  in
+  Alcotest.(check bool) "kernel_mix is among the goldens" true
+    (List.mem "kernel_mix.vhd" designs);
+  List.iter
+    (fun name ->
+      let expected = read_corpus (Filename.remove_extension name ^ ".golden") in
+      Alcotest.(check string) name expected (kernel_golden (read_corpus name)))
+    designs
+
 (* GTKWave-facing sanity on a second corpus shape: scopes balance and the
    enum state variable is a vector wide enough for its literals *)
 let test_enum_widths () =
@@ -283,4 +343,5 @@ let suite =
     Alcotest.test_case "golden VCD" `Quick test_golden_vcd;
     Alcotest.test_case "round trip on a corpus simulation" `Quick test_roundtrip_corpus;
     Alcotest.test_case "enum and integer widths" `Quick test_enum_widths;
+    Alcotest.test_case "kernel goldens" `Quick test_kernel_goldens;
   ]
