@@ -165,6 +165,7 @@ let compile_cmd =
   let run work refs phases report profile_rules reference trace flame
       flame_alloc metrics metrics_out fuel deadline files =
     with_telemetry ~flame ~flame_alloc ~trace ~metrics ~metrics_out @@ fun () ->
+    Vhdl_compiler.load_generated ();
     (* everything allocated before this point — runtime and module init,
        parse tables, cmdliner — predates any phase frame; it is published
        below as the "startup" pseudo-phase so the phase.alloc_b.* table

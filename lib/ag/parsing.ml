@@ -52,6 +52,15 @@ let create ?(allow_conflicts = false) ?(name = "grammar") (g : 'v Grammar.t) ~eo
   end;
   { grammar = g; table; eof = Grammar.find_symbol g eof }
 
+(** A parser over tables generated earlier from the same grammar (see
+    {!Generated}): only the grammar's context-free skeleton is rebuilt. *)
+let of_tables (g : 'v Grammar.t) ~eof ~action ~goto =
+  let cfg = cfg_of_grammar g ~eof in
+  let table =
+    { Table.cfg; action; goto; conflicts = []; n_states = Array.length action }
+  in
+  { grammar = g; table; eof = Grammar.find_symbol g eof }
+
 let conflicts t = t.table.Table.conflicts
 
 (** Parse a token stream into a derivation tree of the AG. *)

@@ -25,6 +25,16 @@ val create : ?allow_conflicts:bool -> ?name:string -> 'v Grammar.t -> eof:string
     (the paper's authors had to track conflict resolution by hand when
     uniting productions; we reject instead). *)
 
+val of_tables :
+  'v Grammar.t ->
+  eof:string ->
+  action:Vhdl_lalr.Table.action array array ->
+  goto:int array array ->
+  'v t
+(** A parser over conflict-free tables built earlier for the same grammar
+    — the run-time half of build-time generation ({!Generated.load} checks
+    the grammar's fingerprint first). *)
+
 val conflicts : 'v t -> Vhdl_lalr.Table.conflict list
 
 val parse : 'v t -> lexer:(unit -> 'v Vhdl_lalr.Driver.token) -> 'v Tree.t

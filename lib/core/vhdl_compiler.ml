@@ -30,8 +30,8 @@ let m_compiles_demand = Telemetry.counter "compile.runs_demand"
 let m_compiles_staged = Telemetry.counter "compile.runs_staged"
 
 (** How the principal AG is evaluated during [compile].  [Staged] (the
-    default) drives each design unit through the static plan computed once
-    per grammar by {!Analysis.plan} — copy rules elided, the cascade's
+    default) drives each design unit through the static plan generated at
+    build time by {!Analysis.plan} — copy rules elided, the cascade's
     LEF→tree memo warm — the way a Linguist-generated (plan-based)
     evaluator proceeds.  [Demand] is the reference path: goal-directed
     memoizing evaluation with copy elision off and the cascade memo
@@ -58,11 +58,27 @@ type t = {
 
 exception Compile_error of Diag.t list
 
-(* The static evaluation plan of the principal AG, computed once per
-   process (the analysis walks every production; sharing it mirrors
-   Linguist generating the evaluator once). *)
-let principal_plan =
-  lazy (Analysis.plan (Analysis.compute (Main_grammar.grammar ())))
+(* Both grammars' tables and the principal plan were generated at build
+   time (lib/tables); loading them is start-up work.  [compile] forces the
+   load before it opens any frame, so no compile phase or design unit's
+   frame is ever charged for it, and a compiler that never compiles never
+   loads them.
+
+   Unmarshalling puts about 3 MB of tables straight into the major heap.
+   The load ends with one full major collection (about 4 ms), so every
+   process starts compiling from the same collected heap and the first
+   compile owes the collector nothing for the tables.  Without it the
+   peak heap of a long run depended on where the input's first bursts of
+   promotion fell in the major cycle: the claims benchmark's vif-library
+   split into 23-28 MB and 30-33 MB seeds, against 27.6-29.2 MB
+   quartiles with it (EXPERIMENTS.md BUILD-GEN). *)
+let generated =
+  lazy
+    (ignore (Main_grammar.plan ());
+     ignore (Expr_eval.parser_ ());
+     Gc.full_major ())
+
+let load_generated () = Lazy.force generated
 
 (** Create a compiler.  [work_dir] makes the working library disk-backed
     (separate compilation across compiler instances); without it, the
@@ -218,7 +234,7 @@ let analyze_units t ev =
                   | Staged ->
                     ignore
                       (Evaluator.evaluate_plan ~site ev
-                         ~plan:(Lazy.force principal_plan)));
+                         ~plan:(Main_grammar.plan ())));
                   let us = Pval.as_units (Evaluator.eval_at ev site "UNITS") in
                   let ms = Pval.as_msgs (Evaluator.eval_at ev site "MSGS") in
                   (us, ms)))
@@ -245,6 +261,7 @@ let analyze_units t ev =
     {!Compile_error} when nothing parses, or when [fail_on_error] (the
     default) and errors of any origin exist. *)
 let compile ?(fail_on_error = true) t source : Unit_info.compiled_unit list =
+  load_generated ();
   let session = session t in
   Session.with_session session (fun () ->
       Telemetry.with_span ~cat:"pipeline" "compile" @@ fun () ->

@@ -66,6 +66,14 @@ val add_reference_library : t -> name:string -> dir:string -> unit
 (** Attach a read-only reference library under logical [name] (the paper's
     second library argument). *)
 
+val load_generated : unit -> unit
+(** Load both grammars' build-time generated tables and the principal
+    evaluation plan, once per process, then run one full major
+    collection.  [compile] does this first; call it
+    earlier to keep the load out of a measured region (the one-shot CLI's
+    start-up, a daemon's first request).
+    @raise Generated.Stale if the linked tables belong to another grammar. *)
+
 val compile : ?fail_on_error:bool -> t -> string -> Unit_info.compiled_unit list
 (** Compile one source text (possibly several design units) into the
     working library.  Diagnostics accumulate on the compiler.  The parser

@@ -97,10 +97,6 @@ let classify_exn = function
   | Evaluator.Missing_rule { prod_name; attr_name; pos } ->
     `Crash
       (Printf.sprintf "Evaluator.Missing_rule %s.%s@%d" prod_name attr_name pos)
-  | Analysis.Circular { prod_name; _ } ->
-    `Crash (Printf.sprintf "Analysis.Circular in %s" prod_name)
-  | Analysis.Not_orderable { symbol } ->
-    `Crash (Printf.sprintf "Analysis.Not_orderable %s" symbol)
   | Pval.Internal msg -> `Crash (Printf.sprintf "Pval.Internal %s" msg)
   | Elaborate.Elaboration_error msg -> `Reject (Printf.sprintf "elaboration: %s" msg)
   | Rt.Simulation_error { time; msg } ->

@@ -5,17 +5,24 @@
     is fed tokens by a trivial scanner that just takes the next LEF token
     off the front of the list."
 
-    The expression grammar and its parse tables are built once, lazily, just
-    as Linguist generates its evaluator once. *)
+    The expression grammar's parse tables are generated at build time, as
+    Linguist generated its evaluator once; at run time only the grammar's
+    closures are built, once, lazily. *)
 
 type t = {
   grammar : Pval.t Grammar.t;
   parser_ : Pval.t Parsing.t;
 }
 
+let name = "expression AG"
+let eof = "LEOF"
+let generate () = Generated.generate ~name (Expr_grammar.build ()) ~eof
+
 let instance = lazy (
   let grammar = Expr_grammar.build () in
-  let parser_ = Parsing.create ~name:"expression AG" grammar ~eof:"LEOF" in
+  (* expressions are evaluated on demand: their plan is generated only so
+     that a circular expression grammar fails the build *)
+  let parser_, _plan = Generated.load ~name grammar ~eof Grammar_tables.expression in
   { grammar; parser_ })
 
 let grammar () = (Lazy.force instance).grammar

@@ -7,6 +7,14 @@ val grammar : unit -> Pval.t Grammar.t
 (** The expression attribute grammar (built once, lazily). *)
 
 val parser_ : unit -> Pval.t Parsing.t
+(** Its parser, over the tables generated at build time. *)
+
+val name : string
+(** ["expression AG"], the grammar's name in generator diagnostics. *)
+
+val generate : unit -> string
+(** Build the grammar and its tables and plan, encoded for
+    {!Grammar_tables.expression} — the table generator's entry point. *)
 
 (** Instrumentation goes through the process-wide telemetry registry
     ([cascade.*] counters) and the ambient phase timer ("expression

@@ -145,13 +145,23 @@ let build () =
 
   B.freeze b ~start:"design_file"
 
-(** The grammar and its parser, built once (as Linguist generates its
-    evaluator once). *)
+let name = "principal VHDL AG"
+let eof = "EOF"
+
+(** The grammar's LALR(1) tables and evaluation plan, encoded — run once,
+    at build time, by the table generator. *)
+let generate () = Generated.generate ~name (build ()) ~eof
+
+(** The grammar, its parser and its evaluation plan, loaded once.  Only
+    the grammar's closures are built here; the tables and the plan were
+    generated at build time (as Linguist generated its parser and
+    evaluator offline) and load against the grammar's fingerprint. *)
 let instance =
   lazy
     (let grammar = build () in
-     let parser_ = Parsing.create ~name:"principal VHDL AG" grammar ~eof:"EOF" in
-     (grammar, parser_))
+     let parser_, plan = Generated.load ~name grammar ~eof Grammar_tables.principal in
+     (grammar, parser_, plan))
 
-let grammar () = fst (Lazy.force instance)
-let parser_ () = snd (Lazy.force instance)
+let grammar () = let g, _, _ = Lazy.force instance in g
+let parser_ () = let _, p, _ = Lazy.force instance in p
+let plan () = let _, _, pl = Lazy.force instance in pl

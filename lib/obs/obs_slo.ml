@@ -138,23 +138,6 @@ type summary = {
   s_alloc_phase_b : (string * float) list; (* per-phase allocation, largest first *)
 }
 
-(* merged percentile over live buckets: same walk as
-   Telemetry.percentile, clamped to the observed min/max *)
-let percentile_merged ~count ~min_v ~max_v hist p =
-  if count = 0 then 0.0
-  else begin
-    let target = max 1 (int_of_float (Float.ceil (p *. float_of_int count))) in
-    let target = min target count in
-    let rec walk i cum =
-      if i >= hist_buckets then max_v
-      else
-        let cum = cum + hist.(i) in
-        if cum >= target then if i = 0 then 1.0 else Float.pow 2.0 (float_of_int i)
-        else walk (i + 1) cum
-    in
-    Float.min max_v (Float.max min_v (walk 0 0))
-  end
-
 (** Summarize the buckets still inside the window ending at [now]. *)
 let summary t ~now : summary =
   let now_epoch = int_of_float (now /. t.bucket_s) in
@@ -189,7 +172,7 @@ let summary t ~now : summary =
       end)
     t.buckets;
   let pct k = if !requests = 0 then 0.0 else 100.0 *. float_of_int k /. float_of_int !requests in
-  let pc p = percentile_merged ~count:!observed ~min_v:!min_v ~max_v:!max_v hist p in
+  let pc p = Tm.bucket_percentile ~count:!observed ~min_v:!min_v ~max_v:!max_v hist p in
   {
     s_window_s = window_s t;
     s_requests = !requests;

@@ -77,6 +77,9 @@ let fresh_compiler cfg =
   c
 
 let create cfg =
+  (* load the generated tables now, so the first request is not charged
+     for them *)
+  Vhdl_compiler.load_generated ();
   {
     cfg;
     compiler = fresh_compiler cfg;

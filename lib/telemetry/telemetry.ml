@@ -164,20 +164,23 @@ let observe h x =
     the upper bound of the bucket holding the p-th observation, clamped to
     the observed [min,max].  Exact to within a factor of two, which is what
     a latency/size summary needs. *)
-let percentile h p =
-  if h.h_count = 0 then 0.0
+let bucket_percentile ~count ~min_v ~max_v buckets p =
+  if count = 0 then 0.0
   else begin
-    let target = max 1 (int_of_float (Float.ceil (p *. float_of_int h.h_count))) in
-    let target = min target h.h_count in
+    let target = max 1 (int_of_float (Float.ceil (p *. float_of_int count))) in
+    let target = min target count in
     let rec walk i cum =
-      if i >= histogram_buckets then h.h_max
+      if i >= histogram_buckets then max_v
       else
-        let cum = cum + h.h_bucket.(i) in
+        let cum = cum + buckets.(i) in
         if cum >= target then if i = 0 then 1.0 else Float.pow 2.0 (float_of_int i)
         else walk (i + 1) cum
     in
-    Float.min h.h_max (Float.max h.h_min (walk 0 0))
+    Float.min max_v (Float.max min_v (walk 0 0))
   end
+
+let percentile h p =
+  bucket_percentile ~count:h.h_count ~min_v:h.h_min ~max_v:h.h_max h.h_bucket p
 
 (** Current value of a counter by name, 0 if never registered — the
     convenient form for reports and tests. *)

@@ -75,6 +75,12 @@ val percentile : histogram -> float -> float
 (** Approximate quantile from the power-of-two buckets, clamped to the
     observed [min,max] — exact to within a factor of two. *)
 
+val bucket_percentile :
+  count:int -> min_v:float -> max_v:float -> int array -> float -> float
+(** {!percentile} over bucket counts kept outside a registered histogram
+    (the SLO windows merge theirs), with [count] observations between
+    [min_v] and [max_v]. *)
+
 val counter_value : string -> int
 (** Current value of a counter by name, 0 if never registered. *)
 

@@ -34,7 +34,7 @@ let as_l = function
    and synthesized attributes, and an inherited attribute (scale of the
    fraction part) that depends on a synthesized one (its length). *)
 
-let binary_grammar () =
+let binary_grammar ?(extra_production = false) () =
   let open Grammar.Builder in
   let b = create () in
   List.iter (fun t -> ignore (terminal b t)) [ "zero"; "one"; "dot"; "$" ];
@@ -86,6 +86,9 @@ let binary_grammar () =
       ];
   production b ~name:"bit_zero" ~lhs:"bit" ~rhs:[ "zero" ]
     ~rules:[ const ~target:(0, "v") (F 0.0) ];
+  if extra_production then
+    production b ~name:"bit_dot" ~lhs:"bit" ~rhs:[ "dot" ]
+      ~rules:[ const ~target:(0, "v") (F 0.0) ];
   production b ~name:"bit_one" ~lhs:"bit" ~rhs:[ "one" ]
     ~rules:
       [
@@ -490,6 +493,81 @@ let test_staged_principal () =
   in
   Alcotest.(check (list string)) "plan: same units" demand planned
 
+(* ------------------------------------------------------------------ *)
+(* Build-time generation: the tables and plans the compiler loads must be
+   exactly what the generator's own algorithms build, and tables generated
+   for one grammar must never load against another. *)
+
+let check_generated ~what (built : 'v Parsing.t) (loaded : 'v Parsing.t) ~plan
+    ~loaded_plan =
+  let bt = built.Parsing.table and lt = loaded.Parsing.table in
+  Alcotest.(check bool) (what ^ ": conflict free") true (bt.Vhdl_lalr.Table.conflicts = []);
+  Alcotest.(check int) (what ^ ": states") bt.Vhdl_lalr.Table.n_states lt.Vhdl_lalr.Table.n_states;
+  Alcotest.(check bool) (what ^ ": action = Table.build") true
+    (bt.Vhdl_lalr.Table.action = lt.Vhdl_lalr.Table.action);
+  Alcotest.(check bool) (what ^ ": goto = Table.build") true
+    (bt.Vhdl_lalr.Table.goto = lt.Vhdl_lalr.Table.goto);
+  Alcotest.(check bool) (what ^ ": plan = Analysis.plan") true (plan = loaded_plan)
+
+let test_generated_principal () =
+  let g = Main_grammar.build () in
+  Alcotest.(check string) "same numbering as the loaded grammar"
+    (Generated.fingerprint (Main_grammar.grammar ()))
+    (Generated.fingerprint g);
+  check_generated ~what:"principal"
+    (Parsing.create g ~eof:"EOF")
+    (Main_grammar.parser_ ())
+    ~plan:(Analysis.plan (Analysis.compute g))
+    ~loaded_plan:(Main_grammar.plan ())
+
+let test_generated_expression () =
+  let g = Expr_grammar.build () in
+  let loaded, loaded_plan =
+    Generated.load ~name:Expr_eval.name g ~eof:"LEOF" Grammar_tables.expression
+  in
+  check_generated ~what:"expression"
+    (Parsing.create g ~eof:"LEOF")
+    loaded
+    ~plan:(Analysis.plan (Analysis.compute g))
+    ~loaded_plan;
+  Alcotest.(check bool) "Expr_eval's parser uses the generated tables" true
+    ((Expr_eval.parser_ ()).Parsing.table.Vhdl_lalr.Table.action
+     = loaded.Parsing.table.Vhdl_lalr.Table.action)
+
+let test_generated_roundtrip () =
+  let g = binary_grammar () in
+  let loaded, loaded_plan =
+    Generated.load ~name:"binary" g ~eof:"$" (Generated.generate ~name:"binary" g ~eof:"$")
+  in
+  check_generated ~what:"binary"
+    (Parsing.create g ~eof:"$")
+    loaded
+    ~plan:(Analysis.plan (Analysis.compute g))
+    ~loaded_plan
+
+let expect_stale ~name load =
+  match load () with
+  | _ -> Alcotest.failf "%s: stale tables loaded silently" name
+  | exception (Generated.Stale { grammar_name; _ } as e) ->
+    Alcotest.(check string) "names the grammar" name grammar_name;
+    let msg = Printexc.to_string e in
+    Alcotest.(check bool) ("message names the grammar: " ^ msg) true
+      (Astring_contains.contains msg name)
+
+let test_generated_stale () =
+  let blob = Generated.generate ~name:"binary" (binary_grammar ()) ~eof:"$" in
+  let g' = binary_grammar ~extra_production:true () in
+  Alcotest.(check bool) "one extra production changes the fingerprint" true
+    (Generated.fingerprint g' <> Generated.fingerprint (binary_grammar ()));
+  expect_stale ~name:"binary + bit_dot" (fun () ->
+      Generated.load ~name:"binary + bit_dot" g' ~eof:"$" blob);
+  expect_stale ~name:Expr_eval.name (fun () ->
+      Generated.load ~name:Expr_eval.name (Expr_grammar.build ()) ~eof:"LEOF"
+        Grammar_tables.principal);
+  (* what the generator itself links in place of the tables *)
+  expect_stale ~name:Main_grammar.name (fun () ->
+      Generated.load ~name:Main_grammar.name (Main_grammar.build ()) ~eof:"EOF" "")
+
 let suite =
   [
     Alcotest.test_case "binary numbers evaluate" `Quick test_binary_value;
@@ -511,4 +589,11 @@ let suite =
     Alcotest.test_case "reject rule for inherited lhs attribute" `Quick test_reject_bad_rule;
     Alcotest.test_case "reject missing synthesized rule" `Quick test_reject_missing_rule;
     Alcotest.test_case "reject duplicate rule" `Quick test_reject_duplicate_rule;
+    Alcotest.test_case "generated principal tables and plan = generator" `Quick
+      test_generated_principal;
+    Alcotest.test_case "generated expression tables and plan = generator" `Quick
+      test_generated_expression;
+    Alcotest.test_case "generate/load round-trips a toy grammar" `Quick
+      test_generated_roundtrip;
+    Alcotest.test_case "stale generated tables fail loudly" `Quick test_generated_stale;
   ]
