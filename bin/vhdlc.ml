@@ -330,6 +330,9 @@ let dump_cmd =
     | None ->
       Printf.eprintf "no unit %s in the working library\n" key;
       1
+    | exception Library.Library_error msg ->
+      prerr_endline msg;
+      1
   in
   let doc = "Print the human-readable VIF of a compiled unit." in
   Cmd.v (Cmd.info "dump" ~doc) Term.(const run $ work_arg $ ref_arg $ key)
@@ -580,6 +583,34 @@ let bench_suite ~scaling ~warmup ~repeats ~quota =
            rated "sim.events" "events_per_s";
          ])
   in
+  (* the VIF read path: a disk library of packages is populated once; each
+     repetition drops the unit cache and resolves every unit from its file *)
+  let vif_experiment name ~packages =
+    let dir = Filename.temp_file "vhdlc-bench" ".lib" in
+    Sys.remove dir;
+    let c = Vhdl_compiler.create ~work_dir:dir () in
+    for i = 1 to packages do
+      ignore (Vhdl_compiler.compile c (Workload.package ~name:(Printf.sprintf "LIB%d" i) ~n:30))
+    done;
+    let lib = Library.create ~dir ~name:"WORK" () in
+    let keys = List.map (fun (u : Unit_info.compiled_unit) -> u.Unit_info.u_key) (Library.all lib) in
+    let s =
+      Fun.protect
+        ~finally:(fun () ->
+          Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+          Sys.rmdir dir)
+        (fun () ->
+          Perf.run ~warmup ~repeats ?quota_s:quota ~name (fun () ->
+              Library.clear_cache lib;
+              List.iter (fun key -> ignore (Library.find lib ~library:"WORK" ~key)) keys))
+    in
+    Perf.Sample.with_metrics s
+      (("units", float_of_int (List.length keys))
+      ::
+      (match Perf.Sample.rate s "vif.read_bytes" with
+      | Some r -> [ ("read_bytes_per_s", r) ]
+      | None -> []))
+  in
   if not scaling then
     [
       compile_experiment "compile/behavioral"
@@ -589,6 +620,7 @@ let bench_suite ~scaling ~warmup ~repeats ~quota =
       compile_experiment "compile/expressions" [ Workload.expression_heavy ~n:60 ];
       compile_experiment "compile/packages" [ Workload.package ~name:"P1" ~n:20 ];
       sim_experiment "simulate/divider" ~stages:4 ~max_ns:4000;
+      vif_experiment "vif/library" ~packages:12;
     ]
   else
     (* the scaling curve: the same generators swept across design size;

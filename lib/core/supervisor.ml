@@ -112,6 +112,8 @@ let diag_of_exn ~phase ?unit_name ?elapsed_s ~line exn : Diag.t option =
     budget_plain
       (Printf.sprintf "compilation deadline of %gs exceeded after %.3fs of wall time"
          seconds elapsed_s)
+  (* a corrupt VIF file is the user's library, not a compiler defect *)
+  | Library.Library_error msg -> Some (Diag.error ~line "%s" msg)
   (* internal escapes *)
   | Pval.Internal msg -> internal (Printf.sprintf "internal error: %s" msg)
   | Grammar.Ill_formed msg ->

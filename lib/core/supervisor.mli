@@ -7,8 +7,10 @@
     with an [Internal] origin, and every budget exhaustion
     ([Evaluator.Fuel_exhausted], [Elaborate.Budget_exhausted],
     {!Deadline}) into one with a [Budget] origin — both tagged with the
-    phase and unit.  Fatal conditions ([Out_of_memory], [Sys.Break]) and
-    unrecognized exceptions still propagate. *)
+    phase and unit.  A corrupt VIF file ([Library.Library_error]) becomes
+    an ordinary error on the unit that referenced it.  Fatal conditions
+    ([Out_of_memory], [Sys.Break]) and unrecognized exceptions still
+    propagate. *)
 
 type phase =
   | Scan

@@ -250,7 +250,7 @@ let analyze_units t ev =
             budget_dead := true;
             record Supervisor.Skipped
           end
-          else record Supervisor.Poisoned)
+          else record (if Diag.is_internal d then Supervisor.Poisoned else Supervisor.Errored))
     (Evaluator.sites ev ~symbol:"design_unit");
   (List.rev !units, List.rev !msgs, List.rev !report)
 

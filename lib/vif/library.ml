@@ -65,11 +65,12 @@ let add_reference t ~as_name ref_lib = t.references <- t.references @ [ (as_name
 
 (* VIF I/O time is charged to its own phase of the ambient compile timer
    ([phase] is "VIF read" or "VIF write"), which both carves it out of the
-   enclosing phase and records each file transfer as a telemetry span. *)
-let timed phase cell f =
+   enclosing phase and records each file transfer as a telemetry span;
+   [add] accumulates the seconds into the library's own counter. *)
+let timed phase add f =
   Vhdl_util.Phase_timer.time_ambient phase (fun () ->
       let start = U.now () in
-      Fun.protect ~finally:(fun () -> cell := !cell +. (U.now () -. start)) f)
+      Fun.protect ~finally:(fun () -> add (U.now () -. start)) f)
 
 (** Write [u] into the library (memory and, if disk-backed, its VIF file).
     The sequence stamp records compilation order — the input to the
@@ -82,8 +83,7 @@ let insert t (u : Unit_info.compiled_unit) =
   match t.lib_dir with
   | None -> ()
   | Some dir ->
-    let cell = ref t.write_seconds in
-    timed "VIF write" cell (fun () ->
+    timed "VIF write" (fun s -> t.write_seconds <- t.write_seconds +. s) (fun () ->
         t.writes <- t.writes + 1;
         Tm.incr m_writes;
         let file = file_of_key u.Unit_info.u_key in
@@ -91,8 +91,7 @@ let insert t (u : Unit_info.compiled_unit) =
         let text = Vif_units.to_string u in
         Tm.add m_write_bytes (String.length text);
         Tm.observe m_unit_bytes (float_of_int (String.length text));
-        U.write_file (Filename.concat dir file) text);
-    t.write_seconds <- !cell
+        U.write_file (Filename.concat dir file) text)
 
 let rec resolve_library t name =
   if String.equal name t.lib_name || String.equal name "WORK" then Some t
@@ -104,6 +103,25 @@ let rec resolve_library t name =
       List.find_map
         (fun (_, lib) -> if lib.lib_name = name then Some lib else resolve_library lib name)
         t.references
+
+(* Read and decode the VIF file [file] of [lib]'s directory [dir],
+   caching the unit unless one with its key is already known. *)
+let load lib dir file =
+  let path = Filename.concat dir file in
+  let u =
+    timed "VIF read" (fun s -> lib.read_seconds <- lib.read_seconds +. s) (fun () ->
+        lib.reads <- lib.reads + 1;
+        Tm.incr m_reads;
+        let text = U.read_file path in
+        Tm.add m_read_bytes (String.length text);
+        try Vif_units.of_string text
+        with Vif_codec.Error { pos; msg } ->
+          err "corrupt VIF file %s at byte %d: %s" path pos msg)
+  in
+  Hashtbl.replace lib.loaded_files file ();
+  if not (Hashtbl.mem lib.units u.Unit_info.u_key) then
+    Hashtbl.replace lib.units u.Unit_info.u_key u;
+  u
 
 (** Find a unit: memory first, then the VIF file, recursively loading the
     unit's own foreign references (the paper's "reads the VIF from disk,
@@ -119,21 +137,9 @@ let rec find t ~library ~key : Unit_info.compiled_unit option =
       | None -> None
       | Some dir ->
         let file = file_of_key key in
-        let path = Filename.concat dir file in
-        if not (Sys.file_exists path) then None
+        if not (Sys.file_exists (Filename.concat dir file)) then None
         else begin
-          let cell = ref lib.read_seconds in
-          let u =
-            timed "VIF read" cell (fun () ->
-                lib.reads <- lib.reads + 1;
-                Tm.incr m_reads;
-                let text = U.read_file path in
-                Tm.add m_read_bytes (String.length text);
-                Vif_units.of_string text)
-          in
-          lib.read_seconds <- !cell;
-          Hashtbl.replace lib.loaded_files file ();
-          Hashtbl.replace lib.units key u;
+          let u = load lib dir file in
           (* fix up nested foreign references *)
           List.iter
             (fun (dep_lib, dep_key) -> ignore (find t ~library:dep_lib ~key:dep_key))
@@ -146,29 +152,13 @@ let rec find t ~library ~key : Unit_info.compiled_unit option =
 let all t : Unit_info.compiled_unit list =
   let load_dir lib =
     match lib.lib_dir with
-    | None -> ()
-    | Some dir ->
-      if Sys.file_exists dir then
-        Array.iter
-          (fun f ->
-            if Filename.check_suffix f ".vif" && not (Hashtbl.mem lib.loaded_files f)
-            then begin
-              let path = Filename.concat dir f in
-              let cell = ref lib.read_seconds in
-              let u =
-                timed "VIF read" cell (fun () ->
-                    lib.reads <- lib.reads + 1;
-                    Tm.incr m_reads;
-                    let text = U.read_file path in
-                    Tm.add m_read_bytes (String.length text);
-                    Vif_units.of_string text)
-              in
-              lib.read_seconds <- !cell;
-              Hashtbl.replace lib.loaded_files f ();
-              if not (Hashtbl.mem lib.units u.Unit_info.u_key) then
-                Hashtbl.replace lib.units u.Unit_info.u_key u
-            end)
-          (Sys.readdir dir)
+    | Some dir when Sys.file_exists dir ->
+      Array.iter
+        (fun f ->
+          if Filename.check_suffix f ".vif" && not (Hashtbl.mem lib.loaded_files f) then
+            ignore (load lib dir f))
+        (Sys.readdir dir)
+    | _ -> ()
   in
   load_dir t;
   List.iter (fun (_, lib) -> load_dir lib) t.references;

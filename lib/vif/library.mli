@@ -27,11 +27,14 @@ val resolve_library : t -> string -> t option
 
 val find : t -> library:string -> key:string -> Unit_info.compiled_unit option
 (** Memory first, then the VIF file, recursively loading the unit's foreign
-    references. *)
+    references.
+    @raise Library_error naming the file and the byte offset where a
+    corrupt VIF file stops decoding. *)
 
 val all : t -> Unit_info.compiled_unit list
 (** Every known unit, in compilation order (loads all VIF files of
-    disk-backed libraries). *)
+    disk-backed libraries).
+    @raise Library_error as {!find} does. *)
 
 val dump : t -> library:string -> key:string -> string option
 (** The paper's human-readable VIF form, for debugging and documentation. *)

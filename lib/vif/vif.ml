@@ -4,174 +4,146 @@
     generated for each separately-compilable unit and read in when that unit
     is referenced from another."
 
-    The concrete syntax is s-expressions; {!to_string_indented} provides the
-    paper's "human-readable form of the VIF (used for both debugging and
-    documentation)".  Like the original, VIF values are applicative: they
+    The concrete syntax is s-expressions, written and read by {!Vif_codec}
+    with no tree in between: each [write_X] appends an [X] to a buffer and
+    each [read_X] decodes one from a reader, field by field in the order the
+    writer emits them.  Like the original, VIF values are applicative: they
     are built by attribute evaluation and never mutated. *)
 
-module S = Vhdl_util.Sexp
+module W = Vif_codec.W
+module R = Vif_codec.R
 
-exception Vif_error of string
+(* A keyword standing for a constructor: written with [write_name], read
+   with [read_name], both from one association list. *)
+let rec read_name what names r =
+  match names with
+  | [] -> R.error r "bad %s" what
+  | (x, n) :: rest -> if R.kw r n then x else read_name what rest r
 
-let fail fmt = Format.kasprintf (fun s -> raise (Vif_error s)) fmt
+let write_name names b x = W.atom b (List.assoc x names)
 
-let wrap_decode f sexp =
-  try f sexp with
-  | S.Decode_error m -> fail "VIF decode error: %s" m
-  | Failure m -> fail "VIF decode error: %s" m
+let write_opt f b = function
+  | None -> W.atom b "none"
+  | Some x -> W.field "some" f b x
+
+let read_opt f r = if R.kw r "none" then None else Some (R.field "some" f r)
 
 (* ------------------------------------------------------------------ *)
 (* Types *)
 
-let rec sexp_of_ty (t : Types.t) =
-  let kind =
-    match t.Types.kind with
-    | Types.Kint -> S.List [ S.Atom "int" ]
-    | Types.Kfloat -> S.List [ S.Atom "float" ]
-    | Types.Kenum lits ->
-      S.List (S.Atom "enum" :: List.map S.atom (Array.to_list lits))
-    | Types.Kphys units ->
-      S.List
-        (S.Atom "phys"
-        :: List.map (fun (u, scale) -> S.List [ S.Atom u; S.int scale ]) units)
-    | Types.Karray { index; elem } ->
-      S.List [ S.Atom "array"; sexp_of_ty index; sexp_of_ty elem ]
-    | Types.Krecord fields ->
-      S.List
-        (S.Atom "record"
-        :: List.map (fun (n, ft) -> S.List [ S.Atom n; sexp_of_ty ft ]) fields)
-    | Types.Kaccess designated -> S.List [ S.Atom "access"; sexp_of_ty designated ]
-  in
-  let constr =
-    match t.Types.constr with
-    | None -> []
-    | Some (Types.Crange (l, d, r)) ->
-      [ S.List [ S.Atom "range"; S.int l; sexp_of_dir d; S.int r ] ]
-    | Some (Types.Cfloat_range (l, d, r)) ->
-      [
-        S.List
-          [
-            S.Atom "frange"; S.Atom (string_of_float l); sexp_of_dir d;
-            S.Atom (string_of_float r);
-          ];
-      ]
-  in
-  S.List ((S.Atom t.Types.base :: kind :: constr))
+let dir_names = [ (Types.To, "to"); (Types.Downto, "downto") ]
+let write_dir = write_name dir_names
+let read_dir r = read_name "direction" dir_names r
 
-and sexp_of_dir = function
-  | Types.To -> S.Atom "to"
-  | Types.Downto -> S.Atom "downto"
+let rec write_ty b (t : Types.t) =
+  W.tag b "";
+  W.atom b t.Types.base;
+  (match t.Types.kind with
+  | Types.Kint -> W.tag b "int"
+  | Types.Kfloat -> W.tag b "float"
+  | Types.Kenum lits -> W.tag b "enum"; Array.iter (W.atom b) lits
+  | Types.Kphys units -> W.tag b "phys"; List.iter (W.pair W.atom W.int b) units
+  | Types.Karray { index; elem } -> W.tag b "array"; write_ty b index; write_ty b elem
+  | Types.Krecord fields -> W.tag b "record"; List.iter (W.pair W.atom write_ty b) fields
+  | Types.Kaccess designated -> W.tag b "access"; write_ty b designated);
+  W.close b;
+  (match t.Types.constr with
+  | None -> ()
+  | Some (Types.Crange (l, d, r)) ->
+    W.tag b "range"; W.int b l; write_dir b d; W.int b r; W.close b
+  | Some (Types.Cfloat_range (l, d, r)) ->
+    W.tag b "frange"; W.float b l; write_dir b d; W.float b r; W.close b);
+  W.close b
 
-let dir_of_sexp s =
-  match S.to_atom s with
-  | "to" -> Types.To
-  | "downto" -> Types.Downto
-  | d -> fail "bad direction %s" d
+let rec read_ty r : Types.t =
+  R.enter r;
+  let base = R.atom r in
+  let kind = R.list read_kind r in
+  let constr = if R.at_close r then None else Some (R.list read_constraint r) in
+  R.leave r;
+  { Types.base; kind; constr }
 
-let rec ty_of_sexp sexp =
-  match sexp with
-  | S.List (S.Atom base :: kind :: rest) ->
-    let k =
-      match kind with
-      | S.List [ S.Atom "int" ] -> Types.Kint
-      | S.List [ S.Atom "float" ] -> Types.Kfloat
-      | S.List (S.Atom "enum" :: lits) ->
-        Types.Kenum (Array.of_list (List.map S.to_atom lits))
-      | S.List (S.Atom "phys" :: units) ->
-        Types.Kphys
-          (List.map
-             (fun u ->
-               match u with
-               | S.List [ S.Atom name; scale ] -> (name, S.to_int scale)
-               | _ -> fail "bad physical unit")
-             units)
-      | S.List [ S.Atom "array"; index; elem ] ->
-        Types.Karray { index = ty_of_sexp index; elem = ty_of_sexp elem }
-      | S.List [ S.Atom "access"; designated ] -> Types.Kaccess (ty_of_sexp designated)
-      | S.List (S.Atom "record" :: fields) ->
-        Types.Krecord
-          (List.map
-             (fun f ->
-               match f with
-               | S.List [ S.Atom n; ft ] -> (n, ty_of_sexp ft)
-               | _ -> fail "bad record field")
-             fields)
-      | _ -> fail "bad type kind"
-    in
-    let constr =
-      match rest with
-      | [] -> None
-      | [ S.List [ S.Atom "range"; l; d; r ] ] ->
-        Some (Types.Crange (S.to_int l, dir_of_sexp d, S.to_int r))
-      | [ S.List [ S.Atom "frange"; S.Atom l; d; S.Atom r ] ] ->
-        Some (Types.Cfloat_range (float_of_string l, dir_of_sexp d, float_of_string r))
-      | _ -> fail "bad type constraint"
-    in
-    { Types.base; kind = k; constr }
-  | _ -> fail "bad type"
+and read_kind r =
+  if R.kw r "int" then Types.Kint
+  else if R.kw r "float" then Types.Kfloat
+  else if R.kw r "enum" then Types.Kenum (Array.of_list (R.rest R.atom r))
+  else if R.kw r "phys" then Types.Kphys (R.rest (R.pair R.atom R.int) r)
+  else if R.kw r "array" then
+    let index = read_ty r in
+    Types.Karray { index; elem = read_ty r }
+  else if R.kw r "record" then Types.Krecord (R.rest (R.pair R.atom read_ty) r)
+  else if R.kw r "access" then Types.Kaccess (read_ty r)
+  else R.error r "bad type kind"
+
+and read_constraint r =
+  if R.kw r "range" then
+    let l = R.int r in
+    let d = read_dir r in
+    Types.Crange (l, d, R.int r)
+  else if R.kw r "frange" then
+    let l = R.float r in
+    let d = read_dir r in
+    Types.Cfloat_range (l, d, R.float r)
+  else R.error r "bad type constraint"
 
 (* ------------------------------------------------------------------ *)
 (* Values *)
 
-let rec sexp_of_value (v : Value.t) =
+let write_tagged_int b t n = W.tag b t; W.int b n; W.close b
+
+let rec write_value b (v : Value.t) =
   match v with
-  | Value.Vint n -> S.List [ S.Atom "i"; S.int n ]
-  | Value.Vfloat x -> S.List [ S.Atom "f"; S.Atom (string_of_float x) ]
-  | Value.Venum n -> S.List [ S.Atom "e"; S.int n ]
-  | Value.Vphys n -> S.List [ S.Atom "p"; S.int n ]
+  | Value.Vnull -> W.atom b "null"
+  | Value.Vint n -> write_tagged_int b "i" n
+  | Value.Venum n -> write_tagged_int b "e" n
+  | Value.Vphys n -> write_tagged_int b "p" n
+  | Value.Vfloat x -> W.tag b "f"; W.float b x; W.close b
   | Value.Varray { bounds = l, d, r; elems } ->
-    S.List
-      (S.Atom "a" :: S.int l :: sexp_of_dir d :: S.int r
-      :: List.map sexp_of_value (Array.to_list elems))
+    W.tag b "a"; W.int b l; write_dir b d; W.int b r;
+    Array.iter (write_value b) elems;
+    W.close b
   | Value.Vrecord fields ->
-    S.List
-      (S.Atom "r"
-      :: List.map (fun (n, fv) -> S.List [ S.Atom n; sexp_of_value fv ]) fields)
-  | Value.Vnull -> S.Atom "null"
+    W.tag b "r"; List.iter (W.pair W.atom write_value b) fields; W.close b
   | Value.Vaccess _ ->
     (* access values are variable-local and never reach the VIF; a constant
        folded to one would be a front-end bug *)
     failwith "Vif: access values are not serializable"
 
-let rec value_of_sexp sexp =
-  match sexp with
-  | S.Atom "null" -> Value.Vnull
-  | S.List [ S.Atom "i"; n ] -> Value.Vint (S.to_int n)
-  | S.List [ S.Atom "f"; S.Atom x ] -> Value.Vfloat (float_of_string x)
-  | S.List [ S.Atom "e"; n ] -> Value.Venum (S.to_int n)
-  | S.List [ S.Atom "p"; n ] -> Value.Vphys (S.to_int n)
-  | S.List (S.Atom "a" :: l :: d :: r :: elems) ->
-    Value.Varray
-      {
-        bounds = (S.to_int l, dir_of_sexp d, S.to_int r);
-        elems = Array.of_list (List.map value_of_sexp elems);
-      }
-  | S.List (S.Atom "r" :: fields) ->
-    Value.Vrecord
-      (List.map
-         (fun f ->
-           match f with
-           | S.List [ S.Atom n; fv ] -> (n, value_of_sexp fv)
-           | _ -> fail "bad record value field")
-         fields)
-  | _ -> fail "bad value"
+let rec read_value r : Value.t =
+  if R.kw r "null" then Value.Vnull else R.list read_value_list r
+
+and read_value_list r =
+  if R.kw r "i" then Value.Vint (R.int r)
+  else if R.kw r "e" then Value.Venum (R.int r)
+  else if R.kw r "p" then Value.Vphys (R.int r)
+  else if R.kw r "f" then Value.Vfloat (R.float r)
+  else if R.kw r "a" then
+    let l = R.int r in
+    let d = read_dir r in
+    let hi = R.int r in
+    Value.Varray { bounds = (l, d, hi); elems = Array.of_list (R.rest read_value r) }
+  else if R.kw r "r" then Value.Vrecord (R.rest (R.pair R.atom read_value) r)
+  else R.error r "bad value"
 
 (* ------------------------------------------------------------------ *)
 (* KIR expressions and statements *)
 
-let sexp_of_sref = function
-  | Kir.Sig_local i -> S.List [ S.Atom "local"; S.int i ]
-  | Kir.Sig_guard -> S.Atom "guard"
-  | Kir.Sig_global { package; name } -> S.List [ S.Atom "global"; S.Atom package; S.Atom name ]
-  | Kir.Sig_param i -> S.List [ S.Atom "param"; S.int i ]
+let write_sref b = function
+  | Kir.Sig_guard -> W.atom b "guard"
+  | Kir.Sig_local i -> write_tagged_int b "local" i
+  | Kir.Sig_param i -> write_tagged_int b "param" i
+  | Kir.Sig_global { package; name } ->
+    W.tag b "global"; W.atom b package; W.atom b name; W.close b
 
-let sref_of_sexp = function
-  | S.List [ S.Atom "local"; i ] -> Kir.Sig_local (S.to_int i)
-  | S.Atom "guard" -> Kir.Sig_guard
-  | S.List [ S.Atom "param"; i ] -> Kir.Sig_param (S.to_int i)
-  | S.List [ S.Atom "global"; S.Atom package; S.Atom name ] ->
-    Kir.Sig_global { package; name }
-  | _ -> fail "bad signal reference"
+let read_sref_list r =
+  if R.kw r "local" then Kir.Sig_local (R.int r)
+  else if R.kw r "param" then Kir.Sig_param (R.int r)
+  else if R.kw r "global" then
+    let package = R.atom r in
+    Kir.Sig_global { package; name = R.atom r }
+  else R.error r "bad signal reference"
+
+let read_sref r = if R.kw r "guard" then Kir.Sig_guard else R.list read_sref_list r
 
 let binop_names =
   [
@@ -181,11 +153,6 @@ let binop_names =
     (Kir.Bsub, "sub"); (Kir.Bconcat, "concat"); (Kir.Bmul, "mul"); (Kir.Bdiv, "div");
     (Kir.Bmod, "mod"); (Kir.Brem, "rem"); (Kir.Bexp, "exp");
   ]
-
-let binop_of_name n =
-  match List.find_opt (fun (_, s) -> s = n) binop_names with
-  | Some (op, _) -> op
-  | None -> fail "bad binop %s" n
 
 let unop_names = [ (Kir.Uneg, "neg"); (Kir.Uplus, "plus"); (Kir.Uabs, "abs"); (Kir.Unot, "not") ]
 
@@ -197,408 +164,352 @@ let aattr_names =
   [ (Kir.At_left, "left"); (Kir.At_right, "right"); (Kir.At_high, "high");
     (Kir.At_low, "low"); (Kir.At_length, "length") ]
 
-let sexp_of_opt f = function
-  | None -> S.Atom "none"
-  | Some x -> S.List [ S.Atom "some"; f x ]
-
-let opt_of_sexp f = function
-  | S.Atom "none" -> None
-  | S.List [ S.Atom "some"; x ] -> Some (f x)
-  | _ -> fail "bad option"
-
-let rec sexp_of_expr (e : Kir.expr) =
+let rec write_expr b (e : Kir.expr) =
   match e with
-  | Kir.Elit v -> S.List [ S.Atom "lit"; sexp_of_value v ]
-  | Kir.Enull -> S.Atom "enull"
-  | Kir.Enew (ty, init) ->
-    S.List [ S.Atom "new"; sexp_of_ty ty; sexp_of_opt sexp_of_expr init ]
-  | Kir.Ederef a -> S.List [ S.Atom "deref"; sexp_of_expr a ]
+  | Kir.Enull -> W.atom b "enull"
+  | Kir.Elit v -> W.tag b "lit"; write_value b v; W.close b
+  | Kir.Enew (ty, init) -> W.tag b "new"; write_ty b ty; write_opt write_expr b init; W.close b
+  | Kir.Ederef a -> W.tag b "deref"; write_expr b a; W.close b
   | Kir.Evar { level; index; name } ->
-    S.List [ S.Atom "var"; S.int level; S.int index; S.Atom name ]
-  | Kir.Egeneric { index; name } -> S.List [ S.Atom "generic"; S.int index; S.Atom name ]
-  | Kir.Eunit_const { name } -> S.List [ S.Atom "uconst"; S.Atom name ]
-  | Kir.Esig sref -> S.List [ S.Atom "sig"; sexp_of_sref sref ]
+    W.tag b "var"; W.int b level; W.int b index; W.atom b name; W.close b
+  | Kir.Egeneric { index; name } -> W.tag b "generic"; W.int b index; W.atom b name; W.close b
+  | Kir.Eunit_const { name } -> W.tag b "uconst"; W.atom b name; W.close b
+  | Kir.Esig sref -> W.tag b "sig"; write_sref b sref; W.close b
   | Kir.Esig_attr (sref, a) ->
-    S.List [ S.Atom "sattr"; sexp_of_sref sref; S.Atom (List.assoc a sattr_names) ]
-  | Kir.Ebin (op, a, b) ->
-    S.List [ S.Atom "bin"; S.Atom (List.assoc op binop_names); sexp_of_expr a; sexp_of_expr b ]
-  | Kir.Eun (op, a) -> S.List [ S.Atom "un"; S.Atom (List.assoc op unop_names); sexp_of_expr a ]
-  | Kir.Eindex (a, i) -> S.List [ S.Atom "index"; sexp_of_expr a; sexp_of_expr i ]
-  | Kir.Eslice (a, (l, d, r)) ->
-    S.List [ S.Atom "slice"; sexp_of_expr a; sexp_of_expr l; sexp_of_dir d; sexp_of_expr r ]
-  | Kir.Efield (a, f) -> S.List [ S.Atom "field"; sexp_of_expr a; S.Atom f ]
+    W.tag b "sattr"; write_sref b sref; write_name sattr_names b a; W.close b
+  | Kir.Ebin (op, x, y) ->
+    W.tag b "bin"; write_name binop_names b op; write_expr b x; write_expr b y; W.close b
+  | Kir.Eun (op, a) -> W.tag b "un"; write_name unop_names b op; write_expr b a; W.close b
+  | Kir.Eindex (a, i) -> W.tag b "index"; write_expr b a; write_expr b i; W.close b
+  | Kir.Eslice (a, range) -> W.tag b "slice"; write_expr b a; write_range b range; W.close b
+  | Kir.Efield (a, f) -> W.tag b "field"; write_expr b a; W.atom b f; W.close b
   | Kir.Eaggregate (els, shape) ->
-    S.List
-      [
-        S.Atom "agg";
-        S.List
-          (List.map
-             (fun el ->
-               match el with
-               | Kir.Ag_pos e -> S.List [ S.Atom "pos"; sexp_of_expr e ]
-               | Kir.Ag_named (i, e) -> S.List [ S.Atom "named"; S.int i; sexp_of_expr e ]
-               | Kir.Ag_field (f, e) -> S.List [ S.Atom "fld"; S.Atom f; sexp_of_expr e ]
-               | Kir.Ag_others e -> S.List [ S.Atom "others"; sexp_of_expr e ])
-             els);
-        (match shape with
-        | Kir.Sh_array None -> S.List [ S.Atom "array" ]
-        | Kir.Sh_array (Some (l, d, r)) ->
-          S.List [ S.Atom "array"; S.int l; sexp_of_dir d; S.int r ]
-        | Kir.Sh_record fields -> S.List (S.Atom "record" :: List.map S.atom fields));
-      ]
+    W.tag b "agg";
+    W.list write_agg_elem b els;
+    (match shape with
+    | Kir.Sh_array None -> W.tag b "array"
+    | Kir.Sh_array (Some (l, d, r)) -> W.tag b "array"; W.int b l; write_dir b d; W.int b r
+    | Kir.Sh_record fields -> W.tag b "record"; List.iter (W.atom b) fields);
+    W.close b;
+    W.close b
   | Kir.Ecall (Kir.F_user f, args) ->
-    S.List (S.Atom "call" :: S.Atom f :: List.map sexp_of_expr args)
+    W.tag b "call"; W.atom b f; List.iter (write_expr b) args; W.close b
   | Kir.Econvert (c, a) ->
-    let cs =
-      match c with
-      | Kir.To_integer -> S.Atom "to_int"
-      | Kir.To_float -> S.Atom "to_float"
-      | Kir.To_pos -> S.Atom "to_pos"
-      | Kir.To_val ty -> S.List [ S.Atom "to_val"; sexp_of_ty ty ]
-    in
-    S.List [ S.Atom "conv"; cs; sexp_of_expr a ]
+    W.tag b "conv";
+    (match c with
+    | Kir.To_integer -> W.atom b "to_int"
+    | Kir.To_float -> W.atom b "to_float"
+    | Kir.To_pos -> W.atom b "to_pos"
+    | Kir.To_val ty -> W.tag b "to_val"; write_ty b ty; W.close b);
+    write_expr b a;
+    W.close b
   | Kir.Earray_attr (a, at) ->
-    S.List [ S.Atom "aattr"; sexp_of_expr a; S.Atom (List.assoc at aattr_names) ]
+    W.tag b "aattr"; write_expr b a; write_name aattr_names b at; W.close b
 
-let rec expr_of_sexp sexp : Kir.expr =
-  match sexp with
-  | S.Atom "enull" -> Kir.Enull
-  | S.List [ S.Atom "new"; ty; init ] ->
-    Kir.Enew (ty_of_sexp ty, opt_of_sexp expr_of_sexp init)
-  | S.List [ S.Atom "deref"; a ] -> Kir.Ederef (expr_of_sexp a)
-  | S.List [ S.Atom "lit"; v ] -> Kir.Elit (value_of_sexp v)
-  | S.List [ S.Atom "var"; level; index; S.Atom name ] ->
-    Kir.Evar { level = S.to_int level; index = S.to_int index; name }
-  | S.List [ S.Atom "generic"; index; S.Atom name ] ->
-    Kir.Egeneric { index = S.to_int index; name }
-  | S.List [ S.Atom "uconst"; S.Atom name ] -> Kir.Eunit_const { name }
-  | S.List [ S.Atom "sig"; sref ] -> Kir.Esig (sref_of_sexp sref)
-  | S.List [ S.Atom "sattr"; sref; S.Atom a ] ->
-    let attr =
-      match List.find_opt (fun (_, n) -> n = a) sattr_names with
-      | Some (at, _) -> at
-      | None -> fail "bad signal attribute %s" a
-    in
-    Kir.Esig_attr (sref_of_sexp sref, attr)
-  | S.List [ S.Atom "bin"; S.Atom op; a; b ] ->
-    Kir.Ebin (binop_of_name op, expr_of_sexp a, expr_of_sexp b)
-  | S.List [ S.Atom "un"; S.Atom op; a ] ->
-    let u =
-      match List.find_opt (fun (_, n) -> n = op) unop_names with
-      | Some (u, _) -> u
-      | None -> fail "bad unop %s" op
-    in
-    Kir.Eun (u, expr_of_sexp a)
-  | S.List [ S.Atom "index"; a; i ] -> Kir.Eindex (expr_of_sexp a, expr_of_sexp i)
-  | S.List [ S.Atom "slice"; a; l; d; r ] ->
-    Kir.Eslice (expr_of_sexp a, (expr_of_sexp l, dir_of_sexp d, expr_of_sexp r))
-  | S.List [ S.Atom "field"; a; S.Atom f ] -> Kir.Efield (expr_of_sexp a, f)
-  | S.List [ S.Atom "agg"; S.List els; shape ] ->
-    let els =
-      List.map
-        (fun el ->
-          match el with
-          | S.List [ S.Atom "pos"; e ] -> Kir.Ag_pos (expr_of_sexp e)
-          | S.List [ S.Atom "named"; i; e ] -> Kir.Ag_named (S.to_int i, expr_of_sexp e)
-          | S.List [ S.Atom "fld"; S.Atom f; e ] -> Kir.Ag_field (f, expr_of_sexp e)
-          | S.List [ S.Atom "others"; e ] -> Kir.Ag_others (expr_of_sexp e)
-          | _ -> fail "bad aggregate element")
-        els
-    in
-    let shape =
-      match shape with
-      | S.List [ S.Atom "array" ] -> Kir.Sh_array None
-      | S.List [ S.Atom "array"; l; d; r ] ->
-        Kir.Sh_array (Some (S.to_int l, dir_of_sexp d, S.to_int r))
-      | S.List (S.Atom "record" :: fields) -> Kir.Sh_record (List.map S.to_atom fields)
-      | _ -> fail "bad aggregate shape"
-    in
-    Kir.Eaggregate (els, shape)
-  | S.List (S.Atom "call" :: S.Atom f :: args) ->
-    Kir.Ecall (Kir.F_user f, List.map expr_of_sexp args)
-  | S.List [ S.Atom "conv"; cs; a ] ->
+and write_range b (l, d, r) = write_expr b l; write_dir b d; write_expr b r
+
+and write_agg_elem b = function
+  | Kir.Ag_pos e -> W.tag b "pos"; write_expr b e; W.close b
+  | Kir.Ag_named (i, e) -> W.tag b "named"; W.int b i; write_expr b e; W.close b
+  | Kir.Ag_field (f, e) -> W.tag b "fld"; W.atom b f; write_expr b e; W.close b
+  | Kir.Ag_others e -> W.tag b "others"; write_expr b e; W.close b
+
+let rec read_expr r : Kir.expr = if R.kw r "enull" then Kir.Enull else R.list read_expr_list r
+
+and read_expr_list r : Kir.expr =
+  if R.kw r "lit" then Kir.Elit (read_value r)
+  else if R.kw r "new" then
+    let ty = read_ty r in
+    Kir.Enew (ty, read_opt read_expr r)
+  else if R.kw r "deref" then Kir.Ederef (read_expr r)
+  else if R.kw r "var" then
+    let level = R.int r in
+    let index = R.int r in
+    Kir.Evar { level; index; name = R.atom r }
+  else if R.kw r "generic" then
+    let index = R.int r in
+    Kir.Egeneric { index; name = R.atom r }
+  else if R.kw r "uconst" then Kir.Eunit_const { name = R.atom r }
+  else if R.kw r "sig" then Kir.Esig (read_sref r)
+  else if R.kw r "sattr" then
+    let sref = read_sref r in
+    Kir.Esig_attr (sref, read_name "signal attribute" sattr_names r)
+  else if R.kw r "bin" then
+    let op = read_name "binop" binop_names r in
+    let x = read_expr r in
+    Kir.Ebin (op, x, read_expr r)
+  else if R.kw r "un" then
+    let op = read_name "unop" unop_names r in
+    Kir.Eun (op, read_expr r)
+  else if R.kw r "index" then
+    let a = read_expr r in
+    Kir.Eindex (a, read_expr r)
+  else if R.kw r "slice" then
+    let a = read_expr r in
+    Kir.Eslice (a, read_range r)
+  else if R.kw r "field" then
+    let a = read_expr r in
+    Kir.Efield (a, R.atom r)
+  else if R.kw r "agg" then
+    let els = R.items read_agg_elem r in
+    Kir.Eaggregate (els, R.list read_shape r)
+  else if R.kw r "call" then
+    let f = R.atom r in
+    Kir.Ecall (Kir.F_user f, R.rest read_expr r)
+  else if R.kw r "conv" then
     let c =
-      match cs with
-      | S.Atom "to_int" -> Kir.To_integer
-      | S.Atom "to_float" -> Kir.To_float
-      | S.Atom "to_pos" -> Kir.To_pos
-      | S.List [ S.Atom "to_val"; ty ] -> Kir.To_val (ty_of_sexp ty)
-      | _ -> fail "bad conversion"
+      if R.kw r "to_int" then Kir.To_integer
+      else if R.kw r "to_float" then Kir.To_float
+      else if R.kw r "to_pos" then Kir.To_pos
+      else Kir.To_val (R.field "to_val" read_ty r)
     in
-    Kir.Econvert (c, expr_of_sexp a)
-  | S.List [ S.Atom "aattr"; a; S.Atom at ] ->
-    let attr =
-      match List.find_opt (fun (_, n) -> n = at) aattr_names with
-      | Some (x, _) -> x
-      | None -> fail "bad array attribute %s" at
-    in
-    Kir.Earray_attr (expr_of_sexp a, attr)
-  | _ -> fail "bad expression: %s" (S.to_string sexp)
+    Kir.Econvert (c, read_expr r)
+  else if R.kw r "aattr" then
+    let a = read_expr r in
+    Kir.Earray_attr (a, read_name "array attribute" aattr_names r)
+  else R.error r "bad expression"
 
-let rec sexp_of_target (t : Kir.target) =
+and read_range r =
+  let l = read_expr r in
+  let d = read_dir r in
+  (l, d, read_expr r)
+
+and read_agg_elem r = R.list read_agg_elem_list r
+
+and read_agg_elem_list r =
+  if R.kw r "pos" then Kir.Ag_pos (read_expr r)
+  else if R.kw r "named" then
+    let i = R.int r in
+    Kir.Ag_named (i, read_expr r)
+  else if R.kw r "fld" then
+    let f = R.atom r in
+    Kir.Ag_field (f, read_expr r)
+  else if R.kw r "others" then Kir.Ag_others (read_expr r)
+  else R.error r "bad aggregate element"
+
+and read_shape r =
+  if R.kw r "array" then
+    if R.at_close r then Kir.Sh_array None
+    else
+      let l = R.int r in
+      let d = read_dir r in
+      Kir.Sh_array (Some (l, d, R.int r))
+  else if R.kw r "record" then Kir.Sh_record (R.rest R.atom r)
+  else R.error r "bad aggregate shape"
+
+let rec write_target b (t : Kir.target) =
   match t with
   | Kir.Tvar { level; index; name } ->
-    S.List [ S.Atom "tvar"; S.int level; S.int index; S.Atom name ]
-  | Kir.Tindex (t', i) -> S.List [ S.Atom "tindex"; sexp_of_target t'; sexp_of_expr i ]
-  | Kir.Tslice (t', (l, d, r)) ->
-    S.List [ S.Atom "tslice"; sexp_of_target t'; sexp_of_expr l; sexp_of_dir d; sexp_of_expr r ]
-  | Kir.Tfield (t', f) -> S.List [ S.Atom "tfield"; sexp_of_target t'; S.Atom f ]
-  | Kir.Tderef t' -> S.List [ S.Atom "tderef"; sexp_of_target t' ]
+    W.tag b "tvar"; W.int b level; W.int b index; W.atom b name; W.close b
+  | Kir.Tindex (t', i) -> W.tag b "tindex"; write_target b t'; write_expr b i; W.close b
+  | Kir.Tslice (t', range) -> W.tag b "tslice"; write_target b t'; write_range b range; W.close b
+  | Kir.Tfield (t', f) -> W.tag b "tfield"; write_target b t'; W.atom b f; W.close b
+  | Kir.Tderef t' -> W.tag b "tderef"; write_target b t'; W.close b
 
-let rec target_of_sexp sexp : Kir.target =
-  match sexp with
-  | S.List [ S.Atom "tderef"; t ] -> Kir.Tderef (target_of_sexp t)
-  | S.List [ S.Atom "tvar"; level; index; S.Atom name ] ->
-    Kir.Tvar { level = S.to_int level; index = S.to_int index; name }
-  | S.List [ S.Atom "tindex"; t; i ] -> Kir.Tindex (target_of_sexp t, expr_of_sexp i)
-  | S.List [ S.Atom "tslice"; t; l; d; r ] ->
-    Kir.Tslice (target_of_sexp t, (expr_of_sexp l, dir_of_sexp d, expr_of_sexp r))
-  | S.List [ S.Atom "tfield"; t; S.Atom f ] -> Kir.Tfield (target_of_sexp t, f)
-  | _ -> fail "bad target"
+let rec read_target r : Kir.target = R.list read_target_list r
 
-let rec sexp_of_sig_target (t : Kir.sig_target) =
+and read_target_list r =
+  if R.kw r "tvar" then
+    let level = R.int r in
+    let index = R.int r in
+    Kir.Tvar { level; index; name = R.atom r }
+  else if R.kw r "tindex" then
+    let t = read_target r in
+    Kir.Tindex (t, read_expr r)
+  else if R.kw r "tslice" then
+    let t = read_target r in
+    Kir.Tslice (t, read_range r)
+  else if R.kw r "tfield" then
+    let t = read_target r in
+    Kir.Tfield (t, R.atom r)
+  else if R.kw r "tderef" then Kir.Tderef (read_target r)
+  else R.error r "bad target"
+
+let rec write_sig_target b (t : Kir.sig_target) =
   match t with
-  | Kir.Ts_sig sref -> S.List [ S.Atom "ssig"; sexp_of_sref sref ]
-  | Kir.Ts_index (t', i) -> S.List [ S.Atom "sindex"; sexp_of_sig_target t'; sexp_of_expr i ]
-  | Kir.Ts_slice (t', (l, d, r)) ->
-    S.List
-      [ S.Atom "sslice"; sexp_of_sig_target t'; sexp_of_expr l; sexp_of_dir d; sexp_of_expr r ]
-  | Kir.Ts_field (t', f) -> S.List [ S.Atom "sfield"; sexp_of_sig_target t'; S.Atom f ]
+  | Kir.Ts_sig sref -> W.tag b "ssig"; write_sref b sref; W.close b
+  | Kir.Ts_index (t', i) -> W.tag b "sindex"; write_sig_target b t'; write_expr b i; W.close b
+  | Kir.Ts_slice (t', range) ->
+    W.tag b "sslice"; write_sig_target b t'; write_range b range; W.close b
+  | Kir.Ts_field (t', f) -> W.tag b "sfield"; write_sig_target b t'; W.atom b f; W.close b
 
-let rec sig_target_of_sexp sexp : Kir.sig_target =
-  match sexp with
-  | S.List [ S.Atom "ssig"; sref ] -> Kir.Ts_sig (sref_of_sexp sref)
-  | S.List [ S.Atom "sindex"; t; i ] -> Kir.Ts_index (sig_target_of_sexp t, expr_of_sexp i)
-  | S.List [ S.Atom "sslice"; t; l; d; r ] ->
-    Kir.Ts_slice (sig_target_of_sexp t, (expr_of_sexp l, dir_of_sexp d, expr_of_sexp r))
-  | S.List [ S.Atom "sfield"; t; S.Atom f ] -> Kir.Ts_field (sig_target_of_sexp t, f)
-  | _ -> fail "bad signal target"
+let rec read_sig_target r : Kir.sig_target = R.list read_sig_target_list r
 
-let rec sexp_of_stmt (st : Kir.stmt) =
+and read_sig_target_list r =
+  if R.kw r "ssig" then Kir.Ts_sig (read_sref r)
+  else if R.kw r "sindex" then
+    let t = read_sig_target r in
+    Kir.Ts_index (t, read_expr r)
+  else if R.kw r "sslice" then
+    let t = read_sig_target r in
+    Kir.Ts_slice (t, read_range r)
+  else if R.kw r "sfield" then
+    let t = read_sig_target r in
+    Kir.Ts_field (t, R.atom r)
+  else R.error r "bad signal target"
+
+let mode_names = [ (Kir.Arg_in, "in"); (Kir.Arg_out, "out"); (Kir.Arg_inout, "inout") ]
+let write_arg_mode = write_name mode_names
+let read_arg_mode r = read_name "mode" mode_names r
+let delay_names = [ (Kir.Inertial, "inertial"); (Kir.Transport, "transport") ]
+
+let rec write_stmt b (st : Kir.stmt) =
   match st with
-  | Kir.Snull -> S.Atom "null"
+  | Kir.Snull -> W.atom b "null"
   | Kir.Sassign (t, e, ty) ->
-    S.List [ S.Atom "assign"; sexp_of_target t; sexp_of_expr e; sexp_of_opt sexp_of_ty ty ]
+    W.tag b "assign"; write_target b t; write_expr b e; write_opt write_ty b ty; W.close b
   | Kir.Ssig_assign { target; mode; waveform; guarded; line } ->
-    S.List
-      [
-        S.Atom "sassign";
-        sexp_of_sig_target target;
-        S.Atom (match mode with Kir.Inertial -> "inertial" | Kir.Transport -> "transport");
-        S.List
-          (List.map
-             (fun (w : Kir.waveform_element) ->
-               S.List
-                 [
-                   sexp_of_opt sexp_of_expr w.Kir.wv_value;
-                   sexp_of_opt sexp_of_expr w.Kir.wv_after;
-                 ])
-             waveform);
-        S.bool guarded;
-        S.int line;
-      ]
+    W.tag b "sassign";
+    write_sig_target b target;
+    write_name delay_names b mode;
+    W.list
+      (fun b (w : Kir.waveform_element) ->
+        W.pair (write_opt write_expr) (write_opt write_expr) b (w.Kir.wv_value, w.Kir.wv_after))
+      b waveform;
+    W.bool b guarded;
+    W.int b line;
+    W.close b
   | Kir.Sif (arms, els) ->
-    S.List
-      [
-        S.Atom "if";
-        S.List
-          (List.map
-             (fun (c, body) -> S.List [ sexp_of_expr c; sexp_of_stmts body ])
-             arms);
-        sexp_of_stmts els;
-      ]
+    W.tag b "if"; W.list (W.pair write_expr write_stmts) b arms; write_stmts b els; W.close b
   | Kir.Scase (e, alts) ->
-    S.List
-      [
-        S.Atom "case";
-        sexp_of_expr e;
-        S.List
-          (List.map
-             (fun (choices, body) ->
-               S.List
-                 [
-                   S.List
-                     (List.map
-                        (fun c ->
-                          match c with
-                          | Kir.Ch_value v -> S.List [ S.Atom "v"; sexp_of_value v ]
-                          | Kir.Ch_range (l, d, r) ->
-                            S.List [ S.Atom "rng"; S.int l; sexp_of_dir d; S.int r ]
-                          | Kir.Ch_others -> S.Atom "others")
-                        choices);
-                   sexp_of_stmts body;
-                 ])
-             alts);
-      ]
-  | Kir.Sfor { var; var_name; range = l, d, r; body; loop_label } ->
-    S.List
-      [
-        S.Atom "for"; S.int var; S.Atom var_name; sexp_of_expr l; sexp_of_dir d;
-        sexp_of_expr r; sexp_of_stmts body; sexp_of_opt S.atom loop_label;
-      ]
+    W.tag b "case";
+    write_expr b e;
+    W.list (W.pair (W.list write_choice) write_stmts) b alts;
+    W.close b
+  | Kir.Sfor { var; var_name; range; body; loop_label } ->
+    W.tag b "for";
+    W.int b var;
+    W.atom b var_name;
+    write_range b range;
+    write_stmts b body;
+    write_opt W.atom b loop_label;
+    W.close b
   | Kir.Swhile (c, body, lbl) ->
-    S.List [ S.Atom "while"; sexp_of_expr c; sexp_of_stmts body; sexp_of_opt S.atom lbl ]
-  | Kir.Sloop (body, lbl) -> S.List [ S.Atom "loop"; sexp_of_stmts body; sexp_of_opt S.atom lbl ]
+    W.tag b "while"; write_expr b c; write_stmts b body; write_opt W.atom b lbl; W.close b
+  | Kir.Sloop (body, lbl) -> W.tag b "loop"; write_stmts b body; write_opt W.atom b lbl; W.close b
   | Kir.Sexit { cond; label } ->
-    S.List [ S.Atom "exit"; sexp_of_opt sexp_of_expr cond; sexp_of_opt S.atom label ]
+    W.tag b "exit"; write_opt write_expr b cond; write_opt W.atom b label; W.close b
   | Kir.Snext { cond; label } ->
-    S.List [ S.Atom "next"; sexp_of_opt sexp_of_expr cond; sexp_of_opt S.atom label ]
+    W.tag b "next"; write_opt write_expr b cond; write_opt W.atom b label; W.close b
   | Kir.Swait { on; until; for_; line } ->
-    S.List
-      [
-        S.Atom "wait";
-        S.List (List.map sexp_of_sref on);
-        sexp_of_opt sexp_of_expr until;
-        sexp_of_opt sexp_of_expr for_;
-        S.int line;
-      ]
-  | Kir.Sdisconnect t -> S.List [ S.Atom "disconnect"; sexp_of_sig_target t ]
-  | Kir.Sreturn e -> S.List [ S.Atom "return"; sexp_of_opt sexp_of_expr e ]
+    W.tag b "wait";
+    W.list write_sref b on;
+    write_opt write_expr b until;
+    write_opt write_expr b for_;
+    W.int b line;
+    W.close b
+  | Kir.Sdisconnect t -> W.tag b "disconnect"; write_sig_target b t; W.close b
+  | Kir.Sreturn e -> W.tag b "return"; write_opt write_expr b e; W.close b
   | Kir.Sassert { cond; report; severity; line } ->
-    S.List
-      [
-        S.Atom "assert"; sexp_of_expr cond; sexp_of_opt sexp_of_expr report;
-        sexp_of_opt sexp_of_expr severity; S.int line;
-      ]
+    W.tag b "assert";
+    write_expr b cond;
+    write_opt write_expr b report;
+    write_opt write_expr b severity;
+    W.int b line;
+    W.close b
   | Kir.Scall (Kir.P_user p, args) ->
-    S.List
-      [
-        S.Atom "pcall";
-        S.Atom p;
-        S.List
-          (List.map
-             (fun (a : Kir.call_arg) ->
-               S.List
-                 [
-                   S.Atom
-                     (match a.Kir.ca_mode with
-                     | Kir.Arg_in -> "in"
-                     | Kir.Arg_out -> "out"
-                     | Kir.Arg_inout -> "inout");
-                   sexp_of_expr a.Kir.ca_expr;
-                   sexp_of_opt sexp_of_target a.Kir.ca_target;
-                   sexp_of_opt sexp_of_sref a.Kir.ca_signal;
-                 ])
-             args);
-      ]
+    W.tag b "pcall";
+    W.atom b p;
+    W.list
+      (fun b (a : Kir.call_arg) ->
+        W.tag b "";
+        write_arg_mode b a.Kir.ca_mode;
+        write_expr b a.Kir.ca_expr;
+        write_opt write_target b a.Kir.ca_target;
+        write_opt write_sref b a.Kir.ca_signal;
+        W.close b)
+      b args;
+    W.close b
 
-and sexp_of_stmts body = S.List (List.map sexp_of_stmt body)
+and write_stmts b body = W.list write_stmt b body
 
-let arg_mode_of_sexp = function
-  | S.Atom "in" -> Kir.Arg_in
-  | S.Atom "out" -> Kir.Arg_out
-  | S.Atom "inout" -> Kir.Arg_inout
-  | _ -> fail "bad mode"
+and write_choice b = function
+  | Kir.Ch_others -> W.atom b "others"
+  | Kir.Ch_value v -> W.tag b "v"; write_value b v; W.close b
+  | Kir.Ch_range (l, d, r) -> W.tag b "rng"; W.int b l; write_dir b d; W.int b r; W.close b
 
-let sexp_of_arg_mode = function
-  | Kir.Arg_in -> S.Atom "in"
-  | Kir.Arg_out -> S.Atom "out"
-  | Kir.Arg_inout -> S.Atom "inout"
+let rec read_stmt r : Kir.stmt = if R.kw r "null" then Kir.Snull else R.list read_stmt_list r
 
-let rec stmt_of_sexp sexp : Kir.stmt =
-  match sexp with
-  | S.Atom "null" -> Kir.Snull
-  | S.List [ S.Atom "assign"; t; e; ty ] ->
-    Kir.Sassign (target_of_sexp t, expr_of_sexp e, opt_of_sexp ty_of_sexp ty)
-  | S.List [ S.Atom "sassign"; t; S.Atom mode; S.List waves; guarded; line ] ->
-    Kir.Ssig_assign
-      {
-        target = sig_target_of_sexp t;
-        mode = (if mode = "transport" then Kir.Transport else Kir.Inertial);
-        waveform =
-          List.map
-            (fun w ->
-              match w with
-              | S.List [ v; after ] ->
-                {
-                  Kir.wv_value = opt_of_sexp expr_of_sexp v;
-                  wv_after = opt_of_sexp expr_of_sexp after;
-                }
-              | _ -> fail "bad waveform element")
-            waves;
-        guarded = S.to_bool guarded;
-        line = S.to_int line;
-      }
-  | S.List [ S.Atom "if"; S.List arms; els ] ->
-    Kir.Sif
-      ( List.map
-          (fun arm ->
-            match arm with
-            | S.List [ c; body ] -> (expr_of_sexp c, stmts_of_sexp body)
-            | _ -> fail "bad if arm")
-          arms,
-        stmts_of_sexp els )
-  | S.List [ S.Atom "case"; e; S.List alts ] ->
-    Kir.Scase
-      ( expr_of_sexp e,
-        List.map
-          (fun alt ->
-            match alt with
-            | S.List [ S.List choices; body ] ->
-              ( List.map
-                  (fun c ->
-                    match c with
-                    | S.List [ S.Atom "v"; v ] -> Kir.Ch_value (value_of_sexp v)
-                    | S.List [ S.Atom "rng"; l; d; r ] ->
-                      Kir.Ch_range (S.to_int l, dir_of_sexp d, S.to_int r)
-                    | S.Atom "others" -> Kir.Ch_others
-                    | _ -> fail "bad choice")
-                  choices,
-                stmts_of_sexp body )
-            | _ -> fail "bad case alternative")
-          alts )
-  | S.List [ S.Atom "for"; var; S.Atom var_name; l; d; r; body; lbl ] ->
-    Kir.Sfor
-      {
-        var = S.to_int var;
-        var_name;
-        range = (expr_of_sexp l, dir_of_sexp d, expr_of_sexp r);
-        body = stmts_of_sexp body;
-        loop_label = opt_of_sexp S.to_atom lbl;
-      }
-  | S.List [ S.Atom "while"; c; body; lbl ] ->
-    Kir.Swhile (expr_of_sexp c, stmts_of_sexp body, opt_of_sexp S.to_atom lbl)
-  | S.List [ S.Atom "loop"; body; lbl ] ->
-    Kir.Sloop (stmts_of_sexp body, opt_of_sexp S.to_atom lbl)
-  | S.List [ S.Atom "exit"; c; lbl ] ->
-    Kir.Sexit { cond = opt_of_sexp expr_of_sexp c; label = opt_of_sexp S.to_atom lbl }
-  | S.List [ S.Atom "next"; c; lbl ] ->
-    Kir.Snext { cond = opt_of_sexp expr_of_sexp c; label = opt_of_sexp S.to_atom lbl }
-  | S.List [ S.Atom "wait"; S.List on; until; for_; line ] ->
-    Kir.Swait
-      {
-        on = List.map sref_of_sexp on;
-        until = opt_of_sexp expr_of_sexp until;
-        for_ = opt_of_sexp expr_of_sexp for_;
-        line = S.to_int line;
-      }
-  | S.List [ S.Atom "disconnect"; t ] -> Kir.Sdisconnect (sig_target_of_sexp t)
-  | S.List [ S.Atom "return"; e ] -> Kir.Sreturn (opt_of_sexp expr_of_sexp e)
-  | S.List [ S.Atom "assert"; c; report; severity; line ] ->
-    Kir.Sassert
-      {
-        cond = expr_of_sexp c;
-        report = opt_of_sexp expr_of_sexp report;
-        severity = opt_of_sexp expr_of_sexp severity;
-        line = S.to_int line;
-      }
-  | S.List [ S.Atom "pcall"; S.Atom p; S.List args ] ->
-    Kir.Scall
-      ( Kir.P_user p,
-        List.map
-          (fun a ->
-            match a with
-            | S.List [ mode; e; t; sg ] ->
-              {
-                Kir.ca_mode = arg_mode_of_sexp mode;
-                ca_expr = expr_of_sexp e;
-                ca_target = opt_of_sexp target_of_sexp t;
-                ca_signal = opt_of_sexp sref_of_sexp sg;
-              }
-            | _ -> fail "bad call argument")
-          args )
-  | _ -> fail "bad statement: %s" (S.to_string sexp)
+and read_stmt_list r : Kir.stmt =
+  if R.kw r "assign" then
+    let t = read_target r in
+    let e = read_expr r in
+    Kir.Sassign (t, e, read_opt read_ty r)
+  else if R.kw r "sassign" then
+    let target = read_sig_target r in
+    let mode = read_name "delay mode" delay_names r in
+    let waveform = R.items read_waveform_element r in
+    let guarded = R.bool r in
+    Kir.Ssig_assign { target; mode; waveform; guarded; line = R.int r }
+  else if R.kw r "if" then
+    let arms = R.items (R.pair read_expr read_stmts) r in
+    Kir.Sif (arms, read_stmts r)
+  else if R.kw r "case" then
+    let e = read_expr r in
+    Kir.Scase (e, R.items (R.pair (R.items read_choice) read_stmts) r)
+  else if R.kw r "for" then
+    let var = R.int r in
+    let var_name = R.atom r in
+    let range = read_range r in
+    let body = read_stmts r in
+    Kir.Sfor { var; var_name; range; body; loop_label = read_opt R.atom r }
+  else if R.kw r "while" then
+    let c = read_expr r in
+    let body = read_stmts r in
+    Kir.Swhile (c, body, read_opt R.atom r)
+  else if R.kw r "loop" then
+    let body = read_stmts r in
+    Kir.Sloop (body, read_opt R.atom r)
+  else if R.kw r "exit" then
+    let cond = read_opt read_expr r in
+    Kir.Sexit { cond; label = read_opt R.atom r }
+  else if R.kw r "next" then
+    let cond = read_opt read_expr r in
+    Kir.Snext { cond; label = read_opt R.atom r }
+  else if R.kw r "wait" then
+    let on = R.items read_sref r in
+    let until = read_opt read_expr r in
+    let for_ = read_opt read_expr r in
+    Kir.Swait { on; until; for_; line = R.int r }
+  else if R.kw r "disconnect" then Kir.Sdisconnect (read_sig_target r)
+  else if R.kw r "return" then Kir.Sreturn (read_opt read_expr r)
+  else if R.kw r "assert" then
+    let cond = read_expr r in
+    let report = read_opt read_expr r in
+    let severity = read_opt read_expr r in
+    Kir.Sassert { cond; report; severity; line = R.int r }
+  else if R.kw r "pcall" then
+    let p = R.atom r in
+    Kir.Scall (Kir.P_user p, R.items read_call_arg r)
+  else R.error r "bad statement"
 
-and stmts_of_sexp = function
-  | S.List stmts -> List.map stmt_of_sexp stmts
-  | _ -> fail "bad statement list"
+and read_stmts r = R.items read_stmt r
+
+and read_waveform_element r =
+  R.enter r;
+  let wv_value = read_opt read_expr r in
+  let wv_after = read_opt read_expr r in
+  R.leave r;
+  { Kir.wv_value; wv_after }
+
+and read_choice r =
+  if R.kw r "others" then Kir.Ch_others
+  else
+    R.list
+      (fun r ->
+        if R.kw r "v" then Kir.Ch_value (read_value r)
+        else if R.kw r "rng" then
+          let l = R.int r in
+          let d = read_dir r in
+          Kir.Ch_range (l, d, R.int r)
+        else R.error r "bad choice")
+      r
+
+and read_call_arg r =
+  R.enter r;
+  let ca_mode = read_arg_mode r in
+  let ca_expr = read_expr r in
+  let ca_target = read_opt read_target r in
+  let ca_signal = read_opt read_sref r in
+  R.leave r;
+  { Kir.ca_mode; ca_expr; ca_target; ca_signal }

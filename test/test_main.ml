@@ -1,7 +1,6 @@
 let () =
   Alcotest.run "vhdl_ag"
     [
-      ("sexp", Test_sexp.suite);
       ("lexer", Test_lexer.suite);
       ("std", Test_std.suite);
       ("lalr", Test_lalr.suite);

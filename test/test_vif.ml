@@ -1,7 +1,67 @@
-(* VIF serialization: round-trip properties over generated types, values,
-   and KIR expressions, plus design-library behavior. *)
+(* VIF serialization: the codec's quoting and error offsets, round-trip
+   properties over generated types, values, KIR expressions and statements,
+   byte-identity goldens, and design-library behavior. *)
 
-module S = Vhdl_util.Sexp
+module W = Vif_codec.W
+module R = Vif_codec.R
+
+(* write then read, through the text *)
+let via_text write read x = R.of_string read (W.to_string write x)
+
+(* ---- the codec ---- *)
+
+(* each atom, its written form, and the round trip *)
+let atom_case name atom written =
+  Alcotest.test_case name `Quick (fun () ->
+      Alcotest.(check string) "written" written (W.to_string W.atom atom);
+      Alcotest.(check string) "read back" atom (R.of_string R.atom written))
+
+let atom_cases =
+  [
+    atom_case "bare atom" "hello" "hello";
+    atom_case "atom with spaces" "two words" {|"two words"|};
+    atom_case "atom with quotes" {|she said "hi"|} {|"she said \"hi\""|};
+    atom_case "atom with newline" "a\nb" {|"a\nb"|};
+    atom_case "empty atom" "" {|""|};
+    atom_case "atom with a semicolon" "semi;colon" {|"semi;colon"|};
+    atom_case "atom with parentheses" "arch:E(A)" {|"arch:E(A)"|};
+  ]
+
+let nested = W.list (W.list W.atom)
+let read_nested = R.items (R.items R.atom)
+
+let test_nested_and_comments () =
+  let l = [ [ "a" ]; [ "b"; "c" ]; []; [ "d e" ] ] in
+  Alcotest.(check string) "one space between items" {|((a) (b c) () ("d e"))|}
+    (W.to_string nested l);
+  Alcotest.(check (list (list string))) "round trip" l (via_text nested read_nested l);
+  Alcotest.(check (list string)) "comments and whitespace skipped" [ "a"; "b" ]
+    (R.of_string (R.items R.atom) "; header\n(a ; trailing\n b)  ");
+  Alcotest.(check int) "ints in place" min_int (R.of_string R.int (string_of_int min_int))
+
+let check_error name ~pos f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no error" name
+  | exception Vif_codec.Error e -> Alcotest.(check int) (name ^ ": offset") pos e.pos
+
+let test_codec_errors () =
+  check_error "unterminated list" ~pos:2 (fun () -> R.of_string (R.items R.atom) "(a");
+  check_error "unterminated string" ~pos:6 (fun () -> R.of_string R.atom {|"open |});
+  check_error "trailing input" ~pos:4 (fun () -> R.of_string (R.items R.atom) "(a) b");
+  check_error "not an int" ~pos:1 (fun () -> R.of_string (R.items R.int) "(1x)");
+  check_error "int overflow" ~pos:0 (fun () -> R.of_string R.int "4611686018427387904");
+  check_error "wrong keyword" ~pos:1 (fun () -> R.of_string (R.field "name" R.atom) "(nme P)")
+
+let atom_roundtrip =
+  QCheck.Test.make ~name:"atoms round-trip (arbitrary strings)" ~count:500
+    (QCheck.string_gen_of_size (QCheck.Gen.int_range 0 40) QCheck.Gen.printable)
+    (fun s -> via_text W.atom R.atom s = s)
+
+let nested_roundtrip =
+  let atom = QCheck.Gen.(string_size ~gen:printable (int_range 0 8)) in
+  QCheck.Test.make ~name:"nested lists round-trip" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 5) (list_size (int_range 0 5) atom)))
+    (fun l -> via_text nested read_nested l = l)
 
 (* ---- generators ---- *)
 
@@ -129,17 +189,17 @@ let rec gen_expr depth st =
 let ty_roundtrip =
   QCheck.Test.make ~name:"type descriptors round-trip through VIF" ~count:300
     (QCheck.make (gen_ty 2))
-    (fun ty -> Vif.ty_of_sexp (Vif.sexp_of_ty ty) = ty)
+    (fun ty -> via_text Vif.write_ty Vif.read_ty ty = ty)
 
 let value_roundtrip =
   QCheck.Test.make ~name:"values round-trip through VIF" ~count:300
     (QCheck.make (gen_value 3))
-    (fun v -> Value.equal (Vif.value_of_sexp (Vif.sexp_of_value v)) v)
+    (fun v -> Value.equal (via_text Vif.write_value Vif.read_value v) v)
 
 let expr_roundtrip =
   QCheck.Test.make ~name:"KIR expressions round-trip through VIF" ~count:300
     (QCheck.make (gen_expr 3))
-    (fun e -> Vif.expr_of_sexp (Vif.sexp_of_expr e) = e)
+    (fun e -> via_text Vif.write_expr Vif.read_expr e = e)
 
 (* random statements: covers targets, waveforms (incl. null transactions),
    loops with labels, calls with signal args, waits, and asserts *)
@@ -246,14 +306,14 @@ let gen_stmt depth0 =
 let stmt_roundtrip =
   QCheck.Test.make ~name:"KIR statements round-trip through VIF" ~count:300
     (QCheck.make (gen_stmt 3))
-    (fun st -> Vif.stmt_of_sexp (Vif.sexp_of_stmt st) = st)
+    (fun st -> via_text Vif.write_stmt Vif.read_stmt st = st)
 
 let value_roundtrip_via_text =
   QCheck.Test.make ~name:"values survive the textual VIF form" ~count:200
     (QCheck.make (gen_value 3))
     (fun v ->
-      let text = S.to_string_indented (Vif.sexp_of_value v) in
-      Value.equal (Vif.value_of_sexp (S.of_string text)) v)
+      let text = Vif_codec.indented (W.to_string Vif.write_value v) in
+      Value.equal (R.of_string Vif.read_value text) v)
 
 (* ---- statements ---- *)
 
@@ -299,7 +359,7 @@ let test_stmt_roundtrip () =
         ] )
   in
   Alcotest.(check bool) "statement round-trips" true
-    (Vif.stmt_of_sexp (Vif.sexp_of_stmt stmt) = stmt)
+    (via_text Vif.write_stmt Vif.read_stmt stmt = stmt)
 
 (* ---- libraries ---- *)
 
@@ -412,8 +472,100 @@ let test_human_readable_dump () =
     Alcotest.(check bool) "is multi-line (indented)" true (String.contains text '\n')
   | None -> Alcotest.fail "dump failed"
 
+(* ---- byte-identity goldens ---- *)
+
+(* test/vif_golden holds, per corpus design (plus deep_chain.vhd, whose
+   90-term sum nests past Format's maximum indentation), the VIF files the
+   earlier tree-based codec wrote, and three units' human-readable dumps;
+   test/cli/vif_golden.t checks that compiling the designs writes them. *)
+let golden_path name =
+  Filename.concat
+    (if Sys.file_exists "vif_golden" then "vif_golden" else Filename.concat "test" "vif_golden")
+    name
+
+let golden_vifs () =
+  let dirs =
+    Sys.readdir (golden_path "") |> Array.to_list |> List.sort compare
+    |> List.filter (fun d -> Sys.is_directory (golden_path d))
+  in
+  List.concat_map
+    (fun d ->
+      Sys.readdir (golden_path d) |> Array.to_list |> List.sort compare
+      |> List.map (fun f -> Filename.concat (golden_path d) f))
+    dirs
+
+(* every proper prefix of a unit's text is malformed: decoding it raises
+   the codec's error, at an offset inside the prefix, and nothing else *)
+let test_prefixes_rejected () =
+  List.iter
+    (fun path ->
+      let text = Vhdl_util.Unix_compat.read_file path in
+      for k = 0 to String.length text - 1 do
+        match Vif_units.of_string (String.sub text 0 k) with
+        | _ -> Alcotest.failf "%s: prefix of %d bytes decoded" path k
+        | exception Vif_codec.Error { pos; _ } ->
+          if pos > k then Alcotest.failf "%s: prefix of %d bytes: error at %d" path k pos
+      done)
+    (golden_vifs ())
+
+(* fields are read in the order the writer emits them: swapping the last
+   two is rejected where the first of them should start *)
+let test_reordered_fields_rejected () =
+  let text = Vhdl_util.Unix_compat.read_file (golden_path "kernel_mix/entity@TFF.vif") in
+  let rec find sub i = if String.sub text i (String.length sub) = sub then i else find sub (i + 1) in
+  let lines = find "(source_lines" 0 and seq = find "(sequence" 0 in
+  let field i j = String.sub text i (j - i) in
+  let swapped =
+    field 0 lines ^ field seq (String.length text - 1) ^ " "
+    ^ field lines (seq - 1) ^ ")"
+  in
+  Alcotest.(check int) "same length" (String.length text) (String.length swapped);
+  check_error "reordered" ~pos:(lines + 1) (fun () -> Vif_units.of_string swapped)
+
+let test_corrupt_file_in_library () =
+  with_temp_dir @@ fun dir ->
+  let lib = Library.create ~dir ~name:"WORK" () in
+  Library.insert lib (mk_entity "E1");
+  let file = Filename.concat dir (Library.file_of_key "entity:E1") in
+  let text = Vhdl_util.Unix_compat.read_file file in
+  Vhdl_util.Unix_compat.write_file file (String.sub text 0 30);
+  let expect name f =
+    match f (Library.create ~dir ~name:"WORK" ()) with
+    | _ -> Alcotest.failf "%s: no error" name
+    | exception Library.Library_error msg ->
+      Alcotest.(check bool) (name ^ " names the file") true (Astring_contains.contains msg file);
+      Alcotest.(check bool) (name ^ " names the offset") true
+        (Astring_contains.contains msg "at byte ")
+  in
+  expect "find" (fun lib -> ignore (Library.find lib ~library:"WORK" ~key:"entity:E1"));
+  expect "all" (fun lib -> ignore (Library.all lib))
+
+let test_vif_goldens () =
+  List.iter
+    (fun path ->
+      let text = Vhdl_util.Unix_compat.read_file path in
+      Alcotest.(check string) (path ^ " re-written") text
+        (Vif_units.to_string (Vif_units.of_string text)))
+    (golden_vifs ());
+  List.iter
+    (fun (stem, key) ->
+      let lib = Library.create ~dir:(golden_path stem) ~name:"WORK" () in
+      Alcotest.(check (option string)) (stem ^ ": dump of " ^ key)
+        (Some (Vhdl_util.Unix_compat.read_file (golden_path (stem ^ ".dump"))))
+        (Option.map (fun d -> d ^ "\n") (Library.dump lib ~library:"WORK" ~key)))
+    [
+      ("deep_chain", "arch:DEEP(CHAIN)");
+      ("kernel_mix", "package:KMIX_PKG");
+      ("golden_seed12_configured", "arch:BOARD(NET)");
+    ]
+
 let suite =
-  [
+  atom_cases
+  @ [
+    Alcotest.test_case "nested lists, comments, ints" `Quick test_nested_and_comments;
+    Alcotest.test_case "malformed text raises at its offset" `Quick test_codec_errors;
+    QCheck_alcotest.to_alcotest atom_roundtrip;
+    QCheck_alcotest.to_alcotest nested_roundtrip;
     QCheck_alcotest.to_alcotest ty_roundtrip;
     QCheck_alcotest.to_alcotest value_roundtrip;
     QCheck_alcotest.to_alcotest expr_roundtrip;
@@ -426,4 +578,10 @@ let suite =
       test_library_sequence_order;
     Alcotest.test_case "reference libraries are consulted" `Quick test_reference_library;
     Alcotest.test_case "human-readable VIF dump" `Quick test_human_readable_dump;
+    Alcotest.test_case "golden VIF files re-write and dump byte for byte" `Quick test_vif_goldens;
+    Alcotest.test_case "every proper prefix of a VIF file is rejected" `Quick
+      test_prefixes_rejected;
+    Alcotest.test_case "reordered fields are rejected" `Quick test_reordered_fields_rejected;
+    Alcotest.test_case "a corrupt VIF file raises Library_error" `Quick
+      test_corrupt_file_in_library;
   ]
