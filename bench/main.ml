@@ -401,6 +401,36 @@ let sim_throughput () =
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmark suite *)
 
+(* One principal-AG evaluation of a fixed behavioral design per run;
+   [force] picks the driver. *)
+let evaluator_test ~name force =
+  Test.make ~name
+    (Staged.stage
+       (let g = Main_grammar.grammar () in
+        let parser_ = Main_grammar.parser_ () in
+        let plan = Main_grammar.plan () in
+        let session = Session.in_memory [] in
+        let src = Workload.behavioral ~name:"EV" ~states:8 ~exprs:15 in
+        fun () ->
+          Session.with_session session (fun () ->
+              let tokens = Front_analyze.tokens_of_source src in
+              let tree = Parsing.parse_list parser_ ~eof_value:Pval.Unit tokens in
+              let ev =
+                Evaluator.create
+                  ~token_line:(fun n -> Pval.Int n)
+                  g
+                  ~root_inherited:
+                    [
+                      ("ENV", Pval.Env Env.empty); ("LEVEL", Pval.Int (-1));
+                      ("UNITNAME", Pval.Str "WORK.X"); ("CTX", Pval.Str "arch");
+                      ("SLOTBASE", Pval.Int 0); ("SIGBASE", Pval.Int 0);
+                      ("LOOPDEPTH", Pval.Int 0); ("RETTY", Pval.Opt None);
+                      ("CTXOUT", Pval.Out Pval.out_empty); ("NLINES", Pval.Int 50);
+                    ]
+                  tree
+              in
+              force plan ev)))
+
 let micro () =
   heading "Bechamel microbenchmarks (one Test.make per table/figure)";
   let behav = Workload.behavioral ~name:"MB" ~states:10 ~exprs:20 in
@@ -437,57 +467,9 @@ let micro () =
           (Staged.stage (fun () ->
                Session.with_session session (fun () ->
                    List.iter (fun src -> ignore (United.eval_string ~env ~level:0 src)) exprs)));
-        Test.make ~name:"evaluator/demand"
-          (Staged.stage
-             (let g = Main_grammar.grammar () in
-              let parser_ = Main_grammar.parser_ () in
-              let session = Session.in_memory [] in
-              let src = Workload.behavioral ~name:"EV" ~states:8 ~exprs:15 in
-              fun () ->
-                Session.with_session session (fun () ->
-                    let tokens = Front_analyze.tokens_of_source src in
-                    let tree = Parsing.parse_list parser_ ~eof_value:Pval.Unit tokens in
-                    let ev =
-                      Evaluator.create
-                        ~token_line:(fun n -> Pval.Int n)
-                        g
-                        ~root_inherited:
-                          [
-                            ("ENV", Pval.Env Env.empty); ("LEVEL", Pval.Int (-1));
-                            ("UNITNAME", Pval.Str "WORK.X"); ("CTX", Pval.Str "arch");
-                            ("SLOTBASE", Pval.Int 0); ("SIGBASE", Pval.Int 0);
-                            ("LOOPDEPTH", Pval.Int 0); ("RETTY", Pval.Opt None);
-                            ("CTXOUT", Pval.Out Pval.out_empty); ("NLINES", Pval.Int 50);
-                          ]
-                        tree
-                    in
-                    ignore (Evaluator.goal ev "UNITS"))));
-        Test.make ~name:"evaluator/staged"
-          (Staged.stage
-             (let g = Main_grammar.grammar () in
-              let parser_ = Main_grammar.parser_ () in
-              let partitions = Analysis.visit_partitions (Analysis.compute g) in
-              let session = Session.in_memory [] in
-              let src = Workload.behavioral ~name:"EV" ~states:8 ~exprs:15 in
-              fun () ->
-                Session.with_session session (fun () ->
-                    let tokens = Front_analyze.tokens_of_source src in
-                    let tree = Parsing.parse_list parser_ ~eof_value:Pval.Unit tokens in
-                    let ev =
-                      Evaluator.create
-                        ~token_line:(fun n -> Pval.Int n)
-                        g
-                        ~root_inherited:
-                          [
-                            ("ENV", Pval.Env Env.empty); ("LEVEL", Pval.Int (-1));
-                            ("UNITNAME", Pval.Str "WORK.X"); ("CTX", Pval.Str "arch");
-                            ("SLOTBASE", Pval.Int 0); ("SIGBASE", Pval.Int 0);
-                            ("LOOPDEPTH", Pval.Int 0); ("RETTY", Pval.Opt None);
-                            ("CTXOUT", Pval.Out Pval.out_empty); ("NLINES", Pval.Int 50);
-                          ]
-                        tree
-                    in
-                    ignore (Evaluator.evaluate_staged ev ~partitions))));
+        evaluator_test ~name:"evaluator/demand" (fun _ ev -> ignore (Evaluator.goal ev "UNITS"));
+        evaluator_test ~name:"evaluator/plan" (fun plan ev ->
+            ignore (Evaluator.evaluate_plan ev ~plan));
         Test.make ~name:"fig2/lalr-table-expr-grammar"
           (Staged.stage (fun () ->
                ignore (Parsing.create ~name:"bench" (Expr_grammar.build ()) ~eof:"LEOF")));

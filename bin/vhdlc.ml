@@ -1091,7 +1091,7 @@ let request_cmd =
    (the same JSON document `vhdlc request --stats --json` prints). *)
 
 let top_cmd =
-  let module J = Perf.Json_in in
+  let module J = Telemetry.Json in
   let once =
     Arg.(value & flag & info [ "once" ] ~doc:"Render one frame and exit.")
   in
@@ -1106,26 +1106,7 @@ let top_cmd =
       value & opt float 1.0
       & info [ "interval" ] ~docv:"SECONDS" ~doc:"Refresh period.")
   in
-  let frames =
-    Arg.(
-      value & opt int 0
-      & info [ "frames" ] ~docv:"N"
-          ~doc:"Stop after N frames (0 = run until interrupted).")
-  in
-  let metrics_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-file" ] ~docv:"FILE"
-          ~doc:
-            "Render from the daemon's periodically-flushed telemetry JSON \
-             (--metrics-out) instead of the socket.  A missing or \
-             partially-written file is retried on the next refresh, never \
-             a crash.")
-  in
-  let jpath doc path =
-    List.fold_left (fun acc k -> Option.bind acc (J.mem k)) (Some doc) path
-  in
+  let jpath doc path = J.path path doc in
   let jint doc path =
     Option.value ~default:0 (Option.bind (jpath doc path) J.to_int)
   in
@@ -1212,104 +1193,43 @@ let top_cmd =
       (led "heap_breaches");
     Buffer.contents b
   in
-  (* the fallback view over the periodically-flushed telemetry JSON —
-     process-lifetime numbers, no live window, but it works with no
-     socket and survives the file not being there yet *)
-  let render_metrics path doc =
-    let b = Buffer.create 512 in
-    let c k = jint doc [ "counters"; "serve." ^ k ] in
-    let h k = jnum doc [ "histograms"; "serve.latency_us"; k ] in
-    Printf.bprintf b "compile service metrics @ %s (periodic flush)\n" path;
-    Printf.bprintf b "ledger   requests %d = answered %d + shed %d + client_gone %d\n"
-      (c "requests") (c "answered") (c "shed") (c "client_gone");
-    Printf.bprintf b "latency  p50 %s   p90 %s   p99 %s   (%d samples, process lifetime)\n"
-      (ms (h "p50")) (ms (h "p90")) (ms (h "p99"))
-      (jint doc [ "histograms"; "serve.latency_us"; "count" ]);
-    Printf.bprintf b
-      "faults   torn %d  oversized %d  bad-request %d  contained %d  timeouts \
-       %d  wedges %d  recycles %d\n"
-      (c "torn_frames") (c "oversized") (c "bad_requests")
-      (c "faults_contained") (c "timeouts") (c "wedges") (c "worker_recycles");
-    Printf.bprintf b
-      "obs      events %d   flight-dumps %d   exemplars %d   slo-breaches %d  \
-       heap-breaches %d\n"
-      (c "events") (c "flight_dumps") (c "exemplars") (c "slo_breaches")
-      (c "heap_breaches");
-    Printf.bprintf b "heap     live %.1fMB   top %.1fMB\n"
-      (jnum doc [ "gauges"; "gc.heap_words" ] *. 8.0 /. 1048576.0)
-      (jnum doc [ "gauges"; "gc.top_heap_words" ] *. 8.0 /. 1048576.0);
-    Buffer.contents b
-  in
-  let run socket metrics_file once json interval frames =
-    match metrics_file with
-    | Some path ->
-      (* flushes are periodic: the file may not exist yet, and a foreign
-         writer may leave junk — both are "not ready", retried on the
-         next refresh, never a crash *)
-      let rec mloop n =
-        (match
-           match Vhdl_util.Unix_compat.read_file path with
-           | exception Sys_error msg -> Error msg
-           | text -> (
-             match J.parse (String.trim text) with
-             | Error e -> Error (Printf.sprintf "%s: unparseable (%s)" path e)
-             | Ok doc -> Ok (text, doc))
-         with
-        | Error msg ->
-          Printf.eprintf "vhdlc top: metrics not ready (%s); retrying\n%!" msg
-        | Ok (text, doc) ->
-          if json then print_string text
+  let run socket once json interval =
+    let rq = Serve_protocol.request ~json:true Serve_protocol.Stats in
+    let rec loop n =
+      match Serve_client.roundtrip ~timeout_s:5.0 ~socket rq with
+      | Error msg ->
+        Printf.eprintf "vhdlc top: %s\n" msg;
+        7
+      | Ok resp when resp.Serve_protocol.rs_status <> Serve_protocol.Ok_ ->
+        Printf.eprintf "vhdlc top: [%s]\n"
+          (Serve_protocol.status_name resp.Serve_protocol.rs_status);
+        Serve_protocol.status_exit_code resp.Serve_protocol.rs_status
+      | Ok resp -> (
+        match J.parse (String.trim resp.Serve_protocol.rs_body) with
+        | Error e ->
+          Printf.eprintf "vhdlc top: unparseable stats body: %s\n" e;
+          7
+        | Ok doc ->
+          if json then print_string resp.Serve_protocol.rs_body
           else begin
             if not once && n > 0 then print_string "\027[H\027[2J";
-            print_string (render_metrics path doc);
+            print_string (render socket doc);
             flush stdout
-          end);
-        if once || (frames > 0 && n + 1 >= frames) then 0
-        else begin
-          Unix.sleepf interval;
-          mloop (n + 1)
-        end
-      in
-      mloop 0
-    | None ->
-      let rq = Serve_protocol.request ~json:true Serve_protocol.Stats in
-      let rec loop n =
-        match Serve_client.roundtrip ~timeout_s:5.0 ~socket rq with
-        | Error msg ->
-          Printf.eprintf "vhdlc top: %s\n" msg;
-          7
-        | Ok resp when resp.Serve_protocol.rs_status <> Serve_protocol.Ok_ ->
-          Printf.eprintf "vhdlc top: [%s]\n"
-            (Serve_protocol.status_name resp.Serve_protocol.rs_status);
-          Serve_protocol.status_exit_code resp.Serve_protocol.rs_status
-        | Ok resp -> (
-          match J.parse (String.trim resp.Serve_protocol.rs_body) with
-          | Error e ->
-            Printf.eprintf "vhdlc top: unparseable stats body: %s\n" e;
-            7
-          | Ok doc ->
-            if json then print_string resp.Serve_protocol.rs_body
-            else begin
-              if not once && n > 0 then print_string "\027[H\027[2J";
-              print_string (render socket doc);
-              flush stdout
-            end;
-            if once || (frames > 0 && n + 1 >= frames) then 0
-            else begin
-              Unix.sleepf interval;
-              loop (n + 1)
-            end)
-      in
-      loop 0
+          end;
+          if once then 0
+          else begin
+            Unix.sleepf interval;
+            loop (n + 1)
+          end)
+    in
+    loop 0
   in
   let doc =
     "Live dashboard over a running compile service: queue depth, worker \
      state, latency percentiles, rolling SLO window, fate ledger.  Use \
      --once --json for scripting."
   in
-  Cmd.v (Cmd.info "top" ~doc)
-    Term.(
-      const run $ socket_arg $ metrics_file $ once $ json $ interval $ frames)
+  Cmd.v (Cmd.info "top" ~doc) Term.(const run $ socket_arg $ once $ json $ interval)
 
 (* `vhdlc analyze`: offline analytics over a serve event log — the
    post-mortem counterpart of `vhdlc top`.  Percentiles replay the log

@@ -12,7 +12,7 @@
 
 open Cmdliner
 module Telemetry = Vhdl_telemetry.Telemetry
-module Json_in = Vhdl_perf.Perf.Json_in
+module Json = Telemetry.Json
 
 (* headline telemetry counters accumulated over the whole campaign — how
    much work the pipeline actually did across every seed *)
@@ -154,12 +154,12 @@ let check_chaos_obs ~events_path ~obs_dir ~max_dumps ~slo_p99_us ~hist_p99_us =
               violation "exemplar event names a missing file %s" path
             else (
               match
-                Json_in.parse (Vhdl_util.Unix_compat.read_file path)
+                Json.parse (Vhdl_util.Unix_compat.read_file path)
               with
               | Error msg -> violation "exemplar %s unparseable: %s" path msg
               | Ok doc -> (
-                match Json_in.mem "trace" doc with
-                | Some (Json_in.Arr _) -> ()
+                match Json.mem "trace" doc with
+                | Some (Json.Arr _) -> ()
                 | _ ->
                   violation "exemplar %s: no loadable Chrome trace array" path))
           | _, _ -> violation "exemplar dump event missing path or rid")
@@ -300,14 +300,9 @@ let run_serve_chaos ~seed ~shots ~quiet =
         match Serve_client.roundtrip ~timeout_s:10.0 ~socket rq with
         | Error _ -> None
         | Ok resp -> (
-          match Json_in.parse (String.trim resp.Serve_protocol.rs_body) with
+          match Json.parse (String.trim resp.Serve_protocol.rs_body) with
           | Error _ -> None
-          | Ok doc ->
-            Option.bind
-              (List.fold_left
-                 (fun acc k -> Option.bind acc (Json_in.mem k))
-                 (Some doc) path)
-              Json_in.to_num)
+          | Ok doc -> Option.bind (Json.path path doc) Json.to_num)
       in
       let slo_p99_us =
         json_num (Serve_protocol.request ~json:true Serve_protocol.Slo)

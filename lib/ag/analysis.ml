@@ -321,9 +321,6 @@ let plan t =
   in
   { pl_passes = passes; pl_force = force; pl_copy_targets = !copy_targets }
 
-let plan_passes p = p.pl_passes
-let plan_copy_targets p = p.pl_copy_targets
-
 (** Maximum number of visits over all symbols — the paper's "max visits". *)
 let max_visits t =
   let parts = visit_partitions t in
@@ -336,6 +333,3 @@ let visits_of t sym_name =
   let parts = visit_partitions t in
   let sym = Grammar.find_symbol t.grammar sym_name in
   List.fold_left (fun acc (_, v) -> max acc v) 1 parts.(sym)
-
-let io_pairs t sym = Pair_set.elements t.io.(sym)
-let oi_pairs t sym = Pair_set.elements t.oi.(sym)

@@ -5,7 +5,8 @@
     - the IO/OI induced-dependency fixpoint giving the polynomial
       {e strong noncircularity} test;
     - per-symbol visit partitions, yielding the "max visits" statistic of
-      the paper's §4.1 table and driving {!Evaluator.evaluate_staged}. *)
+      the paper's §4.1 table and the static {!plan} that drives
+      {!Evaluator.evaluate_plan}. *)
 
 type 'v t
 
@@ -46,16 +47,8 @@ val plan : 'v t -> plan
     generating the evaluator once).
     @raise Not_orderable as {!visit_partitions}. *)
 
-val plan_passes : plan -> int
-val plan_copy_targets : plan -> int
-
 val max_visits : 'v t -> int
 (** The paper's "max visits" row. *)
 
 val visits_of : 'v t -> string -> int
 (** Visits needed for one symbol, by name. *)
-
-val io_pairs : 'v t -> int -> (int * int) list
-(** IO(symbol): (inherited, synthesized) induced dependencies. *)
-
-val oi_pairs : 'v t -> int -> (int * int) list

@@ -6,11 +6,10 @@
     paper's observation that the AG author "only describes what information
     we want to know" and scheduling is the evaluator's problem.
 
-    A staged evaluator is also provided: it forces attributes pass by pass
-    following the visit partitions computed by {!Analysis}, which is how a
-    plan-based (Linguist-style) evaluator would proceed.  Both produce
-    identical values; the staged form exists for the visit statistics and
-    the evaluator-strategy bench. *)
+    The compiler's fast path drives it pass by pass from the static plan
+    of {!Analysis.plan} (generated when the compiler is built), the way a
+    Linguist-generated evaluator proceeds; plain demand evaluation is the
+    reference oracle.  Both produce identical values. *)
 
 module Tm = Vhdl_telemetry.Telemetry
 
@@ -62,7 +61,7 @@ type 'v t = {
      is on every attribute evaluation, so linear scans add up *)
   rule_index : (int * int * int, 'v Grammar.rule) Hashtbl.t;
   mutable rule_applications : int; (* instrumentation for the benches *)
-  mutable fuel : int option; (* rule-application budget, None = unlimited *)
+  fuel : int option; (* rule-application budget, None = unlimited *)
   tick : unit -> unit; (* periodic hook (deadline checks), every 256 rules *)
   prov : 'v provenance option;
   copy_elide : bool;
@@ -131,8 +130,6 @@ let create ?token_line ?fuel ?(tick = fun () -> ()) ?provenance
     prov = provenance;
     copy_elide;
   }
-
-let set_fuel t fuel = t.fuel <- fuel
 
 let find_rule t prod_id (target : Grammar.occurrence) =
   let key = (prod_id, target.Grammar.pos, target.Grammar.attr) in
@@ -306,41 +303,6 @@ let goal t name =
 let rule_applications t = t.rule_applications
 
 (* ------------------------------------------------------------------ *)
-(* Staged (pass-based) evaluation *)
-
-(** Force every attribute of every node, proceeding bottom-up pass by pass
-    over partitions: partition [k] of each symbol is forced during pass [k].
-    [partitions] maps a symbol id to the list of (attr, pass) assignments as
-    computed by {!Analysis.visit_partitions}.  Returns the number of passes
-    executed. *)
-let evaluate_staged t ~partitions =
-  let max_pass = ref 1 in
-  Array.iter
-    (fun assignments ->
-      List.iter (fun (_, pass) -> if pass > !max_pass then max_pass := pass) assignments)
-    partitions;
-  for pass = 1 to !max_pass do
-    Tm.incr m_staged_passes;
-    let visits = ref 0 in
-    let rec walk node =
-      Array.iter walk node.n_children;
-      if node.n_prod >= 0 then begin
-        incr visits;
-        let p = Grammar.production t.grammar node.n_prod in
-        let sym = p.Grammar.lhs in
-        List.iter
-          (fun (attr, attr_pass) ->
-            if attr_pass = pass then ignore (eval_node t node attr))
-          partitions.(sym)
-      end
-    in
-    walk t.root;
-    Tm.add m_staged_visits !visits;
-    Tm.observe m_visits_per_pass (float_of_int !visits)
-  done;
-  !max_pass
-
-(* ------------------------------------------------------------------ *)
 (* Plan-based evaluation *)
 
 (** Drive evaluation from a static plan ({!Analysis.plan}): pass by pass,
@@ -447,17 +409,5 @@ let clear_in_progress t =
     in
     List.iter (Hashtbl.remove node.n_cache) stale;
     Array.iter walk node.n_children
-  in
-  walk t.root
-
-(** Force every declared attribute of every node (demand order). *)
-let evaluate_all t =
-  let g = t.grammar in
-  let rec walk node =
-    Array.iter walk node.n_children;
-    if node.n_prod >= 0 then begin
-      let p = Grammar.production g node.n_prod in
-      List.iter (fun attr -> ignore (eval_node t node attr)) (Grammar.attrs_of g p.Grammar.lhs)
-    end
   in
   walk t.root

@@ -2,9 +2,9 @@
 
     Demand-driven and memoizing: asking for any attribute triggers exactly
     the semantic-rule applications its value transitively depends on, each
-    at most once.  A staged (plan-based) variant forces attributes pass by
-    pass following {!Analysis.visit_partitions}, the way Linguist's
-    generated evaluators proceed. *)
+    at most once.  {!evaluate_plan} drives it pass by pass from the static
+    plan {!Analysis.plan} builds, the way Linguist's generated evaluators
+    proceed; plain demand evaluation is the reference oracle. *)
 
 type 'v t
 
@@ -20,9 +20,9 @@ exception
   }
 
 exception Fuel_exhausted of { applications : int; limit : int }
-(** Raised when the rule-application budget given to {!create} (or
-    {!set_fuel}) runs out — the resource-containment hook: a runaway
-    evaluation surfaces as a catchable, structured condition. *)
+(** Raised when the rule-application budget given to {!create} runs out —
+    the resource-containment hook: a runaway evaluation surfaces as a
+    catchable, structured condition. *)
 
 type 'v provenance = Provenance.t * string * ('v -> string)
 (** A provenance hook: the recorder, the AG's label in the records (e.g.
@@ -50,23 +50,12 @@ val create :
     applying the identity rule — see {!Grammar.rule.copy_of}; the
     differential oracle's reference side turns it off. *)
 
-val set_fuel : 'v t -> int option -> unit
-
 val goal : 'v t -> string -> 'v
 (** Value of a synthesized attribute at the root — the paper's "goal
     attributes", the results of the translation. *)
 
 val rule_applications : 'v t -> int
 (** Semantic-rule applications so far (bench instrumentation). *)
-
-val evaluate_staged : 'v t -> partitions:(int * int) list array -> int
-(** Force every attribute pass by pass following per-symbol visit
-    partitions; returns the number of passes run.  Values agree with demand
-    evaluation.  (Superseded by {!evaluate_plan} on the hot path; kept for
-    the visit statistics and the strategy-agreement tests.) *)
-
-val evaluate_all : 'v t -> unit
-(** Force every declared attribute of every node (demand order). *)
 
 (** {1 Per-region evaluation}
 

@@ -16,10 +16,6 @@ type direction =
   | Inherited
   | Synthesized
 
-let pp_direction fmt = function
-  | Inherited -> Format.pp_print_string fmt "inherited"
-  | Synthesized -> Format.pp_print_string fmt "synthesized"
-
 (** An attribute occurrence inside a production: position 0 is the left-hand
     side, positions 1..n are the right-hand-side symbols in order. *)
 type occurrence = { pos : int; attr : int }
@@ -88,7 +84,6 @@ let production g id = g.productions.(id)
 let n_symbols g = Interner.count g.symbols
 let n_productions g = Array.length g.productions
 let attrs_of g sym = g.sym_attrs.(sym)
-let productions_of g sym = g.prods_of.(sym)
 
 let find_symbol g name =
   match Interner.find_opt g.symbols name with

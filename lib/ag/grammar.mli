@@ -15,8 +15,6 @@ type direction =
   | Inherited
   | Synthesized
 
-val pp_direction : Format.formatter -> direction -> unit
-
 (** An attribute occurrence inside a production: position 0 is the
     left-hand side, positions 1..n the right-hand-side symbols in order. *)
 type occurrence = { pos : int; attr : int }
@@ -81,7 +79,6 @@ val production : 'v t -> int -> 'v production
 val n_symbols : 'v t -> int
 val n_productions : 'v t -> int
 val attrs_of : 'v t -> int -> int list
-val productions_of : 'v t -> int -> int list
 val find_symbol : 'v t -> string -> int
 val find_attr : 'v t -> string -> int
 

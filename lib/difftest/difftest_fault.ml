@@ -10,10 +10,7 @@
 let armed_flag = ref false
 let active_flag = ref false
 
-let armed () = !armed_flag
 let active () = !active_flag
-let set_active b = active_flag := b
-
 
 (* Bump an integer-literal candidate: both the KIR code and the static
    value, the way a miscompiled semantic function would. *)
@@ -86,35 +83,6 @@ let with_poison key f =
   Fun.protect
     ~finally:(fun () ->
       poison_key := prev_key;
-      Session.insert_hook := prev_hook)
-    f
-
-(* ------------------------------------------------------------------ *)
-(* Wedge injection: a unit whose analysis never finishes.  The hook spins
-   (allocating, so asynchronous exceptions from signal handlers are
-   delivered at the allocation safepoints) when the selected unit reaches
-   [Session.insert_hook] — the evaluator's tick hook is never reached
-   again, so fuel and deadline budgets cannot fire.  Only an out-of-band
-   watchdog (the serve worker's SIGALRM timer) can break the loop. *)
-
-let wedge_key = ref None
-
-let wedge_hook (u : Unit_info.compiled_unit) =
-  match !wedge_key with
-  | Some key when u.Unit_info.u_key = key ->
-    while true do
-      ignore (Sys.opaque_identity (ref 0))
-    done
-  | _ -> ()
-
-let with_wedge key f =
-  let prev_key = !wedge_key in
-  let prev_hook = !Session.insert_hook in
-  wedge_key := Some key;
-  Session.insert_hook := wedge_hook;
-  Fun.protect
-    ~finally:(fun () ->
-      wedge_key := prev_key;
       Session.insert_hook := prev_hook)
     f
 

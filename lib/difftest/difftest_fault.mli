@@ -1,20 +1,15 @@
 (** Fault injection for validating the differential oracle.
 
     [arm] flips one semantic rule of the expression AG — the integer-literal
-    candidate rule ([primary_LINT]) — so that while [set_active true] every
-    integer literal evaluates to its value plus one.  The oracle activates
-    the flip around the staged-strategy compile only, so an armed fault
-    makes the two evaluation strategies genuinely disagree the way a real
-    semantic-rule regression would.  With the flag inactive the wrapped
+    candidate rule ([primary_LINT]) — so that while the flip is active
+    ({!with_active}) every integer literal evaluates to its value plus one.
+    The oracle activates the flip around the staged-strategy compile only,
+    so an armed fault makes the two evaluation strategies genuinely
+    disagree the way a real semantic-rule regression would.  With the flag inactive the wrapped
     rule is behavior-identical to the original. *)
 
 val arm : unit -> unit
 (** Install the flipped rule (idempotent; mutates the shared grammar). *)
-
-val armed : unit -> bool
-
-val set_active : bool -> unit
-(** Turn the flip on or off at rule-application time. *)
 
 val active : unit -> bool
 
@@ -28,14 +23,6 @@ val with_poison : string -> (unit -> 'a) -> 'a
     raised from inside its UNITS semantic rule via {!Session.insert_hook}.
     Exercises the per-unit exception firewall — the poisoned unit must
     surface as an internal-error diagnostic while sibling units compile. *)
-
-val with_wedge : string -> (unit -> 'a) -> 'a
-(** Run a thunk with a wedge installed on one unit key: as that unit
-    finishes analysis, the {!Session.insert_hook} spins forever (allocating,
-    so asynchronous exceptions are still delivered).  No in-band budget can
-    fire — only an out-of-band watchdog (the serve worker's SIGALRM timer)
-    breaks the loop.  Exercises wedged-request detection and worker
-    recycling. *)
 
 (** {1 Serve-layer fault sites}
 

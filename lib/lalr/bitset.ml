@@ -27,11 +27,6 @@ let union_into ~into from =
   done;
   !changed
 
-let iter t f =
-  for i = 0 to t.width - 1 do
-    if mem t i then f i
-  done
-
 let elements t =
   let acc = ref [] in
   for i = t.width - 1 downto 0 do
@@ -42,8 +37,3 @@ let elements t =
 let is_empty t =
   let rec scan b = b >= Bytes.length t.bits || (Bytes.get t.bits b = '\000' && scan (b + 1)) in
   scan 0
-
-let cardinal t =
-  let n = ref 0 in
-  iter t (fun _ -> incr n);
-  !n

@@ -10,7 +10,5 @@ val add : t -> int -> unit
 val union_into : into:t -> t -> bool
 (** Add all elements of the second set; [true] if the target changed. *)
 
-val iter : t -> (int -> unit) -> unit
 val elements : t -> int list
 val is_empty : t -> bool
-val cardinal : t -> int

@@ -42,15 +42,3 @@ let nullable t s = t.nullable.(s)
 let nullable_seq t rhs i =
   let rec go i = i >= Array.length rhs || (t.nullable.(rhs.(i)) && go (i + 1)) in
   go i
-
-(** FIRST of a sentential suffix [rhs.(i)..], as a fresh bitset. *)
-let first_seq t ~width rhs i =
-  let acc = Bitset.create width in
-  let rec go i =
-    if i < Array.length rhs then begin
-      ignore (Bitset.union_into ~into:acc t.first.(rhs.(i)));
-      if t.nullable.(rhs.(i)) then go (i + 1)
-    end
-  in
-  go i;
-  acc

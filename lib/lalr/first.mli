@@ -10,6 +10,3 @@ val nullable : t -> int -> bool
 
 val nullable_seq : t -> int array -> int -> bool
 (** Is the suffix [rhs.(i)..] entirely nullable? *)
-
-val first_seq : t -> width:int -> int array -> int -> Bitset.t
-(** FIRST of a sentential suffix, as a fresh set. *)

@@ -151,10 +151,10 @@ let to_json t =
 let to_line t = to_json t ^ "\n"
 
 (* ------------------------------------------------------------------ *)
-(* Decoding, for the validators.  Built on the perf library's JSON
-   reader — the inverse of the Telemetry.Json builder used above. *)
+(* Decoding, for the validators.  Built on Telemetry.Json's reader — the
+   inverse of the builder used above. *)
 
-module J = Vhdl_perf.Perf.Json_in
+module J = Tm.Json
 
 let of_json (j : J.t) : (t, string) result =
   match j with

@@ -309,151 +309,6 @@ let run ?(warmup = 1) ?(repeats = 5) ?quota_s ?phases ~name f =
   }
 
 (* ------------------------------------------------------------------ *)
-(* A small JSON reader (for loading persisted baselines).  The writer
-   side lives in [Telemetry.Json]; this is its inverse, tolerant enough
-   for the schema we emit. *)
-
-module Json_in = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse (s : string) : (t, string) result =
-    let pos = ref 0 in
-    let len = String.length s in
-    let peek () = if !pos < len then Some s.[!pos] else None in
-    let next () =
-      if !pos >= len then raise (Bad "unexpected end of JSON");
-      let c = s.[!pos] in
-      incr pos;
-      c
-    in
-    let skip_ws () =
-      while
-        !pos < len
-        && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        incr pos
-      done
-    in
-    let lit word v =
-      String.iter (fun c -> if next () <> c then raise (Bad "bad literal")) word;
-      v
-    in
-    let string_body () =
-      if next () <> '"' then raise (Bad "expected string");
-      let buf = Buffer.create 16 in
-      let rec go () =
-        match next () with
-        | '"' -> Buffer.contents buf
-        | '\\' ->
-          (match next () with
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-            if !pos + 4 > len then raise (Bad "bad \\u escape");
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            (match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
-            | _ -> Buffer.add_char buf '?')
-          | c -> Buffer.add_char buf c);
-          go ()
-        | c ->
-          Buffer.add_char buf c;
-          go ()
-      in
-      go ()
-    in
-    let number () =
-      let start = !pos in
-      while
-        !pos < len
-        && (match s.[!pos] with
-           | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr pos
-      done;
-      if !pos = start then raise (Bad "bad JSON value");
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> raise (Bad "bad number")
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' -> obj ()
-      | Some '[' -> arr ()
-      | Some '"' -> Str (string_body ())
-      | Some 't' -> lit "true" (Bool true)
-      | Some 'f' -> lit "false" (Bool false)
-      | Some 'n' -> lit "null" Null
-      | _ -> number ()
-    and arr () =
-      ignore (next ());
-      skip_ws ();
-      if peek () = Some ']' then begin
-        ignore (next ());
-        Arr []
-      end
-      else
-        let rec items acc =
-          let v = value () in
-          skip_ws ();
-          match next () with
-          | ',' -> items (v :: acc)
-          | ']' -> Arr (List.rev (v :: acc))
-          | _ -> raise (Bad "bad array")
-        in
-        items []
-    and obj () =
-      ignore (next ());
-      skip_ws ();
-      if peek () = Some '}' then begin
-        ignore (next ());
-        Obj []
-      end
-      else
-        let rec fields acc =
-          skip_ws ();
-          let k = string_body () in
-          skip_ws ();
-          if next () <> ':' then raise (Bad "expected colon");
-          let v = value () in
-          skip_ws ();
-          match next () with
-          | ',' -> fields ((k, v) :: acc)
-          | '}' -> Obj (List.rev ((k, v) :: acc))
-          | _ -> raise (Bad "bad object")
-        in
-        fields []
-    in
-    match
-      let v = value () in
-      skip_ws ();
-      if !pos <> len then raise (Bad "trailing garbage");
-      v
-    with
-    | v -> Ok v
-    | exception Bad msg -> Error msg
-
-  let mem k = function Obj fields -> List.assoc_opt k fields | _ -> None
-  let to_str = function Str s -> Some s | _ -> None
-  let to_num = function Num f -> Some f | _ -> None
-  let to_int = function Num f -> Some (int_of_float f) | _ -> None
-end
-
-(* ------------------------------------------------------------------ *)
 (* Reports *)
 
 module Report = struct
@@ -610,37 +465,37 @@ module Report = struct
   let ( let* ) o f = match o with Some v -> f v | None -> None
 
   let fields_of = function
-    | Json_in.Obj fields -> fields
+    | Json.Obj fields -> fields
     | _ -> []
 
   let sample_of_json j =
-    let* name = Option.bind (Json_in.mem "name" j) Json_in.to_str in
-    let* times = Json_in.mem "times_s" j in
+    let* name = Option.bind (Json.mem "name" j) Json.to_str in
+    let* times = Json.mem "times_s" j in
     let* times =
       match times with
-      | Json_in.Arr items ->
-        let nums = List.filter_map Json_in.to_num items in
+      | Json.Arr items ->
+        let nums = List.filter_map Json.to_num items in
         if List.length nums = List.length items then Some (Array.of_list nums)
         else None
       | _ -> None
     in
     let warmup =
-      Option.value (Option.bind (Json_in.mem "warmup" j) Json_in.to_int) ~default:0
+      Option.value (Option.bind (Json.mem "warmup" j) Json.to_int) ~default:0
     in
     (* absent in pre-alloc baselines: load as [||], the diff then skips
        the alloc row for that experiment rather than failing the parse *)
     let allocs =
-      match Json_in.mem "allocs_w" j with
-      | Some (Json_in.Arr items) ->
-        Array.of_list (List.filter_map Json_in.to_num items)
+      match Json.mem "allocs_w" j with
+      | Some (Json.Arr items) ->
+        Array.of_list (List.filter_map Json.to_num items)
       | _ -> [||]
     in
     let gc =
-      match Json_in.mem "gc" j with
+      match Json.mem "gc" j with
       | None -> Gc_delta.zero
       | Some g ->
-        let i k d = Option.value (Option.bind (Json_in.mem k g) Json_in.to_int) ~default:d in
-        let f k d = Option.value (Option.bind (Json_in.mem k g) Json_in.to_num) ~default:d in
+        let i k d = Option.value (Option.bind (Json.mem k g) Json.to_int) ~default:d in
+        let f k d = Option.value (Option.bind (Json.mem k g) Json.to_num) ~default:d in
         {
           Gc_delta.minor_collections = i "minor_collections" 0;
           major_collections = i "major_collections" 0;
@@ -651,10 +506,10 @@ module Report = struct
         }
     in
     let num_fields key =
-      match Json_in.mem key j with
+      match Json.mem key j with
       | Some o ->
         List.filter_map
-          (fun (k, v) -> Option.map (fun n -> (k, n)) (Json_in.to_num v))
+          (fun (k, v) -> Option.map (fun n -> (k, n)) (Json.to_num v))
           (fields_of o)
       | None -> []
     in
@@ -672,21 +527,21 @@ module Report = struct
       }
 
   let of_json text =
-    match Json_in.parse text with
+    match Json.parse text with
     | Error msg -> Error ("bad JSON: " ^ msg)
     | Ok j -> (
-      match Option.bind (Json_in.mem "schema" j) Json_in.to_str with
+      match Option.bind (Json.mem "schema" j) Json.to_str with
       | Some s when s = schema -> (
         let meta =
-          match Json_in.mem "meta" j with
+          match Json.mem "meta" j with
           | Some m ->
             List.filter_map
-              (fun (k, v) -> Option.map (fun s -> (k, s)) (Json_in.to_str v))
+              (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.to_str v))
               (fields_of m)
           | None -> []
         in
-        match Json_in.mem "experiments" j with
-        | Some (Json_in.Arr items) -> (
+        match Json.mem "experiments" j with
+        | Some (Json.Arr items) -> (
           let samples = List.filter_map sample_of_json items in
           if List.length samples = List.length items then
             Ok { r_schema = schema; r_meta = meta; r_samples = samples }

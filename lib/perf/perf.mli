@@ -108,24 +108,6 @@ val run :
     snapshotted around the measured portion; [phases] is read once after
     the last repetition (pass the compiler's phase-timer report). *)
 
-(** Minimal JSON reader — the inverse of [Telemetry.Json], used to load
-    persisted baselines. *)
-module Json_in : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val parse : string -> (t, string) result
-  val mem : string -> t -> t option
-  val to_str : t -> string option
-  val to_num : t -> float option
-  val to_int : t -> int option
-end
-
 (** The canonical benchmark report. *)
 module Report : sig
   type t = {

@@ -16,8 +16,6 @@ type ctx = {
 
 let empty = { generics = []; frame = [] }
 
-let with_generics generics = { empty with generics }
-
 let rec eval ctx (e : Kir.expr) : Value.t =
   match e with
   | Kir.Elit v -> v

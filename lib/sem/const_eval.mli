@@ -16,9 +16,6 @@ type ctx = {
 
 val empty : ctx
 
-val with_generics : (int * Value.t) list -> ctx
-(** An elaboration-time context: generic actuals known, no frame. *)
-
 val eval : ctx -> Kir.expr -> Value.t
 (** @raise Not_static when the expression is not locally static.
     @raise Value_ops.Runtime_error on dynamic errors in static operands

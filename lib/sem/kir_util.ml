@@ -160,34 +160,6 @@ let rec subst_stmt (s : subst) (st : Kir.stmt) : Kir.stmt =
 
 let subst_stmts s = List.map (subst_stmt s)
 
-(* ------------------------------------------------------------------ *)
-(* Driven signals of a process body: the kernel creates one driver per
-   (process, signal) pair (LRM 12: "a driver for each signal assigned by the
-   process"). *)
-
-let rec sig_target_root (t : Kir.sig_target) : Kir.sig_ref =
-  match t with
-  | Kir.Ts_sig sref -> sref
-  | Kir.Ts_index (t', _) | Kir.Ts_slice (t', _) | Kir.Ts_field (t', _) -> sig_target_root t'
-
-let rec driven_signals_stmt acc (st : Kir.stmt) =
-  match st with
-  | Kir.Ssig_assign { target; _ } | Kir.Sdisconnect target ->
-    let root = sig_target_root target in
-    if List.mem root acc then acc else root :: acc
-  | Kir.Sif (arms, els) ->
-    let acc = List.fold_left (fun acc (_, body) -> List.fold_left driven_signals_stmt acc body) acc arms in
-    List.fold_left driven_signals_stmt acc els
-  | Kir.Scase (_, alts) ->
-    List.fold_left (fun acc (_, body) -> List.fold_left driven_signals_stmt acc body) acc alts
-  | Kir.Sfor { body; _ } | Kir.Swhile (_, body, _) | Kir.Sloop (body, _) ->
-    List.fold_left driven_signals_stmt acc body
-  | Kir.Snull | Kir.Sassign _ | Kir.Sexit _ | Kir.Snext _ | Kir.Swait _ | Kir.Sreturn _
-  | Kir.Sassert _ | Kir.Scall _ ->
-    acc
-
-let driven_signals body = List.rev (List.fold_left driven_signals_stmt [] body)
-
 (* Maximum for-loop nesting depth: sizes the loop-variable stack of a frame. *)
 let rec loop_depth_stmt (st : Kir.stmt) =
   match st with

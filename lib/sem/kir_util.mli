@@ -12,10 +12,6 @@ val signals_read_expr_acc : Kir.sig_ref list -> Kir.expr -> Kir.sig_ref list
 (** Accumulating form (reverse order, deduplicated) for callers folding
     over several expressions. *)
 
-val driven_signals : Kir.stmt list -> Kir.sig_ref list
-(** Root signals assigned anywhere in a process body.  The kernel creates
-    one driver per (process, signal) pair (LRM 12). *)
-
 (** {1 Elaboration-time substitution}
 
     Generics and unit constants are replaced by their per-instance values

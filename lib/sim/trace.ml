@@ -27,18 +27,6 @@ let watch t path (s : Rt.signal) =
 
 let changes t = List.rev t.changes
 
-(** Value of [path] at [time] according to the log. *)
-let value_at t ~path ~time =
-  List.fold_left
-    (fun acc c ->
-      if c.c_path = path && c.c_time <= time then
-        match acc with
-        | Some prev when prev.c_time > c.c_time -> acc
-        | _ -> Some c
-      else acc)
-    None t.changes
-  |> Option.map (fun c -> c.c_value)
-
 (** History of one signal: (time, value) pairs in time order. *)
 let history t ~path =
   changes t |> List.filter_map (fun c -> if c.c_path = path then Some (c.c_time, c.c_value) else None)

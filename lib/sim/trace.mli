@@ -18,9 +18,6 @@ val watch : t -> string -> Rt.signal -> unit
 val changes : t -> change list
 (** All recorded changes, oldest first. *)
 
-val value_at : t -> path:string -> time:Rt.time -> Value.t option
-(** Value of [path] at [time] according to the log. *)
-
 val history : t -> path:string -> (Rt.time * Value.t) list
 (** One signal's (time, value) pairs in time order. *)
 

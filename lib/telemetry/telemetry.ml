@@ -54,17 +54,165 @@ module Json = struct
   let str s = "\"" ^ escape s ^ "\""
   let int n = string_of_int n
 
-  (* JSON has no NaN/Infinity literals *)
+  (* JSON has no NaN/Infinity literals.  Otherwise the shortest of 15, 16
+     or 17 significant digits that reads back as the same float. *)
   let float x =
-    if Float.is_nan x then "null"
+    if not (Float.is_finite x) then "null"
     else if Float.is_integer x && Float.abs x < 1e15 then
       Printf.sprintf "%.0f" x
-    else Printf.sprintf "%.6g" x
+    else
+      let s = Printf.sprintf "%.15g" x in
+      if float_of_string s = x then s
+      else
+        let s = Printf.sprintf "%.16g" x in
+        if float_of_string s = x then s else Printf.sprintf "%.17g" x
 
   let arr items = "[" ^ String.concat "," items ^ "]"
 
   let obj fields =
     "{" ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields) ^ "}"
+
+  (* The reader: the inverse of the writer above, tolerant enough for
+     every document this system emits. *)
+
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
+
+  exception Bad of string
+
+  let parse (s : string) : (t, string) result =
+    let pos = ref 0 in
+    let len = String.length s in
+    let peek () = if !pos < len then Some s.[!pos] else None in
+    let next () =
+      if !pos >= len then raise (Bad "unexpected end of JSON");
+      let c = s.[!pos] in
+      incr pos;
+      c
+    in
+    let skip_ws () =
+      while
+        !pos < len
+        && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+      do
+        incr pos
+      done
+    in
+    let lit word v =
+      String.iter (fun c -> if next () <> c then raise (Bad "bad literal")) word;
+      v
+    in
+    let string_body () =
+      if next () <> '"' then raise (Bad "expected string");
+      let buf = Buffer.create 16 in
+      let rec go () =
+        match next () with
+        | '"' -> Buffer.contents buf
+        | '\\' ->
+          (match next () with
+          | 'n' -> Buffer.add_char buf '\n'
+          | 't' -> Buffer.add_char buf '\t'
+          | 'r' -> Buffer.add_char buf '\r'
+          | 'b' -> Buffer.add_char buf '\b'
+          | 'f' -> Buffer.add_char buf '\012'
+          | 'u' ->
+            if !pos + 4 > len then raise (Bad "bad \\u escape");
+            let hex = String.sub s !pos 4 in
+            pos := !pos + 4;
+            (match int_of_string_opt ("0x" ^ hex) with
+            | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
+            | _ -> Buffer.add_char buf '?')
+          | c -> Buffer.add_char buf c);
+          go ()
+        | c ->
+          Buffer.add_char buf c;
+          go ()
+      in
+      go ()
+    in
+    let number () =
+      let start = !pos in
+      while
+        !pos < len
+        && (match s.[!pos] with
+           | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+           | _ -> false)
+      do
+        incr pos
+      done;
+      if !pos = start then raise (Bad "bad JSON value");
+      match float_of_string_opt (String.sub s start (!pos - start)) with
+      | Some f -> Num f
+      | None -> raise (Bad "bad number")
+    in
+    let rec value () =
+      skip_ws ();
+      match peek () with
+      | Some '{' -> obj ()
+      | Some '[' -> arr ()
+      | Some '"' -> Str (string_body ())
+      | Some 't' -> lit "true" (Bool true)
+      | Some 'f' -> lit "false" (Bool false)
+      | Some 'n' -> lit "null" Null
+      | _ -> number ()
+    and arr () =
+      ignore (next ());
+      skip_ws ();
+      if peek () = Some ']' then begin
+        ignore (next ());
+        Arr []
+      end
+      else
+        let rec items acc =
+          let v = value () in
+          skip_ws ();
+          match next () with
+          | ',' -> items (v :: acc)
+          | ']' -> Arr (List.rev (v :: acc))
+          | _ -> raise (Bad "bad array")
+        in
+        items []
+    and obj () =
+      ignore (next ());
+      skip_ws ();
+      if peek () = Some '}' then begin
+        ignore (next ());
+        Obj []
+      end
+      else
+        let rec fields acc =
+          skip_ws ();
+          let k = string_body () in
+          skip_ws ();
+          if next () <> ':' then raise (Bad "expected colon");
+          let v = value () in
+          skip_ws ();
+          match next () with
+          | ',' -> fields ((k, v) :: acc)
+          | '}' -> Obj (List.rev ((k, v) :: acc))
+          | _ -> raise (Bad "bad object")
+        in
+        fields []
+    in
+    match
+      let v = value () in
+      skip_ws ();
+      if !pos <> len then raise (Bad "trailing garbage");
+      v
+    with
+    | v -> Ok v
+    | exception Bad msg -> Error msg
+
+  let mem k = function Obj fields -> List.assoc_opt k fields | _ -> None
+  let path keys j = List.fold_left (fun acc k -> Option.bind acc (mem k)) (Some j) keys
+  let to_str = function Str s -> Some s | _ -> None
+  let to_num = function Num f -> Some f | _ -> None
+  let to_int = function Num f -> Some (int_of_float f) | _ -> None
 end
 
 (* ------------------------------------------------------------------ *)

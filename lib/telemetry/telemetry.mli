@@ -12,17 +12,37 @@ val now_s : unit -> float
     every timing consumer (spans, phase tables, the bench harness)
     shares. *)
 
-(** Minimal JSON construction (no external dependency). *)
+(** Minimal JSON writer and reader (no external dependency). *)
 module Json : sig
   val escape : string -> string
   val str : string -> string
   val int : int -> string
 
   val float : float -> string
-  (** NaN prints as [null]; integral values print without a fraction. *)
+  (** NaN and infinities print as [null]; integral values print without a
+      fraction; any other value prints with the fewest of 15, 16 or 17
+      significant digits that {!parse} reads back as the same float. *)
 
   val arr : string list -> string
   val obj : (string * string) list -> string
+
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
+
+  val parse : string -> (t, string) result
+  val mem : string -> t -> t option
+
+  val path : string list -> t -> t option
+  (** [path keys j] follows [keys] through nested objects. *)
+
+  val to_str : t -> string option
+  val to_num : t -> float option
+  val to_int : t -> int option
 end
 
 (** {1 Instruments} *)

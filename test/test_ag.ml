@@ -138,21 +138,8 @@ let test_binary_analysis () =
   Alcotest.(check int) "max visits" 2 stats.Stats.max_visits;
   Alcotest.(check int) "productions" 6 stats.Stats.productions
 
-let test_staged_matches_demand () =
-  let g = binary_grammar () in
-  let a = Analysis.compute g in
-  let partitions = Analysis.visit_partitions a in
-  let tree = parse_binary g "110.101" in
-  let ev1 = Evaluator.create g ~root_inherited:[] tree in
-  let v_demand = as_f (Evaluator.goal ev1 "v") in
-  let ev2 = Evaluator.create g ~root_inherited:[] tree in
-  let passes = Evaluator.evaluate_staged ev2 ~partitions in
-  Alcotest.(check bool) "at least one pass" true (passes >= 1);
-  let v_staged = as_f (Evaluator.goal ev2 "v") in
-  Alcotest.(check (float 1e-9)) "same value" v_demand v_staged
-
-(* The static plan agrees with demand too, and its pass count is the one
-   the analysis promised. *)
+(* The static plan agrees with demand, and its pass count is the one the
+   analysis promised. *)
 let test_plan_matches_demand () =
   let g = binary_grammar () in
   let a = Analysis.compute g in
@@ -162,39 +149,37 @@ let test_plan_matches_demand () =
   let v_demand = as_f (Evaluator.goal ev1 "v") in
   let ev2 = Evaluator.create g ~root_inherited:[] tree in
   let passes = Evaluator.evaluate_plan ev2 ~plan in
-  Alcotest.(check int) "passes as planned" (Analysis.plan_passes plan) passes;
+  Alcotest.(check int) "passes as planned" plan.Analysis.pl_passes passes;
   let v_plan = as_f (Evaluator.goal ev2 "v") in
   Alcotest.(check (float 1e-9)) "same value" v_demand v_plan
 
-(* Demand-vs-staged agreement, systematically: for every seed example
-   grammar and a spread of inputs, the goal attributes must be equal,
-   staged must run at least one pass, and rule applications must be
-   sane — demand (goal-reachable only, memoized) never applies more
-   rules than staged (which forces everything), and staged never
-   exceeds one application per declared attribute per tree node. *)
+(* Demand-vs-plan agreement, systematically: for every seed example
+   grammar and a spread of inputs, the goal attributes must be equal, the
+   plan must run at least one pass, and rule applications must be sane —
+   demand (goal-reachable only, memoized) never applies more rules than
+   the plan (which forces everything), and the plan never exceeds one
+   application per declared attribute per tree node. *)
 let check_agreement ?(root_inherited = []) ~msg g tree ~goals ~eq =
   let ev_d = Evaluator.create g ~root_inherited tree in
   let demand_goals = List.map (fun a -> Evaluator.goal ev_d a) goals in
   let demand_apps = Evaluator.rule_applications ev_d in
-  let ev_s = Evaluator.create g ~root_inherited tree in
-  let partitions = Analysis.visit_partitions (Analysis.compute g) in
-  let passes = Evaluator.evaluate_staged ev_s ~partitions in
-  let staged_goals = List.map (fun a -> Evaluator.goal ev_s a) goals in
-  let staged_apps = Evaluator.rule_applications ev_s in
+  let ev_p = Evaluator.create g ~root_inherited tree in
+  let passes = Evaluator.evaluate_plan ev_p ~plan:(Analysis.plan (Analysis.compute g)) in
+  let plan_goals = List.map (fun a -> Evaluator.goal ev_p a) goals in
+  let plan_apps = Evaluator.rule_applications ev_p in
   Alcotest.(check bool) (msg ^ ": at least one pass") true (passes >= 1);
   List.iter2
-    (fun a (d, s) ->
-      Alcotest.(check bool) (Printf.sprintf "%s: goal %s agrees" msg a) true (eq d s))
+    (fun a (d, p) ->
+      Alcotest.(check bool) (Printf.sprintf "%s: goal %s agrees" msg a) true (eq d p))
     goals
-    (List.combine demand_goals staged_goals);
+    (List.combine demand_goals plan_goals);
   Alcotest.(check bool)
-    (Printf.sprintf "%s: demand apps (%d) <= staged apps (%d)" msg demand_apps
-       staged_apps)
-    true (demand_apps <= staged_apps);
+    (Printf.sprintf "%s: demand apps (%d) <= plan apps (%d)" msg demand_apps plan_apps)
+    true (demand_apps <= plan_apps);
   let bound = Tree.size tree * Array.length g.Grammar.attrs in
   Alcotest.(check bool)
-    (Printf.sprintf "%s: staged apps (%d) <= nodes x attrs (%d)" msg staged_apps bound)
-    true (staged_apps <= bound)
+    (Printf.sprintf "%s: plan apps (%d) <= nodes x attrs (%d)" msg plan_apps bound)
+    true (plan_apps <= bound)
 
 let binary_property =
   QCheck.Test.make ~name:"binary AG computes the numeric value" ~count:200
@@ -276,7 +261,7 @@ let test_plan_elides_copies () =
   let g = classes_grammar () in
   let plan = Analysis.plan (Analysis.compute g) in
   Alcotest.(check bool) "plan excludes copy targets" true
-    (Analysis.plan_copy_targets plan > 0);
+    (plan.Analysis.pl_copy_targets > 0);
   let tree = parse_ids g [ "a"; "b"; "c" ] in
   let run ~copy_elide =
     let ev = Evaluator.create g ~copy_elide ~root_inherited:[ ("ENV", S "root-env") ] tree in
@@ -481,12 +466,6 @@ let test_staged_principal () =
           (Pval.as_units (Evaluator.goal ev "UNITS")))
   in
   let demand = compile_with (fun _ _ -> ()) in
-  let staged =
-    compile_with (fun g ev ->
-        let partitions = Analysis.visit_partitions (Analysis.compute g) in
-        ignore (Evaluator.evaluate_staged ev ~partitions))
-  in
-  Alcotest.(check (list string)) "same units" demand staged;
   let planned =
     compile_with (fun g ev ->
         ignore (Evaluator.evaluate_plan ev ~plan:(Analysis.plan (Analysis.compute g))))
@@ -575,7 +554,6 @@ let suite =
       test_principal_ag_noncircular;
     Alcotest.test_case "staged evaluation of the principal AG" `Quick test_staged_principal;
     Alcotest.test_case "binary analysis: visits" `Quick test_binary_analysis;
-    Alcotest.test_case "staged evaluation matches demand" `Quick test_staged_matches_demand;
     Alcotest.test_case "plan evaluation matches demand" `Quick test_plan_matches_demand;
     Alcotest.test_case "plan elides copy chains" `Quick test_plan_elides_copies;
     Alcotest.test_case "demand/staged agreement across example grammars" `Quick

@@ -7,6 +7,7 @@
 
 module E = Obs_event
 module Perf = Vhdl_perf.Perf
+module Json = Vhdl_telemetry.Telemetry.Json
 
 let temp_path suffix =
   Filename.concat (Filename.get_temp_dir_name ())
@@ -139,11 +140,11 @@ let test_analyze_report () =
   Alcotest.(check bool) "timeline has multiple slices" true
     (List.length r.Obs_analyze.a_slices > 1);
   (* the JSON rendering parses and carries the schema marker *)
-  match Perf.Json_in.parse (Obs_analyze.to_json r) with
+  match Json.parse (Obs_analyze.to_json r) with
   | Error msg -> Alcotest.failf "report JSON unparseable: %s" msg
   | Ok j ->
     Alcotest.(check (option string)) "schema" (Some "vhdl-analyze/1")
-      (Option.bind (Perf.Json_in.mem "schema" j) Perf.Json_in.to_str)
+      (Option.bind (Json.mem "schema" j) Json.to_str)
 
 (* daemon-verb answers are excluded from the latency replay, matching
    the live window's observe_latency:false rule *)

@@ -6,7 +6,7 @@
 
 module E = Obs_event
 module Tm = Vhdl_telemetry.Telemetry
-module J = Vhdl_perf.Perf.Json_in
+module J = Tm.Json
 
 (* ------------------------------------------------------------------ *)
 (* Events *)

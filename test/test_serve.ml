@@ -453,7 +453,7 @@ let test_daemon_periodic_metrics_flush () =
       Alcotest.(check bool) "no lingering temp file" false
         (Sys.file_exists (metrics ^ ".tmp"));
       Alcotest.(check bool) "flushed document parses" true
-        (match Vhdl_perf.Perf.Json_in.parse (Vhdl_util.Unix_compat.read_file metrics) with
+        (match Vhdl_telemetry.Telemetry.Json.parse (Vhdl_util.Unix_compat.read_file metrics) with
         | Ok _ -> true
         | Error _ -> false);
       rm_rf dir)

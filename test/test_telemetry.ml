@@ -160,128 +160,25 @@ let test_null_sink () =
   Alcotest.(check int) "no spans recorded when off" 0 (List.length (Tm.spans ()))
 
 (* ------------------------------------------------------------------ *)
-(* A tiny JSON reader — just enough to validate the exporters' output
-   without an external dependency. *)
+(* JSON: the exporters' output is read back with the shared reader *)
 
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
+module J = Tm.Json
 
-let parse_json (s : string) : json =
-  let pos = ref 0 in
-  let len = String.length s in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let next () =
-    if !pos >= len then failwith "unexpected end of JSON";
-    let c = s.[!pos] in
-    incr pos;
-    c
-  in
-  let skip_ws () =
-    while
-      !pos < len && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let lit word v =
-    String.iter (fun c -> if next () <> c then failwith "bad literal") word;
-    v
-  in
-  let string_body () =
-    if next () <> '"' then failwith "expected string";
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents buf
-      | '\\' ->
-        (match next () with
-        | 'n' -> Buffer.add_char buf '\n'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 'u' ->
-          pos := !pos + 4;
-          Buffer.add_char buf '?'
-        | c -> Buffer.add_char buf c);
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        go ()
-    in
-    go ()
-  in
-  let number () =
-    let start = !pos in
-    while
-      !pos < len
-      && (match s.[!pos] with
-         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-         | _ -> false)
-    do
-      incr pos
-    done;
-    if !pos = start then failwith "bad JSON value";
-    Jnum (float_of_string (String.sub s start (!pos - start)))
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> Jstr (string_body ())
-    | Some 't' -> lit "true" (Jbool true)
-    | Some 'f' -> lit "false" (Jbool false)
-    | Some 'n' -> lit "null" Jnull
-    | _ -> number ()
-  and arr () =
-    ignore (next ());
-    skip_ws ();
-    if peek () = Some ']' then (
-      ignore (next ());
-      Jarr [])
-    else
-      let rec items acc =
-        let v = value () in
-        skip_ws ();
-        match next () with
-        | ',' -> items (v :: acc)
-        | ']' -> Jarr (List.rev (v :: acc))
-        | _ -> failwith "bad array"
-      in
-      items []
-  and obj () =
-    ignore (next ());
-    skip_ws ();
-    if peek () = Some '}' then (
-      ignore (next ());
-      Jobj [])
-    else
-      let rec fields acc =
-        skip_ws ();
-        let k = string_body () in
-        skip_ws ();
-        if next () <> ':' then failwith "expected colon";
-        let v = value () in
-        skip_ws ();
-        match next () with
-        | ',' -> fields ((k, v) :: acc)
-        | '}' -> Jobj (List.rev ((k, v) :: acc))
-        | _ -> failwith "bad object"
-      in
-      fields []
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> len then failwith "trailing JSON garbage";
-  v
+let json_doc s =
+  match J.parse s with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "unparseable JSON: %s" e
 
-let field name = function
-  | Jobj fields -> List.assoc_opt name fields
-  | _ -> None
+(* Every finite float reads back bit-for-bit; NaN and the infinities have
+   no JSON literal and print as null. *)
+let json_float_roundtrip =
+  QCheck.Test.make ~name:"Json.float reads back as the same float" ~count:2000
+    QCheck.float (fun x ->
+      if Float.is_finite x then
+        match J.parse (J.float x) with
+        | Ok j -> J.to_num j = Some x
+        | Error _ -> false
+      else J.float x = "null")
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace of a full compile + simulate *)
@@ -294,27 +191,27 @@ let test_chrome_trace () =
   let sim = Vhdl_compiler.elaborate ~trace:false c ~top:"FZTOP" () in
   ignore (Vhdl_compiler.run c sim ~max_ns:100);
   let events =
-    match parse_json (Tm.to_chrome_trace ()) with
-    | Jarr events -> events
+    match json_doc (Tm.to_chrome_trace ()) with
+    | J.Arr events -> events
     | _ -> Alcotest.fail "trace is not a JSON array"
   in
   Alcotest.(check bool) "has events" true (List.length events > 5);
   let names = ref [] in
   List.iter
     (fun ev ->
-      match field "ph" ev with
-      | Some (Jstr "M") -> () (* metadata *)
-      | Some (Jstr "X") ->
+      match J.mem "ph" ev with
+      | Some (J.Str "M") -> () (* metadata *)
+      | Some (J.Str "X") ->
         (* complete events carry the full Chrome trace-event shape *)
-        (match (field "name" ev, field "cat" ev) with
-        | Some (Jstr n), Some (Jstr _) -> names := n :: !names
+        (match (J.mem "name" ev, J.mem "cat" ev) with
+        | Some (J.Str n), Some (J.Str _) -> names := n :: !names
         | _ -> Alcotest.fail "X event missing name/cat");
-        (match (field "ts" ev, field "dur" ev) with
-        | Some (Jnum ts), Some (Jnum dur) ->
+        (match (J.mem "ts" ev, J.mem "dur" ev) with
+        | Some (J.Num ts), Some (J.Num dur) ->
           Alcotest.(check bool) "ts/dur non-negative" true (ts >= 0.0 && dur >= 0.0)
         | _ -> Alcotest.fail "X event missing ts/dur");
-        (match (field "pid" ev, field "tid" ev) with
-        | Some (Jnum _), Some (Jnum _) -> ()
+        (match (J.mem "pid" ev, J.mem "tid" ev) with
+        | Some (J.Num _), Some (J.Num _) -> ()
         | _ -> Alcotest.fail "X event missing pid/tid")
       | _ -> Alcotest.fail "event with unexpected ph")
     events;
@@ -340,21 +237,21 @@ let test_metrics_json () =
   let src = read_corpus "golden_seed3_behavioral.vhd" in
   let c = Vhdl_compiler.create () in
   ignore (Vhdl_compiler.compile c src);
-  match parse_json (Tm.metrics_json ()) with
-  | Jobj _ as m ->
+  match json_doc (Tm.metrics_json ()) with
+  | J.Obj _ as m ->
     let counters =
-      match field "counters" m with
-      | Some (Jobj cs) -> cs
+      match J.mem "counters" m with
+      | Some (J.Obj cs) -> cs
       | _ -> Alcotest.fail "no counters object"
     in
     let counter name =
       match List.assoc_opt name counters with
-      | Some (Jnum v) -> int_of_float v
+      | Some (J.Num v) -> int_of_float v
       | _ -> Alcotest.failf "counter %s missing from JSON" name
     in
     Alcotest.(check int) "json mirrors registry" (Tm.counter_value "lexer.tokens")
       (counter "lexer.tokens");
-    Alcotest.(check bool) "histograms present" true (field "histograms" m <> None)
+    Alcotest.(check bool) "histograms present" true (J.mem "histograms" m <> None)
   | _ -> Alcotest.fail "metrics_json is not an object"
 
 (* ------------------------------------------------------------------ *)
@@ -456,6 +353,7 @@ let suite =
     Alcotest.test_case "null sink when tracing off" `Quick test_null_sink;
     Alcotest.test_case "chrome trace of compile+simulate" `Quick test_chrome_trace;
     Alcotest.test_case "metrics JSON mirrors registry" `Quick test_metrics_json;
+    QCheck_alcotest.to_alcotest json_float_roundtrip;
     Alcotest.test_case "golden metrics snapshot" `Quick test_golden_metrics;
     Alcotest.test_case "overhead guard" `Quick test_overhead_guard;
   ]
