@@ -312,6 +312,7 @@ let cascade () =
   heading "ABL-CASCADE: cascaded evaluation vs united productions (paper section 4.1)";
   let env, exprs = cascade_inputs () in
   let session = Session.in_memory [] in
+  let cold = { session with Session.reference = true } in
   Session.with_session session (fun () ->
       List.iter
         (fun src ->
@@ -332,13 +333,12 @@ let cascade () =
            after the first repetition *)
         Test.make ~name:"cascade (LEF + expression AG)"
           (Staged.stage (fun () ->
-               Expr_eval.with_cold_cascade (fun () ->
-                   Session.with_session session (fun () ->
-                       List.iter
-                         (fun src ->
-                           let lef = Cascade_driver.classify_tokens ~env (Lexer.tokenize src) in
-                           ignore (Expr_eval.eval ~level:0 ~line:1 lef))
-                         exprs))));
+               Session.with_session cold (fun () ->
+                   List.iter
+                     (fun src ->
+                       let lef = Cascade_driver.classify_tokens ~env (Lexer.tokenize src) in
+                       ignore (Expr_eval.eval ~level:0 ~line:1 lef))
+                     exprs)));
         Test.make ~name:"cascade (warm memo)"
           (Staged.stage (fun () ->
                Session.with_session session (fun () ->
@@ -440,6 +440,7 @@ let micro () =
   let netlist, cfg = Workload.config_workload ~instances:10 () in
   let env, exprs = cascade_inputs () in
   let session = Session.in_memory [] in
+  let cold = { session with Session.reference = true } in
   let results =
     Bechamel_util.run_tests ~quota:1.0
       [
@@ -456,13 +457,12 @@ let micro () =
         Test.make ~name:"cascade/cascade"
           (Staged.stage (fun () ->
                (* cold: measure parse+eval, not memo hits *)
-               Expr_eval.with_cold_cascade (fun () ->
-                   Session.with_session session (fun () ->
-                       List.iter
-                         (fun src ->
-                           let lef = Cascade_driver.classify_tokens ~env (Lexer.tokenize src) in
-                           ignore (Expr_eval.eval ~level:0 ~line:1 lef))
-                         exprs))));
+               Session.with_session cold (fun () ->
+                   List.iter
+                     (fun src ->
+                       let lef = Cascade_driver.classify_tokens ~env (Lexer.tokenize src) in
+                       ignore (Expr_eval.eval ~level:0 ~line:1 lef))
+                     exprs)));
         Test.make ~name:"cascade/united"
           (Staged.stage (fun () ->
                Session.with_session session (fun () ->

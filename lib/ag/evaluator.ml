@@ -33,7 +33,7 @@ exception
 exception Fuel_exhausted of { applications : int; limit : int }
 
 type 'v node = {
-  n_id : int; (* unique across every tree in the process (provenance) *)
+  n_id : int; (* unique in its tree, or across every tree of a recorder *)
   n_prod : int; (* -1 for leaves *)
   n_term : int; (* -1 for internal nodes *)
   n_value : 'v option; (* token value for leaves *)
@@ -69,19 +69,11 @@ type 'v t = {
          off for the differential oracle's reference side *)
 }
 
-(* Node ids are process-global so records from several trees (the main AG
-   plus every cascade re-parse) share one id space in a recorder. *)
-let node_ids = ref 0
-
-let next_node_id () =
-  incr node_ids;
-  !node_ids
-
-let rec attach grammar tree =
+let rec attach next_id tree =
   match tree with
   | Tree.Leaf { term; value; line } ->
     {
-      n_id = next_node_id ();
+      n_id = next_id ();
       n_prod = -1;
       n_term = term;
       n_value = Some value;
@@ -91,10 +83,10 @@ let rec attach grammar tree =
       n_cache = Hashtbl.create 4;
     }
   | Tree.Node { prod; children } ->
-    let kids = Array.map (attach grammar) children in
+    let kids = Array.map (attach next_id) children in
     let node =
       {
-        n_id = next_node_id ();
+        n_id = next_id ();
         n_prod = prod;
         n_term = -1;
         n_value = None;
@@ -114,7 +106,16 @@ let rec attach grammar tree =
     [provenance] arms the attribute-dependency recorder. *)
 let create ?token_line ?fuel ?(tick = fun () -> ()) ?provenance
     ?(copy_elide = true) grammar ~root_inherited tree =
-  let root = attach grammar tree in
+  (* with a recorder armed, its counter numbers the nodes, so records from
+     several trees (the main AG plus every cascade re-parse) share one id
+     space; otherwise the ids are this tree's own *)
+  let n = ref 0 in
+  let next_id () =
+    match provenance with
+    | Some (rc, _, _) -> Provenance.fresh_node rc
+    | None -> incr n; !n
+  in
+  let root = attach next_id tree in
   let root_inherited =
     List.map (fun (name, v) -> (Grammar.find_attr grammar name, v)) root_inherited
   in

@@ -73,6 +73,7 @@ type t = {
   index : (int * string, int) Hashtbl.t; (* (node, attr) -> latest record *)
   mutable order : record list; (* newest first *)
   mutable next_id : int;
+  mutable next_node : int; (* tree-node ids for every evaluator recording here *)
   mutable stack : frame list;
 }
 
@@ -82,8 +83,13 @@ let create () =
     index = Hashtbl.create 1024;
     order = [];
     next_id = 0;
+    next_node = 0;
     stack = [];
   }
+
+let fresh_node t =
+  t.next_node <- t.next_node + 1;
+  t.next_node
 
 let records t = List.rev t.order
 let size t = t.next_id
@@ -201,17 +207,6 @@ let note_copy t ~defining_prod ~implicit =
 
 let note_token t = with_top t (fun r -> r.r_kind <- Token)
 let note_root_inherited t = with_top t (fun r -> r.r_kind <- Root_inherited)
-
-(* ------------------------------------------------------------------ *)
-(* Ambient recorder *)
-
-let ambient_recorder : t option ref = ref None
-let ambient () = !ambient_recorder
-
-let with_ambient t f =
-  let saved = !ambient_recorder in
-  ambient_recorder := Some t;
-  Fun.protect ~finally:(fun () -> ambient_recorder := saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Why-chain printing *)

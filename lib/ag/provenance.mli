@@ -10,9 +10,9 @@
     printer ([vhdlc explain]), the DOT exporter, and the hot-rule profiler.
 
     One recorder can span several evaluators: the cascade's expression AG
-    ([exprEval]) picks up the {e ambient} recorder, so its records nest
-    under the principal-AG instance whose rule invoked the cascade and the
-    explain chain crosses the AG boundary. *)
+    ([exprEval]) records into the compile session's recorder, so its
+    records nest under the principal-AG instance whose rule invoked the
+    cascade and the explain chain crosses the AG boundary. *)
 
 (** How an attribute instance got its value. *)
 type kind =
@@ -33,7 +33,7 @@ type record = {
   r_id : int;  (** dense, unique within the recorder, in begin order *)
   r_ag : string;  (** which AG: ["vhdl"] or ["expr"] *)
   r_prod : string;  (** production (or terminal) of the instance's node *)
-  r_node : int;  (** tree-node id, unique across all trees in the process *)
+  r_node : int;  (** tree-node id, unique across all trees recording here *)
   r_attr : string;
   r_line : int;  (** source line of the node's first token (0 if none) *)
   mutable r_kind : kind;
@@ -60,6 +60,11 @@ type t
     stack that wires dependency edges and self-time accounting. *)
 
 val create : unit -> t
+
+val fresh_node : t -> int
+(** The next tree-node id (from 1): every evaluator recording here numbers
+    its nodes from this one counter, so node ids stay unique across the
+    principal tree and every cascade tree. *)
 
 val records : t -> record list
 (** All records, oldest first. *)
@@ -107,15 +112,6 @@ val note_copy : t -> defining_prod:string -> implicit:bool -> unit
 
 val note_token : t -> unit
 val note_root_inherited : t -> unit
-
-(** {1 Ambient recorder}
-
-    The cascade boundary: [exprEval] is called from inside semantic rules
-    with no handle on the compiler, so the recorder in force is published
-    dynamically. *)
-
-val with_ambient : t -> (unit -> 'a) -> 'a
-val ambient : unit -> t option
 
 (** {1 Consumers} *)
 

@@ -115,6 +115,11 @@ let session t : Session.t =
     known_library =
       (fun lib -> lib = "WORK" || lib = "STD" || Library.resolve_library t.work lib <> None);
     subprogs = Hashtbl.create 64;
+    provenance = t.provenance;
+    (* a Demand compiler is the differential oracle's reference side: it
+       must not share cached cascade artifacts (or copy elision) with the
+       fast path it is checked against *)
+    reference = t.strategy = Demand;
   }
 
 let work_library t = t.work
@@ -327,22 +332,7 @@ let compile ?(fail_on_error = true) t source : Unit_info.compiled_unit list =
             tree
         in
         let units, msgs, report =
-          Timer.time t.timer "attribute evaluation" (fun () ->
-              (* a Demand compiler is the differential oracle's reference
-                 side: it must not share cached cascade artifacts (or copy
-                 elision) with the fast path it is checked against *)
-              let cascade_mode f =
-                match t.strategy with
-                | Demand -> Expr_eval.with_cold_cascade f
-                | Staged -> f ()
-              in
-              cascade_mode @@ fun () ->
-              (* with a recorder armed, make it ambient for the whole
-                 evaluation so the expression-AG cascade records into it
-                 too — the explain chain crosses the AG boundary *)
-              match t.provenance with
-              | None -> analyze_units t ev
-              | Some r -> Provenance.with_ambient r (fun () -> analyze_units t ev))
+          Timer.time t.timer "attribute evaluation" (fun () -> analyze_units t ev)
         in
         let all_msgs = parse_diags @ msgs in
         t.compiled_units <- t.compiled_units + List.length units;
@@ -378,10 +368,12 @@ let library_view t : Elaborate.library_view =
     as itself). *)
 let elaborate ?arch ?configuration ?(trace = true) t ~top () : simulation =
   Telemetry.with_span ~cat:"pipeline" "elaborate" @@ fun () ->
+  (* VHDL identifiers ignore case; library keys hold them uppercased *)
+  let upper = String.uppercase_ascii in
   let target =
     match configuration with
-    | Some c -> Elaborate.Top_configuration c
-    | None -> Elaborate.Top_entity { entity = String.uppercase_ascii top; arch }
+    | Some c -> Elaborate.Top_configuration (upper c)
+    | None -> Elaborate.Top_entity { entity = upper top; arch = Option.map upper arch }
   in
   Library.reset_io_stats t.work;
   (* elaboration's own foreign-reference reads charge the nested "VIF read"

@@ -118,7 +118,8 @@ val elaborate :
   simulation
 (** Elaborate entity [top] (with [?arch], defaulting to the latest compiled
     architecture — the paper's §3.3 rule) or a [?configuration] unit.
-    [?trace:false] disables the waveform observers. *)
+    All three names ignore case.  [?trace:false] disables the waveform
+    observers. *)
 
 val run : t -> simulation -> max_ns:int -> Kernel.outcome
 (** Run the simulation up to [max_ns] nanoseconds of simulated time. *)

@@ -62,31 +62,6 @@ let label_of = function
   | Vhdl_compiler.Demand -> "demand"
   | Vhdl_compiler.Staged -> "staged"
 
-(* The VIF dump embeds [(sequence N)] — a process-global compilation-order
-   stamp that necessarily differs between the two compiler instances.  The
-   *relative* order (what the latest-architecture default rule consumes) is
-   already compared through the unit-key lists, so the absolute stamp is
-   masked before diffing. *)
-let mask_sequence text =
-  let b = Buffer.create (String.length text) in
-  let n = String.length text in
-  let key = "(sequence " in
-  let klen = String.length key in
-  let i = ref 0 in
-  while !i < n do
-    if !i + klen <= n && String.sub text !i klen = key then begin
-      Buffer.add_string b key;
-      i := !i + klen;
-      while !i < n && text.[!i] >= '0' && text.[!i] <= '9' do incr i done;
-      Buffer.add_char b 'N'
-    end
-    else begin
-      Buffer.add_char b text.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
-
 (* Dynamic semantic errors (constraint violations, division by zero at
    simulation time) are legitimate VHDL behavior, deterministic, and must
    simply agree between the sides; evaluator escapes and internal errors
@@ -138,7 +113,7 @@ let run_side ~strategy ?(inject_fault = false) ~max_ns ~top source =
           List.map
             (fun key ->
               match Library.dump (Vhdl_compiler.work_library c) ~library:"WORK" ~key with
-              | Some text -> key ^ "\n" ^ mask_sequence text
+              | Some text -> key ^ "\n" ^ text
               | None -> key ^ "\n<no VIF>")
             keys
         in

@@ -6,17 +6,12 @@
 
 open Pval
 
-(* Anonymous-statement labels carry a leading '%' (impossible in a VHDL
-   identifier) and a throwaway unique number; {!Kir_util.normalize_labels}
-   renames them positionally when the architecture is assembled.  The final
-   names therefore depend only on source order, never on the attribute
-   evaluation order that reached this gensym — the demand and staged
+(* Anonymous-statement labels are their prefix behind a leading '%'
+   (impossible in a VHDL identifier); {!Kir_util.normalize_labels} numbers
+   them in source order when the architecture is assembled, so the names
+   never depend on attribute evaluation order — the demand and staged
    evaluators must produce byte-identical VIF (see lib/difftest). *)
-let fresh_label =
-  let n = ref 0 in
-  fun prefix ->
-    incr n;
-    Printf.sprintf "%%%s_%d" prefix !n
+let fresh_label prefix = "%" ^ prefix
 
 (** A process from a desugared concurrent assignment: sensitive to every
     signal read by the statement(s). *)

@@ -59,22 +59,17 @@ let m_expr_lef_tokens = Tm.histogram "cascade.expr_lef_tokens"
    derives from.  Eviction is generational: past [memo_limit] distinct
    expressions the whole table is dropped (counted by
    cascade.memo_evictions) — bounded memory, no LRU bookkeeping on the hot
-   path.  Parse failures are never cached.  [with_cold_cascade] bypasses
-   the cache (and copy elision in the expression AG) dynamically: the
-   differential oracle's reference side must not share cached artifacts
-   with the fast path it is checking. *)
+   path.  Parse failures are never cached.  A reference session
+   ({!Session.reference}) bypasses the cache and copy elision in the
+   expression AG: the differential oracle's reference side must not share
+   cached artifacts with the fast path it is checking.  Because the key is
+   the tree's whole content, a hit returns what a miss would have built,
+   and the cache never makes a compile depend on what ran before it. *)
 
 let memo_limit = 512
 let memo : (string, Pval.t Tree.t) Hashtbl.t = Hashtbl.create 256
 let memo_size () = Hashtbl.length memo
 let clear_memo () = Hashtbl.reset memo
-
-let cascade_warm = ref true
-
-let with_cold_cascade f =
-  let saved = !cascade_warm in
-  cascade_warm := false;
-  Fun.protect ~finally:(fun () -> cascade_warm := saved) f
 
 (* Time spent here is charged to its own phase of the ambient compile timer
    — the nested-frame accounting in Phase_timer carves it out of "attribute
@@ -84,12 +79,12 @@ let cascade_phase = "expression evaluation (cascade)"
 
 let timed f = Timer.time_ambient cascade_phase f
 
-(* The ambient provenance recorder (armed by the compiler around attribute
-   evaluation): with one in force, the expression evaluator records into it
-   too, so its instances nest under the principal-AG attribute whose rule
-   invoked the cascade — the explain chain crosses the AG boundary. *)
+(* The session's provenance recorder: with one armed, the expression
+   evaluator records into it too, so its instances nest under the
+   principal-AG attribute whose rule invoked the cascade — the explain
+   chain crosses the AG boundary. *)
 let provenance_hook () =
-  Option.map (fun r -> (r, "expr", Pval.summary)) (Provenance.ambient ())
+  Option.map (fun r -> (r, "expr", Pval.summary)) (Session.provenance ())
 
 let driver_tokens t lef =
   List.map
@@ -112,7 +107,7 @@ let parse_cached t ~keyspace lef =
   Tm.add m_lef_tokens n;
   Tm.observe m_expr_lef_tokens (float_of_int n);
   let key =
-    if !cascade_warm then Lef.content_key ~keyspace lef else None
+    if Session.reference () then None else Lef.content_key ~keyspace lef
   in
   match Option.bind key (Hashtbl.find_opt memo) with
   | Some tree ->
@@ -140,14 +135,14 @@ let parse_cached t ~keyspace lef =
 (* Attribute-evaluate a (possibly cached) tree: [Evaluator.create] attaches
    fresh mutable nodes with empty per-node attribute caches around the
    immutable tree, so evaluation context never leaks between uses of one
-   cached artifact.  Copy elision follows the cascade mode: off on the
-   oracle's cold path. *)
+   cached artifact.  Copy elision is off in a reference session, as on
+   the oracle's principal-AG side. *)
 let goals t ~level tree =
   let ev =
     Evaluator.create t.grammar
       ~token_line:(fun n -> Pval.Int n)
       ?provenance:(provenance_hook ())
-      ~copy_elide:!cascade_warm
+      ~copy_elide:(not (Session.reference ()))
       ~root_inherited:[ ("XLEVEL", Pval.Int level) ]
       tree
   in

@@ -27,13 +27,10 @@ val generate : unit -> string
     ({!Lef.content_key}); evaluation context ([?expected], [~level],
     [~line]) stays outside the cached artifact and is re-applied per call.
     Hits and misses surface as [cascade.memo_hits] / [cascade.memo_misses];
-    eviction is generational and bounded ([cascade.memo_evictions]). *)
-
-val with_cold_cascade : (unit -> 'a) -> 'a
-(** Run [f] with the memo cache bypassed and copy elision off in the
-    expression AG — the reference path the differential oracle's demand
-    side compares the fast path against.  Dynamically scoped; restores the
-    warm cascade on exit, exceptions included. *)
+    eviction is generational and bounded ([cascade.memo_evictions]).  A
+    reference session ({!Session.reference}) bypasses the cache and turns
+    copy elision off in the expression AG — the reference path the
+    differential oracle's demand side compares the fast path against. *)
 
 val clear_memo : unit -> unit
 (** Drop every cached parse tree (the cache is process-global; tests call

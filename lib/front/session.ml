@@ -1,4 +1,4 @@
-(** Compilation session: how the analyzer reaches foreign compilation units.
+(** Compilation session: the one per-compile context.
 
     The paper's compiler takes "a working library where the successfully
     compiled units are placed and a reference library which can be
@@ -6,8 +6,10 @@
     references through this interface.  The VIF library manager implements
     it; tests may supply an in-memory map.
 
-    The active session is installed by the pipeline around attribute
-    evaluation (the compiler is single-threaded, as was the original). *)
+    A compile's state lives here, not in process globals, so its output
+    depends only on its inputs.  The active session is installed by the
+    pipeline around attribute evaluation (the compiler is single-threaded,
+    as was the original). *)
 
 type t = {
   work_library : string; (* logical name of the working library, e.g. WORK *)
@@ -19,6 +21,8 @@ type t = {
   (* every subprogram signature seen during this session, by mangled name:
      procedure-call statements need parameter modes for copy-back *)
   subprogs : (string, Denot.subprog_sig) Hashtbl.t;
+  provenance : Provenance.t option; (* the recorder the cascade records into *)
+  reference : bool; (* the oracle's reference side: no cascade memo, no copy elision *)
 }
 
 let in_memory ?(work = "WORK") units =
@@ -31,6 +35,8 @@ let in_memory ?(work = "WORK") units =
       (fun u -> Hashtbl.replace tbl (u.Unit_info.u_library, u.Unit_info.u_key) u);
     known_library = (fun lib -> lib = work || lib = "STD");
     subprogs = Hashtbl.create 64;
+    provenance = None;
+    reference = false;
   }
 
 let current : t option ref = ref None
@@ -48,6 +54,10 @@ let get () =
 let find_unit ~library ~key = (get ()).find_unit ~library ~key
 let work () = (get ()).work_library
 let known_library lib = lib = "STD" || (get ()).known_library lib
+
+(* the cascade also runs outside any session (tests, benches) *)
+let provenance () = Option.bind !current (fun s -> s.provenance)
+let reference () = match !current with Some s -> s.reference | None -> false
 
 (* observation / fault-injection point: called with each unit before it is
    inserted.  The difftest harness uses it to poison selected units; the

@@ -1,5 +1,6 @@
-(** Compilation session: how semantic rules reach foreign compilation units
-    (the paper's working library + reference library arguments).
+(** Compilation session, the one per-compile context: how semantic rules
+    reach foreign compilation units (the paper's working library +
+    reference library arguments) and how the cascade runs.
 
     The active session is installed around attribute evaluation; the
     compiler is single-threaded, as was the original. *)
@@ -10,6 +11,8 @@ type t = {
   insert : Unit_info.compiled_unit -> unit;
   known_library : string -> bool;
   subprogs : (string, Denot.subprog_sig) Hashtbl.t;
+  provenance : Provenance.t option;  (** the recorder the cascade records into *)
+  reference : bool;  (** the oracle's reference side: no cascade memo, no copy elision *)
 }
 
 val in_memory : ?work:string -> Unit_info.compiled_unit list -> t
@@ -21,6 +24,10 @@ val get : unit -> t
 val find_unit : library:string -> key:string -> Unit_info.compiled_unit option
 val work : unit -> string
 val known_library : string -> bool
+
+val provenance : unit -> Provenance.t option
+val reference : unit -> bool
+(** The active session's fields; [None] and [false] outside any session. *)
 
 val insert_unit : Unit_info.compiled_unit -> unit
 (** Called as each unit finishes analysis, so later units in the same file

@@ -2,12 +2,6 @@
 
 open Pval
 
-let seq = ref 0
-
-let next_sequence () =
-  incr seq;
-  !seq
-
 (* interface lists -> port/generic declarations *)
 let ports_of_ifaces (ifaces : iface list) : Kir.port_decl list =
   List.concat_map
@@ -79,7 +73,7 @@ let entity ~name ~(generics : iface list) ~(ports : iface list) ~(source_lines :
     u_info = info;
     u_deps = deps;
     u_source_lines = source_lines;
-    u_sequence = next_sequence ();
+    u_sequence = 0;
   }
 
 (** Look up the entity an architecture belongs to. *)
@@ -124,7 +118,7 @@ let architecture ~name ~entity_name ~(entity : Unit_info.entity_info option)
     u_info = info;
     u_deps = ((Session.work (), "entity:" ^ en_name) :: out.o_deps);
     u_source_lines = source_lines;
-    u_sequence = next_sequence ();
+    u_sequence = 0;
   }
 
 (** Architecture-level elaboration-time constants (see
@@ -156,7 +150,7 @@ let package ~name ~(out : decl_out) ~(specs : Denot.subprog_sig list) ~(source_l
     u_info = info;
     u_deps = out.o_deps;
     u_source_lines = source_lines;
-    u_sequence = next_sequence ();
+    u_sequence = 0;
   }
 
 (** Environment for a package body: the package's own exports. *)
@@ -181,7 +175,7 @@ let package_body ~name ~(out : decl_out) ~(source_lines : int) : Unit_info.compi
     u_info = info;
     u_deps = ((Session.work (), "package:" ^ name) :: out.o_deps);
     u_source_lines = source_lines;
-    u_sequence = next_sequence ();
+    u_sequence = 0;
   }
 
 (* All component instances of an architecture body: (label, component),
@@ -324,7 +318,7 @@ let configuration ~name ~entity_name ~arch_name ~(specs : Unit_info.config_spec 
           (Session.work (), Printf.sprintf "arch:%s(%s)" entity_name arch_name);
         ];
       u_source_lines = source_lines;
-      u_sequence = next_sequence ();
+      u_sequence = 0;
     },
     msgs )
 

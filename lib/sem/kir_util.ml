@@ -207,20 +207,15 @@ and may_wait body = List.exists may_wait_stmt body
 (* ------------------------------------------------------------------ *)
 (* Anonymous-label normalization *)
 
-(* Rename the '%'-prefixed gensym labels of anonymous concurrent statements
-   (see Conc_sem.fresh_label) to "<prefix>_<k>" with [k] counted per prefix
-   in traversal (source) order.  Attribute evaluation order — demand vs
-   staged — reaches the gensym in different sequences; renaming here makes
-   the compiled unit independent of it. *)
+(* Number the '%'-prefixed labels of anonymous concurrent statements (see
+   Conc_sem.fresh_label) as "<prefix>_<k>", with [k] counted per prefix in
+   traversal (source) order, so the compiled unit's labels depend on
+   nothing but its source. *)
 let normalize_labels (concs : Kir.concurrent list) =
   let counts = Hashtbl.create 8 in
   let rename label =
     if String.length label > 1 && label.[0] = '%' then begin
-      let prefix =
-        match String.rindex_opt label '_' with
-        | Some i when i > 1 -> String.sub label 1 (i - 1)
-        | _ -> String.sub label 1 (String.length label - 1)
-      in
+      let prefix = String.sub label 1 (String.length label - 1) in
       let k = Option.value (Hashtbl.find_opt counts prefix) ~default:0 + 1 in
       Hashtbl.replace counts prefix k;
       Printf.sprintf "%s_%d" prefix k

@@ -43,8 +43,8 @@ val may_wait : Kir.stmt list -> bool
 (** {1 Anonymous-label normalization} *)
 
 val normalize_labels : Kir.concurrent list -> Kir.concurrent list
-(** Rename the ['%']-prefixed gensym labels of anonymous concurrent
-    statements positionally (["csa_1"], ["proc_2"], ... per prefix, in
+(** Number the ['%']-prefixed labels of anonymous concurrent statements
+    positionally (["%csa"] becomes ["csa_1"], ["csa_2"], ... per prefix, in
     source order), recursing into blocks and generates.  Called when an
     architecture is assembled so compiled units never depend on attribute
     evaluation order. *)

@@ -76,7 +76,8 @@ type compiled_unit = {
   u_info : info;
   u_deps : (string * string) list; (* foreign references: (library, key) *)
   u_source_lines : int; (* stripped source line count, for the benches *)
-  u_sequence : int; (* compilation order stamp: drives the default
+  u_sequence : int; (* compilation order stamp, given by the library on
+                       insert (0 until then): drives the default
                        latest-architecture binding rule *)
 }
 

@@ -52,7 +52,7 @@ let create ?dir ~name () =
       write_seconds = 0.0;
       reads = 0;
       writes = 0;
-      sequence = 0;
+      sequence = 1; (* first stamp 2, as in VIF written by earlier versions *)
     }
   in
   (match dir with
@@ -71,27 +71,6 @@ let timed phase add f =
   Vhdl_util.Phase_timer.time_ambient phase (fun () ->
       let start = U.now () in
       Fun.protect ~finally:(fun () -> add (U.now () -. start)) f)
-
-(** Write [u] into the library (memory and, if disk-backed, its VIF file).
-    The sequence stamp records compilation order — the input to the
-    latest-compiled-architecture default rule. *)
-let insert t (u : Unit_info.compiled_unit) =
-  if not t.writable then err "library %s is read-only" t.lib_name;
-  t.sequence <- max (t.sequence + 1) (u.Unit_info.u_sequence + 1);
-  let u = { u with Unit_info.u_library = t.lib_name; u_sequence = t.sequence } in
-  Hashtbl.replace t.units u.Unit_info.u_key u;
-  match t.lib_dir with
-  | None -> ()
-  | Some dir ->
-    timed "VIF write" (fun s -> t.write_seconds <- t.write_seconds +. s) (fun () ->
-        t.writes <- t.writes + 1;
-        Tm.incr m_writes;
-        let file = file_of_key u.Unit_info.u_key in
-        Hashtbl.replace t.loaded_files file ();
-        let text = Vif_units.to_string u in
-        Tm.add m_write_bytes (String.length text);
-        Tm.observe m_unit_bytes (float_of_int (String.length text));
-        U.write_file (Filename.concat dir file) text)
 
 let rec resolve_library t name =
   if String.equal name t.lib_name || String.equal name "WORK" then Some t
@@ -122,6 +101,52 @@ let load lib dir file =
   if not (Hashtbl.mem lib.units u.Unit_info.u_key) then
     Hashtbl.replace lib.units u.Unit_info.u_key u;
   u
+
+(* The highest stamp among the other architectures of [entity] in [dir],
+   read if not yet loaded.  Stamps on disk outlive the process that wrote
+   them, so a new architecture goes above them. *)
+let sibling_stamp t dir ~own entity =
+  let prefix = "arch@" ^ entity ^ "@" in
+  let plen = String.length prefix in
+  Array.fold_left
+    (fun acc f ->
+      if f = own || not (String.starts_with ~prefix f && Filename.check_suffix f "@.vif")
+      then acc
+      else
+        let arch = String.sub f plen (String.length f - plen - 5) in
+        let sib =
+          match Hashtbl.find_opt t.units (Printf.sprintf "arch:%s(%s)" entity arch) with
+          | Some u -> u
+          | None -> load t dir f
+        in
+        max acc sib.Unit_info.u_sequence)
+    0 (Sys.readdir dir)
+
+(** Write [u] into the library (memory and, if disk-backed, its VIF file).
+    The library stamps compilation order — the input to the
+    latest-compiled-architecture default rule; an architecture written to
+    disk is stamped above its siblings already there. *)
+let insert t (u : Unit_info.compiled_unit) =
+  if not t.writable then err "library %s is read-only" t.lib_name;
+  let file = file_of_key u.Unit_info.u_key in
+  (match (t.lib_dir, u.Unit_info.u_info) with
+  | Some dir, Unit_info.Uarch ar ->
+    t.sequence <- max t.sequence (sibling_stamp t dir ~own:file ar.Unit_info.ar_entity)
+  | _ -> ());
+  t.sequence <- t.sequence + 1;
+  let u = { u with Unit_info.u_library = t.lib_name; u_sequence = t.sequence } in
+  Hashtbl.replace t.units u.Unit_info.u_key u;
+  match t.lib_dir with
+  | None -> ()
+  | Some dir ->
+    timed "VIF write" (fun s -> t.write_seconds <- t.write_seconds +. s) (fun () ->
+        t.writes <- t.writes + 1;
+        Tm.incr m_writes;
+        Hashtbl.replace t.loaded_files file ();
+        let text = Vif_units.to_string u in
+        Tm.add m_write_bytes (String.length text);
+        Tm.observe m_unit_bytes (float_of_int (String.length text));
+        U.write_file (Filename.concat dir file) text)
 
 (** Find a unit: memory first, then the VIF file, recursively loading the
     unit's own foreign references (the paper's "reads the VIF from disk,

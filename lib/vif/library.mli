@@ -21,7 +21,10 @@ val add_reference : t -> as_name:string -> t -> unit
 
 val insert : t -> Unit_info.compiled_unit -> unit
 (** Write a unit (memory + VIF file).  Stamps compilation order — the input
-    to the latest-compiled-architecture default rule (§3.3). *)
+    to the latest-compiled-architecture default rule (§3.3).  Stamps count
+    per library from 2; an architecture going to disk is stamped above the
+    other architectures of its entity already there, so the rule holds
+    across processes. *)
 
 val resolve_library : t -> string -> t option
 

@@ -124,14 +124,14 @@ let test_cold_cascade_bypasses () =
   let lef = [ int_t 6; op "*"; int_t 7 ] in
   let h0 = counter "cascade.memo_hits" and m0 = counter "cascade.memo_misses" in
   let r0 = counter "cascade.reparses" in
-  Expr_eval.with_cold_cascade (fun () ->
+  Session.with_session { (Session.in_memory []) with Session.reference = true } (fun () ->
       ignore (Expr_eval.eval ~level:0 ~line lef);
       ignore (Expr_eval.eval ~level:0 ~line lef));
   Alcotest.(check int) "no hits when cold" h0 (counter "cascade.memo_hits");
   Alcotest.(check int) "no misses counted when cold" m0 (counter "cascade.memo_misses");
   Alcotest.(check int) "every evaluation reparses" (r0 + 2) (counter "cascade.reparses");
   Alcotest.(check int) "nothing cached" 0 (Expr_eval.memo_size ());
-  (* and the warm cascade is restored afterwards *)
+  (* and the cascade is warm again outside the reference session *)
   ignore (Expr_eval.eval ~level:0 ~line lef);
   Alcotest.(check int) "warm again" 1 (Expr_eval.memo_size ())
 

@@ -651,6 +651,53 @@ end t;
   | None -> Alcotest.fail "no VIF dump for package body P");
   ()
 
+(* A compile depends only on its inputs: compiling A, then B, then A again
+   in one process, each with a fresh compiler on a fresh disk library,
+   reproduces A's VIF (sequence stamps and anonymous labels included), its
+   diagnostics and its unit report's node ids byte for byte. *)
+let test_compile_is_history_independent () =
+  let design_a =
+    {|
+entity inv is
+  port (a : in bit; y : out bit);
+end inv;
+architecture rtl of inv is
+  signal t : bit;
+begin
+  t <= not a;
+  y <= t after 1 ns;
+  assert a = '0' or t = '0';
+end rtl;
+architecture bad of inv is
+begin
+  y <= undeclared;
+end bad;
+|}
+  in
+  let run src =
+    let dir = Filename.temp_file "vhdlhist" "" in
+    Sys.remove dir;
+    let c = Vhdl_compiler.create ~work_dir:dir () in
+    let units = Vhdl_compiler.compile ~fail_on_error:false c src in
+    let dump (u : Unit_info.compiled_unit) =
+      Option.get
+        (Library.dump (Vhdl_compiler.work_library c) ~library:"WORK" ~key:u.Unit_info.u_key)
+    in
+    ( String.concat "\n" (List.map dump units),
+      List.map (Format.asprintf "%a" Diag.pp) (Vhdl_compiler.diagnostics c),
+      List.map
+        (fun r -> Printf.sprintf "%s n%d" r.Supervisor.ur_name r.Supervisor.ur_node)
+        (Vhdl_compiler.last_report c) )
+  in
+  let vif, diags, report = run design_a in
+  ignore (run (Workload.behavioral ~name:"B" ~states:4 ~exprs:6));
+  let vif', diags', report' = run design_a in
+  Alcotest.(check bool) "A produced VIF" true (vif <> "");
+  Alcotest.(check bool) "A produced diagnostics" true (diags <> []);
+  Alcotest.(check string) "VIF dump" vif vif';
+  Alcotest.(check (list string)) "diagnostics" diags diags';
+  Alcotest.(check (list string)) "unit report node ids" report report'
+
 let test_diagnostics () =
   expect_errors [ "entity tb is end tb;\narchitecture t of tb is\nbegin\n  p : process begin\n    undeclared_sig <= 1;\n    wait;\n  end process;\nend t;" ];
   expect_errors [ "entity tb is end tb;\narchitecture t of tb is\n  signal s : bit;\nbegin\n  s <= 42;\nend t;" ];
@@ -1003,6 +1050,8 @@ let suite =
     Alcotest.test_case "bus resolution function" `Quick test_resolution_function;
     Alcotest.test_case "VIF round-trip separate compilation" `Quick
       test_vif_roundtrip_separate_compilation;
+    Alcotest.test_case "compile output is independent of process history" `Quick
+      test_compile_is_history_independent;
     Alcotest.test_case "diagnostics on bad programs" `Quick test_diagnostics;
     Alcotest.test_case "physical (time) arithmetic" `Quick test_physical_time_arithmetic;
     Alcotest.test_case "downto arrays and slice assignment" `Quick test_downto_and_slices;

@@ -420,6 +420,13 @@ let test_library_disk_roundtrip () =
     (Library.find lib2 ~library:"WORK" ~key:"entity:E1" <> None);
   Alcotest.(check int) "both units visible" 2 (List.length (Library.all lib2))
 
+let arch_seqs lib =
+  Library.all lib
+  |> List.filter_map (fun (u : Unit_info.compiled_unit) ->
+         match u.Unit_info.u_info with
+         | Unit_info.Uarch ar -> Some (ar.Unit_info.ar_name, u.Unit_info.u_sequence)
+         | _ -> None)
+
 let test_library_sequence_order () =
   with_temp_dir @@ fun dir ->
   let lib = Library.create ~dir ~name:"WORK" () in
@@ -427,28 +434,22 @@ let test_library_sequence_order () =
   Library.insert lib (mk_arch ~entity:"E" "FIRST");
   Library.insert lib (mk_arch ~entity:"E" "SECOND");
   Library.insert lib (mk_arch ~entity:"E" "THIRD");
-  let seqs =
-    Library.all lib
-    |> List.filter_map (fun (u : Unit_info.compiled_unit) ->
-           match u.Unit_info.u_info with
-           | Unit_info.Uarch ar -> Some (ar.Unit_info.ar_name, u.Unit_info.u_sequence)
-           | _ -> None)
-  in
+  let seqs = arch_seqs lib in
   let third = List.assoc "THIRD" seqs in
   Alcotest.(check bool) "latest has the highest sequence" true
     (List.for_all (fun (_, s) -> s <= third) seqs);
   (* recompiling FIRST makes it the latest: the §3.3 nondeterminism *)
   Library.insert lib (mk_arch ~entity:"E" "FIRST");
   let lib2 = Library.create ~dir ~name:"WORK" () in
-  let seqs2 =
-    Library.all lib2
-    |> List.filter_map (fun (u : Unit_info.compiled_unit) ->
-           match u.Unit_info.u_info with
-           | Unit_info.Uarch ar -> Some (ar.Unit_info.ar_name, u.Unit_info.u_sequence)
-           | _ -> None)
-  in
+  let seqs2 = arch_seqs lib2 in
   Alcotest.(check bool) "recompiled FIRST is now latest (persisted)" true
-    (List.assoc "FIRST" seqs2 > List.assoc "THIRD" seqs2)
+    (List.assoc "FIRST" seqs2 > List.assoc "THIRD" seqs2);
+  (* a fresh library instance (a later process) that has read nothing yet
+     stamps a new architecture above the siblings it finds on disk *)
+  Library.insert (Library.create ~dir ~name:"WORK" ()) (mk_arch ~entity:"E" "FOURTH");
+  let seqs3 = arch_seqs (Library.create ~dir ~name:"WORK" ()) in
+  Alcotest.(check bool) "FOURTH from a fresh instance is latest" true
+    (List.for_all (fun (name, s) -> name = "FOURTH" || s < List.assoc "FOURTH" seqs3) seqs3)
 
 let test_reference_library () =
   with_temp_dir @@ fun ref_dir ->
