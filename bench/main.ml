@@ -13,9 +13,6 @@
      dune exec bench/main.exe -- cascade   -- ABL-CASCADE cascade vs united
      dune exec bench/main.exe -- micro     -- Bechamel microbenchmarks *)
 
-(* Bechamel also has an [Analyze]; capture the front end's before opening *)
-module Front_analyze = Analyze
-
 open Bechamel
 module Perf = Vhdl_perf.Perf
 
@@ -413,20 +410,14 @@ let evaluator_test ~name force =
         let src = Workload.behavioral ~name:"EV" ~states:8 ~exprs:15 in
         fun () ->
           Session.with_session session (fun () ->
-              let tokens = Front_analyze.tokens_of_source src in
+              let tokens = Main_grammar.tokens_of_source src in
               let tree = Parsing.parse_list parser_ ~eof_value:Pval.Unit tokens in
               let ev =
                 Evaluator.create
                   ~token_line:(fun n -> Pval.Int n)
                   g
                   ~root_inherited:
-                    [
-                      ("ENV", Pval.Env Env.empty); ("LEVEL", Pval.Int (-1));
-                      ("UNITNAME", Pval.Str "WORK.X"); ("CTX", Pval.Str "arch");
-                      ("SLOTBASE", Pval.Int 0); ("SIGBASE", Pval.Int 0);
-                      ("LOOPDEPTH", Pval.Int 0); ("RETTY", Pval.Opt None);
-                      ("CTXOUT", Pval.Out Pval.out_empty); ("NLINES", Pval.Int 50);
-                    ]
+                    (Main_grammar.root_inherited ~unit_name:"WORK.X" ~source_lines:50)
                   tree
               in
               force plan ev)))
@@ -544,11 +535,13 @@ let all () =
   micro ()
 
 (* ------------------------------------------------------------------ *)
-(* Result file: every run leaves one canonical BENCH_report.json (the
-   lib/perf schema: per-experiment repetition times, median/MAD/CI, GC
-   and telemetry-counter deltas, machine/commit metadata), so any two
-   runs — here or from `vhdlc bench` — diff with the same noise-aware
-   gate instead of being eyeballed from stdout. *)
+(* Result file: every run leaves one canonical report (the lib/perf
+   schema: per-experiment repetition times, median/MAD/CI, GC and
+   telemetry-counter deltas, machine/commit metadata), so any two runs —
+   here or from `vhdlc bench` — diff with the same noise-aware gate
+   instead of being eyeballed from stdout.  It lands in the git-ignored
+   _bench/, never on the repo root's BENCH_report.json: that file is the
+   baseline of the `vhdlc bench` regression gate, a different suite. *)
 
 module Telemetry = Vhdl_telemetry.Telemetry
 
@@ -576,7 +569,8 @@ let run_experiment label f =
       ~meta:[ ("suite", label) ]
       (List.rev (harness :: !collected))
   in
-  let path = "BENCH_report.json" in
+  let path = Filename.concat "_bench" "paper_report.json" in
+  Vhdl_util.Unix_compat.mkdir_p "_bench";
   Perf.Report.save path report;
   Printf.printf "\n[%s: %d experiment samples written to %s]\n" label
     (List.length (harness :: !collected))

@@ -48,7 +48,7 @@ let components root =
     ( "interface code",
       [
         p "lib/front/lexer.ml"; p "lib/front/token.ml"; p "lib/front/session.ml";
-        p "lib/front/analyze.ml"; p "lib/core/vhdl_compiler.ml"; p "bin/vhdlc.ml";
+        p "lib/core/vhdl_compiler.ml"; p "bin/vhdlc.ml";
       ] @ ls (p "lib/util") );
   ]
 

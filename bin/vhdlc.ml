@@ -656,7 +656,8 @@ let bench_cmd =
   let against =
     let doc =
       "Diff this run against the baseline report $(docv); exit non-zero if \
-       any experiment regresses beyond the threshold and the noise."
+       any experiment regresses beyond the threshold and the noise, or if \
+       an experiment of the baseline is missing from this run."
     in
     Arg.(value & opt (some string) None & info [ "against" ] ~docv:"FILE" ~doc)
   in
@@ -724,16 +725,24 @@ let bench_cmd =
         in
         Format.printf "%a@." Perf.Diff.pp rows;
         let regs = Perf.Diff.regressions rows in
-        if regs = [] then begin
+        (* a baseline experiment this run did not measure is a failure, not
+           a pass with nothing to compare *)
+        let missing =
+          List.filter (fun r -> r.Perf.Diff.d_verdict = Perf.Diff.Removed) rows
+        in
+        if regs <> [] then
+          Printf.printf "%d regression(s) against %s (threshold +%.0f%%)\n"
+            (List.length regs) path (100.0 *. threshold);
+        if missing <> [] then
+          Printf.printf "%d baseline experiment(s) missing from this run: %s\n"
+            (List.length missing)
+            (String.concat ", " (List.map (fun r -> r.Perf.Diff.d_name) missing));
+        if regs = [] && missing = [] then begin
           Printf.printf "no regressions against %s (threshold +%.0f%%)\n" path
             (100.0 *. threshold);
           0
         end
-        else begin
-          Printf.printf "%d regression(s) against %s (threshold +%.0f%%)\n"
-            (List.length regs) path (100.0 *. threshold);
-          1
-        end)
+        else 1)
   in
   let doc =
     "Run the benchmark suite as statistical sessions (warmup, repetitions, \
@@ -776,12 +785,6 @@ let serve_cmd =
       & info [ "deadline" ] ~docv:"SECONDS"
           ~doc:"Default per-request wall-clock deadline (requests may lower it).")
   in
-  let max_deadline =
-    Arg.(
-      value & opt float 60.0
-      & info [ "max-deadline" ] ~docv:"SECONDS"
-          ~doc:"Upper bound on any request's deadline.")
-  in
   let grace =
     Arg.(
       value & opt float 2.0
@@ -789,12 +792,6 @@ let serve_cmd =
           ~doc:
             "Watchdog slack past the deadline before a wedged request is \
              broken and the worker recycled.")
-  in
-  let idle_timeout =
-    Arg.(
-      value & opt float 2.0
-      & info [ "idle-timeout" ] ~docv:"SECONDS"
-          ~doc:"Partial request frames idle this long are rejected as torn.")
   in
   let allow_faults =
     Arg.(
@@ -828,20 +825,6 @@ let serve_cmd =
             "Directory for flight-recorder dumps (firewall trips, watchdog \
              fires, SIGUSR1).")
   in
-  let flight_size =
-    Arg.(
-      value & opt int 256
-      & info [ "flight-size" ] ~docv:"N"
-          ~doc:"Events retained in the in-memory flight-recorder ring.")
-  in
-  let metrics_flush_every =
-    Arg.(
-      value & opt int 200
-      & info [ "metrics-flush-every" ] ~docv:"TICKS"
-          ~doc:
-            "Flush telemetry JSON to --metrics-out every N event-loop ticks \
-             (atomic rename; 0 = only at drain).")
-  in
   let max_dumps =
     Arg.(
       value & opt int 32
@@ -859,21 +842,6 @@ let serve_cmd =
             "Per-request telemetry span buffer: each request's spans are \
              recorded (bounded by N) so slow requests can dump an exemplar \
              trace; 0 disables buffering and exemplars.")
-  in
-  let exemplar_k =
-    Arg.(
-      value & opt float 4.0
-      & info [ "exemplar-k" ] ~docv:"K"
-          ~doc:
-            "Adaptive slow-request threshold when no --slo-p99-ms objective \
-             is set: a request slower than K x the window p50 earns an \
-             exemplar dump.")
-  in
-  let slo_window =
-    Arg.(
-      value & opt float 60.0
-      & info [ "slo-window" ] ~docv:"SECONDS"
-          ~doc:"Width of the rolling SLO window (`vhdlc request --slo`).")
   in
   let slo_p99_ms =
     Arg.(
@@ -898,16 +866,14 @@ let serve_cmd =
              live-words window grows past PCT percent, emit one heap_breach \
              event and dump the flight recorder (0 = disabled).")
   in
-  let run socket queue max_frame default_deadline max_deadline grace idle_timeout
-      allow_faults recycle_every quiet refs fuel metrics_out events flight_dir
-      flight_size metrics_flush_every max_dumps span_cap exemplar_k slo_window
-      slo_p99_ms slo_shed_pct heap_growth_pct =
+  let run socket queue max_frame default_deadline grace allow_faults recycle_every
+      quiet refs fuel metrics_out events flight_dir max_dumps span_cap slo_p99_ms
+      slo_shed_pct heap_growth_pct =
     Telemetry.reset ();
     let log = if quiet then ignore else fun m -> Printf.eprintf "vhdlc serve: %s\n%!" m in
     let worker =
       {
         Serve_worker.w_default_deadline_s = default_deadline;
-        w_max_deadline_s = Float.max default_deadline max_deadline;
         w_watchdog_grace_s = grace;
         w_allow_faults = allow_faults;
         w_recycle_every = recycle_every;
@@ -927,28 +893,21 @@ let serve_cmd =
     let daemon =
       Serve_daemon.create
         {
+          Serve_daemon.default_config with
           Serve_daemon.d_socket = socket;
           d_queue_capacity = queue;
           d_max_frame = max_frame;
-          d_idle_timeout_s = idle_timeout;
           d_worker = worker;
           d_metrics_out = metrics_out;
-          d_metrics_flush_ticks = metrics_flush_every;
           d_obs =
             {
+              Obs_log.default_config with
               Obs_log.o_events_out = events;
-              o_ring_events = flight_size;
-              o_ring_requests = Obs_log.default_config.Obs_log.o_ring_requests;
               o_flight_dir = flight_dir;
               o_max_dumps = max_dumps;
-              o_exemplar_min_gap_s =
-                Obs_log.default_config.Obs_log.o_exemplar_min_gap_s;
             };
-          d_slo_window_s = slo_window;
           d_slo = { Obs_slo.o_p99_ms = slo_p99_ms; o_shed_pct = slo_shed_pct };
           d_span_cap = span_cap;
-          d_exemplar_k = exemplar_k;
-          d_exemplar_min_obs = Serve_daemon.default_config.Serve_daemon.d_exemplar_min_obs;
           d_heap_growth_pct = heap_growth_pct;
           d_log = log;
         }
@@ -963,11 +922,10 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ socket_arg $ queue $ max_frame $ default_deadline $ max_deadline
-      $ grace $ idle_timeout $ allow_faults $ recycle_every $ quiet
-      $ ref_arg $ fuel_arg $ metrics_out_arg $ events $ flight_dir $ flight_size
-      $ metrics_flush_every $ max_dumps $ span_cap $ exemplar_k $ slo_window
-      $ slo_p99_ms $ slo_shed_pct $ heap_growth_pct)
+      const run $ socket_arg $ queue $ max_frame $ default_deadline $ grace
+      $ allow_faults $ recycle_every $ quiet $ ref_arg $ fuel_arg $ metrics_out_arg
+      $ events $ flight_dir $ max_dumps $ span_cap $ slo_p99_ms $ slo_shed_pct
+      $ heap_growth_pct)
 
 let request_cmd =
   let ping = Arg.(value & flag & info [ "ping" ] ~doc:"Send a liveness probe.") in

@@ -46,8 +46,8 @@ type record = {
   mutable r_self_aw : float;
       (** minor-heap words allocated by this computation, its dependencies
           excluded — the allocation mirror of [r_self_s], snapshotted
-          allocation-free ([Gc.minor_words]) so recording does not perturb
-          what it measures *)
+          allocation-free ([Telemetry.minor_words_now]) so recording does
+          not perturb what it measures *)
   mutable r_total_aw : float;
   mutable r_memo_hits : int;  (** later reads served from the memo cache *)
   mutable r_applications : int;  (** semantic-rule applications charged here *)

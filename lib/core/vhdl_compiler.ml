@@ -277,7 +277,7 @@ let compile ?(fail_on_error = true) t source : Unit_info.compiled_unit list =
       (* phase 1: scanning *)
       let tokens =
         Timer.time t.timer "scanner" (fun () ->
-            try Analyze.tokens_of_source source
+            try Main_grammar.tokens_of_source source
             with Lexer.Lex_error { line; msg } ->
               raise (Compile_error [ Diag.error ~line "%s" msg ]))
       in
@@ -317,18 +317,7 @@ let compile ?(fail_on_error = true) t source : Unit_info.compiled_unit list =
               (Option.map (fun r -> (r, "vhdl", Pval.summary)) t.provenance)
             grammar
             ~root_inherited:
-              [
-                ("ENV", Pval.Env Env.empty);
-                ("LEVEL", Pval.Int (-1));
-                ("UNITNAME", Pval.Str "WORK.%FILE%");
-                ("CTX", Pval.Str "arch");
-                ("SLOTBASE", Pval.Int 0);
-                ("SIGBASE", Pval.Int 0);
-                ("LOOPDEPTH", Pval.Int 0);
-                ("RETTY", Pval.Opt None);
-                ("CTXOUT", Pval.Out Pval.out_empty);
-                ("NLINES", Pval.Int source_lines);
-              ]
+              (Main_grammar.root_inherited ~unit_name:"WORK.%FILE%" ~source_lines)
             tree
         in
         let units, msgs, report =
@@ -350,6 +339,7 @@ let compile_file ?fail_on_error t path =
 (* Elaboration and simulation *)
 
 type simulation = {
+  top : string; (* the name elaborated, for diagnostics *)
   model : Elaborate.model;
   mutable messages : (Rt.time * int * string) list; (* newest first *)
 }
@@ -391,16 +381,27 @@ let elaborate ?arch ?configuration ?(trace = true) t ~top () : simulation =
           raise (Compile_error [ d ]))
   in
   Kernel.set_step_fuel model.Elaborate.m_kernel t.budgets.Supervisor.sim_step_fuel;
-  let sim = { model; messages = [] } in
+  let sim = { top; model; messages = [] } in
   Kernel.set_message_handler model.Elaborate.m_kernel (fun time ~severity msg ->
       sim.messages <- (time, severity, msg) :: sim.messages);
   sim
 
-(** Run the simulation for [max_ns] nanoseconds of simulated time. *)
+(** Run the simulation for [max_ns] nanoseconds of simulated time.  Runs
+    under the firewall, as {!elaborate} does: an internal escape from the
+    kernel becomes {!Compile_error} with a structured diagnostic
+    ([Rt.Simulation_error], the expected user-level failure, still
+    raises as itself). *)
 let run t sim ~max_ns =
   Telemetry.with_span ~cat:"pipeline" "simulate" @@ fun () ->
   Timer.time t.timer "simulation" (fun () ->
-      Kernel.run sim.model.Elaborate.m_kernel ~max_time:(max_ns * Rt.ns))
+      match
+        Supervisor.guard ~phase:Supervisor.Simulation ~unit_name:sim.top (fun () ->
+            Kernel.run sim.model.Elaborate.m_kernel ~max_time:(max_ns * Rt.ns))
+      with
+      | Ok outcome -> outcome
+      | Error d ->
+        t.diagnostics <- d :: t.diagnostics;
+        raise (Compile_error [ d ]))
 
 let kernel sim = sim.model.Elaborate.m_kernel
 let name_server sim = sim.model.Elaborate.m_ns

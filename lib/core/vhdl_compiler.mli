@@ -104,6 +104,7 @@ val library_view : t -> Elaborate.library_view
 (** {1 Elaboration and simulation} *)
 
 type simulation = {
+  top : string; (* the name elaborated, for diagnostics *)
   model : Elaborate.model;
   mutable messages : (Rt.time * int * string) list; (* newest first *)
 }
@@ -122,7 +123,9 @@ val elaborate :
     observers. *)
 
 val run : t -> simulation -> max_ns:int -> Kernel.outcome
-(** Run the simulation up to [max_ns] nanoseconds of simulated time. *)
+(** Run the simulation up to [max_ns] nanoseconds of simulated time,
+    under the firewall: an internal escape raises {!Compile_error} with
+    an [internal:simulation] diagnostic. *)
 
 val kernel : simulation -> Kernel.t
 val name_server : simulation -> Name_server.t

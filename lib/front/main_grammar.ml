@@ -165,3 +165,33 @@ let instance =
 let grammar () = let g, _, _ = Lazy.force instance in g
 let parser_ () = let _, p, _ = Lazy.force instance in p
 let plan () = let _, _, pl = Lazy.force instance in pl
+
+(** Scan [src] into the parser's token stream.
+    @raise Lexer.Lex_error on a lexical error. *)
+let tokens_of_source src =
+  let grammar = grammar () in
+  List.map
+    (fun (tok, line) ->
+      {
+        Vhdl_lalr.Driver.t_sym = Grammar.find_symbol grammar (Token.terminal_name tok);
+        t_value = Tok tok;
+        t_line = line;
+      })
+    (Lexer.tokenize src)
+
+(** The principal AG's ten root inherited attributes, for a design file
+    of [source_lines] lines analyzed under the provisional unit name
+    [unit_name]. *)
+let root_inherited ~unit_name ~source_lines =
+  [
+    ("ENV", Env Env.empty);
+    ("LEVEL", Int (-1));
+    ("UNITNAME", Str unit_name);
+    ("CTX", Str "arch");
+    ("SLOTBASE", Int 0);
+    ("SIGBASE", Int 0);
+    ("LOOPDEPTH", Int 0);
+    ("RETTY", Opt None);
+    ("CTXOUT", Out out_empty);
+    ("NLINES", Int source_lines);
+  ]

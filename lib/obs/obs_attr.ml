@@ -10,13 +10,14 @@
     worker stamping phases, the breach event naming a culprit, and
     [vhdlc analyze] tabulating a log all agree.
 
-    Attribution is in microseconds throughout — the unit of
-    [service_us] and the SLO window.  The ["other"] pseudo-phase holds
-    whatever service time no compiler phase claimed (queue-adjacent
-    work, protocol framing, response delivery), which is what makes the
-    per-event invariant "phase sum ≈ latency" hold by construction:
-    phases measure self time {e inside} the worker, latency is measured
-    around the whole request. *)
+    Time attribution is in microseconds — the unit of [service_us] and
+    the SLO window — and allocation attribution in bytes; one helper
+    serves both.  The ["other"] pseudo-phase holds whatever service time
+    (or allocation) no compiler phase claimed (queue-adjacent work,
+    protocol framing, response delivery), which is what makes the
+    per-event invariants "phase sum ≈ latency" and "al_* sum ≈ alloc_b"
+    hold by construction: phases measure self cost {e inside} the
+    worker, the totals are measured around the whole request. *)
 
 let sanitize name =
   String.map
@@ -38,45 +39,26 @@ let short_phase = function
   | "simulation" -> "simulate"
   | other -> sanitize other
 
-(** Short-named phase attribution of one request: positive phase
-    self-times (microseconds) plus the ["other"] residual, summing to
-    [service_us] exactly as long as the phases fit inside the latency
-    (they do — self time nests inside the request's wall clock). *)
-let with_other ~service_us (phases_us : (string * float) list) =
+(** Short-named attribution of one request's [total] (service
+    microseconds, or allocated bytes): the positive per-phase shares plus
+    an ["other"] residual — whatever no compiler phase claimed (protocol
+    framing, response delivery, span bookkeeping) — so the result sums to
+    [total] as long as the phases fit inside it (they do: self time and
+    self allocation nest inside the request's). *)
+let with_other ~total (phases : (string * float) list) =
   let named =
     List.filter_map
-      (fun (name, us) ->
-        if us > 0.0 then Some (short_phase name, us) else None)
-      phases_us
+      (fun (name, v) -> if v > 0.0 then Some (short_phase name, v) else None)
+      phases
   in
   let sum = List.fold_left (fun a (_, v) -> a +. v) 0.0 named in
-  named @ [ ("other", Float.max 0.0 (service_us -. sum)) ]
+  named @ [ ("other", Float.max 0.0 (total -. sum)) ]
 
-(** The event fields of an attribution: one numeric ["ph_<name>"] per
-    phase. *)
-let fields (phases_us : (string * float) list) =
-  List.map
-    (fun (name, us) -> (Obs_event.phase_prefix ^ name, Obs_event.F us))
-    phases_us
-
-(** The allocation twin of {!with_other}: short-named positive per-phase
-    self-allocated bytes plus the ["other"] residual (request allocation
-    no compiler phase claimed — protocol framing, span bookkeeping), so
-    the ["al_*"] fields sum to [alloc_b] by construction. *)
-let with_other_alloc ~alloc_b (allocs_b : (string * float) list) =
-  let named =
-    List.filter_map
-      (fun (name, b) -> if b > 0.0 then Some (short_phase name, b) else None)
-      allocs_b
-  in
-  let sum = List.fold_left (fun a (_, v) -> a +. v) 0.0 named in
-  named @ [ ("other", Float.max 0.0 (alloc_b -. sum)) ]
-
-(** One numeric ["al_<name>"] event field (bytes) per phase. *)
-let fields_alloc (allocs_b : (string * float) list) =
-  List.map
-    (fun (name, b) -> (Obs_event.alloc_prefix ^ name, Obs_event.F b))
-    allocs_b
+(** The event fields of an attribution: one numeric [prefix ^ name] per
+    phase ({!Obs_event.phase_prefix} for microseconds,
+    {!Obs_event.alloc_prefix} for bytes). *)
+let fields ~prefix (phases : (string * float) list) =
+  List.map (fun (name, v) -> (prefix ^ name, Obs_event.F v)) phases
 
 (** ["elaborate 48%, cascade 31%"] — the largest [top] shares of a
     phase table, shares below 1% elided; [""] when there is nothing to

@@ -1,27 +1,21 @@
 (** Phase attribution: maps the compiler's prose phase names to the
-    short ["ph_<name>"] event fields, renders "p99 driven by" strings,
-    and decides the adaptive slow-request (exemplar) threshold.
-    Microseconds throughout. *)
+    short ["ph_<name>"] / ["al_<name>"] event fields, renders "p99 driven
+    by" strings, and decides the adaptive slow-request (exemplar)
+    threshold. *)
 
 val short_phase : string -> string
 (** ["attribute evaluation"] → ["attrs"], ["codegen+link (elaboration)"]
     → ["elaborate"], …; unknown names are sanitized to [[A-Za-z0-9_]]. *)
 
-val with_other : service_us:float -> (string * float) list -> (string * float) list
-(** Short-named positive phase self-times plus the ["other"] residual
-    (service time no compiler phase claimed), summing to [service_us]. *)
+val with_other : total:float -> (string * float) list -> (string * float) list
+(** Short-named positive per-phase shares plus the ["other"] residual (the
+    part of [total] no compiler phase claimed), summing to [total].  The
+    same helper attributes service microseconds and allocated bytes. *)
 
-val fields : (string * float) list -> (string * Obs_event.field_value) list
-(** One numeric ["ph_<name>"] event field per phase. *)
-
-val with_other_alloc :
-  alloc_b:float -> (string * float) list -> (string * float) list
-(** The allocation twin of {!with_other}: short-named positive per-phase
-    self-allocated bytes plus the ["other"] residual, summing to
-    [alloc_b]. *)
-
-val fields_alloc : (string * float) list -> (string * Obs_event.field_value) list
-(** One numeric ["al_<name>"] event field (bytes) per phase. *)
+val fields :
+  prefix:string -> (string * float) list -> (string * Obs_event.field_value) list
+(** One numeric [prefix ^ name] event field per phase: ["ph_"] fields
+    carry microseconds, ["al_"] fields bytes. *)
 
 val attribution : ?top:int -> (string * float) list -> string
 (** ["elaborate 48%, cascade 31%"] — the largest [top] (default 3)

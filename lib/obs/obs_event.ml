@@ -111,8 +111,8 @@ let field_num t name =
    numeric field (microseconds of self time) per phase, "other" holding
    whatever service time no compiler phase claimed; the allocation twin
    is one ["al_<name>"] field (bytes of self-allocation) per phase.
-   "al_" cannot collide with the "alloc_b"/"alloc_minor_b" totals: those
-   continue "all…", not "al_". *)
+   "al_" cannot collide with the "alloc_b" total: it continues "all…",
+   not "al_". *)
 let phase_prefix = "ph_"
 let alloc_prefix = "al_"
 

@@ -53,8 +53,8 @@ val phase_fields : t -> (string * float) list
 
 val alloc_prefix : string
 (** ["al_"] — the field-name prefix of per-phase allocation attribution
-    (bytes).  Distinct from the ["alloc_b"]/["alloc_minor_b"]/
-    ["alloc_major_b"] totals, which do not start with ["al_"]. *)
+    (bytes).  Distinct from the ["alloc_b"] total, which does not start
+    with ["al_"]. *)
 
 val alloc_fields : t -> (string * float) list
 (** The allocation breakdown a finish event carries: [(short name,

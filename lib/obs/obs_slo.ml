@@ -10,25 +10,20 @@
     memory, and no timer thread (expiry happens lazily on the next
     observe/summary touching a stale slot).
 
-    Latency inside each bucket uses the same power-of-two buckets as
-    {!Vhdl_telemetry.Telemetry}'s histograms, so a window that spans the
-    whole run reports the very percentiles the process-lifetime
-    histogram does — the chaos campaign checks that agreement
-    end-to-end. *)
+    Latency inside each bucket is a {!Vhdl_telemetry.Telemetry}
+    histogram (kept out of the registry), and a summary merges them, so
+    a window that spans the whole run reports the very percentiles the
+    process-lifetime histogram does — the chaos campaign checks that
+    agreement end-to-end. *)
 
 module Tm = Vhdl_telemetry.Telemetry
-
-let hist_buckets = Tm.histogram_buckets
 
 type bucket = {
   mutable b_epoch : int; (* absolute bucket index; -1 = never used *)
   mutable b_requests : int;
   mutable b_shed : int;
   mutable b_internal : int;
-  mutable b_observed : int; (* latency samples *)
-  mutable b_min : float;
-  mutable b_max : float;
-  b_hist : int array;
+  mutable b_latency : Tm.histogram; (* service latency, us *)
   b_phase : (string, float ref) Hashtbl.t; (* per-phase self-time, us *)
   b_alloc : (string, float ref) Hashtbl.t; (* per-phase allocation, bytes *)
   mutable b_alloc_b : float; (* total request allocation, bytes *)
@@ -40,6 +35,8 @@ type t = {
 }
 
 let window_s t = t.bucket_s *. float_of_int (Array.length t.buckets)
+
+let latency_histogram () = Tm.unregistered_histogram "slo.latency_us"
 
 (** [create ~window_s ~buckets ()] — a sliding window of [window_s]
     seconds (default 60) sliced into [buckets] slots (default 12, i.e.
@@ -55,10 +52,7 @@ let create ?(window_s = 60.0) ?(buckets = 12) () =
             b_requests = 0;
             b_shed = 0;
             b_internal = 0;
-            b_observed = 0;
-            b_min = infinity;
-            b_max = neg_infinity;
-            b_hist = Array.make hist_buckets 0;
+            b_latency = latency_histogram ();
             b_phase = Hashtbl.create 8;
             b_alloc = Hashtbl.create 8;
             b_alloc_b = 0.0;
@@ -70,10 +64,7 @@ let reset_bucket b epoch =
   b.b_requests <- 0;
   b.b_shed <- 0;
   b.b_internal <- 0;
-  b.b_observed <- 0;
-  b.b_min <- infinity;
-  b.b_max <- neg_infinity;
-  Array.fill b.b_hist 0 hist_buckets 0;
+  b.b_latency <- latency_histogram ();
   Hashtbl.reset b.b_phase;
   Hashtbl.reset b.b_alloc;
   b.b_alloc_b <- 0.0
@@ -84,40 +75,29 @@ let slot_for t ~now =
   if b.b_epoch <> epoch then reset_bucket b epoch;
   b
 
+(* add [v] to the running per-phase total of [name] *)
+let accumulate tbl name v =
+  match Hashtbl.find_opt tbl name with
+  | Some r -> r := !r +. v
+  | None -> Hashtbl.add tbl name (ref v)
+
 (** Record one request outcome.  [latency_us] is given for requests that
     ran (the same value the [serve.latency_us] telemetry histogram
     observes); sheds have no service latency.  [phases] is the request's
-    per-phase attribution [(phase, microseconds)] and [allocs] its
-    allocation twin [(phase, bytes)], [alloc_b] the request's total
-    allocated bytes — all aggregated per bucket so the window can say
-    where its time {e and} its memory went. *)
+    per-phase attribution [(phase, microseconds)] and [allocs] the same
+    attribution in bytes, [alloc_b] the request's total allocated bytes —
+    all aggregated per bucket so the window can say where its time {e and}
+    its memory went. *)
 let observe t ~now ?latency_us ?(phases = []) ?(allocs = []) ?(alloc_b = 0.0)
     ~shed ~internal () =
   let b = slot_for t ~now in
   b.b_requests <- b.b_requests + 1;
   if shed then b.b_shed <- b.b_shed + 1;
   if internal then b.b_internal <- b.b_internal + 1;
-  List.iter
-    (fun (name, us) ->
-      match Hashtbl.find_opt b.b_phase name with
-      | Some r -> r := !r +. us
-      | None -> Hashtbl.add b.b_phase name (ref us))
-    phases;
-  List.iter
-    (fun (name, bytes) ->
-      match Hashtbl.find_opt b.b_alloc name with
-      | Some r -> r := !r +. bytes
-      | None -> Hashtbl.add b.b_alloc name (ref bytes))
-    allocs;
+  List.iter (fun (name, us) -> accumulate b.b_phase name us) phases;
+  List.iter (fun (name, bytes) -> accumulate b.b_alloc name bytes) allocs;
   b.b_alloc_b <- b.b_alloc_b +. alloc_b;
-  match latency_us with
-  | None -> ()
-  | Some x ->
-    b.b_observed <- b.b_observed + 1;
-    if x < b.b_min then b.b_min <- x;
-    if x > b.b_max then b.b_max <- x;
-    let i = Tm.bucket_of x in
-    b.b_hist.(i) <- b.b_hist.(i) + 1
+  Option.iter (Tm.observe b.b_latency) latency_us
 
 (* ------------------------------------------------------------------ *)
 (* Summaries *)
@@ -138,13 +118,17 @@ type summary = {
   s_alloc_phase_b : (string * float) list; (* per-phase allocation, largest first *)
 }
 
+let largest_first tbl =
+  List.sort
+    (fun (_, a) (_, b) -> compare b a)
+    (Hashtbl.fold (fun name r acc -> (name, !r) :: acc) tbl [])
+
 (** Summarize the buckets still inside the window ending at [now]. *)
 let summary t ~now : summary =
   let now_epoch = int_of_float (now /. t.bucket_s) in
   let n = Array.length t.buckets in
-  let requests = ref 0 and observed = ref 0 and shed = ref 0 and internal = ref 0 in
-  let min_v = ref infinity and max_v = ref neg_infinity in
-  let hist = Array.make hist_buckets 0 in
+  let requests = ref 0 and shed = ref 0 and internal = ref 0 in
+  let latency = latency_histogram () in
   let phase = Hashtbl.create 8 in
   let alloc = Hashtbl.create 8 in
   let alloc_b = ref 0.0 in
@@ -152,47 +136,29 @@ let summary t ~now : summary =
     (fun b ->
       if b.b_epoch >= 0 && now_epoch - b.b_epoch < n then begin
         requests := !requests + b.b_requests;
-        observed := !observed + b.b_observed;
         shed := !shed + b.b_shed;
         internal := !internal + b.b_internal;
-        if b.b_min < !min_v then min_v := b.b_min;
-        if b.b_max > !max_v then max_v := b.b_max;
-        Array.iteri (fun i k -> hist.(i) <- hist.(i) + k) b.b_hist;
-        Hashtbl.iter
-          (fun name r ->
-            Hashtbl.replace phase name
-              (!r +. Option.value (Hashtbl.find_opt phase name) ~default:0.0))
-          b.b_phase;
-        Hashtbl.iter
-          (fun name r ->
-            Hashtbl.replace alloc name
-              (!r +. Option.value (Hashtbl.find_opt alloc name) ~default:0.0))
-          b.b_alloc;
+        Tm.merge_histogram ~into:latency b.b_latency;
+        Hashtbl.iter (fun name r -> accumulate phase name !r) b.b_phase;
+        Hashtbl.iter (fun name r -> accumulate alloc name !r) b.b_alloc;
         alloc_b := !alloc_b +. b.b_alloc_b
       end)
     t.buckets;
   let pct k = if !requests = 0 then 0.0 else 100.0 *. float_of_int k /. float_of_int !requests in
-  let pc p = Tm.bucket_percentile ~count:!observed ~min_v:!min_v ~max_v:!max_v hist p in
   {
     s_window_s = window_s t;
     s_requests = !requests;
-    s_observed = !observed;
+    s_observed = latency.Tm.h_count;
     s_shed = !shed;
     s_internal = !internal;
-    s_p50_us = pc 0.50;
-    s_p95_us = pc 0.95;
-    s_p99_us = pc 0.99;
+    s_p50_us = Tm.percentile latency 0.50;
+    s_p95_us = Tm.percentile latency 0.95;
+    s_p99_us = Tm.percentile latency 0.99;
     s_shed_pct = pct !shed;
     s_internal_pct = pct !internal;
-    s_phase_us =
-      List.sort
-        (fun (_, a) (_, b) -> compare b a)
-        (Hashtbl.fold (fun name us acc -> (name, us) :: acc) phase []);
+    s_phase_us = largest_first phase;
     s_alloc_b = !alloc_b;
-    s_alloc_phase_b =
-      List.sort
-        (fun (_, a) (_, b) -> compare b a)
-        (Hashtbl.fold (fun name bts acc -> (name, bts) :: acc) alloc []);
+    s_alloc_phase_b = largest_first alloc;
   }
 
 (* ------------------------------------------------------------------ *)

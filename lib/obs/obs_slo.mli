@@ -1,8 +1,8 @@
 (** Rolling SLO windows: a ring of fixed-width time buckets summarizing
     the last window of service latency (p50/p95/p99), shed rate, and
     contained-escape rate, checked against configurable objectives.
-    Latency uses the same power-of-two buckets as the telemetry
-    histograms, so a window spanning the whole run agrees with the
+    Each slot keeps its latency in a telemetry histogram and a summary
+    merges them, so a window spanning the whole run agrees with the
     process-lifetime percentiles. *)
 
 type t
@@ -28,7 +28,7 @@ val observe :
     [latency_us] is supplied for requests that ran (the same value the
     [serve.latency_us] histogram observes); sheds have none.  [phases]
     is the request's per-phase attribution [(phase, microseconds)],
-    [allocs] its allocation twin [(phase, bytes)], and [alloc_b] the
+    [allocs] the same attribution in bytes, and [alloc_b] the
     request's total allocated bytes — all aggregated per bucket. *)
 
 type summary = {

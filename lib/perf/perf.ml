@@ -98,15 +98,15 @@ end
 (* GC deltas *)
 
 module Gc_delta = struct
-  (** How much memory work a measured section did: collection counts and
-      words allocated are deltas over the section; [heap_words] and
-      [top_heap_words] are the absolute heap size / process peak at its
-      end (a peak has no meaningful delta). *)
+  (** How much memory work a measured section did: collection counts are
+      deltas over the section; [heap_words] and [top_heap_words] are the
+      absolute heap size / process peak at its end (a peak has no
+      meaningful delta).  Words allocated are not here: the sample's
+      per-repetition [s_allocs] carries them exactly. *)
   type t = {
     minor_collections : int;
     major_collections : int;
     compactions : int;
-    allocated_words : float;
     heap_words : int;
     top_heap_words : int;
   }
@@ -116,27 +116,18 @@ module Gc_delta = struct
       minor_collections = 0;
       major_collections = 0;
       compactions = 0;
-      allocated_words = 0.0;
       heap_words = 0;
       top_heap_words = 0;
     }
-
-  let allocated (s : Gc.stat) = s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
   let between (a : Gc.stat) (b : Gc.stat) =
     {
       minor_collections = b.Gc.minor_collections - a.Gc.minor_collections;
       major_collections = b.Gc.major_collections - a.Gc.major_collections;
       compactions = b.Gc.compactions - a.Gc.compactions;
-      allocated_words = allocated b -. allocated a;
       heap_words = b.Gc.heap_words;
       top_heap_words = b.Gc.top_heap_words;
     }
-
-  let measure f =
-    let a = Gc.quick_stat () in
-    f ();
-    between a (Gc.quick_stat ())
 end
 
 (* ------------------------------------------------------------------ *)
@@ -440,7 +431,6 @@ module Report = struct
               ("minor_collections", Json.int gc.Gc_delta.minor_collections);
               ("major_collections", Json.int gc.Gc_delta.major_collections);
               ("compactions", Json.int gc.Gc_delta.compactions);
-              ("allocated_words", Json.float gc.Gc_delta.allocated_words);
               ("heap_words", Json.int gc.Gc_delta.heap_words);
               ("top_heap_words", Json.int gc.Gc_delta.top_heap_words);
             ] );
@@ -495,12 +485,10 @@ module Report = struct
       | None -> Gc_delta.zero
       | Some g ->
         let i k d = Option.value (Option.bind (Json.mem k g) Json.to_int) ~default:d in
-        let f k d = Option.value (Option.bind (Json.mem k g) Json.to_num) ~default:d in
         {
           Gc_delta.minor_collections = i "minor_collections" 0;
           major_collections = i "major_collections" 0;
           compactions = i "compactions" 0;
-          allocated_words = f "allocated_words" 0.0;
           heap_words = i "heap_words" 0;
           top_heap_words = i "top_heap_words" 0;
         }

@@ -23,19 +23,18 @@ module Stat : sig
       95%, 1000 resamples, deterministic seed). *)
 end
 
-(** GC/allocation deltas over a measured section. *)
+(** GC work over a measured section (the words it allocated are the
+    sample's [s_allocs]). *)
 module Gc_delta : sig
   type t = {
     minor_collections : int;
     major_collections : int;
     compactions : int;
-    allocated_words : float;
     heap_words : int; (* live heap words at section end *)
     top_heap_words : int; (* process peak heap words *)
   }
 
   val zero : t
-  val measure : (unit -> unit) -> t
 end
 
 (** One measured experiment. *)

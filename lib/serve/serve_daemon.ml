@@ -70,8 +70,6 @@ type config = {
   d_slo_window_s : float; (* rolling-window width *)
   d_slo : Obs_slo.objectives; (* breach thresholds (may be empty) *)
   d_span_cap : int; (* per-request span buffer (0 = no exemplars) *)
-  d_exemplar_k : float; (* slow = k x window p50, absent an objective *)
-  d_exemplar_min_obs : int; (* window samples before k*p50 is trusted *)
   d_heap_growth_pct : float; (* heap watchdog threshold (0 = disabled) *)
   d_log : string -> unit;
 }
@@ -89,8 +87,6 @@ let default_config =
     d_slo_window_s = 60.0;
     d_slo = Obs_slo.no_objectives;
     d_span_cap = 512;
-    d_exemplar_k = 4.0;
-    d_exemplar_min_obs = 8;
     d_heap_growth_pct = 0.0;
     d_log = ignore;
   }
@@ -126,6 +122,12 @@ type t = {
 }
 
 let now = Vhdl_util.Unix_compat.now
+
+(* absent a p99 objective, a request slower than [exemplar_k] window
+   p50s earns an exemplar dump, once the window holds [exemplar_min_obs]
+   measured requests *)
+let exemplar_k = 4.0
+let exemplar_min_obs = 8
 
 (* ------------------------------------------------------------------ *)
 (* Response delivery.  The write is blocking (responses are small and
@@ -202,8 +204,7 @@ let emit_start t conn ~verb ?queue_wait_us ?reason () =
     finish events still carry [service_us] and phases so the log-level
     phase-sum invariant holds for every finish. *)
 let finish ?service_us ?(phases = []) ?(allocs = []) ?alloc_b
-    ?(alloc_minor_b = 0.0) ?(alloc_major_b = 0.0) ?(observe_latency = true) t
-    conn resp =
+    ?(observe_latency = true) t conn resp =
   Tm.incr m_requests;
   let resp = { resp with Serve_protocol.rs_request_id = Some conn.rid } in
   let fate = send_response conn resp in
@@ -247,17 +248,13 @@ let finish ?service_us ?(phases = []) ?(allocs = []) ?alloc_b
              (match service_us with
              | Some x -> [ ("service_us", Obs_event.F x) ]
              | None -> []);
-             Obs_attr.fields phases;
-             (* the allocation attribution: al_* per phase plus the
-                totals the check_log invariant ties them to *)
+             Obs_attr.fields ~prefix:Obs_event.phase_prefix phases;
+             (* the allocation attribution: al_* per phase plus the total
+                the check_log invariant ties them to *)
              (match alloc_b with
              | Some total ->
-               Obs_attr.fields_alloc allocs
-               @ [
-                   ("alloc_b", Obs_event.F total);
-                   ("alloc_minor_b", Obs_event.F alloc_minor_b);
-                   ("alloc_major_b", Obs_event.F alloc_major_b);
-                 ]
+               Obs_attr.fields ~prefix:Obs_event.alloc_prefix allocs
+               @ [ ("alloc_b", Obs_event.F total) ]
              | None -> []);
              (if resp.Serve_protocol.rs_wedged then [ ("wedged", Obs_event.I 1) ]
               else []);
@@ -300,19 +297,21 @@ let dump_flight_now ?(reason = "manual") t =
 (* ------------------------------------------------------------------ *)
 (* Frame and request intake *)
 
+(* the request ledger, in the order both stats documents list it *)
+let ledger =
+  [
+    "serve.requests"; "serve.answered"; "serve.shed"; "serve.client_gone";
+    "serve.torn_frames"; "serve.oversized"; "serve.bad_requests";
+    "serve.faults_contained"; "serve.timeouts"; "serve.wedges";
+    "serve.worker_recycles"; "serve.connections"; "serve.events";
+    "serve.flight_dumps"; "serve.slo_breaches"; "serve.heap_breaches";
+  ]
+
 let stats_body t =
   Tm.sample_gc (); (* stats must show the heap as of now, not of the
                       last phase close *)
   let b = Buffer.create 256 in
-  let c name = Printf.bprintf b "%s %d\n" name (Tm.counter_value name) in
-  List.iter c
-    [
-      "serve.requests"; "serve.answered"; "serve.shed"; "serve.client_gone";
-      "serve.torn_frames"; "serve.oversized"; "serve.bad_requests";
-      "serve.faults_contained"; "serve.timeouts"; "serve.wedges";
-      "serve.worker_recycles"; "serve.connections"; "serve.events";
-      "serve.flight_dumps"; "serve.slo_breaches"; "serve.heap_breaches";
-    ];
+  List.iter (fun name -> Printf.bprintf b "%s %d\n" name (Tm.counter_value name)) ledger;
   Printf.bprintf b "serve.queue_depth %d\n" (Serve_queue.length t.queue);
   Printf.bprintf b "serve.latency_us.p50 %.0f\n" (Tm.percentile m_latency 0.50);
   Printf.bprintf b "serve.latency_us.p99 %.0f\n" (Tm.percentile m_latency 0.99);
@@ -329,23 +328,13 @@ let stats_body t =
 let stats_json t =
   Tm.sample_gc ();
   let module J = Tm.Json in
-  let c name = (name, J.int (Tm.counter_value name)) in
   let st = Gc.quick_stat () in
   J.obj
     [
       ("uptime_s", J.float (now ()));
       ("draining", (if t.draining then "true" else "false"));
       ( "ledger",
-        J.obj
-          (List.map c
-             [
-               "serve.requests"; "serve.answered"; "serve.shed";
-               "serve.client_gone"; "serve.torn_frames"; "serve.oversized";
-               "serve.bad_requests"; "serve.faults_contained"; "serve.timeouts";
-               "serve.wedges"; "serve.worker_recycles"; "serve.connections";
-               "serve.events"; "serve.flight_dumps"; "serve.slo_breaches";
-               "serve.heap_breaches";
-             ]) );
+        J.obj (List.map (fun name -> (name, J.int (Tm.counter_value name))) ledger) );
       ( "queue",
         J.obj
           [
@@ -646,7 +635,7 @@ let process_one t =
     t.last_request <- Some (conn.rid, verb, status, elapsed);
     let service_us = elapsed *. 1e6 in
     let phases =
-      Obs_attr.with_other ~service_us
+      Obs_attr.with_other ~total:service_us
         (List.map
            (fun (name, s) -> (name, s *. 1e6))
            (Serve_worker.last_phases t.worker))
@@ -657,22 +646,19 @@ let process_one t =
       if t.cfg.d_span_cap > 0 then
         Obs_attr.exemplar_threshold_us ~objectives:t.cfg.d_slo
           ~summary:(Obs_slo.summary t.slo ~now:(now ()))
-          ~k:t.cfg.d_exemplar_k ~min_observed:t.cfg.d_exemplar_min_obs
+          ~k:exemplar_k ~min_observed:exemplar_min_obs
       else None
     in
     let bpw = float_of_int Tm.bytes_per_word in
     let alloc_b = Serve_worker.last_alloc_w t.worker *. bpw in
     let allocs =
-      Obs_attr.with_other_alloc ~alloc_b
+      Obs_attr.with_other ~total:alloc_b
         (List.map
            (fun (name, w) -> (name, w *. bpw))
            (Serve_worker.last_allocs t.worker))
     in
     let rid = conn.rid in
-    finish ~service_us ~phases ~allocs ~alloc_b
-      ~alloc_minor_b:(Serve_worker.last_alloc_minor_w t.worker *. bpw)
-      ~alloc_major_b:(Serve_worker.last_alloc_major_w t.worker *. bpw)
-      t conn resp;
+    finish ~service_us ~phases ~allocs ~alloc_b t conn resp;
     (match threshold_us with
     | Some th when service_us > th ->
       exemplar_dump t ~rid ~verb ~status ~service_us ~threshold_us:th ~phases

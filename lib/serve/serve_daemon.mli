@@ -21,14 +21,14 @@
     attribution ([ph_*] fields summing to [service_us]); each request's
     spans are buffered (bounded by [d_span_cap]) whether or not global
     tracing is on, and a request slower than the adaptive threshold
-    (the p99 objective, else [d_exemplar_k] x window p50) produces a
+    (the p99 objective, else 4 x window p50) produces a
     rid-named exemplar dump — phase breakdown, counter delta, Chrome
     trace — rate-limited and retention-capped.
 
     Allocation attribution: every [finish] also carries per-phase
-    allocated bytes ([al_*] fields summing to [alloc_b], split into
-    [alloc_minor_b]/[alloc_major_b]), measured by GC-counter deltas on
-    the worker; SLO windows fold them into bytes-per-window and a
+    allocated bytes ([al_*] fields summing to [alloc_b]), measured by
+    {!Vhdl_telemetry.Telemetry.allocated_words_now} deltas on the
+    worker; SLO windows fold them into bytes-per-window and a
     per-phase "allocated by" breakdown.  A heap-health watchdog samples
     live words into a ring each tick and, when the least-squares fit
     grows past [d_heap_growth_pct] over the window, emits one
@@ -47,8 +47,6 @@ type config = {
   d_slo_window_s : float; (* rolling-window width *)
   d_slo : Obs_slo.objectives; (* breach thresholds (may be empty) *)
   d_span_cap : int; (* per-request span buffer (0 = no exemplars) *)
-  d_exemplar_k : float; (* slow = k x window p50, absent an objective *)
-  d_exemplar_min_obs : int; (* window samples before k*p50 is trusted *)
   d_heap_growth_pct : float;
       (* heap-health watchdog: emit [heap_breach] + flight dump when the
          linear fit over the live-words ring grows past this percentage

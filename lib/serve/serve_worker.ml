@@ -34,7 +34,6 @@ let m_recycles = Tm.counter "serve.worker_recycles"
 
 type config = {
   w_default_deadline_s : float; (* when the request names none *)
-  w_max_deadline_s : float; (* requests cannot ask for more *)
   w_watchdog_grace_s : float; (* watchdog = deadline + grace *)
   w_allow_faults : bool; (* honor poison= / spin_ms= / hog_kb= request fields *)
   w_recycle_every : int; (* fresh compiler every N requests *)
@@ -45,7 +44,6 @@ type config = {
 let default_config =
   {
     w_default_deadline_s = 10.0;
-    w_max_deadline_s = 60.0;
     w_watchdog_grace_s = 2.0;
     w_allow_faults = false;
     w_recycle_every = 256;
@@ -62,8 +60,7 @@ type t = {
       (* per-phase self-time (seconds) of the last handled request *)
   mutable last_allocs : (string * float) list;
       (* per-phase self-allocated words of the last handled request *)
-  mutable last_alloc_minor_w : float; (* minor words of the last request *)
-  mutable last_alloc_major_w : float; (* direct-major words (promotions excluded) *)
+  mutable last_alloc_w : float; (* words the last request allocated *)
   mutable hog : Bytes.t list;
       (* fault injection: blocks retained by hog_kb= requests — the planted
          leak the heap-health watchdog must catch *)
@@ -87,8 +84,7 @@ let create cfg =
     generation = 0;
     last_phases = [];
     last_allocs = [];
-    last_alloc_minor_w = 0.0;
-    last_alloc_major_w = 0.0;
+    last_alloc_w = 0.0;
     hog = [];
   }
 
@@ -96,11 +92,7 @@ let generation t = t.generation
 let served t = t.served
 let last_phases t = t.last_phases
 let last_allocs t = t.last_allocs
-let last_alloc_minor_w t = t.last_alloc_minor_w
-let last_alloc_major_w t = t.last_alloc_major_w
-
-(** Total words the last request allocated (minor + direct-major). *)
-let last_alloc_w t = t.last_alloc_minor_w +. t.last_alloc_major_w
+let last_alloc_w t = t.last_alloc_w
 
 (** Replace the warm compiler — after a wedge or an unclassified escape
     (the interrupted state may be inconsistent), and periodically to bound
@@ -150,9 +142,13 @@ let with_watchdog ~seconds f =
 (* ------------------------------------------------------------------ *)
 (* Request processing *)
 
+(* the cap on any request's deadline: a minute, or the daemon's default
+   deadline when that is longer *)
+let max_deadline_s = 60.0
+
 let effective_deadline cfg (rq : Serve_protocol.request) =
   let asked = Option.value rq.Serve_protocol.rq_deadline_s ~default:cfg.w_default_deadline_s in
-  Float.min (Float.max asked 0.001) cfg.w_max_deadline_s
+  Float.min (Float.max asked 0.001) (Float.max cfg.w_default_deadline_s max_deadline_s)
 
 let request_budgets cfg (rq : Serve_protocol.request) ~deadline_s =
   {
@@ -306,10 +302,7 @@ let handle t (rq : Serve_protocol.request) : Serve_protocol.response =
   let timer0 = Vhdl_compiler.timer t.compiler in
   let phases_before = Vhdl_util.Phase_timer.report timer0 in
   let allocs_before = Vhdl_util.Phase_timer.report_alloc timer0 in
-  (* exact minor count from the external — [Gc.counters]' own word
-     fields are flushed only at collection boundaries on OCaml 5.1 *)
-  let mi0 = Gc.minor_words () in
-  let _, pr0, ma0 = Gc.counters () in
+  let aw0 = Tm.allocated_words_now () in
   let deadline_s = effective_deadline t.cfg rq in
   Vhdl_compiler.set_budgets t.compiler (request_budgets t.cfg rq ~deadline_s);
   let fault_denied =
@@ -363,10 +356,7 @@ let handle t (rq : Serve_protocol.request) : Serve_protocol.response =
   t.last_allocs <-
     phase_delta ~before:allocs_before
       ~after:(Vhdl_util.Phase_timer.report_alloc timer0);
-  let mi1 = Gc.minor_words () in
-  let _, pr1, ma1 = Gc.counters () in
-  t.last_alloc_minor_w <- Float.max 0.0 (mi1 -. mi0);
-  t.last_alloc_major_w <- Float.max 0.0 (ma1 -. pr1 -. (ma0 -. pr0));
+  t.last_alloc_w <- Float.max 0.0 (Tm.allocated_words_now () -. aw0);
   (match resp.Serve_protocol.rs_status with
   | Serve_protocol.Internal -> Tm.incr m_faults_contained
   | Serve_protocol.Timeout -> Tm.incr m_timeouts

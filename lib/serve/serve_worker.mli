@@ -10,7 +10,6 @@
 
 type config = {
   w_default_deadline_s : float; (* when the request names none *)
-  w_max_deadline_s : float; (* requests cannot ask for more *)
   w_watchdog_grace_s : float; (* watchdog = deadline + grace *)
   w_allow_faults : bool; (* honor poison= / spin_ms= / hog_kb= request fields *)
   w_recycle_every : int; (* fresh compiler every N requests; 0 = never *)
@@ -40,14 +39,9 @@ val last_allocs : t -> (string * float) list
     phase timer's allocation table diffed around the request, same
     discipline as {!last_phases}. *)
 
-val last_alloc_minor_w : t -> float
-(** Minor-heap words the last {!handle} allocated. *)
-
-val last_alloc_major_w : t -> float
-(** Direct major-heap words (promotions excluded) of the last {!handle}. *)
-
 val last_alloc_w : t -> float
-(** Total words of the last {!handle}: minor + direct-major. *)
+(** Words the last {!handle} allocated (minor + direct-major, promotions
+    excluded), read with {!Vhdl_telemetry.Telemetry.allocated_words_now}. *)
 
 val recycle : t -> unit
 (** Replace the warm compiler with a fresh one. *)

@@ -231,7 +231,9 @@ type gauge = {
 (* Histograms keep power-of-two buckets alongside count/sum/min/max:
    bucket 0 holds values < 1, bucket i holds [2^(i-1), 2^i).  Constant
    memory, O(1) observe, and enough resolution for the p50/p90/p99
-   summaries the reports print. *)
+   summaries the reports print.  The bucket layout is private to this
+   module ([bucket_of], [percentile]); the SLO windows merge histograms
+   rather than bucket arrays. *)
 let histogram_buckets = 64
 
 type histogram = {
@@ -274,21 +276,29 @@ let gauge name =
   | Gauge g -> g
   | _ -> invalid_arg (name ^ " is registered as a non-gauge instrument")
 
+let unregistered_histogram name =
+  {
+    h_name = name;
+    h_count = 0;
+    h_sum = 0.0;
+    h_min = infinity;
+    h_max = neg_infinity;
+    h_bucket = Array.make histogram_buckets 0;
+  }
+
 let histogram name =
-  match
-    register name (fun () ->
-        Histogram
-          {
-            h_name = name;
-            h_count = 0;
-            h_sum = 0.0;
-            h_min = infinity;
-            h_max = neg_infinity;
-            h_bucket = Array.make histogram_buckets 0;
-          })
-  with
+  match register name (fun () -> Histogram (unregistered_histogram name)) with
   | Histogram h -> h
   | _ -> invalid_arg (name ^ " is registered as a non-histogram instrument")
+
+(** Fold [h]'s observations into [into], as if [into] had observed them
+    too: counts, sums and buckets add, min/max widen. *)
+let merge_histogram ~into h =
+  into.h_count <- into.h_count + h.h_count;
+  into.h_sum <- into.h_sum +. h.h_sum;
+  if h.h_min < into.h_min then into.h_min <- h.h_min;
+  if h.h_max > into.h_max then into.h_max <- h.h_max;
+  Array.iteri (fun i k -> into.h_bucket.(i) <- into.h_bucket.(i) + k) h.h_bucket
 
 let incr c = c.c_value <- c.c_value + 1
 let add c n = c.c_value <- c.c_value + n
@@ -312,23 +322,20 @@ let observe h x =
     the upper bound of the bucket holding the p-th observation, clamped to
     the observed [min,max].  Exact to within a factor of two, which is what
     a latency/size summary needs. *)
-let bucket_percentile ~count ~min_v ~max_v buckets p =
-  if count = 0 then 0.0
+let percentile h p =
+  if h.h_count = 0 then 0.0
   else begin
-    let target = max 1 (int_of_float (Float.ceil (p *. float_of_int count))) in
-    let target = min target count in
+    let target = max 1 (int_of_float (Float.ceil (p *. float_of_int h.h_count))) in
+    let target = min target h.h_count in
     let rec walk i cum =
-      if i >= histogram_buckets then max_v
+      if i >= histogram_buckets then h.h_max
       else
-        let cum = cum + buckets.(i) in
+        let cum = cum + h.h_bucket.(i) in
         if cum >= target then if i = 0 then 1.0 else Float.pow 2.0 (float_of_int i)
         else walk (i + 1) cum
     in
-    Float.min max_v (Float.max min_v (walk 0 0))
+    Float.min h.h_max (Float.max h.h_min (walk 0 0))
   end
-
-let percentile h p =
-  bucket_percentile ~count:h.h_count ~min_v:h.h_min ~max_v:h.h_max h.h_bucket p
 
 (** Current value of a counter by name, 0 if never registered — the
     convenient form for reports and tests. *)
@@ -336,28 +343,6 @@ let counter_value name =
   match Hashtbl.find_opt registry name with
   | Some (Counter c) -> c.c_value
   | _ -> 0
-
-(* ------------------------------------------------------------------ *)
-(* GC gauges *)
-
-(** Refresh the [gc.*] gauges from [Gc.quick_stat].  Called at phase
-    boundaries (every {!Vhdl_util.Phase_timer} frame close) and before any
-    metrics export, so [--metrics] / {!metrics_json} always carry the
-    memory picture of the run: collection counts, live/total heap words,
-    the peak heap, and total words allocated.  [quick_stat] does not force
-    a heap walk, so the sample is cheap enough for every boundary. *)
-let sample_gc () =
-  let s = Gc.quick_stat () in
-  let g name v = set (gauge name) v in
-  g "gc.minor_collections" (float_of_int s.Gc.minor_collections);
-  g "gc.major_collections" (float_of_int s.Gc.major_collections);
-  g "gc.compactions" (float_of_int s.Gc.compactions);
-  g "gc.heap_words" (float_of_int s.Gc.heap_words);
-  g "gc.top_heap_words" (float_of_int s.Gc.top_heap_words);
-  (* [quick_stat]'s word counters are flushed only at collection
-     boundaries on OCaml 5.1; the [Gc.minor_words] external reads the
-     live young pointer, so splice it in for an exact total *)
-  g "gc.allocated_words" (Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation accounting primitives.
@@ -380,7 +365,12 @@ let sample_gc () =
      external, NOT from [Gc.counters]: on OCaml 5.1 the latter's word
      counts are flushed only at collection boundaries, so a window
      without a minor collection would otherwise read as (nearly) zero
-     and the deferred words would land in the next window's delta. *)
+     and the deferred words would land in the next window's delta.
+
+   These two functions are the process's only readers of the GC's word
+   counters: the phase timer, the serve worker, the bench runner and the
+   [gc.allocated_words] gauge all measure through them, so every
+   "words allocated" figure the system reports is the same quantity. *)
 
 let bytes_per_word = Sys.word_size / 8
 
@@ -389,6 +379,25 @@ let minor_words_now () = Gc.minor_words ()
 let allocated_words_now () =
   let _, pr, ma = Gc.counters () in
   Gc.minor_words () +. ma -. pr
+
+(* ------------------------------------------------------------------ *)
+(* GC gauges *)
+
+(** Refresh the [gc.*] gauges from [Gc.quick_stat].  Called at phase
+    boundaries (every {!Vhdl_util.Phase_timer} frame close) and before any
+    metrics export, so [--metrics] / {!metrics_json} always carry the
+    memory picture of the run: collection counts, live/total heap words,
+    the peak heap, and total words allocated.  [quick_stat] does not force
+    a heap walk, so the sample is cheap enough for every boundary. *)
+let sample_gc () =
+  let s = Gc.quick_stat () in
+  let g name v = set (gauge name) v in
+  g "gc.minor_collections" (float_of_int s.Gc.minor_collections);
+  g "gc.major_collections" (float_of_int s.Gc.major_collections);
+  g "gc.compactions" (float_of_int s.Gc.compactions);
+  g "gc.heap_words" (float_of_int s.Gc.heap_words);
+  g "gc.top_heap_words" (float_of_int s.Gc.top_heap_words);
+  g "gc.allocated_words" (allocated_words_now ())
 
 (* ------------------------------------------------------------------ *)
 (* Spans *)

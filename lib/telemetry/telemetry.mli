@@ -57,10 +57,8 @@ type gauge = {
   mutable g_value : float;
 }
 
-val histogram_buckets : int
-(** Power-of-two bucket count (64): bucket 0 holds values < 1, bucket i
-    holds [2^(i-1), 2^i). *)
-
+(** Power-of-two buckets (64): bucket 0 holds values < 1, bucket i holds
+    [2^(i-1), 2^i). *)
 type histogram = {
   h_name : string;
   mutable h_count : int;
@@ -82,44 +80,48 @@ val counter : string -> counter
 val gauge : string -> gauge
 val histogram : string -> histogram
 
+val unregistered_histogram : string -> histogram
+(** A fresh, empty histogram outside the registry: no report or {!reset}
+    sees it (the SLO windows keep one per time slot). *)
+
+val merge_histogram : into:histogram -> histogram -> unit
+(** Add the second histogram's observations to [into], as if [into] had
+    observed them: the merge of two histograms reports the same count,
+    min, max and percentiles as one histogram fed both streams. *)
+
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 
-val bucket_of : float -> int
 val observe : histogram -> float -> unit
 
 val percentile : histogram -> float -> float
 (** Approximate quantile from the power-of-two buckets, clamped to the
     observed [min,max] — exact to within a factor of two. *)
 
-val bucket_percentile :
-  count:int -> min_v:float -> max_v:float -> int array -> float -> float
-(** {!percentile} over bucket counts kept outside a registered histogram
-    (the SLO windows merge theirs), with [count] observations between
-    [min_v] and [max_v]. *)
-
 val counter_value : string -> int
 (** Current value of a counter by name, 0 if never registered. *)
 
 val sample_gc : unit -> unit
-(** Refresh the [gc.*] gauges from [Gc.quick_stat] — collection counts,
-    live/peak heap words, total allocated words. *)
+(** Refresh the [gc.*] gauges — collection counts and live/peak heap
+    words from [Gc.quick_stat], total allocated words from
+    {!allocated_words_now}. *)
 
 (** {1 Allocation accounting} *)
 
 val bytes_per_word : int
 
 val minor_words_now : unit -> float
-(** Allocation-free snapshot of minor-heap words allocated so far
-    ([Gc.minor_words]) — the per-span / per-rule mechanism. *)
+(** Allocation-free snapshot of minor-heap words allocated so far (an
+    unboxed runtime external) — the per-span / per-rule mechanism. *)
 
 val allocated_words_now : unit -> float
 (** Total words allocated so far (minor + direct-major, promotions
-    excluded), from [Gc.counters]; itself allocates a few words, so it
-    is for coarse boundaries (phases, requests, bench repetitions). *)
+    excluded); itself allocates a few words, so it is for coarse
+    boundaries (phases, requests, bench repetitions).  The one reading
+    behind every allocation total the system reports. *)
 
 (** {1 Spans} *)
 

@@ -23,37 +23,46 @@
 
 module Telemetry = Vhdl_telemetry.Telemetry
 
-type t = {
-  mutable phases : (string * unit) list; (* reverse order of first use *)
-  table : (string, float ref) Hashtbl.t; (* self-time seconds *)
-  alloc : (string, float ref) Hashtbl.t; (* self-allocated words *)
+(* One cell per phase: its self time, its self-allocated words, and the
+   process-wide [phase.alloc_b.<name>] telemetry counter (bytes) that
+   lets `--metrics` carry the memory breakdown without a handle on the
+   timer. *)
+type cell = {
+  mutable secs : float;
+  mutable words : float;
+  alloc_b : Telemetry.counter;
 }
 
-let create () = { phases = []; table = Hashtbl.create 16; alloc = Hashtbl.create 16 }
+type t = { mutable phases : (string * cell) list (* reverse order of first use *) }
 
+let create () = { phases = [] }
+
+let metric_name name =
+  "phase.alloc_b."
+  ^ String.map
+      (fun c ->
+        match c with
+        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' -> c
+        | _ -> '_')
+      name
+
+let new_cell name =
+  { secs = 0.0; words = 0.0; alloc_b = Telemetry.counter (metric_name name) }
+
+(* registered when a phase's first frame opens, so [report] lists phases
+   in order of first use, not first completion *)
 let cell t name =
-  match Hashtbl.find_opt t.table name with
-  | Some r -> r
+  match List.assoc_opt name t.phases with
+  | Some c -> c
   | None ->
-    let r = ref 0.0 in
-    Hashtbl.add t.table name r;
-    t.phases <- (name, ()) :: t.phases;
-    r
-
-let alloc_cell t name =
-  match Hashtbl.find_opt t.alloc name with
-  | Some r -> r
-  | None ->
-    let r = ref 0.0 in
-    Hashtbl.add t.alloc name r;
-    r
+    let c = new_cell name in
+    t.phases <- (name, c) :: t.phases;
+    c
 
 (* ------------------------------------------------------------------ *)
 (* The process-wide frame stack (the compiler is single-threaded) *)
 
 type frame = {
-  f_timer : t option; (* where this frame's self time is charged *)
-  f_name : string;
   mutable f_child : float; (* seconds spent in nested frames *)
   mutable f_child_aw : float; (* words allocated by nested frames *)
 }
@@ -61,25 +70,11 @@ type frame = {
 let stack : frame list ref = ref []
 let ambient : t option ref = ref None
 
-(* per-phase allocation is also a process-wide telemetry counter
-   (phase.alloc_b.<name>, bytes) so `--metrics` carries the memory
-   breakdown without a handle on the timer *)
-let metric_name name =
-  let buf = Buffer.create (String.length name + 13) in
-  Buffer.add_string buf "phase.alloc_b.";
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' -> Buffer.add_char buf c
-      | _ -> Buffer.add_char buf '_')
-    name;
-  Buffer.contents buf
-
-let run_frame timer name f =
-  let frame = { f_timer = timer; f_name = name; f_child = 0.0; f_child_aw = 0.0 } in
-  (* register the phase at frame open so [report] lists phases in order of
-     first use, not first completion *)
-  (match timer with Some t -> ignore (cell t name) | None -> ());
+(* [cell] is where the frame's self time and allocation are charged: a
+   timer's cell, or a free-standing one for a traced frame outside any
+   timer *)
+let run_frame cell name f =
+  let frame = { f_child = 0.0; f_child_aw = 0.0 } in
   stack := frame :: !stack;
   let start = Telemetry.now_s () in
   let aw0 = Telemetry.allocated_words_now () in
@@ -96,18 +91,12 @@ let run_frame timer name f =
         parent.f_child_aw <- parent.f_child_aw +. total_aw
       | [] -> ());
       let self_aw = Float.max 0.0 (total_aw -. frame.f_child_aw) in
-      (match frame.f_timer with
-      | Some t ->
-        let r = cell t frame.f_name in
-        r := !r +. (total -. frame.f_child);
-        let a = alloc_cell t frame.f_name in
-        a := !a +. self_aw
-      | None -> ());
-      Telemetry.add
-        (Telemetry.counter (metric_name frame.f_name))
+      cell.secs <- cell.secs +. (total -. frame.f_child);
+      cell.words <- cell.words +. self_aw;
+      Telemetry.add cell.alloc_b
         (int_of_float (self_aw *. float_of_int Telemetry.bytes_per_word));
-      Telemetry.record_span ~cat:"phase" ~alloc_w:total_aw ~name:frame.f_name
-        ~start_s:start ~dur_s:total ();
+      Telemetry.record_span ~cat:"phase" ~alloc_w:total_aw ~name ~start_s:start
+        ~dur_s:total ();
       (* phase boundary: refresh the gc.* gauges so metrics exports see the
          heap as it stood when the last phase closed *)
       Telemetry.sample_gc ())
@@ -120,30 +109,24 @@ let time t name f =
   ambient := Some t;
   Fun.protect
     ~finally:(fun () -> ambient := saved)
-    (fun () -> run_frame (Some t) name f)
+    (fun () -> run_frame (cell t name) name f)
 
 (** [time_ambient name f] charges a frame to the ambient timer — the timer
     of the dynamically enclosing [time], if any.  With no ambient timer and
     tracing off this is a plain call to [f]. *)
 let time_ambient name f =
   match !ambient with
-  | Some _ as timer -> run_frame timer name f
-  | None -> if Telemetry.tracing () then run_frame None name f else f ()
+  | Some t -> run_frame (cell t name) name f
+  | None -> if Telemetry.tracing () then run_frame (new_cell name) name f else f ()
 
-let total t = Hashtbl.fold (fun _ r acc -> acc +. !r) t.table 0.0
-let total_alloc t = Hashtbl.fold (fun _ r acc -> acc +. !r) t.alloc 0.0
+let total t = List.fold_left (fun acc (_, c) -> acc +. c.secs) 0.0 t.phases
+let total_alloc t = List.fold_left (fun acc (_, c) -> acc +. c.words) 0.0 t.phases
 
 (** Phases in order of first use, with accumulated self-time seconds. *)
-let report t =
-  List.rev_map (fun (name, ()) -> (name, !(Hashtbl.find t.table name))) t.phases
+let report t = List.rev_map (fun (name, c) -> (name, c.secs)) t.phases
 
 (** Phases in order of first use, with accumulated self-allocated words. *)
-let report_alloc t =
-  List.rev_map
-    (fun (name, ()) ->
-      ( name,
-        match Hashtbl.find_opt t.alloc name with Some r -> !r | None -> 0.0 ))
-    t.phases
+let report_alloc t = List.rev_map (fun (name, c) -> (name, c.words)) t.phases
 
 let pp_bytes fmt b =
   if b >= 1048576.0 then Format.fprintf fmt "%8.1fMB" (b /. 1048576.0)
@@ -153,17 +136,12 @@ let pp_bytes fmt b =
 let pp fmt t =
   let tot = total t in
   let tot = if tot <= 0.0 then 1.0 else tot in
-  let aw = report_alloc t in
-  let bytes name =
-    Option.value (List.assoc_opt name aw) ~default:0.0
-    *. float_of_int Telemetry.bytes_per_word
-  in
+  let bytes w = w *. float_of_int Telemetry.bytes_per_word in
   Format.fprintf fmt "@[<v>";
   List.iter
-    (fun (name, secs) ->
-      Format.fprintf fmt "%-28s %8.4fs  (%5.1f%%)  alloc %a@," name secs
-        (100.0 *. secs /. tot) pp_bytes (bytes name))
-    (report t);
+    (fun (name, c) ->
+      Format.fprintf fmt "%-28s %8.4fs  (%5.1f%%)  alloc %a@," name c.secs
+        (100.0 *. c.secs /. tot) pp_bytes (bytes c.words))
+    (List.rev t.phases);
   Format.fprintf fmt "%-28s %8.4fs            alloc %a@]" "total" (total t)
-    pp_bytes
-    (total_alloc t *. float_of_int Telemetry.bytes_per_word)
+    pp_bytes (bytes (total_alloc t))

@@ -444,20 +444,14 @@ let test_staged_principal () =
     Session.with_session session (fun () ->
         let g = Main_grammar.grammar () in
         let parser_ = Main_grammar.parser_ () in
-        let tokens = Analyze.tokens_of_source source in
+        let tokens = Main_grammar.tokens_of_source source in
         let tree = Parsing.parse_list parser_ ~eof_value:Pval.Unit tokens in
         let ev =
           Evaluator.create
             ~token_line:(fun n -> Pval.Int n)
             g
             ~root_inherited:
-              [
-                ("ENV", Pval.Env Env.empty); ("LEVEL", Pval.Int (-1));
-                ("UNITNAME", Pval.Str "WORK.X"); ("CTX", Pval.Str "arch");
-                ("SLOTBASE", Pval.Int 0); ("SIGBASE", Pval.Int 0);
-                ("LOOPDEPTH", Pval.Int 0); ("RETTY", Pval.Opt None);
-                ("CTXOUT", Pval.Out Pval.out_empty); ("NLINES", Pval.Int 7);
-              ]
+              (Main_grammar.root_inherited ~unit_name:"WORK.X" ~source_lines:7)
             tree
         in
         forcing g ev;

@@ -77,7 +77,7 @@ let request ~ts ~rid ?(verb = "compile") ?(status = "ok") ~service_us phases =
       e_fields =
         ("status", E.S status)
         :: ("service_us", E.F service_us)
-        :: Obs_attr.fields phases;
+        :: Obs_attr.fields ~prefix:E.phase_prefix phases;
     };
   ]
 

@@ -198,7 +198,7 @@ let finish_with ~rid ~service_us phases =
     ~fields:
       (( "status", E.S "ok" )
       :: ("service_us", E.F service_us)
-      :: Obs_attr.fields phases)
+      :: Obs_attr.fields ~prefix:E.phase_prefix phases)
     E.Finish
 
 let lifecycle ~rid finish =
@@ -232,7 +232,7 @@ let test_check_log_phase_sum () =
 
 let test_with_other_accounts_service () =
   let phases =
-    Obs_attr.with_other ~service_us:1000.0
+    Obs_attr.with_other ~total:1000.0
       [ ("parser", 200.0); ("attribute evaluation", 300.0); ("VIF write", 0.0) ]
   in
   let sum = List.fold_left (fun a (_, v) -> a +. v) 0.0 phases in

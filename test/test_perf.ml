@@ -98,7 +98,6 @@ let sample_a =
         P.Gc_delta.minor_collections = 7;
         major_collections = 2;
         compactions = 0;
-        allocated_words = 123456.0;
         heap_words = 98304;
         top_heap_words = 131072;
       };

@@ -92,6 +92,36 @@ let test_percentiles () =
         7.0 (Tm.percentile h p))
     [ 0.5; 0.9; 0.99 ]
 
+(* merging: two histograms merged report what one histogram fed every
+   observation reports — the property the SLO windows rest on *)
+let test_histogram_merge () =
+  let a = Tm.unregistered_histogram "test.merge_a" in
+  let b = Tm.unregistered_histogram "test.merge_b" in
+  let whole = Tm.unregistered_histogram "test.merge_whole" in
+  let rng = Random.State.make [| 20 |] in
+  for i = 1 to 500 do
+    let x = Random.State.float rng 5000.0 in
+    Tm.observe (if i mod 3 = 0 then a else b) x;
+    Tm.observe whole x
+  done;
+  let merged = Tm.unregistered_histogram "test.merge_into" in
+  Tm.merge_histogram ~into:merged a;
+  Tm.merge_histogram ~into:merged b;
+  Alcotest.(check int) "count" whole.Tm.h_count merged.Tm.h_count;
+  Alcotest.(check (float 0.0)) "min" whole.Tm.h_min merged.Tm.h_min;
+  Alcotest.(check (float 0.0)) "max" whole.Tm.h_max merged.Tm.h_max;
+  List.iter
+    (fun p ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "p%.0f" (p *. 100.))
+        (Tm.percentile whole p) (Tm.percentile merged p))
+    [ 0.50; 0.95; 0.99 ];
+  (* outside the registry: neither reports nor reset see them *)
+  Alcotest.(check bool) "unregistered" false
+    (List.mem_assoc "test.merge_whole" (Tm.instruments ()));
+  Tm.reset ();
+  Alcotest.(check int) "reset leaves it alone" 500 whole.Tm.h_count
+
 (* counter snapshot/delta: the supervisor's per-unit attribution *)
 let test_snapshot_delta () =
   Tm.reset ();
@@ -347,6 +377,7 @@ let suite =
   [
     Alcotest.test_case "counters and reset" `Quick test_counters;
     Alcotest.test_case "histogram percentiles" `Quick test_percentiles;
+    Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
     Alcotest.test_case "counter snapshot/delta" `Quick test_snapshot_delta;
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "span exception safety" `Quick test_span_exception_safety;
