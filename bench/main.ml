@@ -399,16 +399,23 @@ let sim_throughput () =
 (* Bechamel microbenchmark suite *)
 
 (* One principal-AG evaluation of a fixed behavioral design per run;
-   [force] picks the driver. *)
+   [force] picks the driver.  The session holds the design's compiled
+   entity, as the library would when the compiler's driver evaluates the
+   architecture, so no run evaluates an error path. *)
 let evaluator_test ~name force =
   Test.make ~name
     (Staged.stage
        (let g = Main_grammar.grammar () in
         let parser_ = Main_grammar.parser_ () in
         let plan = Main_grammar.plan () in
-        let session = Session.in_memory [] in
         let src = Workload.behavioral ~name:"EV" ~states:8 ~exprs:15 in
-        fun () ->
+        let session =
+          Session.in_memory
+            (List.filter
+               (fun (u : Unit_info.compiled_unit) -> u.Unit_info.u_key = "entity:EV")
+               (Vhdl_compiler.compile (Vhdl_compiler.create ()) src))
+        in
+        let run () =
           Session.with_session session (fun () ->
               let tokens = Main_grammar.tokens_of_source src in
               let tree = Parsing.parse_list parser_ ~eof_value:Pval.Unit tokens in
@@ -420,7 +427,15 @@ let evaluator_test ~name force =
                     (Main_grammar.root_inherited ~unit_name:"WORK.X" ~source_lines:50)
                   tree
               in
-              force plan ev)))
+              force plan ev;
+              ev)
+        in
+        let msgs =
+          Session.with_session session (fun () -> Evaluator.goal (run ()) "MSGS")
+        in
+        if Diag.has_errors (Pval.as_msgs msgs) then
+          failwith (name ^ ": the evaluated design has errors");
+        fun () -> ignore (run ())))
 
 let micro () =
   heading "Bechamel microbenchmarks (one Test.make per table/figure)";

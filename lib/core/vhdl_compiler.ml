@@ -111,10 +111,8 @@ let session t : Session.t =
   {
     Session.work_library = "WORK";
     find_unit = (fun ~library ~key -> Library.find t.work ~library ~key);
-    insert = (fun u -> Library.insert t.work u);
     known_library =
       (fun lib -> lib = "WORK" || lib = "STD" || Library.resolve_library t.work lib <> None);
-    subprogs = Hashtbl.create 64;
     provenance = t.provenance;
     (* a Demand compiler is the differential oracle's reference side: it
        must not share cached cascade artifacts (or copy elision) with the
@@ -193,10 +191,13 @@ let unit_label site =
 
 (* Evaluate UNITS and MSGS per design-unit site so an escape in one unit is
    contained there: siblings still analyze (they communicate only through
-   the session library, never through shared attributes).  Once a budget
-   diagnostic appears (fuel, deadline) the budget is dead for the whole
-   compile, so the remaining units are reported as skipped rather than
-   producing one exhaustion diagnostic each. *)
+   the session library, never through shared attributes).  A site's units
+   enter the library only when its MSGS carry no error, so later units
+   never see an erroneous one; the insert runs inside the site's guard and
+   span, so its VIF write is charged to the unit that wrote it.  Once a
+   budget diagnostic appears (fuel, deadline) the budget is dead for the
+   whole compile, so the remaining units are reported as skipped rather
+   than producing one exhaustion diagnostic each. *)
 let analyze_units t ev =
   (match t.strategy with
   | Demand -> Telemetry.incr m_compiles_demand
@@ -242,12 +243,14 @@ let analyze_units t ev =
                          ~plan:(Main_grammar.plan ())));
                   let us = Pval.as_units (Evaluator.eval_at ev site "UNITS") in
                   let ms = Pval.as_msgs (Evaluator.eval_at ev site "MSGS") in
-                  (us, ms)))
+                  let placed = not (Diag.has_errors ms) in
+                  if placed then List.iter (Library.insert t.work) us;
+                  (us, ms, placed)))
         with
-        | Ok (us, ms) ->
-          units := List.rev_append us !units;
+        | Ok (us, ms, placed) ->
+          if placed then units := List.rev_append us !units;
           msgs := List.rev_append ms !msgs;
-          record (if Diag.has_errors ms then Supervisor.Errored else Supervisor.Compiled)
+          record (if placed then Supervisor.Compiled else Supervisor.Errored)
         | Error d ->
           msgs := d :: !msgs;
           Evaluator.clear_in_progress ev;
@@ -260,9 +263,10 @@ let analyze_units t ev =
   (List.rev !units, List.rev !msgs, List.rev !report)
 
 (** Compile one source text into the working library.  Phases are timed
-    individually for the PERF-PHASE experiment.  Returns the compiled
-    units; diagnostics accumulate on the compiler ([diagnostics]) and a
-    per-unit partial-result report on [last_report].  Raises
+    individually for the PERF-PHASE experiment.  Returns the units placed
+    in the working library (those whose analysis is error-free);
+    diagnostics accumulate on the compiler ([diagnostics]) and a per-unit
+    partial-result report on [last_report].  Raises
     {!Compile_error} when nothing parses, or when [fail_on_error] (the
     default) and errors of any origin exist. *)
 let compile ?(fail_on_error = true) t source : Unit_info.compiled_unit list =

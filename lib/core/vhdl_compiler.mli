@@ -76,10 +76,12 @@ val load_generated : unit -> unit
 
 val compile : ?fail_on_error:bool -> t -> string -> Unit_info.compiled_unit list
 (** Compile one source text (possibly several design units) into the
-    working library.  Diagnostics accumulate on the compiler.  The parser
-    recovers from syntax errors (all are reported in one run; well-formed
-    sibling units still analyze), and each design unit's analysis runs
-    under the {!Supervisor} firewall. *)
+    working library and return the units placed there: a design unit
+    enters the library only when its analysis reports no error, so later
+    units in the source see only error-free ones.  Diagnostics accumulate
+    on the compiler.  The parser recovers from syntax errors (all are
+    reported in one run; well-formed sibling units still analyze), and
+    each design unit's analysis runs under the {!Supervisor} firewall. *)
 
 val compile_file : ?fail_on_error:bool -> t -> string -> Unit_info.compiled_unit list
 
@@ -92,7 +94,8 @@ val last_report : t -> Supervisor.unit_report list
     error, or were skipped after a budget died. *)
 
 val session : t -> Session.t
-(** The session view the semantic rules use to reach foreign units. *)
+(** The read-only session view the semantic rules use to reach foreign
+    units. *)
 
 val work_library : t -> Library.t
 

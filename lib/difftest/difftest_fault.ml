@@ -30,27 +30,26 @@ let rec perturb (v : Pval.t) =
   | Pval.Pair (a, b) -> Pval.Pair (perturb a, perturb b)
   | v -> v
 
+(* Wrap, in place, every rule of [g] that [select] picks, so [wrap]
+   post-processes its result.  The wrapper stays installed and consults its
+   own flag at rule-application time. *)
+let wrap_rules g ~select wrap =
+  for i = 0 to Grammar.n_productions g - 1 do
+    let p = Grammar.production g i in
+    Array.iteri
+      (fun j (r : Pval.t Grammar.rule) ->
+        if select p r then
+          let orig = r.Grammar.compute in
+          p.Grammar.rules.(j) <- { r with Grammar.compute = (fun args -> wrap (orig args)) })
+      p.Grammar.rules
+  done
+
 let arm () =
   if not !armed_flag then begin
     armed_flag := true;
-    let g = Expr_eval.grammar () in
-    let n = Grammar.n_productions g in
-    for i = 0 to n - 1 do
-      let p = Grammar.production g i in
-      if p.Grammar.prod_name = "primary_LINT" then
-        Array.iteri
-          (fun j (r : Pval.t Grammar.rule) ->
-            let orig = r.Grammar.compute in
-            p.Grammar.rules.(j) <-
-              {
-                r with
-                Grammar.compute =
-                  (fun args ->
-                    let v = orig args in
-                    if !active_flag then perturb v else v);
-              })
-          p.Grammar.rules
-    done
+    wrap_rules (Expr_eval.grammar ())
+      ~select:(fun p _ -> p.Grammar.prod_name = "primary_LINT")
+      (fun v -> if !active_flag then perturb v else v)
   end
 
 (* Activating implies arming: callers (the oracle's [inject_fault]) need
@@ -63,28 +62,36 @@ let with_active b f =
 
 (* ------------------------------------------------------------------ *)
 (* Poison injection: a [Pval.Internal] raised from inside one unit's UNITS
-   rule, through the [Session.insert_hook] called as the unit finishes
-   analysis.  Exercises the per-unit exception firewall: the poisoned unit
-   must yield an internal-error diagnostic while its siblings compile. *)
+   rule as the unit finishes analysis, through a wrapper installed on the
+   principal AG's explicit UNITS rules the way [arm] wraps [primary_LINT].
+   Exercises the per-unit exception firewall: the poisoned unit must yield
+   an internal-error diagnostic while its siblings compile. *)
 
 let poison_key = ref None
+let poison_armed = ref false
 
-let poison_hook (u : Unit_info.compiled_unit) =
-  match !poison_key with
-  | Some key when u.Unit_info.u_key = key ->
-    Pval.internal "injected poison in %s" key
-  | _ -> ()
+let poison = function
+  | Pval.Units us as v -> (
+    match !poison_key with
+    | Some key when List.exists (fun u -> u.Unit_info.u_key = key) us ->
+      Pval.internal "injected poison in %s" key
+    | _ -> v)
+  | v -> v
 
 let with_poison key f =
+  if not !poison_armed then begin
+    poison_armed := true;
+    let g = Main_grammar.grammar () in
+    wrap_rules g
+      ~select:(fun _ r ->
+        r.Grammar.provenance = Grammar.Explicit
+        && r.Grammar.target.Grammar.pos = 0
+        && Grammar.attr_name g r.Grammar.target.Grammar.attr = "UNITS")
+      poison
+  end;
   let prev_key = !poison_key in
-  let prev_hook = !Session.insert_hook in
   poison_key := Some key;
-  Session.insert_hook := poison_hook;
-  Fun.protect
-    ~finally:(fun () ->
-      poison_key := prev_key;
-      Session.insert_hook := prev_hook)
-    f
+  Fun.protect ~finally:(fun () -> poison_key := prev_key) f
 
 (* ------------------------------------------------------------------ *)
 (* Serve-layer fault sites: the catalog the chaos campaign and the serve
@@ -96,7 +103,7 @@ type serve_fault =
   | Torn_frame (* header promises more payload than is ever sent *)
   | Bad_magic (* frame does not start with the protocol magic *)
   | Oversized_frame (* declared length beyond the daemon's max frame *)
-  | Poison_unit (* Pval.Internal raised mid-analysis via insert_hook *)
+  | Poison_unit (* Pval.Internal raised from a unit's UNITS rule *)
   | Wedged_request (* request that spins past the watchdog deadline *)
   | Deadline_bust (* work too large for the request's deadline budget *)
   | Client_abort (* client disconnects before reading the response *)

@@ -20,9 +20,10 @@ val with_active : bool -> (unit -> 'a) -> 'a
 val with_poison : string -> (unit -> 'a) -> 'a
 (** Run a thunk with a poison installed on one unit key (e.g.
     ["entity:BAD"]): as that unit finishes analysis, a [Pval.Internal] is
-    raised from inside its UNITS semantic rule via {!Session.insert_hook}.
-    Exercises the per-unit exception firewall — the poisoned unit must
-    surface as an internal-error diagnostic while sibling units compile. *)
+    raised from inside its UNITS semantic rule, which the first call wraps
+    in place as {!arm} wraps the literal rule.  Exercises the per-unit
+    exception firewall — the poisoned unit must surface as an
+    internal-error diagnostic while sibling units compile. *)
 
 (** {1 Serve-layer fault sites}
 
@@ -34,7 +35,7 @@ type serve_fault =
   | Torn_frame (* header promises more payload than is ever sent *)
   | Bad_magic (* frame does not start with the protocol magic *)
   | Oversized_frame (* declared length beyond the daemon's max frame *)
-  | Poison_unit (* Pval.Internal raised mid-analysis via insert_hook *)
+  | Poison_unit (* Pval.Internal raised from a unit's UNITS rule *)
   | Wedged_request (* request that spins past the watchdog deadline *)
   | Deadline_bust (* work too large for the request's deadline budget *)
   | Client_abort (* client disconnects before reading the response *)

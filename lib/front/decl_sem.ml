@@ -26,12 +26,10 @@ let classify_denots ~line ~name (denots : Denot.t list) : Lef.tok list * Diag.t 
       List.filter_map (function Denot.Dsubprog s -> Some s | _ -> None) denots
     in
     if enums <> [] then ([ tok (Lef.Kenum enums) ], [])
-    else if subprogs <> [] then begin
-      List.iter Session.register_subprog subprogs;
+    else if subprogs <> [] then
       let functions = List.filter (fun s -> s.Denot.ss_kind = `Function) subprogs in
       if functions <> [] then ([ tok (Lef.Kfunc functions) ], [])
       else ([ tok (Lef.Kproc subprogs) ], [])
-    end
     else begin
       match List.hd denots with
       | Denot.Dobject { cls; ty; mode; slot; name } -> (
@@ -458,9 +456,6 @@ let signal_decl (oc : object_context) ~line (names : (string * int) list) (rs : 
   let ty = rs.rs_ty in
   let init, msgs = eval_default ~level:oc.oc_level ~line ~ty init_lef in
   let resolution = Option.map (fun s -> Kir.F_user s.Denot.ss_mangled) rs.rs_resolution in
-  (match rs.rs_resolution with
-  | Some s -> Session.register_subprog s
-  | None -> ());
   match oc.oc_kind with
   | `Process | `Subprogram ->
     (out_empty, msgs @ [ Diag.error ~line "signals may not be declared here" ])
@@ -587,18 +582,14 @@ let iface_params (ifaces : iface list) : Denot.param list =
 
 (** Build the signature denotation of a subprogram spec. *)
 let subprog_sig ~unit_name (spec : subprog_spec) : Denot.subprog_sig =
-  let s =
-    {
-      Denot.ss_name = spec.sp_name;
-      ss_mangled = mangle ~unit_name ~name:spec.sp_name ?ret:spec.sp_ret spec.sp_params;
-      ss_kind = spec.sp_kind;
-      ss_params = iface_params spec.sp_params;
-      ss_ret = spec.sp_ret;
-      ss_builtin = false;
-    }
-  in
-  Session.register_subprog s;
-  s
+  {
+    Denot.ss_name = spec.sp_name;
+    ss_mangled = mangle ~unit_name ~name:spec.sp_name ?ret:spec.sp_ret spec.sp_params;
+    ss_kind = spec.sp_kind;
+    ss_params = iface_params spec.sp_params;
+    ss_ret = spec.sp_ret;
+    ss_builtin = false;
+  }
 
 (** LRM 2.1: the parameters of a function must all be of mode [in]. *)
 let validate_spec ~line (s : Denot.subprog_sig) : Diag.t list =

@@ -148,7 +148,6 @@ let add b =
                     ~context:((as_out ctxout).o_binds @ (as_out decls).o_binds)
                     ~deps:((as_out ctxout).o_deps @ (as_out decls).o_deps)
                 in
-                Session.insert_unit u;
                 Units [ u ]
               | _ -> internal "entity units");
           rule ~target:(0, "MSGS")
@@ -254,7 +253,6 @@ let add b =
                   ~entity ~out ~body:(as_concs concs)
                   ~source_lines:(as_int nlines)
               in
-              Session.insert_unit u;
               Units [ u ]
             | _ -> internal "arch units");
         rule ~target:(0, "MSGS")
@@ -312,7 +310,6 @@ let add b =
                 Unit_sem.package ~name:(tok_id v) ~out ~specs
                   ~source_lines:(as_int nlines)
               in
-              Session.insert_unit u;
               Units [ u ]
             | _ -> internal "package units");
         rule ~target:(0, "MSGS") ~deps:[ (2, "VAL"); (2, "LINE"); (4, "MSGS"); (6, "OID") ]
@@ -359,7 +356,6 @@ let add b =
               let u =
                 Unit_sem.package_body ~name:(tok_id v) ~out ~source_lines:(as_int nlines)
               in
-              Session.insert_unit u;
               Units [ u ]
             | _ -> internal "pkg body units");
         rule ~target:(0, "MSGS") ~deps:[ (3, "VAL"); (3, "LINE"); (5, "MSGS"); (7, "OID") ]
@@ -408,7 +404,6 @@ let add b =
                   ~specs:(as_out out).o_config_specs
                   ~source_lines:(as_int nlines) ~line:(as_int line)
               in
-              Session.insert_unit u;
               Pair (Units [ u ], Msgs msgs)
             | _ -> internal "config sres");
         rule ~target:(0, "UNITS") ~deps:[ (0, "SRES") ] fst_of;

@@ -6,21 +6,17 @@
     references through this interface.  The VIF library manager implements
     it; tests may supply an in-memory map.
 
-    A compile's state lives here, not in process globals, so its output
-    depends only on its inputs.  The active session is installed by the
-    pipeline around attribute evaluation (the compiler is single-threaded,
-    as was the original). *)
+    A session is read-only: semantic rules look units up through it but
+    never write.  The driver places a design unit in the library once its
+    analysis is error-free, so every attribute instance's value depends only
+    on its inputs.  The active session is installed by the pipeline around
+    attribute evaluation (the compiler is single-threaded, as was the
+    original). *)
 
 type t = {
   work_library : string; (* logical name of the working library, e.g. WORK *)
   find_unit : library:string -> key:string -> Unit_info.compiled_unit option;
-  insert : Unit_info.compiled_unit -> unit;
-      (* called as each unit finishes analysis, so later units in the same
-         file can reference it (the separate-compilation order rule) *)
   known_library : string -> bool;
-  (* every subprogram signature seen during this session, by mangled name:
-     procedure-call statements need parameter modes for copy-back *)
-  subprogs : (string, Denot.subprog_sig) Hashtbl.t;
   provenance : Provenance.t option; (* the recorder the cascade records into *)
   reference : bool; (* the oracle's reference side: no cascade memo, no copy elision *)
 }
@@ -31,10 +27,7 @@ let in_memory ?(work = "WORK") units =
   {
     work_library = work;
     find_unit = (fun ~library ~key -> Hashtbl.find_opt tbl (library, key));
-    insert =
-      (fun u -> Hashtbl.replace tbl (u.Unit_info.u_library, u.Unit_info.u_key) u);
     known_library = (fun lib -> lib = work || lib = "STD");
-    subprogs = Hashtbl.create 64;
     provenance = None;
     reference = false;
   }
@@ -58,17 +51,3 @@ let known_library lib = lib = "STD" || (get ()).known_library lib
 (* the cascade also runs outside any session (tests, benches) *)
 let provenance () = Option.bind !current (fun s -> s.provenance)
 let reference () = match !current with Some s -> s.reference | None -> false
-
-(* observation / fault-injection point: called with each unit before it is
-   inserted.  The difftest harness uses it to poison selected units; the
-   default is a no-op. *)
-let insert_hook : (Unit_info.compiled_unit -> unit) ref = ref (fun _ -> ())
-
-let insert_unit u =
-  !insert_hook u;
-  (get ()).insert u
-
-let register_subprog (s : Denot.subprog_sig) =
-  Hashtbl.replace (get ()).subprogs s.Denot.ss_mangled s
-
-let find_subprog mangled = Hashtbl.find_opt (get ()).subprogs mangled

@@ -129,11 +129,22 @@ let rec build_proc_call ~level ~line name_lef : Kir.stmt list * Diag.t list =
 
 and build_user_proc_call ~level ~line name_lef : Kir.stmt list * Diag.t list =
   (* the name (with its arguments) evaluates to a void call through the
-     expression AG; rebuild the Scall with parameter modes for copy-back *)
+     expression AG; rebuild the Scall with parameter modes for copy-back.
+     The callee's signature is among the candidates classification put in
+     the name's own LEF tokens. *)
   let r = Expr_eval.eval ~expected:Expr_sem.void_ty ~level ~line name_lef in
+  let callee mangled =
+    List.find_map
+      (fun (tok : Lef.tok) ->
+        match tok.Lef.l_kind with
+        | Lef.Kfunc sigs | Lef.Kproc sigs ->
+          List.find_opt (fun s -> s.Denot.ss_mangled = mangled) sigs
+        | _ -> None)
+      name_lef
+  in
   match r.x_code with
   | Kir.Ecall (Kir.F_user mangled, args) -> (
-    match Session.find_subprog mangled with
+    match callee mangled with
     | Some s ->
       let call_args =
         List.map2

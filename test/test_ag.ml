@@ -439,8 +439,14 @@ let test_staged_principal () =
   let source =
     "entity e is\n  port (a : in bit; y : out bit);\nend e;\n\narchitecture r of e is\nbegin\n  y <= not a after 1 ns;\nend r;"
   in
+  (* the architecture finds its entity in the library, where only the
+     compiler's driver places units *)
+  let entity =
+    Vhdl_compiler.compile (Vhdl_compiler.create ())
+      "entity e is\n  port (a : in bit; y : out bit);\nend e;"
+  in
   let compile_with forcing =
-    let session = Session.in_memory [] in
+    let session = Session.in_memory entity in
     Session.with_session session (fun () ->
         let g = Main_grammar.grammar () in
         let parser_ = Main_grammar.parser_ () in
@@ -455,6 +461,8 @@ let test_staged_principal () =
             tree
         in
         forcing g ev;
+        Alcotest.(check bool) "no errors" false
+          (Diag.has_errors (Pval.as_msgs (Evaluator.goal ev "MSGS")));
         List.map
           (fun (u : Unit_info.compiled_unit) -> u.Unit_info.u_key)
           (Pval.as_units (Evaluator.goal ev "UNITS")))

@@ -270,9 +270,14 @@ let test_concurrent_procedure_call () =
       [
         {|
 package plib is
+  procedure mirror (x : in bit; signal y : out bit);
   procedure mirror (x : in integer; y : out integer);
 end plib;
 package body plib is
+  procedure mirror (x : in bit; signal y : out bit) is
+  begin
+    y <= not x;
+  end mirror;
   procedure mirror (x : in integer; y : out integer) is
   begin
     y := x * 2;
@@ -285,21 +290,31 @@ entity tb is end tb;
 architecture t of tb is
   signal src : integer := 0;
   signal doubled : integer := 0;
+  signal selected : integer := 0;
 begin
   -- variable-class path of the same machinery (signal-class parameters
-  -- are exercised in the signal-class tests below)
+  -- are exercised in the signal-class tests below); the callee is the
+  -- integer overload of [mirror], by simple and by selected name, and
+  -- not the bit one, whose signal-class [y] would reject [tmp]
   p : process (src)
     variable tmp : integer := 0;
   begin
     mirror(src, tmp);
     doubled <= tmp;
   end process;
+  q : process (src)
+    variable tmp : integer := 0;
+  begin
+    work.plib.mirror(src, tmp);
+    selected <= tmp;
+  end process;
   src <= 21 after 10 ns;
 end t;
 |};
       ]
   in
-  check_int sim ":tb:DOUBLED" 42
+  check_int sim ":tb:DOUBLED" 42;
+  check_int sim ":tb:SELECTED" 42
 
 let test_if_generate () =
   let _, sim =

@@ -266,6 +266,87 @@ let test_poisoned_unit_firewall () =
        (fun r -> r.Supervisor.ur_status = Supervisor.Poisoned)
        (Vhdl_compiler.last_report c))
 
+(* A unit reaches the library only when its analysis is error-free: the
+   erroneous architecture between two clean entities is reported as
+   errored, returned by no compile, and written nowhere. *)
+let test_errored_unit_not_committed () =
+  let dir = Filename.temp_file "commit" "" in
+  Sys.remove dir;
+  let src =
+    "entity e is end e;\narchitecture a of e is\n  signal s : bit := 42;\nbegin\nend a;\nentity f is end f;"
+  in
+  let c = Vhdl_compiler.create ~work_dir:dir () in
+  let units = Vhdl_compiler.compile ~fail_on_error:false c src in
+  Alcotest.(check (list string)) "compile returns the clean units"
+    [ "entity:E"; "entity:F" ]
+    (List.map (fun (u : Unit_info.compiled_unit) -> u.Unit_info.u_key) units);
+  let lib = Vhdl_compiler.work_library c in
+  Alcotest.(check bool) "A is not in the library" true
+    (Library.find lib ~library:"WORK" ~key:"arch:E(A)" = None);
+  Alcotest.(check bool) "A has no VIF file" false
+    (Sys.file_exists (Filename.concat dir (Library.file_of_key "arch:E(A)")));
+  Alcotest.(check bool) "E has its VIF file" true
+    (Sys.file_exists (Filename.concat dir (Library.file_of_key "entity:E")));
+  Alcotest.(check (list string)) "the report still lists A as errored" [ "architecture A" ]
+    (List.filter_map
+       (fun r ->
+         if r.Supervisor.ur_status = Supervisor.Errored then Some r.Supervisor.ur_name
+         else None)
+       (Vhdl_compiler.last_report c))
+
+(* The simulation firewall: an architecture written by another tool, whose
+   process asserts with a non-STRING report, escapes the kernel; [run]
+   turns that into an internal-simulation diagnostic. *)
+let test_simulation_firewall () =
+  let c = Vhdl_compiler.create () in
+  ignore (Vhdl_compiler.compile c "entity img is end img;");
+  let proc =
+    {
+      Kir.proc_label = "P";
+      proc_sensitivity = [];
+      proc_locals = [];
+      proc_body =
+        [
+          Kir.Sassert
+            {
+              cond = Kir.Elit Value.v_false;
+              report = Some (Kir.Elit (Value.Vint 3));
+              severity = None;
+              line = 7;
+            };
+          Kir.Swait { on = []; until = None; for_ = None; line = 8 };
+        ];
+      proc_postponed_wait = false;
+    }
+  in
+  let info =
+    Unit_info.Uarch
+      {
+        Unit_info.ar_name = "A";
+        ar_entity = "IMG";
+        ar_constants = [];
+        ar_signals = [];
+        ar_components = [];
+        ar_subprograms = [];
+        ar_body = [ Kir.C_process proc ];
+        ar_config_specs = [];
+      }
+  in
+  Library.insert (Vhdl_compiler.work_library c)
+    {
+      Unit_info.u_library = "WORK";
+      u_key = Unit_info.key_of info;
+      u_info = info;
+      u_deps = [ ("WORK", "entity:IMG") ];
+      u_source_lines = 10;
+      u_sequence = 0;
+    };
+  let sim = Vhdl_compiler.elaborate c ~top:"img" () in
+  match Vhdl_compiler.run c sim ~max_ns:10 with
+  | _ -> Alcotest.fail "the kernel escape should surface as Compile_error"
+  | exception Vhdl_compiler.Compile_error [ { Diag.origin = Diag.Internal { phase; _ }; _ } ] ->
+    Alcotest.(check string) "phase" "simulation" phase
+
 (* Pathological nesting is a diagnostic, not a Stack_overflow (the parse
    stack is depth-limited); moderate nesting still compiles. *)
 let deep_parens n =
@@ -362,6 +443,9 @@ let suite =
       test_multi_error_recovery;
     Alcotest.test_case "poisoned unit is contained, siblings compile" `Quick
       test_poisoned_unit_firewall;
+    Alcotest.test_case "an errored unit never reaches the library" `Quick
+      test_errored_unit_not_committed;
+    Alcotest.test_case "a kernel escape is contained by run" `Quick test_simulation_firewall;
     Alcotest.test_case "deep nesting is a diagnostic, not an overflow" `Quick
       test_deep_nesting;
     Alcotest.test_case "evaluator fuel exhausts into a budget diagnostic" `Quick
