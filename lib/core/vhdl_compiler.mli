@@ -24,10 +24,10 @@ exception Compile_error of Diag.t list
 
 (** Attribute-evaluation strategy used by [compile].  [Staged] (the
     default) drives each design unit through the static evaluation plan
-    ({!Analysis.plan}) with copy rules elided and the cascade's LEF→tree
-    memo warm — the way a plan-based (Linguist-style) evaluator proceeds.
-    [Demand] is the reference path: goal-directed memoizing evaluation
-    with elision off and the memo bypassed, kept as the fuzz oracle.  The
+    ({!Analysis.plan}) with copy rules elided in both attribute grammars —
+    the way a plan-based (Linguist-style) evaluator proceeds.  [Demand] is
+    the reference path: goal-directed memoizing evaluation with elision
+    off in both grammars, kept as the fuzz oracle.  The
     two must agree — the differential fuzzer ([lib/difftest],
     [bin/vhdlfuzz]) checks it. *)
 type strategy =

@@ -1,9 +1,9 @@
 (** The dual-evaluator differential oracle.
 
     Each design is compiled twice — once on the [Demand] reference path
-    (goal-directed memoizing evaluation, cold cascade, no copy elision),
-    once on the [Staged] default (per-unit {!Analysis.plan} runs with
-    copy elision and the warm LEF→tree memo) — then both results are
+    (goal-directed memoizing evaluation, no copy elision in either
+    attribute grammar), once on the [Staged] default (per-unit
+    {!Analysis.plan} runs with copy elision) — then both results are
     elaborated and simulated to a bounded horizon.  The oracle asserts
     identical compiled unit keys, identical human-readable VIF for every
     unit, identical diagnostics, and identical simulation traces,

@@ -35,41 +35,7 @@ let m_evaluations = Tm.counter "cascade.evaluations"
 let m_lef_tokens = Tm.counter "cascade.lef_tokens"
 let m_reparses = Tm.counter "cascade.reparses"
 let m_parse_errors = Tm.counter "cascade.parse_errors"
-let m_memo_hits = Tm.counter "cascade.memo_hits"
-let m_memo_misses = Tm.counter "cascade.memo_misses"
-let m_memo_evictions = Tm.counter "cascade.memo_evictions"
 let m_expr_lef_tokens = Tm.histogram "cascade.expr_lef_tokens"
-
-(* ------------------------------------------------------------------ *)
-(* The LEF→parse-tree memo cache.
-
-   Telemetry used to show cascade.reparses == cascade.evaluations: every
-   maximal expression re-ran the LALR parser on its token list at every
-   evaluation, although designs repeat the same expressions constantly
-   (clock edges, enable terms, loop bounds).  The parse tree is a pure
-   function of the token list — context ([?expected], [~level]) enters
-   only at attribute-evaluation and selection time, and [Evaluator.create]
-   re-attaches fresh mutable nodes around the immutable [Tree.t] on every
-   use — so the tree can be cached under a structural content key
-   ({!Lef.content_key}: terminal kinds + payloads + lines; [eval] and
-   [eval_range] get distinct keyspaces so the two entry points never
-   alias).
-
-   The cache is process-global, like the grammar and parse tables it
-   derives from.  Eviction is generational: past [memo_limit] distinct
-   expressions the whole table is dropped (counted by
-   cascade.memo_evictions) — bounded memory, no LRU bookkeeping on the hot
-   path.  Parse failures are never cached.  A reference session
-   ({!Session.reference}) bypasses the cache and copy elision in the
-   expression AG: the differential oracle's reference side must not share
-   cached artifacts with the fast path it is checking.  Because the key is
-   the tree's whole content, a hit returns what a miss would have built,
-   and the cache never makes a compile depend on what ran before it. *)
-
-let memo_limit = 512
-let memo : (string, Pval.t Tree.t) Hashtbl.t = Hashtbl.create 256
-let memo_size () = Hashtbl.length memo
-let clear_memo () = Hashtbl.reset memo
 
 (* Time spent here is charged to its own phase of the ambient compile timer
    — the nested-frame accounting in Phase_timer carves it out of "attribute
@@ -96,47 +62,30 @@ let driver_tokens t lef =
       })
     lef
 
-type parse_outcome =
-  | Parsed of Pval.t Tree.t
-  | Syntax of { eline : int; found : string }
-
-(* Parse [lef] through the memo cache: a hit returns the cached immutable
-   tree without touching the parser; a miss parses, and caches successes. *)
-let parse_cached t ~keyspace lef =
+(* Parse [lef] afresh — the paper's trivial scanner feeding the generated
+   parser.  A syntax error becomes the diagnostic both entry points report:
+   at the parser's line when it has one, naming the offending token as its
+   LEF denotation describes it. *)
+let parse t ~what ~line lef =
   let n = List.length lef in
   Tm.add m_lef_tokens n;
   Tm.observe m_expr_lef_tokens (float_of_int n);
-  let key =
-    if Session.reference () then None else Lef.content_key ~keyspace lef
-  in
-  match Option.bind key (Hashtbl.find_opt memo) with
-  | Some tree ->
-    Tm.incr m_memo_hits;
-    Parsed tree
-  | None -> (
-    if key <> None then Tm.incr m_memo_misses;
-    let tokens = driver_tokens t lef in
-    Tm.incr m_reparses;
-    match Parsing.parse_list t.parser_ ~eof_value:Pval.Unit tokens with
-    | exception Vhdl_lalr.Driver.Syntax_error { line = eline; found; _ } ->
-      Tm.incr m_parse_errors;
-      Syntax { eline; found }
-    | tree ->
-      (match key with
-      | Some k ->
-        if Hashtbl.length memo >= memo_limit then begin
-          Hashtbl.reset memo;
-          Tm.incr m_memo_evictions
-        end;
-        Hashtbl.replace memo k tree
-      | None -> ());
-      Parsed tree)
+  Tm.incr m_reparses;
+  match Parsing.parse_list t.parser_ ~eof_value:Pval.Unit (driver_tokens t lef) with
+  | tree -> Ok tree
+  | exception Vhdl_lalr.Driver.Syntax_error { line = eline; found; _ } ->
+    Tm.incr m_parse_errors;
+    let culprit =
+      match List.find_opt (fun tok -> Lef.terminal_name tok = found) lef with
+      | Some tok -> Lef.describe tok
+      | None -> found
+    in
+    Error
+      (Diag.error ~line:(if eline = 0 then line else eline)
+         "cannot parse %s (unexpected %s)" what culprit)
 
-(* Attribute-evaluate a (possibly cached) tree: [Evaluator.create] attaches
-   fresh mutable nodes with empty per-node attribute caches around the
-   immutable tree, so evaluation context never leaks between uses of one
-   cached artifact.  Copy elision is off in a reference session, as on
-   the oracle's principal-AG side. *)
+(* Attribute-evaluate a parse tree.  Copy elision is off in a reference
+   session, as on the oracle's principal-AG side. *)
 let goals t ~level tree =
   let ev =
     Evaluator.create t.grammar
@@ -150,6 +99,14 @@ let goals t ~level tree =
   let msgs = Pval.as_msgs (Evaluator.goal ev "MSGS") in
   (cands, msgs)
 
+(* What a failed evaluation yields: placeholder code beside its diagnostic. *)
+let zero = Kir.Elit (Value.Vint 0)
+
+let failed_expr d =
+  { Pval.x_ty = Expr_sem.error_ty; x_code = zero; x_static = None; x_msgs = [ d ] }
+
+let failed_range d = ((zero, Types.To, zero), None, [ d ])
+
 (** Evaluate one maximal expression.
 
     @param expected the type required by context, if known
@@ -159,36 +116,11 @@ let eval ?expected ~level ~line (lef : Lef.tok list) : Pval.xres =
   let t = Lazy.force instance in
   Tm.incr m_evaluations;
   timed @@ fun () ->
-  if lef = [] then
-    {
-      Pval.x_ty = Expr_sem.error_ty;
-      x_code = Kir.Elit (Value.Vint 0);
-      x_static = None;
-      x_msgs = [ Diag.error ~line "missing expression" ];
-    }
+  if lef = [] then failed_expr (Diag.error ~line "missing expression")
   else
-    match parse_cached t ~keyspace:"E" lef with
-    | Syntax { eline; found } ->
-      {
-        Pval.x_ty = Expr_sem.error_ty;
-        x_code = Kir.Elit (Value.Vint 0);
-        x_static = None;
-        x_msgs =
-          [
-            Diag.error ~line:(if eline = 0 then line else eline)
-              "cannot parse expression (unexpected %s)"
-              (match
-                 List.find_opt
-                   (fun tok -> Lef.terminal_name tok = found)
-                   lef
-               with
-              | Some tok -> Lef.describe tok
-              | None -> found);
-          ];
-      }
-    | Parsed tree ->
-      (* selection happens per call: [?expected] and [~line] are context,
-         deliberately outside the cached artifact *)
+    match parse t ~what:"expression" ~line lef with
+    | Error d -> failed_expr d
+    | Ok tree ->
       let cands, msgs = goals t ~level tree in
       Expr_sem.select ~line ~expected cands msgs
 
@@ -200,18 +132,12 @@ let eval_range ~level ~line (lef : Lef.tok list) :
   let t = Lazy.force instance in
   Tm.incr m_evaluations;
   timed @@ fun () ->
-  if lef = [] then
-    (* same guard as [eval]: an empty token list (a dangling "for i in" or
-       an empty slice) must produce a diagnostic, not reach the parser *)
-    ( (Kir.Elit (Value.Vint 0), Types.To, Kir.Elit (Value.Vint 0)),
-      None,
-      [ Diag.error ~line "missing range" ] )
+  (* same guard as [eval]: an empty token list (a dangling "for i in" or
+     an empty slice) must produce a diagnostic, not reach the parser *)
+  if lef = [] then failed_range (Diag.error ~line "missing range")
   else
-    match parse_cached t ~keyspace:"R" lef with
-    | Syntax _ ->
-      ( (Kir.Elit (Value.Vint 0), Types.To, Kir.Elit (Value.Vint 0)),
-        None,
-        [ Diag.error ~line "cannot parse range" ] )
-    | Parsed tree ->
+    match parse t ~what:"range" ~line lef with
+    | Error d -> failed_range d
+    | Ok tree ->
       let cands, msgs = goals t ~level tree in
       Expr_sem.select_range ~line cands msgs

@@ -20,24 +20,10 @@ val generate : unit -> string
     ([cascade.*] counters) and the ambient phase timer ("expression
     evaluation (cascade)" frames), not module-local mutable state. *)
 
-(** {1 The LEF→parse-tree memo cache}
-
-    The parse tree of a maximal expression is a pure function of its LEF
-    token list, so it is cached process-wide under a structural content key
-    ({!Lef.content_key}); evaluation context ([?expected], [~level],
-    [~line]) stays outside the cached artifact and is re-applied per call.
-    Hits and misses surface as [cascade.memo_hits] / [cascade.memo_misses];
-    eviction is generational and bounded ([cascade.memo_evictions]).  A
-    reference session ({!Session.reference}) bypasses the cache and turns
-    copy elision off in the expression AG — the reference path the
-    differential oracle's demand side compares the fast path against. *)
-
-val clear_memo : unit -> unit
-(** Drop every cached parse tree (the cache is process-global; tests call
-    this to stay order-independent). *)
-
-val memo_size : unit -> int
-(** Number of distinct expressions currently cached. *)
+(** Every call parses its LEF afresh and attribute-evaluates the tree; no
+    parse tree outlives the call.  A reference session
+    ({!Session.reference}) turns copy elision off in the expression AG, as
+    on the principal AG's side of the differential oracle. *)
 
 val eval :
   ?expected:Types.t -> level:int -> line:int -> Lef.tok list -> Pval.xres
@@ -51,5 +37,6 @@ val eval_range :
   Lef.tok list ->
   (Kir.expr * Types.dir * Kir.expr) * Types.t option * Diag.t list
 (** Evaluate a discrete range (attribute ranges included).  An empty token
-    list yields a "missing range" diagnostic, mirroring [eval]'s
-    missing-expression guard. *)
+    list yields a "missing range" diagnostic, and a syntax error a
+    "cannot parse range" one at the parser's line naming the offending
+    token, mirroring [eval]'s diagnostics. *)

@@ -111,26 +111,6 @@ let operator_symbols =
     lower-case symbol, so it can never collide with an identifier. *)
 let operator_key o = "\"" ^ String.lowercase_ascii o ^ "\""
 
-(** Content key of a LEF token list, for the LEF→parse-tree memo cache in
-    {!Expr_eval}: two lists share a key iff they are structurally equal —
-    terminal kinds, token payloads (denotations, types, literal values),
-    and source lines all participate.  [keyspace] segregates caches that
-    must not alias (the [eval] and [eval_range] entry points).
-
-    Tokens are pure data all the way down (kinds embed {!Types.t},
-    {!Denot.subprog_sig} — including parameter defaults as {!Kir.expr} —
-    and {!Value.t}, none of which contain closures), so the structural
-    serialization below is faithful; a payload that cannot be serialized
-    (impossible today, a safety net against future closure-carrying kinds)
-    yields [None] and the expression is simply not cached.  [Value.Vaccess]
-    cells compare by contents here, not identity — harmless, because access
-    values never appear in LEF (they exist only in variables at run time,
-    never in constants or attribute values). *)
-let content_key ~keyspace (lef : tok list) : string option =
-  match Marshal.to_string lef [] with
-  | bytes -> Some (keyspace ^ Digest.string bytes)
-  | exception _ -> None
-
 let describe tok =
   match tok.l_kind with
   | Kvar { name; _ } -> Printf.sprintf "variable %s" name

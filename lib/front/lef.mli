@@ -72,12 +72,3 @@ val operator_key : string -> string
 
 val describe : tok -> string
 (** Human-readable form for diagnostics and the cascade demo. *)
-
-val content_key : keyspace:string -> tok list -> string option
-(** Content key of a token list for the LEF→parse-tree memo cache: two
-    lists share a key iff they are structurally equal — terminal kinds,
-    payloads (denotations, types, literal values), and source lines all
-    participate, so identical terminal sequences with different payloads or
-    lines get different keys.  [keyspace] segregates caches that must not
-    alias.  [None] means "do not cache" (a payload resisted
-    serialization). *)

@@ -18,7 +18,7 @@ type t = {
   find_unit : library:string -> key:string -> Unit_info.compiled_unit option;
   known_library : string -> bool;
   provenance : Provenance.t option; (* the recorder the cascade records into *)
-  reference : bool; (* the oracle's reference side: no cascade memo, no copy elision *)
+  reference : bool; (* the oracle's reference side: no copy elision in the expression AG *)
 }
 
 let in_memory ?(work = "WORK") units =

@@ -20,9 +20,8 @@
     - the warm compiler is recycled every [recycle_every] requests anyway,
       bounding diagnostic and library growth over a long-lived process.
 
-    Warmth is the point of the daemon: the LALR tables, both attribute
-    grammars, and the expression-AG memo are process-global and stay hot
-    across requests, and the working library persists between requests of
+    Warmth is the point of the daemon: the LALR tables and both attribute
+    grammars are process-global and stay hot across requests, and the working library persists between requests of
     the same worker generation. *)
 
 module Tm = Vhdl_telemetry.Telemetry

@@ -21,7 +21,7 @@ let () =
       ("trace", Test_trace.suite);
       ("perf", Test_perf.suite);
       ("generated", Test_generated.suite);
-      ("cascade", Test_cascade_memo.suite);
+      ("cascade", Test_cascade.suite);
       ("difftest", Test_difftest.suite);
       ("serve", Test_serve.suite);
       ("servobs", Test_obs.suite);

@@ -18,7 +18,7 @@
 #   BENCH_GATE_BASELINE   baseline report path (overrides $1)
 #   BENCH_GATE_THRESHOLD  regression threshold fraction (default 3.0,
 #                         i.e. flag only >4x slowdowns; tightened from
-#                         6.0 when the cascade memo + plan evaluator
+#                         6.0 when the plan evaluator and copy elision
 #                         landed so the win stays locked in)
 #   BENCH_GATE_QUOTA      per-experiment measurement quota in seconds
 #                         (default 0.25)
