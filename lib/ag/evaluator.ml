@@ -32,21 +32,6 @@ exception
 
 exception Fuel_exhausted of { applications : int; limit : int }
 
-type 'v node = {
-  n_id : int; (* unique in its tree, or across every tree of a recorder *)
-  n_prod : int; (* -1 for leaves *)
-  n_term : int; (* -1 for internal nodes *)
-  n_value : 'v option; (* token value for leaves *)
-  n_line : int; (* leaves: token line; interior: first leaf's line *)
-  n_children : 'v node array;
-  mutable n_parent : ('v node * int) option; (* parent and our index therein *)
-  n_cache : (int, 'v cell) Hashtbl.t; (* attr id -> state *)
-}
-
-and 'v cell =
-  | In_progress
-  | Done of 'v
-
 (** Provenance hook: the recorder, the AG's label in the records, and a
     compact value summarizer.  [None] (the default) keeps the fast path: the
     only residue is one option test per attribute evaluation. *)
@@ -54,12 +39,9 @@ type 'v provenance = Provenance.t * string * ('v -> string)
 
 type 'v t = {
   grammar : 'v Grammar.t;
-  root : 'v node;
+  root : 'v Tree.t;
   root_inherited : (int * 'v) list;
   token_line : (int -> 'v) option; (* injects a token's LINE into 'v *)
-  (* (production, position, attribute) -> rule, built on demand: rule lookup
-     is on every attribute evaluation, so linear scans add up *)
-  rule_index : (int * int * int, 'v Grammar.rule) Hashtbl.t;
   mutable rule_applications : int; (* instrumentation for the benches *)
   fuel : int option; (* rule-application budget, None = unlimited *)
   tick : unit -> unit; (* periodic hook (deadline checks), every 256 rules *)
@@ -69,43 +51,15 @@ type 'v t = {
          off for the differential oracle's reference side *)
 }
 
-let rec attach next_id tree =
-  match tree with
-  | Tree.Leaf { term; value; line } ->
-    {
-      n_id = next_id ();
-      n_prod = -1;
-      n_term = term;
-      n_value = Some value;
-      n_line = line;
-      n_children = [||];
-      n_parent = None;
-      n_cache = Hashtbl.create 4;
-    }
-  | Tree.Node { prod; children } ->
-    let kids = Array.map (attach next_id) children in
-    let node =
-      {
-        n_id = next_id ();
-        n_prod = prod;
-        n_term = -1;
-        n_value = None;
-        n_line = (if Array.length kids > 0 then kids.(0).n_line else 0);
-        n_children = kids;
-        n_parent = None;
-        n_cache = Hashtbl.create 8;
-      }
-    in
-    Array.iteri (fun i kid -> kid.n_parent <- Some (node, i)) kids;
-    node
-
-(** [create grammar ~root_inherited tree] prepares [tree] for evaluation.
-    [root_inherited] supplies the inherited attributes of the root (by
-    attribute name); [token_line] injects a token's source line into the
-    value type for rules that depend on the LINE token attribute;
-    [provenance] arms the attribute-dependency recorder. *)
+(** [create grammar ~root_inherited tree] numbers [tree]'s nodes (post-order)
+    and takes its attribute cells.  [root_inherited] supplies the inherited
+    attributes of the root (by attribute name); [token_line] injects a token's
+    source line into the value type for rules that depend on the LINE token
+    attribute; [provenance] arms the attribute-dependency recorder. *)
 let create ?token_line ?fuel ?(tick = fun () -> ()) ?provenance
-    ?(copy_elide = true) grammar ~root_inherited tree =
+    ?(copy_elide = true) grammar ~root_inherited (tree : 'v Tree.t) =
+  if tree.Tree.id <> 0 then
+    invalid_arg "Evaluator.create: the tree already belongs to an evaluator";
   (* with a recorder armed, its counter numbers the nodes, so records from
      several trees (the main AG plus every cascade re-parse) share one id
      space; otherwise the ids are this tree's own *)
@@ -115,16 +69,19 @@ let create ?token_line ?fuel ?(tick = fun () -> ()) ?provenance
     | Some (rc, _, _) -> Provenance.fresh_node rc
     | None -> incr n; !n
   in
-  let root = attach next_id tree in
+  let rec number (node : 'v Tree.t) =
+    Array.iter number node.children;
+    node.id <- next_id ()
+  in
+  number tree;
   let root_inherited =
     List.map (fun (name, v) -> (Grammar.find_attr grammar name, v)) root_inherited
   in
   {
     grammar;
-    root;
+    root = tree;
     root_inherited;
     token_line;
-    rule_index = Hashtbl.create 256;
     rule_applications = 0;
     fuel;
     tick;
@@ -133,63 +90,49 @@ let create ?token_line ?fuel ?(tick = fun () -> ()) ?provenance
   }
 
 let find_rule t prod_id (target : Grammar.occurrence) =
-  let key = (prod_id, target.Grammar.pos, target.Grammar.attr) in
-  match Hashtbl.find_opt t.rule_index key with
-  | Some r -> r
-  | None ->
-    let p = Grammar.production t.grammar prod_id in
-    let rec scan i =
-      if i >= Array.length p.Grammar.rules then
-        raise
-          (Missing_rule
-             {
-               prod_name = p.Grammar.prod_name;
-               attr_name = Grammar.attr_name t.grammar target.Grammar.attr;
-               pos = target.Grammar.pos;
-             })
-      else
-        let r = p.Grammar.rules.(i) in
-        if r.Grammar.target.Grammar.pos = target.Grammar.pos
-           && r.Grammar.target.Grammar.attr = target.Grammar.attr
-        then begin
-          Hashtbl.replace t.rule_index key r;
-          r
-        end
-        else scan (i + 1)
-    in
-    scan 0
+  let p = Grammar.production t.grammar prod_id in
+  match Grammar.rule_for t.grammar p target with
+  | r -> r
+  | exception Not_found ->
+    raise
+      (Missing_rule
+         {
+           prod_name = p.Grammar.prod_name;
+           attr_name = Grammar.attr_name t.grammar target.Grammar.attr;
+           pos = target.Grammar.pos;
+         })
 
 let node_label t node =
-  if node.n_prod >= 0 then
-    (Grammar.production t.grammar node.n_prod).Grammar.prod_name
-  else Grammar.symbol_name t.grammar node.n_term
+  if node.Tree.prod >= 0 then
+    (Grammar.production t.grammar node.Tree.prod).Grammar.prod_name
+  else Grammar.symbol_name t.grammar node.Tree.term
 
 (* Evaluate attribute [attr] of [node].  For synthesized attributes the
    defining rule lives in the node's own production; for inherited ones it
    lives in the parent's production (or in [root_inherited] at the root). *)
 let rec eval_node t node attr =
-  match Hashtbl.find_opt node.n_cache attr with
-  | Some (Done v) ->
+  match Hashtbl.find_opt node.Tree.cells attr with
+  | Some (Tree.Done v) ->
     Tm.incr m_memo_hits;
     (match t.prov with
     | Some (rc, _, _) ->
-      Provenance.memo_hit rc ~node:node.n_id ~attr:(Grammar.attr_name t.grammar attr)
+      Provenance.memo_hit rc ~node:node.Tree.id ~attr:(Grammar.attr_name t.grammar attr)
     | None -> ());
     v
-  | Some In_progress ->
+  | Some Tree.In_progress ->
     raise
       (Cycle
          { prod_name = node_label t node; attr_name = Grammar.attr_name t.grammar attr })
   | None ->
     Tm.incr m_attrs_evaluated;
-    Hashtbl.replace node.n_cache attr In_progress;
+    Hashtbl.replace node.Tree.cells attr Tree.In_progress;
     let v =
       match t.prov with
       | None -> compute_attr t node attr
       | Some (rc, ag, summarize) -> (
         let r =
-          Provenance.begin_instance rc ~ag ~prod:(node_label t node) ~node:node.n_id
-            ~attr:(Grammar.attr_name t.grammar attr) ~line:node.n_line
+          Provenance.begin_instance rc ~ag ~prod:(node_label t node) ~node:node.Tree.id
+            ~attr:(Grammar.attr_name t.grammar attr) ~line:node.Tree.line
         in
         match compute_attr t node attr with
         | v ->
@@ -199,23 +142,23 @@ let rec eval_node t node attr =
           Provenance.abort rc r;
           raise exn)
     in
-    Hashtbl.replace node.n_cache attr (Done v);
+    Hashtbl.replace node.Tree.cells attr (Tree.Done v);
     v
 
 and compute_attr t node attr =
-  if node.n_prod < 0 then begin
+  if node.Tree.prod < 0 then begin
     (match t.prov with Some (rc, _, _) -> Provenance.note_token rc | None -> ());
     eval_token t node attr
   end
   else
     match Grammar.attr_dir t.grammar attr with
     | Grammar.Synthesized ->
-      let rule = find_rule t node.n_prod { Grammar.pos = 0; attr } in
+      let rule = find_rule t node.Tree.prod { Grammar.pos = 0; attr } in
       apply_or_elide t node rule
     | Grammar.Inherited -> (
-      match node.n_parent with
-      | Some (parent, idx) ->
-        let rule = find_rule t parent.n_prod { Grammar.pos = idx + 1; attr } in
+      match node.Tree.parent with
+      | Some parent ->
+        let rule = find_rule t parent.Tree.prod { Grammar.pos = node.Tree.index + 1; attr } in
         apply_or_elide t parent rule
       | None -> (
         match List.assoc_opt attr t.root_inherited with
@@ -231,25 +174,25 @@ and compute_attr t node attr =
 
 and eval_token t node attr =
   if attr = t.grammar.Grammar.token_value_attr then
-    match node.n_value with
+    match node.Tree.value with
     | Some v -> v
     | None -> assert false
   else if attr = t.grammar.Grammar.token_line_attr then
     match t.token_line with
-    | Some inject -> inject node.n_line
+    | Some inject -> inject node.Tree.line
     | None ->
       invalid_arg "token LINE attribute used but no token_line injection supplied"
   else
     invalid_arg
       (Printf.sprintf "token %s has no attribute %s"
-         (Grammar.symbol_name t.grammar node.n_term)
+         (Grammar.symbol_name t.grammar node.Tree.term)
          (Grammar.attr_name t.grammar attr))
 
 and arg_of t at_node (occ : Grammar.occurrence) =
   if occ.Grammar.pos = 0 then eval_node t at_node occ.Grammar.attr
   else
-    let child = at_node.n_children.(occ.Grammar.pos - 1) in
-    if child.n_prod < 0 && occ.Grammar.attr = t.grammar.Grammar.token_line_attr then
+    let child = at_node.Tree.children.(occ.Grammar.pos - 1) in
+    if child.Tree.prod < 0 && occ.Grammar.attr = t.grammar.Grammar.token_line_attr then
       (* token LINE is produced by the scanner, not by a semantic rule;
          expose it through the same mechanism *)
       eval_token t child occ.Grammar.attr
@@ -268,7 +211,7 @@ and apply_or_elide t at_node rule =
     (match t.prov with
     | Some (rc, _, _) ->
       Provenance.note_copy rc
-        ~defining_prod:(Grammar.production t.grammar at_node.n_prod).Grammar.prod_name
+        ~defining_prod:(Grammar.production t.grammar at_node.Tree.prod).Grammar.prod_name
         ~implicit:(rule.Grammar.provenance = Grammar.Implicit)
     | None -> ());
     arg_of t at_node src
@@ -284,7 +227,7 @@ and apply_rule t at_node rule =
        attributes that is the child's instance; the defining production is
        this node's) *)
     Provenance.note_rule rc
-      ~defining_prod:(Grammar.production t.grammar at_node.n_prod).Grammar.prod_name
+      ~defining_prod:(Grammar.production t.grammar at_node.Tree.prod).Grammar.prod_name
       ~implicit:(rule.Grammar.provenance = Grammar.Implicit)
   | None -> ());
   (match t.fuel with
@@ -321,12 +264,12 @@ let evaluate_plan ?site t ~(plan : Analysis.plan) =
     Tm.incr m_staged_passes;
     let visits = ref 0 in
     let rec walk node =
-      Array.iter walk node.n_children;
-      if node.n_prod >= 0 then begin
+      Array.iter walk node.Tree.children;
+      if node.Tree.prod >= 0 then begin
         incr visits;
         Array.iter
           (fun attr -> ignore (eval_node t node attr))
-          plan.Analysis.pl_force.(node.n_prod).(pass - 1)
+          plan.Analysis.pl_force.(node.Tree.prod).(pass - 1)
       end
     in
     walk root;
@@ -338,7 +281,7 @@ let evaluate_plan ?site t ~(plan : Analysis.plan) =
 (* ------------------------------------------------------------------ *)
 (* Per-region evaluation (the exception firewall's view of the tree) *)
 
-type 'v site = 'v node
+type 'v site = 'v Tree.t
 
 (** Interior nodes whose production's left-hand side is [symbol], in source
     order — the per-design-unit entry points of the supervisor. *)
@@ -346,10 +289,10 @@ let sites t ~symbol =
   let sym = Grammar.find_symbol t.grammar symbol in
   let acc = ref [] in
   let rec walk node =
-    if node.n_prod >= 0 then begin
-      if (Grammar.production t.grammar node.n_prod).Grammar.lhs = sym then
+    if node.Tree.prod >= 0 then begin
+      if (Grammar.production t.grammar node.Tree.prod).Grammar.lhs = sym then
         acc := node :: !acc;
-      Array.iter walk node.n_children
+      Array.iter walk node.Tree.children
     end
   in
   walk t.root;
@@ -363,19 +306,11 @@ let eval_at t site name =
 
 (** Provenance node id of [site] — the address [vhdlc explain] resolves a
     unit's goal attributes at. *)
-let site_id (site : 'v site) = site.n_id
+let site_id (site : 'v site) = site.Tree.id
 
 (** Source line of the first token under [site] (0 if the region is
     empty). *)
-let site_line site =
-  let rec scan node =
-    if node.n_prod < 0 then Some node.n_line
-    else
-      Array.fold_left
-        (fun acc kid -> match acc with Some _ -> acc | None -> scan kid)
-        None node.n_children
-  in
-  Option.value (scan site) ~default:0
+let site_line (site : 'v site) = site.Tree.line
 
 (** Token values of the first [limit] leaves under [site], in source order
     — enough for a caller to label the region (e.g. "entity ADDER"). *)
@@ -384,13 +319,13 @@ let site_leaf_values ?(limit = 64) site =
   let n = ref 0 in
   let rec walk node =
     if !n < limit then
-      if node.n_prod < 0 then (
-        (match node.n_value with
+      if node.Tree.prod < 0 then (
+        (match node.Tree.value with
         | Some v ->
           acc := v :: !acc;
           incr n
         | None -> ()))
-      else Array.iter walk node.n_children
+      else Array.iter walk node.Tree.children
   in
   walk site;
   List.rev !acc
@@ -404,11 +339,11 @@ let clear_in_progress t =
       Hashtbl.fold
         (fun attr cell acc ->
           match cell with
-          | In_progress -> attr :: acc
-          | Done _ -> acc)
-        node.n_cache []
+          | Tree.In_progress -> attr :: acc
+          | Tree.Done _ -> acc)
+        node.Tree.cells []
     in
-    List.iter (Hashtbl.remove node.n_cache) stale;
-    Array.iter walk node.n_children
+    List.iter (Hashtbl.remove node.Tree.cells) stale;
+    Array.iter walk node.Tree.children
   in
   walk t.root

@@ -38,8 +38,12 @@ val create :
   root_inherited:(string * 'v) list ->
   'v Tree.t ->
   'v t
-(** Prepare a derivation tree for evaluation.  [root_inherited] supplies
-    the root's inherited attributes by name; [token_line] injects a token's
+(** Prepare a derivation tree for evaluation: number its nodes in one
+    post-order walk (children before parents, left to right) and take
+    ownership of their attribute cells, which evaluation fills in place.
+    A tree belongs to one evaluator: evaluating the same input twice means
+    parsing it twice.  [root_inherited] supplies the root's inherited
+    attributes by name; [token_line] injects a token's
     source line into the value type for rules depending on the LINE token
     attribute.  [fuel] bounds the total number of semantic-rule
     applications ({!Fuel_exhausted} beyond it); [tick] is called every 256
@@ -48,7 +52,9 @@ val create :
     it the only residue is one option test per evaluation.  [copy_elide]
     (default [true]) moves copy-rule values by reference instead of
     applying the identity rule — see {!Grammar.rule.copy_of}; the
-    differential oracle's reference side turns it off. *)
+    differential oracle's reference side turns it off.
+    @raise Invalid_argument if another evaluator has already numbered
+    [tree]. *)
 
 val goal : 'v t -> string -> 'v
 (** Value of a synthesized attribute at the root — the paper's "goal
@@ -86,7 +92,8 @@ val site_id : 'v site -> int
     attributes appear in a {!Provenance} recorder. *)
 
 val site_line : 'v site -> int
-(** Source line of the site's first token (0 for an empty region). *)
+(** Source line of the site's first token (0 for an empty region): the
+    node's {!Tree.t.line}. *)
 
 val site_leaf_values : ?limit:int -> 'v site -> 'v list
 (** Token values of the first [limit] (default 64) leaves under the site,

@@ -59,6 +59,9 @@ type 'v production = {
   lhs : int;
   rhs : int array;
   rules : 'v rule array;
+  rule_at : (int, int) Hashtbl.t;
+      (* target occurrence -> position in [rules] of its rule: positions, so
+         a rule replaced in place (fault injection) is the one applied *)
 }
 
 type 'v t = {
@@ -84,6 +87,13 @@ let production g id = g.productions.(id)
 let n_symbols g = Interner.count g.symbols
 let n_productions g = Array.length g.productions
 let attrs_of g sym = g.sym_attrs.(sym)
+
+(* key of a target occurrence in a production's [rule_at] *)
+let occurrence_key attrs { pos; attr } = (pos * Array.length attrs) + attr
+
+(** The rule of [p] that defines [target], read from [p.rules] at call time.
+    @raise Not_found if no rule defines [target]. *)
+let rule_for g p target = p.rules.(Hashtbl.find p.rule_at (occurrence_key g.attrs target))
 
 let find_symbol g name =
   match Interner.find_opt g.symbols name with
@@ -335,15 +345,15 @@ module Builder = struct
             { target; deps; compute = s.s_fn; provenance = Explicit; copy_of }
           in
           let explicit = List.map mk_rule spec.p_rules in
-          (* duplicate-definition check *)
-          let seen = Hashtbl.create 16 in
-          List.iter
-            (fun r ->
-              let key = (r.target.pos, r.target.attr) in
-              if Hashtbl.mem seen key then
+          (* the rule index, which is also the duplicate-definition check *)
+          let key = occurrence_key attrs in
+          let rule_at = Hashtbl.create 16 in
+          List.iteri
+            (fun j r ->
+              if Hashtbl.mem rule_at (key r.target) then
                 ill_formed "attribute %s at position %d defined twice in production %s"
                   attrs.(r.target.attr).attr_name r.target.pos spec.p_name;
-              Hashtbl.add seen key ())
+              Hashtbl.add rule_at (key r.target) j)
             explicit;
           (* required targets: syn attrs of lhs, inh attrs of each rhs nonterminal *)
           let required = ref [] in
@@ -362,7 +372,7 @@ module Builder = struct
           let implicit =
             List.filter_map
               (fun occ ->
-                if Hashtbl.mem seen (occ.pos, occ.attr) then None
+                if Hashtbl.mem rule_at (key occ) then None
                 else begin
                   let decl = attrs.(occ.attr) in
                   let other_occurrences () =
@@ -483,12 +493,15 @@ module Builder = struct
                 end)
               (List.rev !required)
           in
+          let n_explicit = List.length explicit in
+          List.iteri (fun j r -> Hashtbl.add rule_at (key r.target) (n_explicit + j)) implicit;
           {
             prod_id;
             prod_name = spec.p_name;
             lhs;
             rhs;
             rules = Array.of_list (explicit @ implicit);
+            rule_at;
           })
         specs
     in

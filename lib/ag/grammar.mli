@@ -56,6 +56,12 @@ type 'v production = {
   lhs : int;
   rhs : int array;
   rules : 'v rule array;
+  rule_at : (int, int) Hashtbl.t;
+      (** The production's rule index, built once at {!Builder.freeze}: a
+          key of each target occurrence -> position in [rules] of the rule
+          defining it (read it through {!rule_for}).  It holds positions,
+          not rules, so a rule replaced in place in [rules] (fault
+          injection) is the one every later evaluation applies. *)
 }
 
 type 'v t = {
@@ -79,6 +85,12 @@ val production : 'v t -> int -> 'v production
 val n_symbols : 'v t -> int
 val n_productions : 'v t -> int
 val attrs_of : 'v t -> int -> int list
+
+val rule_for : 'v t -> 'v production -> occurrence -> 'v rule
+(** The rule of the production that defines the target occurrence: one
+    lookup in [rule_at], read from [rules] at call time.
+    @raise Not_found if no rule defines it. *)
+
 val find_symbol : 'v t -> string -> int
 val find_attr : 'v t -> string -> int
 

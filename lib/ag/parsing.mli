@@ -38,7 +38,9 @@ val of_tables :
 val conflicts : 'v t -> Vhdl_lalr.Table.conflict list
 
 val parse : 'v t -> lexer:(unit -> 'v Vhdl_lalr.Driver.token) -> 'v Tree.t
-(** Parse a token stream into a derivation tree. *)
+(** Parse a token stream into a derivation tree.  The shift/reduce
+    callbacks build {!Tree.t} nodes directly, parent links and empty
+    attribute cells included, for one {!Evaluator} to number and decorate. *)
 
 val parse_list : 'v t -> eof_value:'v -> 'v Vhdl_lalr.Driver.token list -> 'v Tree.t
 (** Parse a pre-materialized token list (the LEF case: the scanner "just

@@ -1,46 +1,60 @@
-(** Derivation trees of an attribute grammar.
+(** Attributed derivation trees, the one node type of the AG engine: built
+    by {!Parsing}'s shift/reduce callbacks, then numbered and decorated in
+    place by {!Evaluator}, as a Linguist-generated evaluator decorates its
+    parser's tree.  Leaves carry the token value — the mechanism the paper
+    uses to attach symbol-table entries to LEF tokens. *)
 
-    The LALR driver ({!Vhdl_lalr.Driver}) produces these; the evaluator
-    ({!Evaluator}) decorates them.  Leaves carry the token value — the
-    mechanism the paper uses to attach symbol-table entries to LEF tokens. *)
+type 'v cell =
+  | In_progress
+  | Done of 'v
 
-type 'v t =
-  | Node of { prod : int; children : 'v t array }
-  | Leaf of { term : int; value : 'v; line : int }
+type 'v t = {
+  prod : int; (* -1 for leaves *)
+  term : int; (* -1 for interior nodes *)
+  value : 'v option; (* token value, for leaves *)
+  line : int; (* leaves: token line; interior: first non-zero child line *)
+  children : 'v t array;
+  mutable parent : 'v t option;
+  mutable index : int; (* our position among the parent's children *)
+  mutable id : int; (* 0 until an evaluator numbers the tree *)
+  cells : (int, 'v cell) Hashtbl.t; (* attribute id -> state *)
+}
 
-let node prod children = Node { prod; children = Array.of_list children }
-let leaf ~term ~value ~line = Leaf { term; value; line }
+let leaf ~term ~value ~line =
+  {
+    prod = -1;
+    term;
+    value = Some value;
+    line;
+    children = [||];
+    parent = None;
+    index = 0;
+    id = 0;
+    cells = Hashtbl.create 4;
+  }
 
-let rec size = function
-  | Leaf _ -> 1
-  | Node { children; _ } -> Array.fold_left (fun acc c -> acc + size c) 1 children
-
-let rec depth = function
-  | Leaf _ -> 1
-  | Node { children; _ } ->
-    1 + Array.fold_left (fun acc c -> max acc (depth c)) 0 children
-
-(** First token line in the subtree, if any: used for error positions. *)
-let rec first_line = function
-  | Leaf { line; _ } -> Some line
-  | Node { children; _ } ->
-    let rec scan i =
-      if i >= Array.length children then None
-      else
-        match first_line children.(i) with
-        | Some _ as l -> l
-        | None -> scan (i + 1)
-    in
-    scan 0
-
-let pp grammar fmt tree =
-  let rec go fmt = function
-    | Leaf { term; line; _ } ->
-      Format.fprintf fmt "%s@%d" (Grammar.symbol_name grammar term) line
-    | Node { prod; children } ->
-      let p = Grammar.production grammar prod in
-      Format.fprintf fmt "@[<v 2>(%s" p.Grammar.prod_name;
-      Array.iter (fun c -> Format.fprintf fmt "@,%a" go c) children;
-      Format.fprintf fmt ")@]"
+let node prod children =
+  let children = Array.of_list children in
+  let line = ref 0 in
+  Array.iter (fun c -> if !line = 0 then line := c.line) children;
+  let n =
+    {
+      prod;
+      term = -1;
+      value = None;
+      line = !line;
+      children;
+      parent = None;
+      index = 0;
+      id = 0;
+      cells = Hashtbl.create 8;
+    }
   in
-  go fmt tree
+  Array.iteri
+    (fun i c ->
+      c.parent <- Some n;
+      c.index <- i)
+    children;
+  n
+
+let rec size t = Array.fold_left (fun acc c -> acc + size c) 1 t.children

@@ -144,10 +144,9 @@ let test_plan_matches_demand () =
   let g = binary_grammar () in
   let a = Analysis.compute g in
   let plan = Analysis.plan a in
-  let tree = parse_binary g "110.101" in
-  let ev1 = Evaluator.create g ~root_inherited:[] tree in
+  let ev1 = Evaluator.create g ~root_inherited:[] (parse_binary g "110.101") in
   let v_demand = as_f (Evaluator.goal ev1 "v") in
-  let ev2 = Evaluator.create g ~root_inherited:[] tree in
+  let ev2 = Evaluator.create g ~root_inherited:[] (parse_binary g "110.101") in
   let passes = Evaluator.evaluate_plan ev2 ~plan in
   Alcotest.(check int) "passes as planned" plan.Analysis.pl_passes passes;
   let v_plan = as_f (Evaluator.goal ev2 "v") in
@@ -158,11 +157,13 @@ let test_plan_matches_demand () =
    plan must run at least one pass, and rule applications must be sane —
    demand (goal-reachable only, memoized) never applies more rules than
    the plan (which forces everything), and the plan never exceeds one
-   application per declared attribute per tree node. *)
-let check_agreement ?(root_inherited = []) ~msg g tree ~goals ~eq =
-  let ev_d = Evaluator.create g ~root_inherited tree in
+   application per declared attribute per tree node.  A tree belongs to
+   one evaluator, so each side evaluates its own parse of the input. *)
+let check_agreement ?(root_inherited = []) ~msg g parse ~goals ~eq =
+  let ev_d = Evaluator.create g ~root_inherited (parse ()) in
   let demand_goals = List.map (fun a -> Evaluator.goal ev_d a) goals in
   let demand_apps = Evaluator.rule_applications ev_d in
+  let tree = parse () in
   let ev_p = Evaluator.create g ~root_inherited tree in
   let passes = Evaluator.evaluate_plan ev_p ~plan:(Analysis.plan (Analysis.compute g)) in
   let plan_goals = List.map (fun a -> Evaluator.goal ev_p a) goals in
@@ -262,9 +263,12 @@ let test_plan_elides_copies () =
   let plan = Analysis.plan (Analysis.compute g) in
   Alcotest.(check bool) "plan excludes copy targets" true
     (plan.Analysis.pl_copy_targets > 0);
-  let tree = parse_ids g [ "a"; "b"; "c" ] in
   let run ~copy_elide =
-    let ev = Evaluator.create g ~copy_elide ~root_inherited:[ ("ENV", S "root-env") ] tree in
+    let ev =
+      Evaluator.create g ~copy_elide
+        ~root_inherited:[ ("ENV", S "root-env") ]
+        (parse_ids g [ "a"; "b"; "c" ])
+    in
     ignore (Evaluator.evaluate_plan ev ~plan);
     (as_l (Evaluator.goal ev "MSGS"), Evaluator.rule_applications ev)
   in
@@ -284,7 +288,8 @@ let test_agreement_all_grammars () =
   let g = binary_grammar () in
   List.iter
     (fun input ->
-      check_agreement ~msg:("binary " ^ input) g (parse_binary g input)
+      check_agreement ~msg:("binary " ^ input) g
+        (fun () -> parse_binary g input)
         ~goals:[ "v" ] ~eq:eq_v)
     [ "0"; "1"; "1101"; "110.101"; "0.111"; "10110101.0011" ];
   let g = classes_grammar () in
@@ -293,8 +298,46 @@ let test_agreement_all_grammars () =
       check_agreement
         ~root_inherited:[ ("ENV", S "root-env") ]
         ~msg:("classes " ^ String.concat "," ids)
-        g (parse_ids g ids) ~goals:[ "MSGS" ] ~eq:eq_v)
+        g
+        (fun () -> parse_ids g ids)
+        ~goals:[ "MSGS" ] ~eq:eq_v)
     [ [ "a" ]; [ "a"; "b"; "c" ]; [ "p"; "q"; "r"; "s"; "t" ] ]
+
+(* The rule seam fault injection uses: a rule replaced in place in the
+   frozen grammar, as [Difftest_fault.wrap_rules] does, is the one the next
+   evaluation applies — the grammar's rule index holds positions. *)
+let test_rule_replaced_in_place () =
+  let g = classes_grammar () in
+  let msgs () =
+    let ev = Evaluator.create g ~root_inherited:[] (parse_ids g [ "a"; "b" ]) in
+    as_l (Evaluator.goal ev "MSGS")
+  in
+  Alcotest.(check (list string)) "before" [ "a"; "b" ] (msgs ());
+  let stmt_id =
+    Option.get
+      (Array.find_opt (fun p -> p.Grammar.prod_name = "stmt_id") g.Grammar.productions)
+  in
+  Array.iteri
+    (fun j (r : v Grammar.rule) ->
+      if Grammar.attr_name g r.Grammar.target.Grammar.attr = "MSGS" then
+        let orig = r.Grammar.compute in
+        stmt_id.Grammar.rules.(j) <-
+          {
+            r with
+            Grammar.compute =
+              (fun args -> L (List.map String.uppercase_ascii (as_l (orig args))));
+          })
+    stmt_id.Grammar.rules;
+  Alcotest.(check (list string)) "wrapped rule applied" [ "A"; "B" ] (msgs ())
+
+(* A tree belongs to the evaluator that numbered it. *)
+let test_one_evaluator_per_tree () =
+  let g = classes_grammar () in
+  let tree = parse_ids g [ "a" ] in
+  ignore (Evaluator.create g ~root_inherited:[] tree);
+  match Evaluator.create g ~root_inherited:[] tree with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
 
 let test_merge_class () =
   let g = classes_grammar () in
@@ -561,6 +604,9 @@ let suite =
     Alcotest.test_case "demand/staged agreement across example grammars" `Quick
       test_agreement_all_grammars;
     QCheck_alcotest.to_alcotest binary_property;
+    Alcotest.test_case "a rule replaced in place is applied" `Quick
+      test_rule_replaced_in_place;
+    Alcotest.test_case "one evaluator per tree" `Quick test_one_evaluator_per_tree;
     Alcotest.test_case "merge class concatenates in order" `Quick test_merge_class;
     Alcotest.test_case "copy class threads values implicitly" `Quick test_copy_class;
     Alcotest.test_case "implicit rule counting" `Quick test_implicit_counts;
