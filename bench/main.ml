@@ -162,9 +162,10 @@ let config () =
        per-invocation re-reads are the effect being measured *)
     let sample =
       Perf.run ~warmup:0 ~repeats:3 ~name:key (fun () ->
+          let reads0 = Vhdl_telemetry.Telemetry.counter_value "vif.reads" in
           let c2 = Vhdl_compiler.create ~work_dir:dir () in
           List.iter (fun s -> ignore (Vhdl_compiler.compile c2 s)) srcs;
-          reads := (Library.io_stats (Vhdl_compiler.work_library c2)).Library.io_reads)
+          reads := Vhdl_telemetry.Telemetry.counter_value "vif.reads" - reads0)
     in
     let dt = Perf.Sample.median sample in
     let lpm = float_of_int lines /. dt *. 60.0 in
@@ -486,7 +487,7 @@ let vif_cache_ablation () =
     ignore (Vhdl_compiler.compile c (Workload.package ~name:(Printf.sprintf "LIB%d" i) ~n:30))
   done;
   ignore (Vhdl_compiler.compile c (Workload.multi_arch_library ~archs:4));
-  let lib = Library.create ~dir ~name:"WORK" () in
+  let lib = Library.create ~dir ~name:"WORK" ~timer:(Vhdl_util.Phase_timer.create ()) () in
   let keys =
     List.map (fun (u : Unit_info.compiled_unit) -> u.Unit_info.u_key) (Library.all lib)
   in

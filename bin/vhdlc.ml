@@ -592,7 +592,7 @@ let bench_suite ~scaling ~warmup ~repeats ~quota =
     for i = 1 to packages do
       ignore (Vhdl_compiler.compile c (Workload.package ~name:(Printf.sprintf "LIB%d" i) ~n:30))
     done;
-    let lib = Library.create ~dir ~name:"WORK" () in
+    let lib = Library.create ~dir ~name:"WORK" ~timer:(Vhdl_util.Phase_timer.create ()) () in
     let keys = List.map (fun (u : Unit_info.compiled_unit) -> u.Unit_info.u_key) (Library.all lib) in
     let s =
       Fun.protect

@@ -50,8 +50,6 @@ type t = {
       (* re-settable so a long-lived compiler (the serve daemon's warm
          worker) can apply per-request limits; read at each compile start *)
   provenance : Provenance.t option; (* attribute-dependency recorder *)
-  mutable compiled_units : int;
-  mutable compiled_lines : int;
   mutable diagnostics : Diag.t list; (* newest first *)
   mutable last_report : Supervisor.unit_report list;
 }
@@ -89,14 +87,13 @@ let load_generated () = Lazy.force generated
     recorder), feeding [vhdlc explain] and the hot-rule profiler. *)
 let create ?work_dir ?(strategy = Staged) ?(budgets = Supervisor.no_budgets)
     ?provenance () =
+  let timer = Timer.create () in
   {
-    work = Library.create ?dir:work_dir ~name:"WORK" ();
-    timer = Timer.create ();
+    work = Library.create ?dir:work_dir ~name:"WORK" ~timer ();
+    timer;
     strategy;
     budgets;
     provenance;
-    compiled_units = 0;
-    compiled_lines = 0;
     diagnostics = [];
     last_report = [];
   }
@@ -104,7 +101,7 @@ let create ?work_dir ?(strategy = Staged) ?(budgets = Supervisor.no_budgets)
 (** Attach a read-only reference library (the paper's second library
     argument). *)
 let add_reference_library t ~name ~dir =
-  let lib = Library.create ~dir ~name () in
+  let lib = Library.create ~dir ~name ~timer:t.timer () in
   Library.add_reference t.work ~as_name:name lib
 
 let session t : Session.t =
@@ -117,6 +114,7 @@ let session t : Session.t =
     (* a Demand compiler is the differential oracle's reference side: the
        expression AG must not elide copies either *)
     reference = t.strategy = Demand;
+    timer = t.timer;
   }
 
 let work_library t = t.work
@@ -306,10 +304,9 @@ let compile ?(fail_on_error = true) t source : Unit_info.compiled_unit list =
         raise (Compile_error parse_diags)
       | Some tree ->
         (* phases 3+4: attribute evaluation; the expression-AG cascade and
-           the VIF I/O charge their own nested phase frames, so the timer's
-           self-time accounting separates them without any bookkeeping
-           here *)
-        Library.reset_io_stats t.work;
+           the VIF I/O charge their own nested frames of this compiler's
+           timer (through the session and the libraries), so its self-time
+           accounting separates them without any bookkeeping here *)
         let ev =
           Evaluator.create
             ~token_line:(fun n -> Pval.Int n)
@@ -327,8 +324,6 @@ let compile ?(fail_on_error = true) t source : Unit_info.compiled_unit list =
           Timer.time t.timer "attribute evaluation" (fun () -> analyze_units t ev)
         in
         let all_msgs = parse_diags @ msgs in
-        t.compiled_units <- t.compiled_units + List.length units;
-        t.compiled_lines <- t.compiled_lines + source_lines;
         t.diagnostics <- List.rev_append all_msgs t.diagnostics;
         t.last_report <- report;
         if fail_on_error && Diag.has_errors all_msgs then
@@ -368,7 +363,6 @@ let elaborate ?arch ?configuration ?(trace = true) t ~top () : simulation =
     | Some c -> Elaborate.Top_configuration (upper c)
     | None -> Elaborate.Top_entity { entity = upper top; arch = Option.map upper arch }
   in
-  Library.reset_io_stats t.work;
   (* elaboration's own foreign-reference reads charge the nested "VIF read"
      phase frames the library opens, so they never pollute this phase *)
   let model =
@@ -419,5 +413,3 @@ let history sim path = Trace.history sim.model.Elaborate.m_trace ~path
 (** Current value of a signal by path. *)
 let value sim path =
   Option.map (fun s -> s.Rt.current) (Name_server.find_signal sim.model.Elaborate.m_ns path)
-
-let stats t = (t.compiled_units, t.compiled_lines)

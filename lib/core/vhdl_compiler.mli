@@ -142,6 +142,3 @@ val history : simulation -> string -> (Rt.time * Value.t) list
 
 val value : simulation -> string -> Value.t option
 (** Current value of a signal by path. *)
-
-val stats : t -> int * int
-(** (units compiled, source lines compiled) so far. *)

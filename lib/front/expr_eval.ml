@@ -37,13 +37,14 @@ let m_reparses = Tm.counter "cascade.reparses"
 let m_parse_errors = Tm.counter "cascade.parse_errors"
 let m_expr_lef_tokens = Tm.histogram "cascade.expr_lef_tokens"
 
-(* Time spent here is charged to its own phase of the ambient compile timer
-   — the nested-frame accounting in Phase_timer carves it out of "attribute
-   evaluation" (its dynamically enclosing phase) without the mutable-global
-   subtraction this module used to maintain. *)
-let cascade_phase = "expression evaluation (cascade)"
-
-let timed f = Timer.time_ambient cascade_phase f
+(* Time spent here is charged to its own phase of the session's timer —
+   the nested-frame accounting in Phase_timer carves it out of "attribute
+   evaluation", the compile phase that encloses it.  Outside any session
+   the cascade is a plain call. *)
+let timed f =
+  match Session.timer () with
+  | Some timer -> Timer.time timer "expression evaluation (cascade)" f
+  | None -> f ()
 
 (* The session's provenance recorder: with one armed, the expression
    evaluator records into it too, so its instances nest under the

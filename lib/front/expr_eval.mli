@@ -17,7 +17,7 @@ val generate : unit -> string
     {!Grammar_tables.expression} — the table generator's entry point. *)
 
 (** Instrumentation goes through the process-wide telemetry registry
-    ([cascade.*] counters) and the ambient phase timer ("expression
+    ([cascade.*] counters) and the active session's phase timer ("expression
     evaluation (cascade)" frames), not module-local mutable state. *)
 
 (** Every call parses its LEF afresh and attribute-evaluates the tree; no

@@ -4,7 +4,9 @@
     compiled units are placed and a reference library which can be
     referenced... but not updated"; semantic rules resolve foreign
     references through this interface.  The VIF library manager implements
-    it; tests may supply an in-memory map.
+    it; tests may supply an in-memory map.  The session also carries the
+    compile's phase timer, so the cascade charges the compiler that runs
+    it.
 
     A session is read-only: semantic rules look units up through it but
     never write.  The driver places a design unit in the library once its
@@ -19,6 +21,7 @@ type t = {
   known_library : string -> bool;
   provenance : Provenance.t option; (* the recorder the cascade records into *)
   reference : bool; (* the oracle's reference side: no copy elision in the expression AG *)
+  timer : Vhdl_util.Phase_timer.t; (* the compile's timer, charged by the cascade *)
 }
 
 let in_memory ?(work = "WORK") units =
@@ -30,6 +33,7 @@ let in_memory ?(work = "WORK") units =
     known_library = (fun lib -> lib = work || lib = "STD");
     provenance = None;
     reference = false;
+    timer = Vhdl_util.Phase_timer.create ();
   }
 
 let current : t option ref = ref None
@@ -51,3 +55,4 @@ let known_library lib = lib = "STD" || (get ()).known_library lib
 (* the cascade also runs outside any session (tests, benches) *)
 let provenance () = Option.bind !current (fun s -> s.provenance)
 let reference () = match !current with Some s -> s.reference | None -> false
+let timer () = Option.map (fun s -> s.timer) !current

@@ -1,6 +1,7 @@
 (** Compilation session, the one per-compile context: how semantic rules
     reach foreign compilation units (the paper's working library +
-    reference library arguments) and how the cascade runs.
+    reference library arguments) and how the cascade runs, including the
+    compile's phase timer it charges.
 
     A session is read-only: rules look units up, and the driver places a
     unit in the library only once its analysis is error-free.  The active
@@ -13,10 +14,12 @@ type t = {
   known_library : string -> bool;
   provenance : Provenance.t option;  (** the recorder the cascade records into *)
   reference : bool;  (** the oracle's reference side: no copy elision in the expression AG *)
+  timer : Vhdl_util.Phase_timer.t;  (** the compile's phase timer, which the cascade charges *)
 }
 
 val in_memory : ?work:string -> Unit_info.compiled_unit list -> t
-(** A session over an in-memory unit list (tests, benches). *)
+(** A session over an in-memory unit list (tests, benches), with a fresh
+    phase timer. *)
 
 val with_session : t -> (unit -> 'a) -> 'a
 val get : unit -> t
@@ -27,4 +30,5 @@ val known_library : string -> bool
 
 val provenance : unit -> Provenance.t option
 val reference : unit -> bool
+val timer : unit -> Vhdl_util.Phase_timer.t option
 (** The active session's fields; [None] and [false] outside any session. *)

@@ -308,8 +308,6 @@ let ledger =
   ]
 
 let stats_body t =
-  Tm.sample_gc (); (* stats must show the heap as of now, not of the
-                      last phase close *)
   let b = Buffer.create 256 in
   List.iter (fun name -> Printf.bprintf b "%s %d\n" name (Tm.counter_value name)) ledger;
   Printf.bprintf b "serve.queue_depth %d\n" (Serve_queue.length t.queue);
@@ -326,7 +324,6 @@ let stats_body t =
     `vhdlc top` read: ledger, queue, worker, latency percentiles, the
     last serviced request, and the live SLO window. *)
 let stats_json t =
-  Tm.sample_gc ();
   let module J = Tm.Json in
   let st = Gc.quick_stat () in
   J.obj
@@ -726,9 +723,6 @@ let flush_metrics ?(event = true) t =
   match t.cfg.d_metrics_out with
   | None -> ()
   | Some path ->
-    (* the gc.* gauges otherwise refresh only at phase-frame close, so an
-       idle daemon would flush stale heap numbers forever *)
-    Tm.sample_gc ();
     let tmp = path ^ ".tmp" in
     (try
        Vhdl_util.Unix_compat.write_file tmp (Tm.metrics_json ());

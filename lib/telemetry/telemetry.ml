@@ -383,12 +383,13 @@ let allocated_words_now () =
 (* ------------------------------------------------------------------ *)
 (* GC gauges *)
 
-(** Refresh the [gc.*] gauges from [Gc.quick_stat].  Called at phase
-    boundaries (every {!Vhdl_util.Phase_timer} frame close) and before any
-    metrics export, so [--metrics] / {!metrics_json} always carry the
-    memory picture of the run: collection counts, live/total heap words,
-    the peak heap, and total words allocated.  [quick_stat] does not force
-    a heap walk, so the sample is cheap enough for every boundary. *)
+(** Refresh the [gc.*] gauges from [Gc.quick_stat].  Called at export,
+    not per phase: every reader of the gauges ({!pp_metrics},
+    {!metrics_json} — so the serve daemon's metrics flush — and the
+    fuzzer's summary) samples first, so [--metrics] / {!metrics_json}
+    carry the memory picture as of the export: collection counts,
+    live/total heap words, the peak heap, and total words allocated.
+    [quick_stat] does not force a heap walk. *)
 let sample_gc () =
   let s = Gc.quick_stat () in
   let g name v = set (gauge name) v in

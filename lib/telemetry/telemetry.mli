@@ -107,7 +107,9 @@ val counter_value : string -> int
 val sample_gc : unit -> unit
 (** Refresh the [gc.*] gauges — collection counts and live/peak heap
     words from [Gc.quick_stat], total allocated words from
-    {!allocated_words_now}. *)
+    {!allocated_words_now}.  Nothing samples per phase or per frame: a
+    reader of the gauges calls this first ({!pp_metrics} and
+    {!metrics_json} do). *)
 
 (** {1 Allocation accounting} *)
 

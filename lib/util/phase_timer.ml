@@ -6,20 +6,20 @@
     evaluation "a very small percent").
 
     Phases nest: the cascade runs inside attribute evaluation, VIF reads
-    happen inside both.  Each [time]/[time_ambient] call pushes a frame on
-    a process-wide stack and charges only its {e self time} — total minus
-    the time spent in nested frames — to its phase, so the breakdown sums
-    to wall clock without the negative-adjustment bookkeeping this module's
-    callers used to do by hand.  Allocated words ride the same frame
-    stack with the same child-subtraction, so the per-phase allocation
-    breakdown sums to the run's GC allocation delta.  Every frame is also
-    recorded as a telemetry span (category ["phase"]) from the same two
-    clock reads, so the phase table and the span tree cannot disagree.
+    happen inside both.  Each [time] call pushes a frame on its timer's own
+    stack and charges only its {e self time} — total minus the time spent
+    in nested frames of the same timer — to its phase, so the breakdown
+    sums to wall clock without the negative-adjustment bookkeeping this
+    module's callers used to do by hand.  Allocated words ride the same
+    frame stack with the same child-subtraction, so the per-phase
+    allocation breakdown sums to the run's GC allocation delta.  Every
+    frame is also recorded as a telemetry span (category ["phase"]) from
+    the same two clock reads, so the phase table and the span tree cannot
+    disagree.
 
-    Layers that cannot see the compiler's timer (the cascade, the VIF
-    library) charge the {e ambient} timer: whichever timer's [time] frame
-    is dynamically enclosing.  Outside any [time] extent, [time_ambient]
-    with tracing off is a plain call. *)
+    A timer knows nothing of any other: the compiler hands its own timer
+    to the layers it times (its libraries, its session), and a frame of
+    another timer opened inside one of [t]'s is not subtracted from it. *)
 
 module Telemetry = Vhdl_telemetry.Telemetry
 
@@ -33,9 +33,19 @@ type cell = {
   alloc_b : Telemetry.counter;
 }
 
-type t = { mutable phases : (string * cell) list (* reverse order of first use *) }
+(* Frames of one timer (the compiler is single-threaded): what nested
+   frames spent, to subtract from the enclosing frame's own charge. *)
+type frame = {
+  mutable f_child : float; (* seconds spent in nested frames *)
+  mutable f_child_aw : float; (* words allocated by nested frames *)
+}
 
-let create () = { phases = [] }
+type t = {
+  mutable phases : (string * cell) list; (* reverse order of first use *)
+  mutable stack : frame list; (* open frames, innermost first *)
+}
+
+let create () = { phases = []; stack = [] }
 
 let metric_name name =
   "phase.alloc_b."
@@ -46,46 +56,32 @@ let metric_name name =
         | _ -> '_')
       name
 
-let new_cell name =
-  { secs = 0.0; words = 0.0; alloc_b = Telemetry.counter (metric_name name) }
-
 (* registered when a phase's first frame opens, so [report] lists phases
    in order of first use, not first completion *)
 let cell t name =
   match List.assoc_opt name t.phases with
   | Some c -> c
   | None ->
-    let c = new_cell name in
+    let c = { secs = 0.0; words = 0.0; alloc_b = Telemetry.counter (metric_name name) } in
     t.phases <- (name, c) :: t.phases;
     c
 
-(* ------------------------------------------------------------------ *)
-(* The process-wide frame stack (the compiler is single-threaded) *)
-
-type frame = {
-  mutable f_child : float; (* seconds spent in nested frames *)
-  mutable f_child_aw : float; (* words allocated by nested frames *)
-}
-
-let stack : frame list ref = ref []
-let ambient : t option ref = ref None
-
-(* [cell] is where the frame's self time and allocation are charged: a
-   timer's cell, or a free-standing one for a traced frame outside any
-   timer *)
-let run_frame cell name f =
+(** [time t name f] runs [f ()] charging its self time and self-allocated
+    words to phase [name] of [t]. *)
+let time t name f =
+  let cell = cell t name in
   let frame = { f_child = 0.0; f_child_aw = 0.0 } in
-  stack := frame :: !stack;
+  t.stack <- frame :: t.stack;
   let start = Telemetry.now_s () in
   let aw0 = Telemetry.allocated_words_now () in
   Fun.protect
     ~finally:(fun () ->
       let total_aw = Telemetry.allocated_words_now () -. aw0 in
       let total = Telemetry.now_s () -. start in
-      (match !stack with
-      | top :: rest when top == frame -> stack := rest
+      (match t.stack with
+      | top :: rest when top == frame -> t.stack <- rest
       | _ -> () (* an escape unwound through us; leave the stack alone *));
-      (match !stack with
+      (match t.stack with
       | parent :: _ ->
         parent.f_child <- parent.f_child +. total;
         parent.f_child_aw <- parent.f_child_aw +. total_aw
@@ -96,28 +92,8 @@ let run_frame cell name f =
       Telemetry.add cell.alloc_b
         (int_of_float (self_aw *. float_of_int Telemetry.bytes_per_word));
       Telemetry.record_span ~cat:"phase" ~alloc_w:total_aw ~name ~start_s:start
-        ~dur_s:total ();
-      (* phase boundary: refresh the gc.* gauges so metrics exports see the
-         heap as it stood when the last phase closed *)
-      Telemetry.sample_gc ())
+        ~dur_s:total ())
     f
-
-(** [time t name f] runs [f ()] charging its self time to phase [name] of
-    [t], and makes [t] the ambient timer for the dynamic extent of [f]. *)
-let time t name f =
-  let saved = !ambient in
-  ambient := Some t;
-  Fun.protect
-    ~finally:(fun () -> ambient := saved)
-    (fun () -> run_frame (cell t name) name f)
-
-(** [time_ambient name f] charges a frame to the ambient timer — the timer
-    of the dynamically enclosing [time], if any.  With no ambient timer and
-    tracing off this is a plain call to [f]. *)
-let time_ambient name f =
-  match !ambient with
-  | Some t -> run_frame (cell t name) name f
-  | None -> if Telemetry.tracing () then run_frame (new_cell name) name f else f ()
 
 let total t = List.fold_left (fun acc (_, c) -> acc +. c.secs) 0.0 t.phases
 let total_alloc t = List.fold_left (fun acc (_, c) -> acc +. c.words) 0.0 t.phases

@@ -4,22 +4,19 @@
     Built on the telemetry span layer: every timed frame is also recorded
     as a telemetry span (category ["phase"]) from the same clock reads, and
     nested frames charge only their self time, so the phase table sums to
-    wall clock and cannot disagree with the span tree. *)
+    wall clock and cannot disagree with the span tree.
+
+    Each timer owns its frame stack.  There is no process-wide or ambient
+    timer: a layer that charges a phase is handed the timer to charge. *)
 
 type t
 
 val create : unit -> t
 
 val time : t -> string -> (unit -> 'a) -> 'a
-(** Run a thunk, charging its self time (total minus nested frames) to the
-    named phase, and making [t] the ambient timer for the thunk's dynamic
-    extent.  Re-entrant uses accumulate. *)
-
-val time_ambient : string -> (unit -> 'a) -> 'a
-(** Run a thunk as a nested frame of the ambient timer — whichever timer's
-    {!time} is dynamically enclosing.  Layers that cannot see the compiler
-    (the expression cascade, the VIF library) use this to charge their own
-    phase.  Outside any {!time} extent with tracing off, a plain call. *)
+(** Run a thunk, charging its self time (total minus nested frames of [t])
+    to the named phase of [t].  Frames of other timers nested inside it
+    are not subtracted.  Re-entrant uses accumulate. *)
 
 val total : t -> float
 

@@ -8,6 +8,7 @@
     activity the paper measures at 40-60% of total compilation time. *)
 
 module U = Vhdl_util.Unix_compat
+module Timer = Vhdl_util.Phase_timer
 module Tm = Vhdl_telemetry.Telemetry
 
 let m_reads = Tm.counter "vif.reads"
@@ -23,11 +24,7 @@ type t = {
   loaded_files : (string, unit) Hashtbl.t; (* VIF files already parsed *)
   mutable references : (string * t) list; (* read-only reference libraries *)
   writable : bool;
-  (* instrumentation for the PERF-PHASE experiment *)
-  mutable read_seconds : float;
-  mutable write_seconds : float;
-  mutable reads : int;
-  mutable writes : int;
+  timer : Timer.t; (* charged "VIF read" / "VIF write" (PERF-PHASE) *)
   mutable sequence : int; (* compilation order stamp *)
 }
 
@@ -39,7 +36,7 @@ let err fmt = Format.kasprintf (fun s -> raise (Library_error s)) fmt
 let file_of_key key =
   String.map (fun c -> match c with ':' | '(' | ')' -> '@' | c -> c) key ^ ".vif"
 
-let create ?dir ~name () =
+let create ?dir ~name ~timer () =
   let t =
     {
       lib_name = name;
@@ -48,10 +45,7 @@ let create ?dir ~name () =
       loaded_files = Hashtbl.create 64;
       references = [];
       writable = true;
-      read_seconds = 0.0;
-      write_seconds = 0.0;
-      reads = 0;
-      writes = 0;
+      timer;
       sequence = 1; (* first stamp 2, as in VIF written by earlier versions *)
     }
   in
@@ -62,15 +56,6 @@ let create ?dir ~name () =
 
 (** Attach a read-only reference library under logical name [as_name]. *)
 let add_reference t ~as_name ref_lib = t.references <- t.references @ [ (as_name, ref_lib) ]
-
-(* VIF I/O time is charged to its own phase of the ambient compile timer
-   ([phase] is "VIF read" or "VIF write"), which both carves it out of the
-   enclosing phase and records each file transfer as a telemetry span;
-   [add] accumulates the seconds into the library's own counter. *)
-let timed phase add f =
-  Vhdl_util.Phase_timer.time_ambient phase (fun () ->
-      let start = U.now () in
-      Fun.protect ~finally:(fun () -> add (U.now () -. start)) f)
 
 let rec resolve_library t name =
   if String.equal name t.lib_name || String.equal name "WORK" then Some t
@@ -87,9 +72,10 @@ let rec resolve_library t name =
    caching the unit unless one with its key is already known. *)
 let load lib dir file =
   let path = Filename.concat dir file in
+  (* a phase of its own, carved out of the enclosing one and recorded as a
+     telemetry span per file *)
   let u =
-    timed "VIF read" (fun s -> lib.read_seconds <- lib.read_seconds +. s) (fun () ->
-        lib.reads <- lib.reads + 1;
+    Timer.time lib.timer "VIF read" (fun () ->
         Tm.incr m_reads;
         let text = U.read_file path in
         Tm.add m_read_bytes (String.length text);
@@ -139,8 +125,7 @@ let insert t (u : Unit_info.compiled_unit) =
   match t.lib_dir with
   | None -> ()
   | Some dir ->
-    timed "VIF write" (fun s -> t.write_seconds <- t.write_seconds +. s) (fun () ->
-        t.writes <- t.writes + 1;
+    Timer.time t.timer "VIF write" (fun () ->
         Tm.incr m_writes;
         Hashtbl.replace t.loaded_files file ();
         let text = Vif_units.to_string u in
@@ -203,21 +188,6 @@ let dump t ~library ~key =
   | Some u -> Some (Vif_units.to_string_indented u)
   | None -> None
 
-type io_stats = {
-  io_reads : int;
-  io_writes : int;
-  io_read_seconds : float;
-  io_write_seconds : float;
-}
-
-let io_stats t =
-  {
-    io_reads = t.reads;
-    io_writes = t.writes;
-    io_read_seconds = t.read_seconds;
-    io_write_seconds = t.write_seconds;
-  }
-
 (** Drop the in-memory unit cache (disk files stay), forcing subsequent
     [find]s to re-read VIF — each compiler invocation in the original system
     re-read its foreign references from the library. *)
@@ -229,9 +199,3 @@ let clear_cache t =
       Hashtbl.reset lib.units;
       Hashtbl.reset lib.loaded_files)
     t.references
-
-let reset_io_stats t =
-  t.reads <- 0;
-  t.writes <- 0;
-  t.read_seconds <- 0.0;
-  t.write_seconds <- 0.0

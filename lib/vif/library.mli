@@ -12,9 +12,11 @@ exception Library_error of string
 val file_of_key : string -> string
 (** Deterministic VIF file name for a unit key. *)
 
-val create : ?dir:string -> name:string -> unit -> t
+val create : ?dir:string -> name:string -> timer:Vhdl_util.Phase_timer.t -> unit -> t
 (** A library named [name]; [dir] makes it disk-backed (created if
-    missing). *)
+    missing).  Every VIF file read or written is a ["VIF read"] or
+    ["VIF write"] frame of [timer] — a compiler passes its own; a cache
+    hit opens no frame. *)
 
 val add_reference : t -> as_name:string -> t -> unit
 (** Attach a read-only reference library under a logical name. *)
@@ -41,16 +43,6 @@ val all : t -> Unit_info.compiled_unit list
 
 val dump : t -> library:string -> key:string -> string option
 (** The paper's human-readable VIF form, for debugging and documentation. *)
-
-type io_stats = {
-  io_reads : int;
-  io_writes : int;
-  io_read_seconds : float;
-  io_write_seconds : float;
-}
-
-val io_stats : t -> io_stats
-val reset_io_stats : t -> unit
 
 val clear_cache : t -> unit
 (** Drop the in-memory unit cache (disk files stay): subsequent [find]s

@@ -10,7 +10,8 @@
      tolerance (word counts are integral, so the per-line rounding is
      exact);
    - the phase timer's allocation table sums to the region's measured
-     GC allocation delta within 5%;
+     GC allocation delta within 5%, also when another compiler's timer
+     opens frames inside the region;
    - [Obs_event.check_log] enforces the [al_*]-sum-vs-[alloc_b]
      invariant on finish events;
    - the bench diff's [alloc] rows flag a planted 2x allocation
@@ -124,6 +125,23 @@ let test_phase_alloc_sums_to_gc_delta () =
   let tolerance = Float.max (0.05 *. delta) 2048.0 in
   if Float.abs (table_sum -. delta) > tolerance then
     Alcotest.failf "phase alloc table %.0fw disagrees with GC delta %.0fw"
+      table_sum delta
+
+(* a timer's table is its own: compiler B's frames, opened inside a frame
+   of compiler A's timer, are not subtracted from A's phase *)
+let test_timer_table_is_its_own () =
+  let a = Vhdl_compiler.create () and b = Vhdl_compiler.create () in
+  let timer = Vhdl_compiler.timer a in
+  let a0 = Telemetry.allocated_words_now () in
+  Phase_timer.time timer "outer" (fun () ->
+      ignore (Vhdl_compiler.compile b (Workload.behavioral ~name:"B" ~states:4 ~exprs:8)));
+  let delta = Telemetry.allocated_words_now () -. a0 in
+  Alcotest.(check (list string)) "only outer" [ "outer" ]
+    (List.map fst (Phase_timer.report_alloc timer));
+  let table_sum = Phase_timer.total_alloc timer in
+  let tolerance = Float.max (0.05 *. delta) 2048.0 in
+  if Float.abs (table_sum -. delta) > tolerance then
+    Alcotest.failf "A's alloc table %.0fw disagrees with the region's GC delta %.0fw"
       table_sum delta
 
 (* check_log: the al_* fields of a finish must sum to alloc_b *)
@@ -250,6 +268,8 @@ let suite =
       test_folded_alloc_conserves_exactly;
     Alcotest.test_case "phase alloc table sums to the GC delta" `Quick
       test_phase_alloc_sums_to_gc_delta;
+    Alcotest.test_case "a timer's alloc table is its own" `Quick
+      test_timer_table_is_its_own;
     Alcotest.test_case "check_log enforces the al_* sum invariant" `Quick
       test_check_log_alloc_sum;
     Alcotest.test_case "diff gates allocation: 2x trips, 8% passes" `Quick

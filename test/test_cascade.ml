@@ -122,6 +122,21 @@ let test_reference_session () =
   Alcotest.(check bool) "same folded value" true (fast.Pval.x_static = slow.Pval.x_static);
   Alcotest.(check bool) "same code" true (fast.Pval.x_code = slow.Pval.x_code)
 
+(* The cascade charges the active session's timer, not the timer whose
+   frame happens to enclose the call. *)
+let test_session_timer () =
+  let module Timer = Vhdl_util.Phase_timer in
+  let session = Session.in_memory [] in
+  let outer = Timer.create () in
+  Timer.time outer "outer" (fun () ->
+      Session.with_session session (fun () ->
+          ignore (Expr_eval.eval ~level:0 ~line [ int_t 6; op "*"; int_t 7 ])));
+  Alcotest.(check (list string)) "on the session's timer"
+    [ "expression evaluation (cascade)" ]
+    (List.map fst (Timer.report session.Session.timer));
+  Alcotest.(check (list string)) "not on the outer one" [ "outer" ]
+    (List.map fst (Timer.report outer))
+
 (* ------------------------------------------------------------------ *)
 (* Whole-compiler shape: every evaluation parses, in every compile *)
 
@@ -209,6 +224,7 @@ let suite =
     Alcotest.test_case "eval and eval_range on one token list" `Quick
       test_expression_and_range;
     Alcotest.test_case "reference session skips copy elision" `Quick test_reference_session;
+    Alcotest.test_case "the cascade charges its session's timer" `Quick test_session_timer;
     Alcotest.test_case "fresh compilers leave no live heap" `Quick test_no_retained_heap;
     Alcotest.test_case "recompilation reparses every expression" `Quick
       test_recompile_reparses;

@@ -109,8 +109,8 @@ let test_phase_timer () =
   in
   T.time t "alpha" (fun () ->
       spin ();
-      (* a nested ambient frame charges its own phase, not alpha's *)
-      T.time_ambient "gamma" spin);
+      (* a nested frame charges its own phase, not alpha's *)
+      T.time t "gamma" spin);
   T.time t "beta" (fun () -> ());
   let report = T.report t in
   Alcotest.(check (list string)) "phases in first-use order" [ "alpha"; "gamma"; "beta" ]
@@ -119,10 +119,13 @@ let test_phase_timer () =
     (List.for_all (fun (_, s) -> s >= 0.0) report);
   Alcotest.(check bool) "total is the sum" true
     (abs_float (T.total t -. List.fold_left (fun a (_, s) -> a +. s) 0.0 report) < 1e-9);
-  (* outside any time extent, time_ambient is a plain call *)
-  Alcotest.(check int) "ambient outside" 7 (T.time_ambient "nowhere" (fun () -> 7));
-  Alcotest.(check bool) "no stray phase" true
-    (not (List.mem_assoc "nowhere" (T.report t)))
+  (* a frame of another timer, even inside one of t's, adds no phase to t *)
+  let other = T.create () in
+  T.time t "alpha" (fun () -> T.time other "elsewhere" spin);
+  Alcotest.(check (list string)) "no stray phase" [ "alpha"; "gamma"; "beta" ]
+    (List.map fst (T.report t));
+  Alcotest.(check (list string)) "the other timer's own phase" [ "elsewhere" ]
+    (List.map fst (T.report other))
 
 let suite =
   [

@@ -4,6 +4,7 @@
 
 module W = Vif_codec.W
 module R = Vif_codec.R
+module Phase_timer = Vhdl_util.Phase_timer
 
 (* write then read, through the text *)
 let via_text write read x = R.of_string read (W.to_string write x)
@@ -407,12 +408,12 @@ let with_temp_dir f =
 
 let test_library_disk_roundtrip () =
   with_temp_dir @@ fun dir ->
-  let lib = Library.create ~dir ~name:"WORK" () in
+  let lib = Library.create ~dir ~name:"WORK" ~timer:(Phase_timer.create ()) () in
   Library.insert lib (mk_entity "E1");
   Library.insert lib (mk_arch ~entity:"E1" "A1");
   (* a second library instance sees the units from disk, with dependencies
      resolved on read *)
-  let lib2 = Library.create ~dir ~name:"WORK" () in
+  let lib2 = Library.create ~dir ~name:"WORK" ~timer:(Phase_timer.create ()) () in
   (match Library.find lib2 ~library:"WORK" ~key:"arch:E1(A1)" with
   | Some u -> Alcotest.(check int) "arch deps loaded" 1 (List.length u.Unit_info.u_deps)
   | None -> Alcotest.fail "arch not found from disk");
@@ -429,7 +430,7 @@ let arch_seqs lib =
 
 let test_library_sequence_order () =
   with_temp_dir @@ fun dir ->
-  let lib = Library.create ~dir ~name:"WORK" () in
+  let lib = Library.create ~dir ~name:"WORK" ~timer:(Phase_timer.create ()) () in
   Library.insert lib (mk_entity "E");
   Library.insert lib (mk_arch ~entity:"E" "FIRST");
   Library.insert lib (mk_arch ~entity:"E" "SECOND");
@@ -440,23 +441,23 @@ let test_library_sequence_order () =
     (List.for_all (fun (_, s) -> s <= third) seqs);
   (* recompiling FIRST makes it the latest: the §3.3 nondeterminism *)
   Library.insert lib (mk_arch ~entity:"E" "FIRST");
-  let lib2 = Library.create ~dir ~name:"WORK" () in
+  let lib2 = Library.create ~dir ~name:"WORK" ~timer:(Phase_timer.create ()) () in
   let seqs2 = arch_seqs lib2 in
   Alcotest.(check bool) "recompiled FIRST is now latest (persisted)" true
     (List.assoc "FIRST" seqs2 > List.assoc "THIRD" seqs2);
   (* a fresh library instance (a later process) that has read nothing yet
      stamps a new architecture above the siblings it finds on disk *)
-  Library.insert (Library.create ~dir ~name:"WORK" ()) (mk_arch ~entity:"E" "FOURTH");
-  let seqs3 = arch_seqs (Library.create ~dir ~name:"WORK" ()) in
+  Library.insert (Library.create ~dir ~name:"WORK" ~timer:(Phase_timer.create ()) ()) (mk_arch ~entity:"E" "FOURTH");
+  let seqs3 = arch_seqs (Library.create ~dir ~name:"WORK" ~timer:(Phase_timer.create ()) ()) in
   Alcotest.(check bool) "FOURTH from a fresh instance is latest" true
     (List.for_all (fun (name, s) -> name = "FOURTH" || s < List.assoc "FOURTH" seqs3) seqs3)
 
 let test_reference_library () =
   with_temp_dir @@ fun ref_dir ->
   with_temp_dir @@ fun work_dir ->
-  let ref_lib = Library.create ~dir:ref_dir ~name:"GATES" () in
+  let ref_lib = Library.create ~dir:ref_dir ~name:"GATES" ~timer:(Phase_timer.create ()) () in
   Library.insert ref_lib (mk_entity "NAND2");
-  let work = Library.create ~dir:work_dir ~name:"WORK" () in
+  let work = Library.create ~dir:work_dir ~name:"WORK" ~timer:(Phase_timer.create ()) () in
   Library.add_reference work ~as_name:"GATES" ref_lib;
   Alcotest.(check bool) "reference library resolves" true
     (Library.find work ~library:"GATES" ~key:"entity:NAND2" <> None);
@@ -465,7 +466,7 @@ let test_reference_library () =
 
 let test_human_readable_dump () =
   with_temp_dir @@ fun dir ->
-  let lib = Library.create ~dir ~name:"WORK" () in
+  let lib = Library.create ~dir ~name:"WORK" ~timer:(Phase_timer.create ()) () in
   Library.insert lib (mk_entity "DUMPME");
   match Library.dump lib ~library:"WORK" ~key:"entity:DUMPME" with
   | Some text ->
@@ -525,13 +526,13 @@ let test_reordered_fields_rejected () =
 
 let test_corrupt_file_in_library () =
   with_temp_dir @@ fun dir ->
-  let lib = Library.create ~dir ~name:"WORK" () in
+  let lib = Library.create ~dir ~name:"WORK" ~timer:(Phase_timer.create ()) () in
   Library.insert lib (mk_entity "E1");
   let file = Filename.concat dir (Library.file_of_key "entity:E1") in
   let text = Vhdl_util.Unix_compat.read_file file in
   Vhdl_util.Unix_compat.write_file file (String.sub text 0 30);
   let expect name f =
-    match f (Library.create ~dir ~name:"WORK" ()) with
+    match f (Library.create ~dir ~name:"WORK" ~timer:(Phase_timer.create ()) ()) with
     | _ -> Alcotest.failf "%s: no error" name
     | exception Library.Library_error msg ->
       Alcotest.(check bool) (name ^ " names the file") true (Astring_contains.contains msg file);
@@ -550,7 +551,7 @@ let test_vif_goldens () =
     (golden_vifs ());
   List.iter
     (fun (stem, key) ->
-      let lib = Library.create ~dir:(golden_path stem) ~name:"WORK" () in
+      let lib = Library.create ~dir:(golden_path stem) ~name:"WORK" ~timer:(Phase_timer.create ()) () in
       Alcotest.(check (option string)) (stem ^ ": dump of " ^ key)
         (Some (Vhdl_util.Unix_compat.read_file (golden_path (stem ^ ".dump"))))
         (Option.map (fun d -> d ^ "\n") (Library.dump lib ~library:"WORK" ~key)))
