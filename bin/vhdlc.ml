@@ -639,7 +639,15 @@ let bench_suite ~scaling ~warmup ~repeats ~quota =
             compile_experiment
               (Printf.sprintf "scaling/structural/instances=%d" instances)
               [ Workload.structural ~name:"SN" ~instances ])
-          [ 10; 20; 40; 80 ];
+          [ 10; 20; 40; 80; 400 ];
+        (* one declarative region growing: Workload.package ~n declares n
+           constants and n functions *)
+        List.map
+          (fun decls ->
+            compile_experiment
+              (Printf.sprintf "scaling/packages/decls=%d" decls)
+              [ Workload.package ~name:"SP" ~n:(decls / 2) ])
+          [ 250; 1000; 4000 ];
         List.map
           (fun stages ->
             sim_experiment

@@ -72,13 +72,15 @@ let conditional_assign ~level ~line ~label ~transport ~guarded target_lef
     Stmt_sem.build_signal_assign ~level ~line ~transport ~guarded target_lef waves
   in
   let arms, msgs =
-    List.fold_left
-      (fun (arms, msgs) (waves, cond_lef) ->
-        let stmts, m1 = assign waves in
-        let c, m2 = Stmt_sem.boolean_cond ~level ~line cond_lef in
-        (arms @ [ (c, stmts) ], msgs @ m1 @ m2))
-      ([], []) arms
+    List.split
+      (List.map
+         (fun (waves, cond_lef) ->
+           let stmts, m1 = assign waves in
+           let c, m2 = Stmt_sem.boolean_cond ~level ~line cond_lef in
+           ((c, stmts), m1 @ m2))
+         arms)
   in
+  let msgs = List.concat msgs in
   let else_stmts, msgs =
     match final with
     | None -> ([], msgs)
@@ -95,21 +97,20 @@ let selected_assign ~level ~line ~label ~transport ~guarded selector_lef target_
     (alts : (wave_src list * choice_src list) list) : Kir.concurrent list * Diag.t list =
   let sel = Expr_eval.eval ~level ~line selector_lef in
   let case_alts, msgs =
-    List.fold_left
-      (fun (alts, msgs) (waves, choices) ->
-        let stmts, m1 =
-          Stmt_sem.build_signal_assign ~level ~line ~transport ~guarded target_lef waves
-        in
-        let choices, m2 =
-          List.fold_left
-            (fun (cs, ms) c ->
-              let c, m = Stmt_sem.resolve_choice ~level ~line ~selector_ty:sel.x_ty c in
-              (cs @ [ c ], ms @ m))
-            ([], []) choices
-        in
-        (alts @ [ (choices, stmts) ], msgs @ m1 @ m2))
-      ([], []) alts
+    List.split
+      (List.map
+         (fun (waves, choices) ->
+           let stmts, m1 =
+             Stmt_sem.build_signal_assign ~level ~line ~transport ~guarded target_lef waves
+           in
+           let choices, m2 =
+             List.split
+               (List.map (Stmt_sem.resolve_choice ~level ~line ~selector_ty:sel.x_ty) choices)
+           in
+           ((choices, stmts), m1 @ List.concat m2))
+         alts)
   in
+  let msgs = List.concat msgs in
   let label = match label with Some l -> l | None -> fresh_label "csa" in
   ( [ assignment_process ~label [ Kir.Scase (sel.x_code, case_alts) ] ],
     sel.x_msgs @ msgs )

@@ -71,7 +71,7 @@ let stmt_rules ~deps ~msg_deps f =
   [
     rule ~target:(0, "SRES") ~deps (fun vs ->
         let stmts, msgs = f vs in
-        Pair (Stmts stmts, Msgs msgs));
+        Pair (of_stmts stmts, Msgs msgs));
     rule ~target:(0, "CODE") ~deps:[ (0, "SRES") ] fst_of;
     rule ~target:(0, "MSGS")
       ~deps:((0, "SRES") :: List.map (fun p -> (p, "MSGS")) msg_deps)
@@ -83,7 +83,7 @@ let out_rules ~deps ~msg_deps f =
   [
     rule ~target:(0, "SRES") ~deps (fun vs ->
         let out, msgs = f vs in
-        Pair (Out out, Msgs msgs));
+        Pair (of_out out, Msgs msgs));
     rule ~target:(0, "OUT") ~deps:[ (0, "SRES") ] fst_of;
     rule ~target:(0, "MSGS")
       ~deps:((0, "SRES") :: List.map (fun p -> (p, "MSGS")) msg_deps)
@@ -95,7 +95,7 @@ let conc_rules ~deps ~msg_deps f =
   [
     rule ~target:(0, "SRES") ~deps (fun vs ->
         let concs, out, msgs = f vs in
-        Pair (Pair (Concs concs, Out out), Msgs msgs));
+        Pair (Pair (of_concs concs, of_out out), Msgs msgs));
     rule ~target:(0, "CONCS") ~deps:[ (0, "SRES") ] (function
       | [ v ] -> fst (as_pair (fst (as_pair v)))
       | _ -> internal "conc CONCS");
@@ -111,6 +111,18 @@ let conc_rules ~deps ~msg_deps f =
           Msgs (List.concat_map as_msgs children @ as_msgs m)
         | [] -> internal "conc MSGS");
   ]
+
+(* List attributes built by left recursion (IDS, LEFS, IFACES, IXS,
+   PUNITS, ARMS, ALTS, SWAVES, ASSOCS) hold their elements newest first:
+   each step conses instead of copying its prefix, and the consumer puts
+   the list in order once. *)
+let ids_in_order v = List.rev (as_ids v)
+let lefs_in_order v = List.rev (as_lefs v)
+let ifaces_in_order v = List.rev (as_ifaces v)
+
+(* LINE1 of a declaration: the line of its first token, where the
+   homograph check reports a redeclaration *)
+let first_line : Pval.t B.rule_spec = copy ~target:(0, "LINE1") ~from:(1, "LINE")
 
 (* token helpers *)
 let id_of v = tok_id v

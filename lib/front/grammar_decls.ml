@@ -36,7 +36,7 @@ let add b =
     ~rules:
       [
         rule ~target:(0, "IDS") ~deps:[ (1, "IDS"); (3, "VAL"); (3, "LINE") ] (function
-          | [ ids; v; line ] -> Ids (as_ids ids @ [ (tok_id v, as_int line) ])
+          | [ ids; v; line ] -> Ids ((tok_id v, as_int line) :: as_ids ids)
           | _ -> internal "id_list_more");
       ];
   prod ~name:"opt_id_none" ~lhs:"opt_id" ~rhs:[]
@@ -58,43 +58,72 @@ let add b =
           | _ -> internal "init_opt_some");
       ];
 
-  (* ---- declaration item threading ---- *)
-  prod ~name:"decl_items_empty" ~lhs:"decl_items" ~rhs:[] ~rules:[];
+  (* ---- declaration item threading ----
+     A region threads two values from item to item, so each item costs
+     one step (paper idiom 3): ENVOUT, the environment after the items,
+     whose value at items 1..k-1 is item k's ENV; and REGION, the names
+     declared so far and the slot and signal counts.  An empty region's
+     ENVOUT is a copy, which the plan never forces, so an empty region
+     demands no environment. *)
+  prod ~name:"decl_items_empty" ~lhs:"decl_items" ~rhs:[]
+    ~rules:
+      [
+        copy ~target:(0, "ENVOUT") ~from:(0, "ENV");
+        rule ~target:(0, "REGION") ~deps:[] (fun _ -> Region region_empty);
+      ];
   prod ~name:"decl_items_more" ~lhs:"decl_items" ~rhs:[ "decl_items"; "decl_item" ]
     ~rules:
       [
-        rule ~target:(2, "ENV") ~deps:[ (0, "ENV"); (1, "OUT") ] (function
+        copy ~target:(2, "ENV") ~from:(1, "ENVOUT");
+        rule ~target:(0, "ENVOUT") ~deps:[ (1, "ENVOUT"); (2, "OUT") ] (function
           | [ env; out ] -> Env (Env.extend_many (as_env env) (as_out out).o_binds)
-          | _ -> internal "decl env");
+          | _ -> internal "decl envout");
+        rule ~target:(0, "REGION") ~deps:[ (1, "REGION"); (2, "OUT") ] (function
+          | [ r; out ] ->
+            let r = as_region r and out = as_out out in
+            Region
+              {
+                r_names =
+                  List.fold_left
+                    (fun names (n, d) ->
+                      if Names.mem n names then names
+                      else Names.add n (Denot.overloadable d) names)
+                    r.r_names out.o_binds;
+                r_locals = r.r_locals + List.length out.o_locals;
+                r_signals = r.r_signals + List.length out.o_signals;
+              }
+          | _ -> internal "decl region");
         (* homographs: redeclaring a non-overloadable name in the same
            declarative region is an error (LRM 10.3) *)
         rule ~target:(0, "MSGS")
-          ~deps:[ (1, "MSGS"); (2, "MSGS"); (1, "OUT"); (2, "OUT") ]
+          ~deps:[ (1, "MSGS"); (2, "MSGS"); (1, "REGION"); (2, "OUT"); (2, "LINE1") ]
           (function
-            | [ m1; m2; prev; latest ] ->
-              let prev_binds = (as_out prev).o_binds in
+            | [ m1; m2; prev; latest; line ] ->
+              let names = (as_region prev).r_names in
               let dups =
                 List.filter_map
                   (fun (n, d) ->
-                    match List.assoc_opt n prev_binds with
-                    | Some d' when (not (Denot.overloadable d)) || not (Denot.overloadable d') ->
+                    match Names.find_opt n names with
+                    | Some overloadable when not (overloadable && Denot.overloadable d) ->
                       Some
-                        (Diag.error ~line:0 "%s is already declared in this region" n)
+                        (Diag.error ~line:(as_int line)
+                           "%s is already declared in this region" n)
                     | _ -> None)
                   (as_out latest).o_binds
               in
               Msgs (as_msgs m1 @ as_msgs m2 @ dups)
             | _ -> internal "decl msgs");
-        rule ~target:(2, "SLOTBASE") ~deps:[ (0, "SLOTBASE"); (1, "OUT") ] (function
-          | [ base; out ] -> Int (as_int base + List.length (as_out out).o_locals)
+        rule ~target:(2, "SLOTBASE") ~deps:[ (0, "SLOTBASE"); (1, "REGION") ] (function
+          | [ base; r ] -> Int (as_int base + (as_region r).r_locals)
           | _ -> internal "decl slotbase");
-        rule ~target:(2, "SIGBASE") ~deps:[ (0, "SIGBASE"); (1, "OUT") ] (function
-          | [ base; out ] -> Int (as_int base + List.length (as_out out).o_signals)
+        rule ~target:(2, "SIGBASE") ~deps:[ (0, "SIGBASE"); (1, "REGION") ] (function
+          | [ base; r ] -> Int (as_int base + (as_region r).r_signals)
           | _ -> internal "decl sigbase");
       ];
   List.iter
     (fun alt ->
-      prod ~name:("decl_item_" ^ alt) ~lhs:"decl_item" ~rhs:[ alt ] ~rules:[])
+      prod ~name:("decl_item_" ^ alt) ~lhs:"decl_item" ~rhs:[ alt ]
+        ~rules:[ copy ~target:(0, "LINE1") ~from:(1, "LINE1") ])
     [
       "type_decl"; "subtype_decl"; "constant_decl"; "signal_decl"; "variable_decl";
       "subprog_decl"; "subprog_body"; "component_decl"; "attribute_decl";
@@ -106,19 +135,20 @@ let add b =
   prod ~name:"disconnect_spec" ~lhs:"disconnect_spec"
     ~rhs:[ "disconnect"; "name_list"; ":"; "name"; "after"; "expr"; ";" ]
     ~rules:
-      (out_rules
+      (first_line :: out_rules
          ~deps:[ (0, "LEVEL"); (1, "LINE"); (2, "LEFS"); (6, "LEF") ]
          ~msg_deps:[ 2; 4; 6 ]
          (function
            | [ level; line; names; after ] ->
              Decl_sem.disconnect_spec ~level:(as_int level) ~line:(as_int line)
-               (as_lefs names) (as_lef after)
+               (lefs_in_order names) (as_lef after)
            | _ -> internal "disconnect_spec"));
 
   (* ---- types ---- *)
   prod ~name:"type_decl" ~lhs:"type_decl" ~rhs:[ "type"; "ID"; "is"; "type_def"; ";" ]
     ~rules:
-      (out_rules ~deps:[ (2, "VAL"); (4, "TYDEF") ] ~msg_deps:[ 4 ] (function
+      (first_line
+       :: out_rules ~deps:[ (2, "VAL"); (4, "TYDEF") ] ~msg_deps:[ 4 ] (function
         | [ v; tydef ] ->
           let name = tok_id v in
           let ty, extra_binds = (as_tydef tydef) name in
@@ -129,7 +159,7 @@ let add b =
       [
         rule ~target:(0, "TYDEF") ~deps:[ (0, "UNITNAME"); (2, "IDS") ] (function
           | [ unit_name; lits ] ->
-            Decl_sem.enum_type_def ~unit_name:(as_str unit_name) (as_ids lits)
+            Decl_sem.enum_type_def ~unit_name:(as_str unit_name) (ids_in_order lits)
           | _ -> internal "type_def_enum");
       ];
   prod ~name:"type_def_range" ~lhs:"type_def"
@@ -196,7 +226,7 @@ let add b =
               let line = as_int line in
               let dir = if as_str d = "to" then Types.To else Types.Downto in
               let lo_lef = as_lef lo and hi_lef = as_lef hi in
-              let decls = as_phys_units punits in
+              let decls = List.rev (as_phys_units punits) in
               Tydef
                 (fun name ->
                   let evi lef =
@@ -262,8 +292,8 @@ let add b =
                 | _ -> internal "unit multiplier"
               in
               Phys_units
-                (as_phys_units prev
-                @ [ (tok_id name_v, mult, Some (tok_id base_v), as_int line) ])
+                ((tok_id name_v, mult, Some (tok_id base_v), as_int line)
+                :: as_phys_units prev)
             | _ -> internal "unit_decls_secondary");
       ];
 
@@ -313,7 +343,7 @@ let add b =
                       }
                     | _ -> internal "type_def_array ixs"
                   in
-                  match as_plist ixs with
+                  match List.rev (as_plist ixs) with
                   | [ single ] -> (one_dim ~base_name elem_ty single, [])
                   | specs ->
                     (* multi-dimensional arrays lower to nested arrays:
@@ -358,7 +388,7 @@ let add b =
             let fields =
               List.concat_map
                 (fun i -> List.map (fun (n, _) -> (n, i.if_ty)) i.if_names)
-                (as_ifaces ifaces)
+                (ifaces_in_order ifaces)
             in
             Decl_sem.record_type_def ~unit_name:(as_str unit_name) ~fields
           | _ -> internal "type_def_record");
@@ -375,7 +405,7 @@ let add b =
     ~rules:
       [
         rule ~target:(0, "IXS") ~deps:[ (1, "IXS"); (3, "IXS") ] (function
-          | [ xs; x ] -> Plist (as_plist xs @ [ x ])
+          | [ xs; x ] -> Plist (x :: as_plist xs)
           | _ -> internal "index_specs_more");
       ];
   prod ~name:"index_spec_range" ~lhs:"index_spec" ~rhs:[ "discrete_range" ]
@@ -397,7 +427,7 @@ let add b =
     ~rules:
       [
         rule ~target:(0, "IFACES") ~deps:[ (1, "IFACES"); (2, "IFACES") ] (function
-          | [ a; c ] -> Ifaces (as_ifaces a @ as_ifaces c)
+          | [ a; c ] -> Ifaces (List.rev_append (as_ifaces c) (as_ifaces a))
           | _ -> internal "record_elems_more");
       ];
   prod ~name:"record_elem" ~lhs:"record_elem" ~rhs:[ "id_list"; ":"; "subtype_ind"; ";" ]
@@ -409,7 +439,7 @@ let add b =
             Ifaces
               [
                 {
-                  if_names = as_ids ids;
+                  if_names = ids_in_order ids;
                   if_class = None;
                   if_mode = None;
                   if_ty = ty;
@@ -425,7 +455,7 @@ let add b =
     ~rules:
       [
         rule ~target:(0, "IDS") ~deps:[ (1, "IDS"); (3, "IDS") ] (function
-          | [ a; c ] -> Ids (as_ids a @ as_ids c)
+          | [ a; c ] -> Ids (List.rev_append (as_ids c) (as_ids a))
           | _ -> internal "enum_lits_more");
       ];
   prod ~name:"enum_lit_id" ~lhs:"enum_lit" ~rhs:[ "ID" ]
@@ -449,7 +479,8 @@ let add b =
   (* ---- subtypes ---- *)
   prod ~name:"subtype_decl" ~lhs:"subtype_decl" ~rhs:[ "subtype"; "ID"; "is"; "subtype_ind"; ";" ]
     ~rules:
-      (out_rules ~deps:[ (2, "VAL"); (4, "STY") ] ~msg_deps:[ 4 ] (function
+      (first_line
+       :: out_rules ~deps:[ (2, "VAL"); (4, "STY") ] ~msg_deps:[ 4 ] (function
         | [ v; sty ] ->
           let name = tok_id v in
           let ty, _ = as_sty sty in
@@ -500,10 +531,23 @@ let add b =
            | _ -> internal "subtype_ind_range"));
 
   (* ---- objects ---- *)
+  (* a name repeated in one declaration's identifier list is a homograph
+     of the first, as a repeat in a later declaration is *)
+  let check_repeats ids (out, msgs) =
+    let _, repeats =
+      List.fold_left
+        (fun (seen, repeats) (n, line) ->
+          if Names.mem n seen then
+            (seen, Diag.error ~line "%s is already declared in this region" n :: repeats)
+          else (Names.add n () seen, repeats))
+        (Names.empty, []) ids
+    in
+    (out, msgs @ List.rev repeats)
+  in
   prod ~name:"constant_decl" ~lhs:"constant_decl"
     ~rhs:[ "constant"; "id_list"; ":"; "subtype_ind"; "init_opt"; ";" ]
     ~rules:
-      (out_rules
+      (first_line :: out_rules
          ~deps:(ctx_deps @ [ (1, "LINE"); (2, "IDS"); (4, "STY"); (5, "OLEF") ])
          ~msg_deps:[ 4 ]
          (fun vs ->
@@ -516,13 +560,14 @@ let add b =
                | Some l -> as_lef l
                | None -> []
              in
-             Decl_sem.constant_decl (object_context cx) ~line:(as_int line) (as_ids ids) ty
-               init_lef
+             let ids = ids_in_order ids in
+             Decl_sem.constant_decl (object_context cx) ~line:(as_int line) ids ty init_lef
+             |> check_repeats ids
            | _ -> internal "constant_decl"));
   prod ~name:"signal_decl" ~lhs:"signal_decl"
     ~rhs:[ "signal"; "id_list"; ":"; "subtype_ind"; "sig_kind_opt"; "init_opt"; ";" ]
     ~rules:
-      (out_rules
+      (first_line :: out_rules
          ~deps:(ctx_deps @ [ (1, "LINE"); (2, "IDS"); (4, "SRES"); (5, "SKIND"); (6, "OLEF") ])
          ~msg_deps:[ 4 ]
          (fun vs ->
@@ -545,8 +590,9 @@ let add b =
                | Some l -> as_lef l
                | None -> []
              in
-             Decl_sem.signal_decl (object_context cx) ~line:(as_int line) (as_ids ids) rs ~kind
-               init_lef
+             let ids = ids_in_order ids in
+             Decl_sem.signal_decl (object_context cx) ~line:(as_int line) ids rs ~kind init_lef
+             |> check_repeats ids
            | _ -> internal "signal_decl"));
   prod ~name:"sig_kind_none" ~lhs:"sig_kind_opt" ~rhs:[]
     ~rules:[ rule ~target:(0, "SKIND") ~deps:[] (fun _ -> Str "plain") ];
@@ -557,7 +603,7 @@ let add b =
   prod ~name:"variable_decl" ~lhs:"variable_decl"
     ~rhs:[ "variable"; "id_list"; ":"; "subtype_ind"; "init_opt"; ";" ]
     ~rules:
-      (out_rules
+      (first_line :: out_rules
          ~deps:(ctx_deps @ [ (1, "LINE"); (2, "IDS"); (4, "STY"); (5, "OLEF") ])
          ~msg_deps:[ 4 ]
          (fun vs ->
@@ -570,8 +616,9 @@ let add b =
                | Some l -> as_lef l
                | None -> []
              in
-             Decl_sem.variable_decl (object_context cx) ~line:(as_int line) (as_ids ids) ty
-               init_lef
+             let ids = ids_in_order ids in
+             Decl_sem.variable_decl (object_context cx) ~line:(as_int line) ids ty init_lef
+             |> check_repeats ids
            | _ -> internal "variable_decl"));
 
   (* ---- interfaces ---- *)
@@ -580,7 +627,7 @@ let add b =
     ~rules:
       [
         rule ~target:(0, "IFACES") ~deps:[ (1, "IFACES"); (3, "IFACES") ] (function
-          | [ a; c ] -> Ifaces (as_ifaces a @ as_ifaces c)
+          | [ a; c ] -> Ifaces (List.rev_append (as_ifaces c) (as_ifaces a))
           | _ -> internal "iface_list_more");
       ];
   prod ~name:"iface_elem" ~lhs:"iface_elem"
@@ -610,7 +657,7 @@ let add b =
                 | Some (Str "inout") -> Some Kir.Arg_inout
                 | _ -> None
               in
-              let ids = as_ids ids in
+              let ids = ids_in_order ids in
               let line = match ids with (_, l) :: _ -> l | [] -> 0 in
               let if_default, _msgs =
                 match as_opt init with
@@ -655,6 +702,7 @@ let add b =
     ~rhs:[ "function"; "ID"; "params_opt"; "return"; "name" ]
     ~rules:
       [
+        first_line;
         rule ~target:(0, "SPEC")
           ~deps:[ (0, "LEVEL"); (1, "LINE"); (2, "VAL"); (3, "IFACES"); (5, "LEF") ]
           (function
@@ -668,7 +716,7 @@ let add b =
                   sp_kind = `Function;
                   sp_name = tok_id v;
                   sp_line = as_int line;
-                  sp_params = as_ifaces params;
+                  sp_params = ifaces_in_order params;
                   sp_ret = Some rs.Decl_sem.rs_ty;
                 }
             | _ -> internal "subprog_spec_function");
@@ -678,6 +726,7 @@ let add b =
     ~rhs:[ "function"; "STRING"; "params_opt"; "return"; "name" ]
     ~rules:
       [
+        first_line;
         rule ~target:(0, "SPEC")
           ~deps:[ (0, "LEVEL"); (2, "LINE"); (2, "VAL"); (3, "IFACES"); (5, "LEF") ]
           (function
@@ -696,7 +745,7 @@ let add b =
                   sp_kind = `Function;
                   sp_name = Lef.operator_key sym;
                   sp_line = as_int line;
-                  sp_params = as_ifaces params;
+                  sp_params = ifaces_in_order params;
                   sp_ret = Some rs.Decl_sem.rs_ty;
                 }
             | _ -> internal "subprog_spec_op_function");
@@ -738,6 +787,7 @@ let add b =
     ~rhs:[ "procedure"; "ID"; "params_opt" ]
     ~rules:
       [
+        first_line;
         rule ~target:(0, "SPEC") ~deps:[ (1, "LINE"); (2, "VAL"); (3, "IFACES") ] (function
           | [ line; v; params ] ->
             Spec
@@ -745,7 +795,7 @@ let add b =
                 sp_kind = `Procedure;
                 sp_name = tok_id v;
                 sp_line = as_int line;
-                sp_params = as_ifaces params;
+                sp_params = ifaces_in_order params;
                 sp_ret = None;
               }
           | _ -> internal "subprog_spec_procedure");
@@ -755,7 +805,8 @@ let add b =
   prod ~name:"params_opt_some" ~lhs:"params_opt" ~rhs:[ "("; "iface_list"; ")" ] ~rules:[];
   prod ~name:"subprog_decl" ~lhs:"subprog_decl" ~rhs:[ "subprog_spec"; ";" ]
     ~rules:
-      (out_rules ~deps:[ (0, "UNITNAME"); (1, "SPEC") ] ~msg_deps:[ 1 ] (function
+      (copy ~target:(0, "LINE1") ~from:(1, "LINE1")
+       :: out_rules ~deps:[ (0, "UNITNAME"); (1, "SPEC") ] ~msg_deps:[ 1 ] (function
         | [ unit_name; spec ] ->
           let spec = as_spec spec in
           let s = Decl_sem.subprog_sig ~unit_name:(as_str unit_name) spec in
@@ -766,6 +817,7 @@ let add b =
     ~rhs:[ "subprog_spec"; "is"; "decl_items"; "begin"; "stmts"; "end"; "opt_id"; ";" ]
     ~rules:
       [
+        copy ~target:(0, "LINE1") ~from:(1, "LINE1");
         (* inner environment: own signature (recursion) + parameters *)
         rule ~target:(3, "ENV")
           ~deps:[ (0, "ENV"); (0, "LEVEL"); (0, "UNITNAME"); (1, "SPEC") ]
@@ -786,9 +838,7 @@ let add b =
                  0 (as_spec spec).sp_params)
           | _ -> internal "subprog slotbase");
         rule ~target:(3, "CTX") ~deps:[] (fun _ -> Str "subprog");
-        rule ~target:(5, "ENV") ~deps:[ (3, "ENV"); (3, "OUT") ] (function
-          | [ env; out ] -> Env (Env.extend_many (as_env env) (as_out out).o_binds)
-          | _ -> internal "subprog stmt env");
+        copy ~target:(5, "ENV") ~from:(3, "ENVOUT");
         rule ~target:(5, "LEVEL") ~deps:[ (3, "LEVEL") ] (function
           | [ l ] -> l
           | _ -> internal "subprog stmt level");
@@ -825,7 +875,7 @@ let add b =
                   sub_body = as_stmts code;
                 }
               in
-              Out
+              of_out
                 {
                   out_empty with
                   o_binds = [ (s.Denot.ss_name, Denot.Dsubprog s) ];
@@ -860,18 +910,18 @@ let add b =
   prod ~name:"component_decl" ~lhs:"component_decl"
     ~rhs:[ "component"; "ID"; "generic_clause_opt"; "port_clause_opt"; "end"; "component"; ";" ]
     ~rules:
-      (out_rules
+      (first_line :: out_rules
          ~deps:[ (1, "LINE"); (2, "VAL"); (3, "IFACES"); (4, "IFACES") ]
          ~msg_deps:[ 3; 4 ]
          (function
            | [ line; v; generics; ports ] ->
              Decl_sem.component_decl ~line:(as_int line) ~name:(tok_id v)
-               ~generics:(as_ifaces generics) ~ports:(as_ifaces ports)
+               ~generics:(ifaces_in_order generics) ~ports:(ifaces_in_order ports)
            | _ -> internal "component_decl"));
   prod ~name:"attribute_decl" ~lhs:"attribute_decl"
     ~rhs:[ "attribute"; "ID"; ":"; "name"; ";" ]
     ~rules:
-      (out_rules
+      (first_line :: out_rules
          ~deps:[ (0, "LEVEL"); (1, "LINE"); (2, "VAL"); (4, "LEF") ]
          ~msg_deps:[ 4 ]
          (function
@@ -882,7 +932,7 @@ let add b =
   prod ~name:"attribute_spec" ~lhs:"attribute_spec"
     ~rhs:[ "attribute"; "ID"; "of"; "ID"; ":"; "entity_class"; "is"; "expr"; ";" ]
     ~rules:
-      (out_rules
+      (first_line :: out_rules
          ~deps:[ (0, "ENV"); (0, "LEVEL"); (1, "LINE"); (2, "VAL"); (4, "VAL"); (8, "LEF") ]
          ~msg_deps:[ 8 ]
          (function
@@ -897,7 +947,7 @@ let add b =
   prod ~name:"alias_decl" ~lhs:"alias_decl"
     ~rhs:[ "alias"; "ID"; ":"; "subtype_ind"; "is"; "name"; ";" ]
     ~rules:
-      (out_rules
+      (first_line :: out_rules
          ~deps:[ (0, "ENV"); (1, "LINE"); (2, "VAL"); (6, "BASE"); (6, "LEF") ]
          ~msg_deps:[ 4; 6 ]
          (function
@@ -907,31 +957,31 @@ let add b =
            | _ -> internal "alias_decl"));
 
   (* ---- use / library clauses ---- *)
-  prod ~name:"use_clause" ~lhs:"use_clause" ~rhs:[ "use"; "use_names"; ";" ] ~rules:[];
+  prod ~name:"use_clause" ~lhs:"use_clause" ~rhs:[ "use"; "use_names"; ";" ] ~rules:[ first_line ];
+  let resolve_use parts line =
+    match as_pair parts with
+    | Ids ids, Bool all -> Decl_sem.resolve_use ~line:(as_int line) (List.map fst ids) ~all
+    | _ -> internal "use parts"
+  in
   prod ~name:"use_names_one" ~lhs:"use_names" ~rhs:[ "use_name" ]
     ~rules:
       (out_rules ~deps:[ (1, "UPARTS"); (1, "LINE1") ] ~msg_deps:[] (function
-        | [ parts; line ] -> (
-          match as_pair parts with
-          | Ids ids, Bool all ->
-            Decl_sem.resolve_use ~line:(as_int line) (List.map fst ids) ~all
-          | _ -> internal "use parts")
+        | [ parts; line ] -> resolve_use parts line
         | _ -> internal "use_names_one"));
+  (* the new name's bindings join the earlier names' by one merge *)
   prod ~name:"use_names_more" ~lhs:"use_names" ~rhs:[ "use_names"; ","; "use_name" ]
     ~rules:
-      (out_rules
-         ~deps:[ (1, "OUT"); (3, "UPARTS"); (3, "LINE1") ]
-         ~msg_deps:[ 1 ]
-         (function
-           | [ prev; parts; line ] -> (
-             match as_pair parts with
-             | Ids ids, Bool all ->
-               let out, msgs =
-                 Decl_sem.resolve_use ~line:(as_int line) (List.map fst ids) ~all
-               in
-               (out_append (as_out prev) out, msgs)
-             | _ -> internal "use parts")
-           | _ -> internal "use_names_more"));
+      [
+        rule ~target:(0, "SRES") ~deps:[ (3, "UPARTS"); (3, "LINE1") ] (function
+          | [ parts; line ] ->
+            let out, msgs = resolve_use parts line in
+            Pair (of_out out, Msgs msgs)
+          | _ -> internal "use_names_more");
+        rule ~target:(0, "OUT") ~deps:[ (1, "OUT"); (0, "SRES") ] (function
+          | [ prev; res ] -> merge_out prev (fst (as_pair res))
+          | _ -> internal "use_names_more out");
+        rule ~target:(0, "MSGS") ~deps:[ (0, "SRES"); (1, "MSGS") ] snd_plus_msgs;
+      ];
   prod ~name:"use_name_id" ~lhs:"use_name" ~rhs:[ "ID" ]
     ~rules:
       [
@@ -992,7 +1042,7 @@ let add b =
   prod ~name:"config_spec1" ~lhs:"config_spec1"
     ~rhs:[ "for"; "inst_spec"; ":"; "ID"; "binding_ind"; ";" ]
     ~rules:
-      (out_rules
+      (first_line :: out_rules
          ~deps:[ (1, "LINE"); (2, "ISPEC"); (4, "VAL"); (5, "BIND") ]
          ~msg_deps:[]
          (function
@@ -1023,7 +1073,7 @@ let add b =
     ~rules:
       [
         rule ~target:(0, "ISPEC") ~deps:[ (1, "IDS") ] (function
-          | [ ids ] -> Pair (Str "labels", ids)
+          | [ ids ] -> Pair (Str "labels", Ids (ids_in_order ids))
           | _ -> internal "inst_spec_labels");
       ];
   prod ~name:"inst_spec_all" ~lhs:"inst_spec" ~rhs:[ "all" ]

@@ -417,7 +417,7 @@ let add b =
     ~rules:
       [
         rule ~target:(0, "LEFS") ~deps:[ (1, "LEFS"); (3, "LEF") ] (function
-          | [ ls; l ] -> Lefs (as_lefs ls @ [ as_lef l ])
+          | [ ls; l ] -> Lefs (as_lef l :: as_lefs ls)
           | _ -> internal "name_list_more");
       ];
 

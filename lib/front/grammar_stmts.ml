@@ -125,7 +125,7 @@ let add b =
            | [ level; retty; line; on; until; for_ ] ->
              let stmts, msgs =
                Stmt_sem.build_wait ~level:(as_int level) ~line:(as_int line)
-                 ~on:(as_lefs on)
+                 ~on:(lefs_in_order on)
                  ~until:(Option.map as_lef (as_opt until))
                  ~for_:(Option.map as_lef (as_opt for_))
              in
@@ -207,7 +207,7 @@ let add b =
          ~msg_deps:[ 2; 4; 5; 6 ]
          (function
            | [ level; line; cond; then_code; elsifs; else_code ] ->
-             let arms = (as_lef cond, as_stmts then_code) :: as_arms elsifs in
+             let arms = (as_lef cond, as_stmts then_code) :: List.rev (as_arms elsifs) in
              Stmt_sem.build_if ~level:(as_int level) ~line:(as_int line) ~arms
                ~else_:(as_stmts else_code)
            | _ -> internal "stmt_if"));
@@ -219,11 +219,11 @@ let add b =
       [
         rule ~target:(0, "ARMS") ~deps:[ (1, "ARMS"); (3, "LEF"); (5, "CODE") ] (function
           | [ prev; cond; code ] ->
-            Arms (as_arms prev @ [ (as_lef cond, as_stmts code) ])
+            Arms ((as_lef cond, as_stmts code) :: as_arms prev)
           | _ -> internal "elsif_more");
       ];
   prod ~name:"else_none" ~lhs:"else_opt" ~rhs:[]
-    ~rules:[ rule ~target:(0, "CODE") ~deps:[] (fun _ -> Stmts []) ];
+    ~rules:[ rule ~target:(0, "CODE") ~deps:[] (fun _ -> Stmts Nil) ];
   prod ~name:"else_some" ~lhs:"else_opt" ~rhs:[ "else"; "stmts" ] ~rules:[];
 
   (* ---- case ---- *)
@@ -236,14 +236,14 @@ let add b =
          (function
            | [ level; line; sel; alts ] ->
              Stmt_sem.build_case ~level:(as_int level) ~line:(as_int line) (as_lef sel)
-               (as_alts alts)
+               (List.rev (as_alts alts))
            | _ -> internal "stmt_case"));
   prod ~name:"case_alts_one" ~lhs:"case_alts" ~rhs:[ "case_alt" ] ~rules:[];
   prod ~name:"case_alts_more" ~lhs:"case_alts" ~rhs:[ "case_alts"; "case_alt" ]
     ~rules:
       [
         rule ~target:(0, "ALTS") ~deps:[ (1, "ALTS"); (2, "ALTS") ] (function
-          | [ a; c ] -> Alts (as_alts a @ as_alts c)
+          | [ a; c ] -> Alts (List.rev_append (as_alts c) (as_alts a))
           | _ -> internal "case_alts_more");
       ];
   prod ~name:"case_alt" ~lhs:"case_alt" ~rhs:[ "when"; "chlist"; "=>"; "stmts" ]

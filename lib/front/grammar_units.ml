@@ -40,12 +40,13 @@ let add b =
   prod ~name:"design_unit_ctx" ~lhs:"design_unit" ~rhs:[ "context_items"; "library_unit" ]
     ~rules:
       [
+        (* put in order once: every region of the unit reads it *)
         rule ~target:(2, "CTXOUT") ~deps:[ (1, "OUT") ] (function
-          | [ out ] -> out
+          | [ out ] -> of_out (as_out out)
           | _ -> internal "design_unit ctx");
       ];
   prod ~name:"design_unit_plain" ~lhs:"design_unit" ~rhs:[ "library_unit" ]
-    ~rules:[ rule ~target:(1, "CTXOUT") ~deps:[] (fun _ -> Out out_empty) ];
+    ~rules:[ rule ~target:(1, "CTXOUT") ~deps:[] (fun _ -> Out Nil) ];
   prod ~name:"context_items_one" ~lhs:"context_items" ~rhs:[ "context_item" ] ~rules:[];
   prod ~name:"context_items_more" ~lhs:"context_items"
     ~rhs:[ "context_items"; "context_item" ]
@@ -55,7 +56,7 @@ let add b =
   prod ~name:"library_clause" ~lhs:"library_clause" ~rhs:[ "library"; "id_list"; ";" ]
     ~rules:
       (out_rules ~deps:[ (1, "LINE"); (2, "IDS") ] ~msg_deps:[] (function
-        | [ line; ids ] -> Decl_sem.resolve_library ~line:(as_int line) (as_ids ids)
+        | [ line; ids ] -> Decl_sem.resolve_library ~line:(as_int line) (ids_in_order ids)
         | _ -> internal "library_clause"));
 
   (* context clauses resolve against the session, not the lexical ENV: give
@@ -125,7 +126,7 @@ let add b =
                             :: acc,
                             idx + 1 ))
                         (acc, idx) i.if_names)
-                    ([], 0) (as_ifaces generics)
+                    ([], 0) (ifaces_in_order generics)
                 in
                 Env (Env.extend_many (unit_env ctxout) (List.rev binds))
               | _ -> internal "entity decl env");
@@ -141,12 +142,13 @@ let add b =
               ]
             (function
               | [ v; ctxout; generics; ports; decls; nlines ] ->
+                let ctxout = as_out ctxout and decls = as_out decls in
                 let u =
-                  Unit_sem.entity ~name:(tok_id v) ~generics:(as_ifaces generics)
-                    ~ports:(as_ifaces ports)
+                  Unit_sem.entity ~name:(tok_id v) ~generics:(ifaces_in_order generics)
+                    ~ports:(ifaces_in_order ports)
                     ~source_lines:(as_int nlines)
-                    ~context:((as_out ctxout).o_binds @ (as_out decls).o_binds)
-                    ~deps:((as_out ctxout).o_deps @ (as_out decls).o_deps)
+                    ~context:(ctxout.o_binds @ decls.o_binds)
+                    ~deps:(ctxout.o_deps @ decls.o_deps)
                 in
                 Units [ u ]
               | _ -> internal "entity units");
@@ -224,17 +226,15 @@ let add b =
             | None, _ -> Int 0)
           | _ -> internal "arch sigbase");
         (* concurrent part *)
-        rule ~target:(8, "ENV") ~deps:[ (6, "ENV"); (6, "OUT") ] (function
-          | [ env; out ] -> Env (Env.extend_many (as_env env) (as_out out).o_binds)
-          | _ -> internal "arch concs env");
+        copy ~target:(8, "ENV") ~from:(6, "ENVOUT");
         rule ~target:(8, "CTX") ~deps:[] (fun _ -> Str "arch");
         rule ~target:(8, "LEVEL") ~deps:[] (fun _ -> Int (-1));
         rule ~target:(8, "SLOTBASE") ~deps:[] (fun _ -> Int 0);
         rule ~target:(8, "UNITNAME") ~deps:[ (2, "VAL"); (4, "VAL") ] (function
           | [ a; e ] -> Str (Printf.sprintf "%s.%s(%s)" (Session.work ()) (tok_id e) (tok_id a))
           | _ -> internal "arch concs unitname");
-        rule ~target:(8, "SIGBASE") ~deps:[ (6, "SIGBASE"); (6, "OUT") ] (function
-          | [ base; out ] -> Int (as_int base + List.length (as_out out).o_signals)
+        rule ~target:(8, "SIGBASE") ~deps:[ (6, "SIGBASE"); (6, "REGION") ] (function
+          | [ base; r ] -> Int (as_int base + (as_region r).r_signals)
           | _ -> internal "arch concs sigbase");
         rule ~target:(0, "UNITS")
           ~deps:
@@ -416,12 +416,19 @@ let add b =
     ~rules:[];
 
   (* ---- concurrent statements ---- *)
-  prod ~name:"concs_empty" ~lhs:"concs" ~rhs:[] ~rules:[];
+  (* NSIGS counts the signals the statements so far declared (blocks
+     flatten theirs into the unit), threaded like a declarative region's
+     REGION *)
+  prod ~name:"concs_empty" ~lhs:"concs" ~rhs:[]
+    ~rules:[ rule ~target:(0, "NSIGS") ~deps:[] (fun _ -> Int 0) ];
   prod ~name:"concs_more" ~lhs:"concs" ~rhs:[ "concs"; "conc" ]
     ~rules:
       [
-        rule ~target:(2, "SIGBASE") ~deps:[ (0, "SIGBASE"); (1, "OUT") ] (function
-          | [ base; out ] -> Int (as_int base + List.length (as_out out).o_signals)
+        rule ~target:(0, "NSIGS") ~deps:[ (1, "NSIGS"); (2, "OUT") ] (function
+          | [ n; out ] -> Int (as_int n + List.length (as_out out).o_signals)
+          | _ -> internal "concs nsigs");
+        rule ~target:(2, "SIGBASE") ~deps:[ (0, "SIGBASE"); (1, "NSIGS") ] (function
+          | [ base; n ] -> Int (as_int base + as_int n)
           | _ -> internal "concs sigbase");
       ];
 
@@ -433,9 +440,7 @@ let add b =
          rule ~target:(2, "CTX") ~deps:[] (fun _ -> Str "process");
          rule ~target:(2, "LEVEL") ~deps:[] (fun _ -> Int 0);
          rule ~target:(2, "SLOTBASE") ~deps:[] (fun _ -> Int 0);
-         rule ~target:(4, "ENV") ~deps:[ (0, "ENV"); (2, "OUT") ] (function
-           | [ env; out ] -> Env (Env.extend_many (as_env env) (as_out out).o_binds)
-           | _ -> internal "process stmts env");
+         copy ~target:(4, "ENV") ~from:(2, "ENVOUT");
          rule ~target:(4, "CTX") ~deps:[] (fun _ -> Str "process");
          rule ~target:(4, "LEVEL") ~deps:[] (fun _ -> Int 0);
          rule ~target:(4, "LOOPDEPTH") ~deps:[] (fun _ -> Int 0);
@@ -462,7 +467,7 @@ let add b =
       [
         rule ~target:(0, "LBL") ~deps:[] (fun _ -> Opt None);
         rule ~target:(0, "SENS") ~deps:[ (2, "LEFS") ] (function
-          | [ s ] -> s
+          | [ s ] -> Lefs (lefs_in_order s)
           | _ -> internal "process sens");
         rule ~target:(0, "LINE1") ~deps:[ (1, "LINE") ] (function
           | [ l ] -> l
@@ -476,7 +481,7 @@ let add b =
           | [ v ] -> Opt (Some (Str (tok_id v)))
           | _ -> internal "process lbl");
         rule ~target:(0, "SENS") ~deps:[ (4, "LEFS") ] (function
-          | [ s ] -> s
+          | [ s ] -> Lefs (lefs_in_order s)
           | _ -> internal "process sens");
         rule ~target:(0, "LINE1") ~deps:[ (1, "LINE") ] (function
           | [ l ] -> l
@@ -598,7 +603,7 @@ let add b =
                    Conc_sem.selected_assign ~level:(as_int level) ~line:(as_int line)
                      ~label ~transport:(as_bool transport) ~guarded:(as_bool guarded)
                      (as_lef sel) (as_lef target)
-                     (as_swaves swaves)
+                     (List.rev (as_swaves swaves))
                  in
                  (concs, out_empty, msgs)
                | _ -> internal "selected args")
@@ -628,7 +633,7 @@ let add b =
     ~rules:
       [
         rule ~target:(0, "SWAVES") ~deps:[ (1, "SWAVES"); (3, "WAVES"); (5, "CHS") ] (function
-          | [ prev; w; chs ] -> Swaves (as_swaves prev @ [ (as_waves w, as_choices chs) ])
+          | [ prev; w; chs ] -> Swaves ((as_waves w, as_choices chs) :: as_swaves prev)
           | _ -> internal "selected_waves_more");
       ];
 
@@ -701,7 +706,8 @@ let add b =
              let concs, msgs =
                Conc_sem.instance ~env:(as_env env) ~level:(as_int level)
                  ~line:(as_int line) ~label:(tok_id lbl) ~component_name:(tok_id comp)
-                 ~generic_map:(as_assocs gmap) ~port_map:(as_assocs pmap)
+                 ~generic_map:(List.rev (as_assocs gmap))
+                 ~port_map:(List.rev (as_assocs pmap))
              in
              (concs, out_empty, msgs)
            | _ -> internal "conc_instance"));
@@ -718,7 +724,7 @@ let add b =
     ~rules:
       [
         rule ~target:(0, "ASSOCS") ~deps:[ (1, "ASSOCS"); (3, "ASSOCS") ] (function
-          | [ a; c ] -> Assocs (as_assocs a @ as_assocs c)
+          | [ a; c ] -> Assocs (List.rev_append (as_assocs c) (as_assocs a))
           | _ -> internal "assoc_list_more");
       ];
   prod ~name:"assoc_positional" ~lhs:"assoc" ~rhs:[ "expr" ]
@@ -786,12 +792,10 @@ let add b =
                        }))
              | None -> Env (as_env env))
            | _ -> internal "block env");
-         rule ~target:(7, "ENV") ~deps:[ (5, "ENV"); (5, "OUT") ] (function
-           | [ env; out ] -> Env (Env.extend_many (as_env env) (as_out out).o_binds)
-           | _ -> internal "block concs env");
+         copy ~target:(7, "ENV") ~from:(5, "ENVOUT");
          rule ~target:(7, "CTX") ~deps:[] (fun _ -> Str "block");
-         rule ~target:(7, "SIGBASE") ~deps:[ (0, "SIGBASE"); (5, "OUT") ] (function
-           | [ base; out ] -> Int (as_int base + List.length (as_out out).o_signals)
+         rule ~target:(7, "SIGBASE") ~deps:[ (0, "SIGBASE"); (5, "REGION") ] (function
+           | [ base; r ] -> Int (as_int base + (as_region r).r_signals)
            | _ -> internal "block concs sigbase");
        ]
       @ conc_rules

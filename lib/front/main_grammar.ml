@@ -27,13 +27,13 @@ let build () =
   B.attr_class b ~name:"MSGS" ~dir:Grammar.Synthesized
     ~default:(Grammar.Merge (merge_msgs, Msgs []));
   B.attr_class b ~name:"OUT" ~dir:Grammar.Synthesized
-    ~default:(Grammar.Merge (merge_out, Out out_empty));
+    ~default:(Grammar.Merge (merge_out, Out Nil));
   B.attr_class b ~name:"LEF" ~dir:Grammar.Synthesized
     ~default:(Grammar.Merge (merge_lef, Lef []));
   B.attr_class b ~name:"CODE" ~dir:Grammar.Synthesized
-    ~default:(Grammar.Merge (merge_stmts, Stmts []));
+    ~default:(Grammar.Merge (merge_stmts, Stmts Nil));
   B.attr_class b ~name:"CONCS" ~dir:Grammar.Synthesized
-    ~default:(Grammar.Merge (merge_concs, Concs []));
+    ~default:(Grammar.Merge (merge_concs, Concs Nil));
   B.attr_class b ~name:"UNITS" ~dir:Grammar.Synthesized
     ~default:(Grammar.Merge (merge_units, Units []));
   List.iter
@@ -126,7 +126,17 @@ let build () =
   syn "mode_opt" "OMODE";
   syn "subprog_spec" "SPEC";
   syn "use_name" "UPARTS";
-  List.iter (fun sym -> syn sym "LINE1") [ "use_name"; "process_head" ];
+  List.iter
+    (fun sym -> syn sym "LINE1")
+    [
+      "use_name"; "process_head"; "decl_item"; "type_decl"; "subtype_decl";
+      "constant_decl"; "signal_decl"; "variable_decl"; "subprog_spec"; "subprog_decl";
+      "subprog_body"; "component_decl"; "attribute_decl"; "attribute_spec"; "alias_decl";
+      "use_clause"; "config_spec1"; "disconnect_spec";
+    ];
+  syn "decl_items" "ENVOUT";
+  syn "decl_items" "REGION";
+  syn "concs" "NSIGS";
   syn "inst_spec" "ISPEC";
   syn "binding_ind" "BIND";
   syn "elsif_list" "ARMS";
@@ -192,6 +202,6 @@ let root_inherited ~unit_name ~source_lines =
     ("SIGBASE", Int 0);
     ("LOOPDEPTH", Int 0);
     ("RETTY", Opt None);
-    ("CTXOUT", Out out_empty);
+    ("CTXOUT", Out Nil);
     ("NLINES", Int source_lines);
   ]

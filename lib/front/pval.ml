@@ -73,18 +73,88 @@ let out_empty =
     o_disconnects = [];
   }
 
+let out_is_empty = function
+  | {
+      o_binds = [];
+      o_signals = [];
+      o_locals = [];
+      o_subprograms = [];
+      o_components = [];
+      o_config_specs = [];
+      o_deps = [];
+      o_deferred = [];
+      o_disconnects = [];
+    } ->
+    true
+  | _ -> false
+
+(* [a @ b] without copying [a] when [b] is empty *)
+let app a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | _ -> a @ b
+
 let out_append a b =
   {
-    o_binds = a.o_binds @ b.o_binds;
-    o_signals = a.o_signals @ b.o_signals;
-    o_locals = a.o_locals @ b.o_locals;
-    o_deferred = a.o_deferred @ b.o_deferred;
-    o_disconnects = a.o_disconnects @ b.o_disconnects;
-    o_subprograms = a.o_subprograms @ b.o_subprograms;
-    o_components = a.o_components @ b.o_components;
-    o_config_specs = a.o_config_specs @ b.o_config_specs;
-    o_deps = a.o_deps @ b.o_deps;
+    o_binds = app a.o_binds b.o_binds;
+    o_signals = app a.o_signals b.o_signals;
+    o_locals = app a.o_locals b.o_locals;
+    o_deferred = app a.o_deferred b.o_deferred;
+    o_disconnects = app a.o_disconnects b.o_disconnects;
+    o_subprograms = app a.o_subprograms b.o_subprograms;
+    o_components = app a.o_components b.o_components;
+    o_config_specs = app a.o_config_specs b.o_config_specs;
+    o_deps = app a.o_deps b.o_deps;
   }
+
+(** Catenable sequences: the values of the region classes OUT, CODE and
+    CONCS.  A left-recursive region of n items merges n times; a list
+    merge copies its whole prefix each time, a [cat] merge is one node.
+    The leaves are put in order once, where a unit, a process or a
+    compound statement consumes the region ({!as_out}, {!as_stmts},
+    {!as_concs}). *)
+type 'a cat =
+  | Nil
+  | Leaf of 'a
+  | Cat of 'a cat * 'a cat
+
+let cat a b =
+  match (a, b) with
+  | Nil, c | c, Nil -> c
+  | _ -> Cat (a, b)
+
+(* [f] over the leaves, right to left, with an explicit stack: a
+   left-deep region of any length reads without deep recursion *)
+let cat_fold_right f c init =
+  let rec go acc = function
+    | [] -> acc
+    | Nil :: rest -> go acc rest
+    | Leaf x :: rest -> go (f x acc) rest
+    | Cat (a, b) :: rest -> go acc (b :: a :: rest)
+  in
+  go init [ c ]
+
+let list_of_cat c = cat_fold_right app c []
+let length_of_cat c = cat_fold_right (fun l n -> n + List.length l) c 0
+
+let out_of_cat = function
+  | Nil -> out_empty
+  | Leaf o -> o
+  | c -> cat_fold_right out_append c out_empty
+
+module Names = Map.Make (String)
+
+(** What the items before item k of a declarative region leave behind for
+    it, threaded left to right (the REGION attribute): the names declared
+    so far, for the homograph check, and the counts of frame slots and
+    signals that set item k's SLOTBASE and SIGBASE. *)
+type region = {
+  r_names : bool Names.t; (* name -> is its first declaration overloadable *)
+  r_locals : int;
+  r_signals : int;
+}
+
+let region_empty = { r_names = Names.empty; r_locals = 0; r_signals = 0 }
 
 (** Interface element (ports, generics, subprogram parameters). *)
 type iface = {
@@ -142,17 +212,18 @@ type t =
   | Xres of xres
   | Aitems of aitem list
   | Achoices of achoice list
-  | Out of decl_out
+  | Out of decl_out cat
+  | Region of region
   | Ifaces of iface list
   | Sty of { ty : Types.t; resolution : Denot.subprog_sig option }
   | Tydef of (string -> Types.t * (string * Denot.t) list)
       (* type definition awaiting its name: returns the type and extra
          bindings (enumeration literals, physical units) *)
-  | Stmts of Kir.stmt list
+  | Stmts of Kir.stmt list cat
   | Waves of wave_src list
   | Choices of choice_src list
   | Assocs of assoc_src list
-  | Concs of Kir.concurrent list
+  | Concs of Kir.concurrent list cat
   | Spec of subprog_spec
   | Units of Unit_info.compiled_unit list
   | Arms of (Lef.tok list * Kir.stmt list) list (* elsif chains *)
@@ -182,7 +253,8 @@ let as_cands = function Cands c -> c | _ -> internal "expected Cands"
 let as_xres = function Xres x -> x | _ -> internal "expected Xres"
 let as_aitems = function Aitems l -> l | _ -> internal "expected Aitems"
 let as_achoices = function Achoices l -> l | _ -> internal "expected Achoices"
-let as_out = function Out o -> o | _ -> internal "expected Out"
+let as_out = function Out o -> out_of_cat o | _ -> internal "expected Out"
+let as_region = function Region r -> r | _ -> internal "expected Region"
 let as_ifaces = function Ifaces l -> l | _ -> internal "expected Ifaces"
 
 let as_sty = function
@@ -190,11 +262,11 @@ let as_sty = function
   | _ -> internal "expected Sty"
 
 let as_tydef = function Tydef f -> f | _ -> internal "expected Tydef"
-let as_stmts = function Stmts s -> s | _ -> internal "expected Stmts"
+let as_stmts = function Stmts s -> list_of_cat s | _ -> internal "expected Stmts"
 let as_waves = function Waves w -> w | _ -> internal "expected Waves"
 let as_choices = function Choices c -> c | _ -> internal "expected Choices"
 let as_assocs = function Assocs a -> a | _ -> internal "expected Assocs"
-let as_concs = function Concs c -> c | _ -> internal "expected Concs"
+let as_concs = function Concs c -> list_of_cat c | _ -> internal "expected Concs"
 let as_spec = function Spec s -> s | _ -> internal "expected Spec"
 let as_units = function Units u -> u | _ -> internal "expected Units"
 let as_rng = function Rng r -> r | _ -> internal "expected Rng"
@@ -205,6 +277,11 @@ let as_swaves = function Swaves s -> s | _ -> internal "expected Swaves"
 let as_alts = function Alts a -> a | _ -> internal "expected Alts"
 let as_opt = function Opt o -> o | _ -> internal "expected Opt"
 let as_pair = function Pair (a, b) -> (a, b) | _ -> internal "expected Pair"
+
+(* Region values from one item's contribution. *)
+let of_out o = Out (if out_is_empty o then Nil else Leaf o)
+let of_stmts = function [] -> Stmts Nil | l -> Stmts (Leaf l)
+let of_concs = function [] -> Concs Nil | l -> Concs (Leaf l)
 
 (* Token-payload accessors used all over the semantic rules. *)
 let tok_id v =
@@ -240,17 +317,19 @@ let rec summary ?(fuel = 2) v =
   | Aitems l -> Printf.sprintf "aitems[%d]" (List.length l)
   | Achoices l -> Printf.sprintf "achoices[%d]" (List.length l)
   | Out o ->
+    let count f = cat_fold_right (fun o n -> n + List.length (f o)) o 0 in
     Printf.sprintf "out{binds %d, sigs %d, subprogs %d, concs -}"
-      (List.length o.o_binds) (List.length o.o_signals)
-      (List.length o.o_subprograms)
+      (count (fun o -> o.o_binds)) (count (fun o -> o.o_signals))
+      (count (fun o -> o.o_subprograms))
+  | Region r -> Printf.sprintf "region{locals %d, sigs %d}" r.r_locals r.r_signals
   | Ifaces l -> Printf.sprintf "ifaces[%d]" (List.length l)
   | Sty { ty; _ } -> "ty " ^ ty.Types.base
   | Tydef _ -> "tydef<fun>"
-  | Stmts s -> Printf.sprintf "stmts[%d]" (List.length s)
+  | Stmts s -> Printf.sprintf "stmts[%d]" (length_of_cat s)
   | Waves w -> Printf.sprintf "waves[%d]" (List.length w)
   | Choices c -> Printf.sprintf "choices[%d]" (List.length c)
   | Assocs a -> Printf.sprintf "assocs[%d]" (List.length a)
-  | Concs c -> Printf.sprintf "concs[%d]" (List.length c)
+  | Concs c -> Printf.sprintf "concs[%d]" (length_of_cat c)
   | Spec s -> "spec " ^ s.sp_name
   | Units us ->
     Printf.sprintf "units[%s]"
@@ -275,7 +354,19 @@ let summary v = summary v
 (* merge functions for the attribute classes *)
 let merge_msgs a b = Msgs (as_msgs a @ as_msgs b)
 let merge_lef a b = Lef (as_lef a @ as_lef b)
-let merge_stmts a b = Stmts (as_stmts a @ as_stmts b)
-let merge_out a b = Out (out_append (as_out a) (as_out b))
-let merge_concs a b = Concs (as_concs a @ as_concs b)
+let merge_stmts a b =
+  match (a, b) with
+  | Stmts x, Stmts y -> Stmts (cat x y)
+  | _ -> internal "expected Stmts"
+
+let merge_out a b =
+  match (a, b) with
+  | Out x, Out y -> Out (cat x y)
+  | _ -> internal "expected Out"
+
+let merge_concs a b =
+  match (a, b) with
+  | Concs x, Concs y -> Concs (cat x y)
+  | _ -> internal "expected Concs"
+
 let merge_units a b = Units (as_units a @ as_units b)

@@ -233,18 +233,16 @@ let build_case ~level ~line selector_lef (alts : (choice_src list * Kir.stmt lis
     Kir.stmt list * Diag.t list =
   let sel = Expr_eval.eval ~level ~line selector_lef in
   let alts, msgs =
-    List.fold_left
-      (fun (alts, msgs) (choices, body) ->
-        let choices, ms =
-          List.fold_left
-            (fun (cs, ms) c ->
-              let c, m = resolve_choice ~level ~line ~selector_ty:sel.x_ty c in
-              (cs @ [ c ], ms @ m))
-            ([], []) choices
-        in
-        (alts @ [ (choices, body) ], msgs @ ms))
-      ([], []) alts
+    List.split
+      (List.map
+         (fun (choices, body) ->
+           let choices, ms =
+             List.split (List.map (resolve_choice ~level ~line ~selector_ty:sel.x_ty) choices)
+           in
+           ((choices, body), List.concat ms))
+         alts)
   in
+  let msgs = List.concat msgs in
   (* completeness: others or full coverage — warn only (the kernel raises a
      runtime error on a fall-through, like the original simulator) *)
   let has_others =

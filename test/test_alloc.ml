@@ -15,7 +15,10 @@
    - [Obs_event.check_log] enforces the [al_*]-sum-vs-[alloc_b]
      invariant on finish events;
    - the bench diff's [alloc] rows flag a planted 2x allocation
-     regression while 8% jitter passes. *)
+     regression while 8% jitter passes;
+   - attribute evaluation allocates the same bytes per declaration in a
+     2000-declaration package as in a 250-declaration one, and per
+     literal in a 1000-literal enumeration as in a 250-literal one. *)
 
 module Telemetry = Vhdl_telemetry.Telemetry
 module Phase_timer = Vhdl_util.Phase_timer
@@ -258,6 +261,40 @@ let test_run_captures_allocs () =
     | ss -> Alcotest.failf "expected 1 sample, got %d" (List.length ss)));
   Sys.remove path
 
+(* self-allocated bytes of the "attribute evaluation" phase of one
+   compile by a fresh compiler *)
+let attr_eval_bytes src =
+  let c = Vhdl_compiler.create () in
+  ignore (Vhdl_compiler.compile c src);
+  match List.assoc_opt "attribute evaluation" (Phase_timer.report_alloc (Vhdl_compiler.timer c)) with
+  | Some w -> w *. float_of_int Telemetry.bytes_per_word
+  | None -> Alcotest.fail "no attribute evaluation phase"
+
+let enumeration ~n =
+  Printf.sprintf "package ENUMS is\n  type T is (%s);\nend ENUMS;\n"
+    (String.concat ", " (List.init n (Printf.sprintf "L%d")))
+
+(* a declarative region costs one step per declaration: a region that
+   rebuilds its environment or copies its lists per item allocates in
+   proportion to the items before it, and its bytes per declaration grow
+   with the region *)
+let test_attr_eval_linear_in_region () =
+  let check what ~unit (small_n, small_src) (large_n, large_src) =
+    let per n src = attr_eval_bytes src /. float_of_int n in
+    let small = per small_n small_src and large = per large_n large_src in
+    let ratio = Float.max small large /. Float.min small large in
+    if ratio > 1.3 then
+      Alcotest.failf "%s: %.0f B per %s at %d, %.0f B at %d (%.2fx, bound 1.3x)" what
+        small unit small_n large large_n ratio
+  in
+  (* Workload.package ~n declares n constants and n functions *)
+  check "package" ~unit:"declaration"
+    (250, Workload.package ~name:"P125" ~n:125)
+    (2000, Workload.package ~name:"P1000" ~n:1000);
+  check "enumeration" ~unit:"literal"
+    (250, enumeration ~n:250)
+    (1000, enumeration ~n:1000)
+
 let suite =
   [
     Alcotest.test_case "zero-allocation span reports exactly 0" `Quick
@@ -278,4 +315,6 @@ let suite =
       test_perturb_alloc_parsing;
     Alcotest.test_case "bench runs capture per-rep allocation" `Quick
       test_run_captures_allocs;
+    Alcotest.test_case "attribute evaluation is linear in a region" `Quick
+      test_attr_eval_linear_in_region;
   ]
