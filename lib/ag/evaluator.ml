@@ -89,76 +89,84 @@ let create ?token_line ?fuel ?(tick = fun () -> ()) ?provenance
     copy_elide;
   }
 
-let find_rule t prod_id (target : Grammar.occurrence) =
+let find_rule t prod_id ~pos ~slot attr =
   let p = Grammar.production t.grammar prod_id in
-  match Grammar.rule_for t.grammar p target with
+  match Grammar.rule_for p ~pos ~slot with
   | r -> r
   | exception Not_found ->
     raise
       (Missing_rule
-         {
-           prod_name = p.Grammar.prod_name;
-           attr_name = Grammar.attr_name t.grammar target.Grammar.attr;
-           pos = target.Grammar.pos;
-         })
+         { prod_name = p.Grammar.prod_name; attr_name = Grammar.attr_name t.grammar attr; pos })
 
 let node_label t node =
   if node.Tree.prod >= 0 then
     (Grammar.production t.grammar node.Tree.prod).Grammar.prod_name
   else Grammar.symbol_name t.grammar node.Tree.term
 
-(* Evaluate attribute [attr] of [node].  For synthesized attributes the
-   defining rule lives in the node's own production; for inherited ones it
-   lives in the parent's production (or in [root_inherited] at the root). *)
+(* Evaluate attribute [attr] of [node], memoized in the cell at the
+   attribute's slot; the node's cells are allocated on its first write.
+   For synthesized attributes the defining rule lives in the node's own
+   production; for inherited ones it lives in the parent's production (or
+   in [root_inherited] at the root); either way it is found by the same
+   slot.  An attribute the symbol does not declare has no slot and no rule:
+   [compute_attr] raises. *)
 let rec eval_node t node attr =
-  match Hashtbl.find_opt node.Tree.cells attr with
-  | Some (Tree.Done v) ->
-    Tm.incr m_memo_hits;
-    (match t.prov with
-    | Some (rc, _, _) ->
-      Provenance.memo_hit rc ~node:node.Tree.id ~attr:(Grammar.attr_name t.grammar attr)
-    | None -> ());
-    v
-  | Some Tree.In_progress ->
-    raise
-      (Cycle
-         { prod_name = node_label t node; attr_name = Grammar.attr_name t.grammar attr })
-  | None ->
-    Tm.incr m_attrs_evaluated;
-    Hashtbl.replace node.Tree.cells attr Tree.In_progress;
-    let v =
-      match t.prov with
-      | None -> compute_attr t node attr
-      | Some (rc, ag, summarize) -> (
-        let r =
-          Provenance.begin_instance rc ~ag ~prod:(node_label t node) ~node:node.Tree.id
-            ~attr:(Grammar.attr_name t.grammar attr) ~line:node.Tree.line
-        in
-        match compute_attr t node attr with
-        | v ->
-          Provenance.finish rc r ~value:(summarize v);
-          v
-        | exception exn ->
-          Provenance.abort rc r;
-          raise exn)
-    in
-    Hashtbl.replace node.Tree.cells attr (Tree.Done v);
-    v
+  let sym =
+    if node.Tree.prod >= 0 then (Grammar.production t.grammar node.Tree.prod).Grammar.lhs
+    else node.Tree.term
+  in
+  let slot = Grammar.slot t.grammar sym attr in
+  if slot < 0 then compute_attr t node ~slot attr
+  else begin
+    if Array.length node.Tree.cells = 0 then
+      node.Tree.cells <- Array.make (Grammar.n_slots t.grammar sym) Tree.Empty;
+    match node.Tree.cells.(slot) with
+    | Tree.Done v ->
+      Tm.incr m_memo_hits;
+      (match t.prov with
+      | Some (rc, _, _) ->
+        Provenance.memo_hit rc ~node:node.Tree.id ~attr:(Grammar.attr_name t.grammar attr)
+      | None -> ());
+      v
+    | Tree.In_progress ->
+      raise
+        (Cycle
+           { prod_name = node_label t node; attr_name = Grammar.attr_name t.grammar attr })
+    | Tree.Empty ->
+      Tm.incr m_attrs_evaluated;
+      node.Tree.cells.(slot) <- Tree.In_progress;
+      let v =
+        match t.prov with
+        | None -> compute_attr t node ~slot attr
+        | Some (rc, ag, summarize) -> (
+          let r =
+            Provenance.begin_instance rc ~ag ~prod:(node_label t node) ~node:node.Tree.id
+              ~attr:(Grammar.attr_name t.grammar attr) ~line:node.Tree.line
+          in
+          match compute_attr t node ~slot attr with
+          | v ->
+            Provenance.finish rc r ~value:(summarize v);
+            v
+          | exception exn ->
+            Provenance.abort rc r;
+            raise exn)
+      in
+      node.Tree.cells.(slot) <- Tree.Done v;
+      v
+  end
 
-and compute_attr t node attr =
+and compute_attr t node ~slot attr =
   if node.Tree.prod < 0 then begin
     (match t.prov with Some (rc, _, _) -> Provenance.note_token rc | None -> ());
     eval_token t node attr
   end
   else
     match Grammar.attr_dir t.grammar attr with
-    | Grammar.Synthesized ->
-      let rule = find_rule t node.Tree.prod { Grammar.pos = 0; attr } in
-      apply_or_elide t node rule
+    | Grammar.Synthesized -> apply_or_elide t node (find_rule t node.Tree.prod ~pos:0 ~slot attr)
     | Grammar.Inherited -> (
       match node.Tree.parent with
       | Some parent ->
-        let rule = find_rule t parent.Tree.prod { Grammar.pos = node.Tree.index + 1; attr } in
+        let rule = find_rule t parent.Tree.prod ~pos:(node.Tree.index + 1) ~slot attr in
         apply_or_elide t parent rule
       | None -> (
         match List.assoc_opt attr t.root_inherited with
@@ -173,10 +181,7 @@ and compute_attr t node attr =
                (Grammar.attr_name t.grammar attr))))
 
 and eval_token t node attr =
-  if attr = t.grammar.Grammar.token_value_attr then
-    match node.Tree.value with
-    | Some v -> v
-    | None -> assert false
+  if attr = t.grammar.Grammar.token_value_attr then Option.get node.Tree.value
   else if attr = t.grammar.Grammar.token_line_attr then
     match t.token_line with
     | Some inject -> inject node.Tree.line
@@ -330,20 +335,14 @@ let site_leaf_values ?(limit = 64) site =
   walk site;
   List.rev !acc
 
-(** Drop every [In_progress] cell left behind by an evaluation that
-    escaped mid-rule, so sibling regions do not see phantom cycles.
-    Completed ([Done]) values are kept — they are still valid. *)
+(** Reset to [Empty] every [In_progress] cell left behind by an
+    evaluation that escaped mid-rule, so sibling regions do not see
+    phantom cycles.  Completed ([Done]) values are kept — they are still
+    valid. *)
 let clear_in_progress t =
   let rec walk node =
-    let stale =
-      Hashtbl.fold
-        (fun attr cell acc ->
-          match cell with
-          | Tree.In_progress -> attr :: acc
-          | Tree.Done _ -> acc)
-        node.Tree.cells []
-    in
-    List.iter (Hashtbl.remove node.Tree.cells) stale;
+    let cells = node.Tree.cells in
+    Array.iteri (fun i c -> if c == Tree.In_progress then cells.(i) <- Tree.Empty) cells;
     Array.iter walk node.Tree.children
   in
   walk t.root

@@ -100,6 +100,6 @@ val site_leaf_values : ?limit:int -> 'v site -> 'v list
     in source order — for labelling the region in diagnostics. *)
 
 val clear_in_progress : 'v t -> unit
-(** Drop in-progress memo cells left by an evaluation that escaped
-    mid-rule, so sibling regions do not see phantom cycles; completed
-    values are kept. *)
+(** Reset to [Empty] the in-progress cells left by an evaluation that
+    escaped mid-rule, so sibling regions do not see phantom cycles and a
+    later request recomputes them; completed values are kept. *)

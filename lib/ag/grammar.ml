@@ -59,9 +59,10 @@ type 'v production = {
   lhs : int;
   rhs : int array;
   rules : 'v rule array;
-  rule_at : (int, int) Hashtbl.t;
-      (* target occurrence -> position in [rules] of its rule: positions, so
-         a rule replaced in place (fault injection) is the one applied *)
+  rule_at : int array array;
+      (* occurrence position -> slot of the symbol there -> position in
+         [rules] of the rule defining it, -1 if none: positions, so a rule
+         replaced in place (fault injection) is the one applied *)
 }
 
 type 'v t = {
@@ -71,6 +72,10 @@ type 'v t = {
   is_terminal : bool array;
   (* attributes declared on each symbol, by symbol id *)
   sym_attrs : int list array;
+  (* symbol -> attribute id -> its slot, the index in [sym_attrs], or -1 if
+     the symbol does not declare it; and the number of slots per symbol *)
+  slots : int array array;
+  n_slots : int array;
   productions : 'v production array;
   (* productions with a given lhs, by symbol id *)
   prods_of : int list array;
@@ -88,12 +93,15 @@ let n_symbols g = Interner.count g.symbols
 let n_productions g = Array.length g.productions
 let attrs_of g sym = g.sym_attrs.(sym)
 
-(* key of a target occurrence in a production's [rule_at] *)
-let occurrence_key attrs { pos; attr } = (pos * Array.length attrs) + attr
+let slot g sym attr = g.slots.(sym).(attr)
+let n_slots g sym = g.n_slots.(sym)
 
-(** The rule of [p] that defines [target], read from [p.rules] at call time.
-    @raise Not_found if no rule defines [target]. *)
-let rule_for g p target = p.rules.(Hashtbl.find p.rule_at (occurrence_key g.attrs target))
+(** The rule of [p] that defines the attribute in slot [slot] of the symbol
+    at [pos], read from [p.rules] at call time.
+    @raise Not_found if no rule defines it (or [slot] is -1). *)
+let rule_for p ~pos ~slot =
+  let j = if slot < 0 then -1 else p.rule_at.(pos).(slot) in
+  if j < 0 then raise Not_found else p.rules.(j)
 
 let find_symbol g name =
   match Interner.find_opt g.symbols name with
@@ -285,7 +293,16 @@ module Builder = struct
         sym_attrs.(sym) <- [ token_value_attr; token_line_attr ]
       end
     done;
-    let has_attr sym a = List.mem a sym_attrs.(sym) in
+    let slots =
+      Array.map
+        (fun declared ->
+          let row = Array.make (Array.length attrs) (-1) in
+          List.iteri (fun i a -> row.(a) <- i) declared;
+          row)
+        sym_attrs
+    in
+    let n_slots = Array.map List.length sym_attrs in
+    let has_attr sym a = slots.(sym).(a) >= 0 in
     let resolve_attr name =
       match Hashtbl.find_opt b.b_attr_ids name with
       | Some id -> id
@@ -346,15 +363,18 @@ module Builder = struct
           in
           let explicit = List.map mk_rule spec.p_rules in
           (* the rule index, which is also the duplicate-definition check *)
-          let key = occurrence_key attrs in
-          let rule_at = Hashtbl.create 16 in
-          List.iteri
-            (fun j r ->
-              if Hashtbl.mem rule_at (key r.target) then
-                ill_formed "attribute %s at position %d defined twice in production %s"
-                  attrs.(r.target.attr).attr_name r.target.pos spec.p_name;
-              Hashtbl.add rule_at (key r.target) j)
-            explicit;
+          let rule_at =
+            Array.init (arity + 1) (fun pos -> Array.make n_slots.(occ_sym pos) (-1))
+          in
+          let slot_of occ = slots.(occ_sym occ.pos).(occ.attr) in
+          let defined occ = rule_at.(occ.pos).(slot_of occ) >= 0 in
+          let index j r =
+            if defined r.target then
+              ill_formed "attribute %s at position %d defined twice in production %s"
+                attrs.(r.target.attr).attr_name r.target.pos spec.p_name;
+            rule_at.(r.target.pos).(slot_of r.target) <- j
+          in
+          List.iteri index explicit;
           (* required targets: syn attrs of lhs, inh attrs of each rhs nonterminal *)
           let required = ref [] in
           List.iter
@@ -372,7 +392,7 @@ module Builder = struct
           let implicit =
             List.filter_map
               (fun occ ->
-                if Hashtbl.mem rule_at (key occ) then None
+                if defined occ then None
                 else begin
                   let decl = attrs.(occ.attr) in
                   let other_occurrences () =
@@ -494,7 +514,7 @@ module Builder = struct
               (List.rev !required)
           in
           let n_explicit = List.length explicit in
-          List.iteri (fun j r -> Hashtbl.add rule_at (key r.target) (n_explicit + j)) implicit;
+          List.iteri (fun j r -> index (n_explicit + j) r) implicit;
           {
             prod_id;
             prod_name = spec.p_name;
@@ -527,6 +547,8 @@ module Builder = struct
       attr_ids = b.b_attr_ids;
       is_terminal;
       sym_attrs;
+      slots;
+      n_slots;
       productions;
       prods_of;
       start;

@@ -56,12 +56,13 @@ type 'v production = {
   lhs : int;
   rhs : int array;
   rules : 'v rule array;
-  rule_at : (int, int) Hashtbl.t;
-      (** The production's rule index, built once at {!Builder.freeze}: a
-          key of each target occurrence -> position in [rules] of the rule
-          defining it (read it through {!rule_for}).  It holds positions,
-          not rules, so a rule replaced in place in [rules] (fault
-          injection) is the one every later evaluation applies. *)
+  rule_at : int array array;
+      (** The production's rule index, built once at {!Builder.freeze}:
+          [rule_at.(pos).(s)] is the position in [rules] of the rule
+          defining the attribute in slot [s] of the symbol at [pos] (see
+          {!slot}), or -1; read it through {!rule_for}.  It holds
+          positions, not rules, so a rule replaced in place in [rules]
+          (fault injection) is the one every later evaluation applies. *)
 }
 
 type 'v t = {
@@ -70,6 +71,8 @@ type 'v t = {
   attr_ids : (string, int) Hashtbl.t;
   is_terminal : bool array;
   sym_attrs : int list array;
+  slots : int array array;  (** symbol -> attribute id -> slot, or -1 *)
+  n_slots : int array;  (** slots per symbol *)
   productions : 'v production array;
   prods_of : int list array;
   start : int;
@@ -86,10 +89,20 @@ val n_symbols : 'v t -> int
 val n_productions : 'v t -> int
 val attrs_of : 'v t -> int -> int list
 
-val rule_for : 'v t -> 'v production -> occurrence -> 'v rule
-(** The rule of the production that defines the target occurrence: one
-    lookup in [rule_at], read from [rules] at call time.
-    @raise Not_found if no rule defines it. *)
+val slot : 'v t -> int -> int -> int
+(** [slot g sym attr]: the slot of [attr] on [sym], its index in
+    [attrs_of g sym], numbered once at {!Builder.freeze}; -1 if [sym] does
+    not declare [attr].  A tree node keeps its attribute cells in this
+    order, and [rule_at] is indexed by it. *)
+
+val n_slots : 'v t -> int -> int
+(** Number of slots of a symbol: the length of [attrs_of]. *)
+
+val rule_for : 'v production -> pos:int -> slot:int -> 'v rule
+(** The rule of the production that defines the attribute in slot [slot]
+    of the symbol at position [pos]: one lookup in [rule_at], read from
+    [rules] at call time.
+    @raise Not_found if no rule defines it, or [slot] is -1. *)
 
 val find_symbol : 'v t -> string -> int
 val find_attr : 'v t -> string -> int

@@ -5,6 +5,7 @@
     uses to attach symbol-table entries to LEF tokens. *)
 
 type 'v cell =
+  | Empty
   | In_progress
   | Done of 'v
 
@@ -17,7 +18,7 @@ type 'v t = {
   mutable parent : 'v t option;
   mutable index : int; (* our position among the parent's children *)
   mutable id : int; (* 0 until an evaluator numbers the tree *)
-  cells : (int, 'v cell) Hashtbl.t; (* attribute id -> state *)
+  mutable cells : 'v cell array; (* by the symbol's slots; [||] until first write *)
 }
 
 let leaf ~term ~value ~line =
@@ -30,7 +31,7 @@ let leaf ~term ~value ~line =
     parent = None;
     index = 0;
     id = 0;
-    cells = Hashtbl.create 4;
+    cells = [||];
   }
 
 let node prod children =
@@ -47,7 +48,7 @@ let node prod children =
       parent = None;
       index = 0;
       id = 0;
-      cells = Hashtbl.create 8;
+      cells = [||];
     }
   in
   Array.iteri

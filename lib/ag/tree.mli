@@ -1,13 +1,24 @@
 (** Attributed derivation trees: the one node type of the AG engine.
 
-    {!Parsing}'s shift/reduce callbacks build the nodes, parent links and
-    empty attribute cells included; {!Evaluator.create} numbers them and
-    the evaluator fills the cells in place.  A tree therefore belongs to at
-    most one evaluator.  Leaves carry token values — the paper's mechanism
-    for attaching symbol-table entries to LEF tokens. *)
+    {!Parsing}'s shift/reduce callbacks build the nodes and their parent
+    links; {!Evaluator.create} numbers them and the evaluator fills their
+    attribute cells in place.  A tree therefore belongs to at most one
+    evaluator.  Leaves carry token values — the paper's mechanism for
+    attaching symbol-table entries to LEF tokens.
+
+    A node's cells are one array indexed by its symbol's attribute slots
+    ({!Grammar.slot}: each symbol's attributes numbered once, at
+    {!Grammar.Builder.freeze}) — fixed per-symbol storage, as in a
+    Linguist-generated evaluator.  The parser allocates no cells: every
+    node starts with the shared empty array, and the evaluator allocates
+    [Grammar.n_slots] cells on the node's first write.  The same slot
+    numbering indexes each production's rule table
+    ({!Grammar.production.rule_at}), so the slot that holds an attribute
+    instance also finds the rule that defines it. *)
 
 type 'v cell =
-  | In_progress
+  | Empty  (** not evaluated yet (or cleared after an escaped rule) *)
+  | In_progress  (** being evaluated: asking again is a cycle *)
   | Done of 'v
 
 type 'v t = {
@@ -21,7 +32,8 @@ type 'v t = {
   mutable parent : 'v t option;
   mutable index : int;  (** position among the parent's children *)
   mutable id : int;  (** 0 until {!Evaluator.create} numbers the tree *)
-  cells : (int, 'v cell) Hashtbl.t;  (** attribute id -> evaluation state *)
+  mutable cells : 'v cell array;
+      (** slot -> evaluation state; [[||]] until the first write *)
 }
 
 val node : int -> 'v t list -> 'v t

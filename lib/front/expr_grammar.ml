@@ -48,6 +48,10 @@ let helper_rules ~deps ~msg_deps f =
 
 let line_of_ltok v = (as_ltok v).Lef.l_line
 
+(* ITEMS accumulates newest first, one cons per item; its readers put it
+   in source order once *)
+let items_of v = List.rev (as_aitems v)
+
 let build () =
   let b = B.create () in
   List.iter (fun t -> ignore (B.terminal b t)) Lef.all_terminals;
@@ -191,7 +195,7 @@ let build () =
         no_res "primary";
         rule ~target:(0, "CANDS") ~deps:[ (2, "ITEMS") ] (function
           | [ items ] -> (
-            match as_aitems items with
+            match items_of items with
             | [ Ipos cands ] -> Cands cands (* plain parentheses *)
             | items -> Cands [ Cagg items ])
           | _ -> internal "paren");
@@ -207,7 +211,7 @@ let build () =
             | Lef.Ktype t -> t
             | _ -> internal "TYPE token"
           in
-          match as_aitems items with
+          match items_of items with
           | [ Ipos cands ] -> Expr_sem.conversion ~line:tok.Lef.l_line ty cands
           | _ ->
             ( [ Expr_sem.error_cand ],
@@ -224,7 +228,7 @@ let build () =
             | Lef.Ktype t -> t
             | _ -> internal "TYPE token"
           in
-          match as_aitems items with
+          match items_of items with
           | [ Ipos cands ] -> Expr_sem.qualified ~line:tok.Lef.l_line ty cands
           | items -> Expr_sem.qualified ~line:tok.Lef.l_line ty [ Cagg items ])
         | _ -> internal "qualified"));
@@ -256,7 +260,7 @@ let build () =
           match tok.Lef.l_kind with
           | Lef.Ktype t -> (
             let qcands, msgs =
-              match as_aitems items with
+              match items_of items with
               | [ Ipos cands ] -> Expr_sem.qualified ~line:tok.Lef.l_line t cands
               | its -> Expr_sem.qualified ~line:tok.Lef.l_line t [ Cagg its ]
             in
@@ -314,7 +318,7 @@ let build () =
           let atok = as_ltok attrv in
           match atok.Lef.l_kind with
           | Lef.Kattr a ->
-            Expr_sem.apply_type_attr_args ~line:atok.Lef.l_line ty a (as_aitems items)
+            Expr_sem.apply_type_attr_args ~line:atok.Lef.l_line ty a (items_of items)
           | _ -> internal "ATTR token")
         | _ -> internal "type_attr_fn"));
 
@@ -347,7 +351,7 @@ let build () =
                  | _ -> None
                in
                Expr_sem.apply_args ~line:(line_of_ltok lp) head_tok (as_cands cands)
-                 (as_aitems items)
+                 (items_of items)
              | _ -> internal "pname_args"));
   prod ~name:"pname_field" ~lhs:"pname" ~rhs:[ "pname"; "."; "IDENT" ]
     ~rules:
@@ -382,14 +386,14 @@ let build () =
     ~rules:
       [
         rule ~target:(0, "ITEMS") ~deps:[ (1, "ITEM") ] (function
-          | [ i ] -> Aitems (as_aitems i)
+          | [ i ] -> Aitems (List.rev (as_aitems i))
           | _ -> internal "items_one");
       ];
   prod ~name:"items_more" ~lhs:"items" ~rhs:[ "items"; ","; "item" ]
     ~rules:
       [
         rule ~target:(0, "ITEMS") ~deps:[ (1, "ITEMS"); (3, "ITEM") ] (function
-          | [ l; i ] -> Aitems (as_aitems l @ as_aitems i)
+          | [ l; i ] -> Aitems (List.rev_append (as_aitems i) (as_aitems l))
           | _ -> internal "items_more");
       ];
   prod ~name:"item_expr" ~lhs:"item" ~rhs:[ "xexpr" ]

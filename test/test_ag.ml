@@ -339,6 +339,52 @@ let test_one_evaluator_per_tree () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* A node's cells are indexed by its symbol's attribute slots.  An
+   attribute the symbol does not declare has no slot and fails as a missing
+   rule or a missing root value; a rule that escapes leaves its instances
+   In_progress (asking again is a cycle) until [clear_in_progress] empties
+   them for recomputation; a decorated tree still refuses a second
+   evaluator. *)
+let test_slot_cells () =
+  let g = binary_grammar () in
+  let ev = Evaluator.create g ~root_inherited:[] (parse_binary g "1101") in
+  (match Evaluator.goal ev "len" with
+  | _ -> Alcotest.fail "expected Missing_rule"
+  | exception Evaluator.Missing_rule { prod_name; attr_name; pos } ->
+    Alcotest.(check (triple string string int))
+      "undeclared synthesized attribute" ("num_int", "len", 0) (prod_name, attr_name, pos));
+  (match Evaluator.goal ev "scale" with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ());
+  let bit_one =
+    Option.get
+      (Array.find_opt (fun p -> p.Grammar.prod_name = "bit_one") g.Grammar.productions)
+  in
+  let r = bit_one.Grammar.rules.(0) and armed = ref true in
+  bit_one.Grammar.rules.(0) <-
+    {
+      r with
+      Grammar.compute =
+        (fun args ->
+          if !armed then (
+            armed := false;
+            raise Exit);
+          r.Grammar.compute args);
+    };
+  let tree = parse_binary g "1101" in
+  let ev = Evaluator.create g ~root_inherited:[] tree in
+  (match Evaluator.goal ev "v" with
+  | _ -> Alcotest.fail "expected the rule's exception"
+  | exception Exit -> ());
+  (match Evaluator.goal ev "v" with
+  | _ -> Alcotest.fail "expected Cycle on an In_progress cell"
+  | exception Evaluator.Cycle _ -> ());
+  Evaluator.clear_in_progress ev;
+  Alcotest.(check (float 1e-9)) "recomputed after clearing" 13.0 (as_f (Evaluator.goal ev "v"));
+  match Evaluator.create g ~root_inherited:[] tree with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
 let test_merge_class () =
   let g = classes_grammar () in
   let tree = parse_ids g [ "a"; "b"; "c" ] in
@@ -607,6 +653,7 @@ let suite =
     Alcotest.test_case "a rule replaced in place is applied" `Quick
       test_rule_replaced_in_place;
     Alcotest.test_case "one evaluator per tree" `Quick test_one_evaluator_per_tree;
+    Alcotest.test_case "slot cells: undeclared, escaped, cleared" `Quick test_slot_cells;
     Alcotest.test_case "merge class concatenates in order" `Quick test_merge_class;
     Alcotest.test_case "copy class threads values implicitly" `Quick test_copy_class;
     Alcotest.test_case "implicit rule counting" `Quick test_implicit_counts;

@@ -18,7 +18,9 @@
      regression while 8% jitter passes;
    - attribute evaluation allocates the same bytes per declaration in a
      2000-declaration package as in a 250-declaration one, and per
-     literal in a 1000-literal enumeration as in a 250-literal one. *)
+     literal in a 1000-literal enumeration as in a 250-literal one;
+   - the expression AG's [items_more] ITEMS rule allocates the same bytes
+     per element in a 4000-element aggregate as in a 500-element one. *)
 
 module Telemetry = Vhdl_telemetry.Telemetry
 module Phase_timer = Vhdl_util.Phase_timer
@@ -295,6 +297,40 @@ let test_attr_eval_linear_in_region () =
     (250, enumeration ~n:250)
     (1000, enumeration ~n:1000)
 
+(* bytes per element of one rule in one compile, read from the hot-rule
+   profile's JSON as [vhdlc stats --json] prints it *)
+let rule_bytes_per_element ~ag ~prod ~attr ~n src =
+  let module J = Telemetry.Json in
+  let recorder = Provenance.create () in
+  ignore (Vhdl_compiler.compile (Vhdl_compiler.create ~provenance:recorder ()) src);
+  let is_row row =
+    let field k = Option.bind (J.mem k row) J.to_str in
+    field "ag" = Some ag && field "production" = Some prod && field "attribute" = Some attr
+  in
+  match J.parse (Stats.profile_json (Provenance.profile recorder)) with
+  | Ok (J.Arr rows) -> (
+    match Option.bind (List.find_opt is_row rows) (J.mem "self_alloc_b") with
+    | Some b -> Option.get (J.to_num b) /. float_of_int n
+    | None -> Alcotest.failf "no %s row for %s %s" ag prod attr)
+  | Ok _ | Error _ -> Alcotest.fail "profile_json is not a JSON array"
+
+let aggregate ~n =
+  Printf.sprintf
+    "package AGG is\n  type ARR is array (0 to %d) of integer;\n  constant C : ARR := (%s);\nend AGG;\n"
+    (n - 1)
+    (String.concat ", " (List.init n string_of_int))
+
+(* the expression AG's argument and element lists cost one step per item,
+   so the [items_more] ITEMS rule's bytes per element hold from 500 to
+   4000 elements; a rule that copies its prefix grows them with N *)
+let test_items_linear_in_aggregate () =
+  let per n = rule_bytes_per_element ~ag:"expr" ~prod:"items_more" ~attr:"ITEMS" ~n (aggregate ~n) in
+  let small = per 500 and large = per 4000 in
+  let ratio = Float.max small large /. Float.min small large in
+  if ratio > 1.3 then
+    Alcotest.failf "items_more ITEMS: %.0f B per element at 500, %.0f B at 4000 (%.2fx, bound 1.3x)"
+      small large ratio
+
 let suite =
   [
     Alcotest.test_case "zero-allocation span reports exactly 0" `Quick
@@ -317,4 +353,6 @@ let suite =
       test_run_captures_allocs;
     Alcotest.test_case "attribute evaluation is linear in a region" `Quick
       test_attr_eval_linear_in_region;
+    Alcotest.test_case "aggregate items are linear in their count" `Quick
+      test_items_linear_in_aggregate;
   ]
