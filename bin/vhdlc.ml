@@ -822,16 +822,16 @@ let serve_cmd =
       & info [ "flight-dir" ] ~docv:"DIR"
           ~doc:
             "Directory for flight-recorder dumps (firewall trips, watchdog \
-             fires, SIGUSR1).")
+             fires, heap breaches, SIGUSR1, slow-request exemplars).")
   in
   let max_dumps =
     Arg.(
       value & opt int 32
       & info [ "max-dumps" ] ~docv:"N"
           ~doc:
-            "Retention cap on flight/exemplar dump files in --flight-dir: \
-             the oldest are deleted so a flapping firewall cannot fill the \
-             disk (0 = unlimited).")
+            "Retention cap on flight dump files (exemplars included) in \
+             --flight-dir: the oldest are deleted so a flapping firewall \
+             cannot fill the disk (0 = unlimited).")
   in
   let span_cap =
     Arg.(
@@ -889,7 +889,7 @@ let serve_cmd =
             refs;
       }
     in
-    let daemon =
+    match
       Serve_daemon.create
         {
           Serve_daemon.default_config with
@@ -910,9 +910,13 @@ let serve_cmd =
           d_heap_growth_pct = heap_growth_pct;
           d_log = log;
         }
-    in
-    Serve_daemon.serve daemon;
-    0
+    with
+    | Error msg ->
+      Printf.eprintf "vhdlc serve: %s\n" msg;
+      1
+    | Ok daemon ->
+      Serve_daemon.serve daemon;
+      0
   in
   let doc =
     "Run the compile service: a long-lived daemon answering compile and \

@@ -35,15 +35,18 @@ let pp_campaign_telemetry fmt () =
      start per substantive response with balanced finishes);
    - every firewall trip (a [finish] with status [internal]) and every
      watchdog fire (a [finish] flagged wedged) produced a flight dump
-     event naming the offending request id, and the dump file exists;
+     event naming the offending request id;
+   - every dump event names a file of the one dump schema: it exists, is
+     named after its rid, and carries the event's [reason] and [rid] and
+     the recorded [events];
    - every [finish] carries a phase breakdown ([ph_*] fields) summing
      to within 10% of its [service_us] (the sum itself is checked by
      [Obs_event.check_log]; presence is checked here), and an allocation
      breakdown ([al_*] fields + [alloc_b], whose sum invariant
      [Obs_event.check_log] also enforces);
    - every [heap_breach] event left a flight dump with reason ["heap"];
-   - at least one slow shot produced a rid-named exemplar dump whose
-     embedded Chrome trace loads as a JSON array;
+   - at least one slow shot produced an exemplar dump whose embedded
+     Chrome trace loads as a JSON array;
    - the number of dump files on disk never exceeds the retention cap;
    - the rolling SLO window's p99 agrees with the process-lifetime
      telemetry histogram within 20% (same bucketing, window spans the
@@ -87,25 +90,37 @@ let check_chaos_obs ~events_path ~obs_dir ~max_dumps ~slo_p99_us ~hist_p99_us =
       (finishes_with (fun e -> Obs_event.field_str e "status" = Some "internal"));
     check_dumped ~what:"watchdog fire" ~reason:"watchdog"
       (finishes_with (fun e -> Obs_event.field e "wedged" <> None));
+    let contains s sub =
+      let n = String.length sub in
+      let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+      go 0
+    in
     List.iter
       (fun (e : Obs_event.t) ->
-        match (Obs_event.field_str e "path", e.Obs_event.e_rid) with
-        | Some path, rid ->
-          if not (Sys.file_exists path) then
-            violation "dump event names a missing file %s" path;
-          (match rid with
-          | Some r ->
-            let marker = Printf.sprintf "-rid%d-" r in
-            let contains s sub =
-              let n = String.length sub in
-              let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-              go 0
-            in
-            if not (contains (Filename.basename path) marker) then
-              violation "dump for rid %d not named after it: %s" r path
-          | None -> ())
-        | None, _ -> violation "dump event without a path field")
-      (dumps "firewall" @ dumps "watchdog");
+        match Obs_event.field_str e "path" with
+        | None -> violation "dump event without a path field"
+        | Some path -> (
+          let reason = Obs_event.field_str e "reason" in
+          (match e.Obs_event.e_rid with
+          | Some r when not (contains (Filename.basename path) (Printf.sprintf "-rid%d-" r)) ->
+            violation "dump for rid %d not named after it: %s" r path
+          | _ -> ());
+          match Json.parse (Vhdl_util.Unix_compat.read_file path) with
+          | exception Sys_error _ -> violation "dump event names a missing file %s" path
+          | Error msg -> violation "dump %s unparseable: %s" path msg
+          | Ok doc ->
+            if
+              Option.bind (Json.mem "reason" doc) Json.to_str <> reason
+              || Option.bind (Json.mem "rid" doc) Json.to_int <> e.Obs_event.e_rid
+            then violation "dump %s: reason or rid disagrees with its dump event" path;
+            (match Json.mem "events" doc with
+            | Some (Json.Arr _) -> ()
+            | _ -> violation "dump %s: no recorded events" path);
+            if reason = Some "exemplar" then
+              match Json.mem "trace" doc with
+              | Some (Json.Arr _) -> ()
+              | _ -> violation "exemplar %s: no loadable Chrome trace array" path))
+      (List.filter (fun (e : Obs_event.t) -> e.Obs_event.e_kind = Obs_event.Dump) events);
     (* tail triage: every finish explains its latency phase by phase *)
     List.iter
       (fun (e : Obs_event.t) ->
@@ -128,42 +143,13 @@ let check_chaos_obs ~events_path ~obs_dir ~max_dumps ~slo_p99_us ~hist_p99_us =
     if heap_dumps < heap_breach_count then
       violation "%d heap_breach event(s) but only %d heap flight dump(s)"
         heap_breach_count heap_dumps;
-    (* slow shots leave exemplars: rid-named, with a loadable trace *)
+    (* slow shots leave exemplars (their files are checked above) *)
     (match dumps "exemplar" with
     | [] ->
       violation
         "no slow shot produced an exemplar dump (wedge shots should clear \
          the adaptive threshold)"
     | exemplars ->
-      List.iter
-        (fun (e : Obs_event.t) ->
-          match (Obs_event.field_str e "path", e.Obs_event.e_rid) with
-          | Some path, Some rid ->
-            let base = Filename.basename path in
-            let marker = Printf.sprintf "-rid%d." rid in
-            let contains s sub =
-              let n = String.length sub in
-              let rec go i =
-                i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-              in
-              go 0
-            in
-            if not (contains base marker) then
-              violation "exemplar for rid %d not named after it: %s" rid path;
-            if not (Sys.file_exists path) then
-              violation "exemplar event names a missing file %s" path
-            else (
-              match
-                Json.parse (Vhdl_util.Unix_compat.read_file path)
-              with
-              | Error msg -> violation "exemplar %s unparseable: %s" path msg
-              | Ok doc -> (
-                match Json.mem "trace" doc with
-                | Some (Json.Arr _) -> ()
-                | _ ->
-                  violation "exemplar %s: no loadable Chrome trace array" path))
-          | _, _ -> violation "exemplar dump event missing path or rid")
-        exemplars;
       notes :=
         Printf.sprintf "serve-chaos: %d exemplar dump(s), traces load"
           (List.length exemplars)
@@ -173,9 +159,7 @@ let check_chaos_obs ~events_path ~obs_dir ~max_dumps ~slo_p99_us ~hist_p99_us =
       try
         Array.to_list (Sys.readdir obs_dir)
         |> List.filter (fun f ->
-               Filename.check_suffix f ".json"
-               && (String.length f >= 7 && String.sub f 0 7 = "flight-"
-                  || String.length f >= 9 && String.sub f 0 9 = "exemplar-"))
+               Filename.check_suffix f ".json" && String.starts_with ~prefix:"flight-" f)
       with Sys_error _ -> []
     in
     if max_dumps > 0 && List.length dump_files > max_dumps then
@@ -277,8 +261,14 @@ let run_serve_chaos ~seed ~shots ~quiet =
   | 0 ->
     (* child: the daemon under test *)
     Telemetry.reset ();
-    Serve_daemon.serve (Serve_daemon.create daemon_cfg);
-    Stdlib.exit 0
+    Stdlib.exit
+      (match Serve_daemon.create daemon_cfg with
+      | Ok d ->
+        Serve_daemon.serve d;
+        0
+      | Error msg ->
+        prerr_endline ("serve-chaos: " ^ msg);
+        1)
   | pid -> (
     let kill_daemon () =
       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());

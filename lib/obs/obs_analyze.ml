@@ -62,17 +62,9 @@ type report = {
   a_slices : slice list; (* per-window timeline *)
 }
 
-(* (ts, latency, phases, allocs, alloc_b, shed, internal) — the
-   observable outcome of one request, ready to replay into an Obs_slo
-   window *)
-type outcome =
-  float
-  * float option
-  * (string * float) list
-  * (string * float) list
-  * float
-  * bool
-  * bool
+(* one request's observable outcome: when it resolved, and how to
+   replay it into an Obs_slo window *)
+type outcome = float * (Obs_slo.t -> unit)
 
 let count_into tbl key =
   Hashtbl.replace tbl key (1 + Option.value (Hashtbl.find_opt tbl key) ~default:0)
@@ -100,18 +92,14 @@ let sum_phases (requests : request list) =
 let replay_window (outcomes : outcome list) =
   let first, last =
     List.fold_left
-      (fun (lo, hi) (ts, _, _, _, _, _, _) -> (Float.min lo ts, Float.max hi ts))
+      (fun (lo, hi) (ts, _) -> (Float.min lo ts, Float.max hi ts))
       (infinity, neg_infinity) outcomes
   in
   let first = if first = infinity then 0.0 else first in
   let last = if last = neg_infinity then 0.0 else last in
   let span_s = Float.max 0.0 (last -. first) in
   let slo = Obs_slo.create ~window_s:(Float.max 1.0 ((span_s +. 1.0) *. 2.0)) () in
-  List.iter
-    (fun (ts, latency_us, phases, allocs, alloc_b, shed, internal) ->
-      Obs_slo.observe slo ~now:ts ?latency_us ~phases ~allocs ~alloc_b ~shed
-        ~internal ())
-    outcomes;
+  List.iter (fun (_, replay) -> replay slo) outcomes;
   Obs_slo.summary slo ~now:last
 
 let rec take n = function
@@ -162,8 +150,10 @@ let analyze ?(window_s = 60.0) ?(top_k = 5) (events : Obs_event.t list) : report
       | Obs_event.Shed ->
         count_into shed_reasons
           (Option.value (Obs_event.field_str e "reason") ~default:"?");
+        let ts = e.Obs_event.e_ts in
         shed_outcomes :=
-          (e.Obs_event.e_ts, None, [], [], 0.0, true, false) :: !shed_outcomes
+          (ts, fun slo -> Obs_slo.observe slo ~now:ts ~shed:true ~internal:false ())
+          :: !shed_outcomes
       | Obs_event.Reject -> incr rejects
       | Obs_event.Recycle -> incr recycles
       | Obs_event.Breach -> incr breaches
@@ -172,24 +162,17 @@ let analyze ?(window_s = 60.0) ?(top_k = 5) (events : Obs_event.t list) : report
       | _ -> ())
     events;
   let finishes = List.rev !finishes in
-  (* the daemon answers these inline and keeps their (sub-microsecond)
-     latencies out of the SLO window's sample; the replay must do the
-     same or the offline p99 drifts from the live one *)
-  let inline_verb = function
-    | "stats" | "slo" | "shutdown" | "invalid" -> true
-    | _ -> false
-  in
+  (* replayed with their verbs, so the window leaves the daemon's inline
+     answers out of its sample exactly as the live one did *)
   let outcomes : outcome list =
     List.map
       (fun r ->
-        let inline = inline_verb r.rq_verb in
         ( r.rq_ts,
-          (if inline then None else r.rq_service_us),
-          (if inline then [] else r.rq_phases_us),
-          (if inline then [] else r.rq_allocs_b),
-          (if inline then 0.0 else Option.value r.rq_alloc_b ~default:0.0),
-          false,
-          r.rq_status = "internal" ))
+          fun slo ->
+            Obs_slo.observe slo ~now:r.rq_ts ~verb:r.rq_verb
+              ?latency_us:r.rq_service_us ~phases:r.rq_phases_us
+              ~allocs:r.rq_allocs_b ?alloc_b:r.rq_alloc_b ~shed:false
+              ~internal:(r.rq_status = "internal") () ))
       finishes
     @ List.rev !shed_outcomes
   in
@@ -223,7 +206,7 @@ let analyze ?(window_s = 60.0) ?(top_k = 5) (events : Obs_event.t list) : report
   let window_s = Float.max 1e-3 window_s in
   let slice_tbl = Hashtbl.create 8 in
   List.iter
-    (fun ((ts, _, _, _, _, _, _) as o) ->
+    (fun ((ts, _) as o) ->
       let i = int_of_float ((ts -. first_ts) /. window_s) in
       Hashtbl.replace slice_tbl i
         (o :: Option.value (Hashtbl.find_opt slice_tbl i) ~default:[]))

@@ -41,10 +41,6 @@ val analyze : ?window_s:float -> ?top_k:int -> Obs_event.t list -> report
     (default 5) slowest requests, and a timeline of [window_s] (default
     60) slices. *)
 
-val series_of : Obs_event.t list -> (string * float array) list
-(** Named sample series in seconds: ["service"] plus one series per
-    phase — what {!against} feeds the perf diff. *)
-
 val against :
   ?threshold:float ->
   ?min_samples:int ->

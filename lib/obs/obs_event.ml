@@ -46,34 +46,16 @@ type kind =
   | Dump (* a flight-recorder dump was written *)
   | Flush (* periodic metrics flush *)
 
-let kind_name = function
-  | Accept -> "accept"
-  | Admit -> "admit"
-  | Shed -> "shed"
-  | Start -> "start"
-  | Finish -> "finish"
-  | Reject -> "reject"
-  | Recycle -> "recycle"
-  | Drain -> "drain"
-  | Breach -> "breach"
-  | Heap_breach -> "heap_breach"
-  | Dump -> "dump"
-  | Flush -> "flush"
+let kind_names =
+  [
+    (Accept, "accept"); (Admit, "admit"); (Shed, "shed"); (Start, "start");
+    (Finish, "finish"); (Reject, "reject"); (Recycle, "recycle");
+    (Drain, "drain"); (Breach, "breach"); (Heap_breach, "heap_breach");
+    (Dump, "dump"); (Flush, "flush");
+  ]
 
-let kind_of_name = function
-  | "accept" -> Some Accept
-  | "admit" -> Some Admit
-  | "shed" -> Some Shed
-  | "start" -> Some Start
-  | "finish" -> Some Finish
-  | "reject" -> Some Reject
-  | "recycle" -> Some Recycle
-  | "drain" -> Some Drain
-  | "breach" -> Some Breach
-  | "heap_breach" -> Some Heap_breach
-  | "dump" -> Some Dump
-  | "flush" -> Some Flush
-  | _ -> None
+let kind_name k = List.assoc k kind_names
+let kind_of_name s = List.find_map (fun (k, n) -> if n = s then Some k else None) kind_names
 
 (* kind-specific payload: strings stay strings, measurements stay
    numbers, so the JSONL is directly loadable into anything columnar *)

@@ -1,19 +1,19 @@
 (** The observability hub a daemon carries: every emitted event goes to
     the always-on flight-recorder ring and, when configured, to the
-    append-only JSONL sink; flight dumps serialize the ring (plus a full
-    metrics snapshot and the SLO window) to a timestamped file.
+    append-only JSONL sink; {!dump} serializes the ring (plus a full
+    metrics snapshot and the caller's fields) to a timestamped file.
 
     The sink is line-buffered and flushed per event: an event line is
-    durable once {!emit} returns, so a log read after a clean drain — or
+    durable once {!event} returns, so a log read after a clean drain — or
     after a crash — never ends mid-line.  The write is one small
     [output_string] on a buffered channel; the serve smoke test gates
     its cost on the warm request path. *)
 
 module Tm = Vhdl_telemetry.Telemetry
+module Json = Tm.Json
 
 let m_events = Tm.counter "serve.events"
 let m_dumps = Tm.counter "serve.flight_dumps"
-let m_exemplars = Tm.counter "serve.exemplars"
 let m_exemplars_suppressed = Tm.counter "serve.exemplars_suppressed"
 let m_dumps_pruned = Tm.counter "serve.dumps_pruned"
 
@@ -59,13 +59,12 @@ let create (cfg : config) =
     last_exemplar_s = neg_infinity;
   }
 
-let ring t = t.ring
-
 (** Record an event: always into the ring, and durably onto the JSONL
     sink when one is configured.  A sink that went away (disk error,
     already-closed channel during double shutdown) degrades to
     ring-only; observability must never kill the daemon. *)
-let emit t (e : Obs_event.t) =
+let event t ?rid ?fields kind =
+  let e = Obs_event.make ?rid ?fields kind in
   Tm.incr m_events;
   Obs_ring.push t.ring e;
   match t.sink with
@@ -75,9 +74,6 @@ let emit t (e : Obs_event.t) =
       output_string oc (Obs_event.to_line e);
       flush oc
     with Sys_error _ -> ())
-
-(** Convenience: build and emit in one step. *)
-let event t ?rid ?fields kind = emit t (Obs_event.make ?rid ?fields kind)
 
 let note_request_delta t ~rid counters =
   Obs_ring.note_request_delta t.ring ~rid counters
@@ -93,19 +89,16 @@ let timestamp () =
 
 (* retention only touches files this module wrote *)
 let is_dump_file name =
-  let has_prefix p =
-    String.length name >= String.length p && String.sub name 0 (String.length p) = p
-  in
-  (has_prefix "flight-" || has_prefix "exemplar-")
+  String.length name > 7
+  && String.sub name 0 7 = "flight-"
   && Filename.check_suffix name ".json"
 
-(** Enforce [o_max_dumps]: delete the oldest dump files (flight and
-    exemplar alike) until at most the cap remain, so a flapping firewall
-    or a sustained slow spell cannot fill the disk.  Oldest = smallest
-    mtime, file name as the tiebreak (the UTC-timestamped names sort
-    chronologically).  Best-effort: a dump directory that cannot be
-    listed or a file that cannot be removed is not worth failing the
-    daemon over. *)
+(** Enforce [o_max_dumps]: delete the oldest dump files until at most
+    the cap remain, so a flapping firewall or a sustained slow spell
+    cannot fill the disk.  Oldest = smallest mtime, file name as the
+    tiebreak (the UTC-timestamped names sort chronologically).
+    Best-effort: a dump directory that cannot be listed or a file that
+    cannot be removed is not worth failing the daemon over. *)
 let prune_dumps t =
   if t.cfg.o_max_dumps > 0 then
     match Sys.readdir t.cfg.o_flight_dir with
@@ -133,106 +126,83 @@ let prune_dumps t =
               with Sys_error _ -> ()))
           (List.sort compare dumps)
 
-(** Write a flight dump: the ring (events + per-request counter deltas),
-    the reason and implicated request id, a full metrics snapshot, and
-    any extra top-level fields — to
-    [FLIGHT_DIR/flight-<utc>-<pid>-<seq>[-rid<N>]-<reason>.json].
-    Returns the path written. *)
-let dump_flight t ?(extra = []) ~reason ?rid () : (string, string) result =
-  t.dump_seq <- t.dump_seq + 1;
-  let name =
-    Printf.sprintf "flight-%s-%d-%03d%s-%s.json" (timestamp ()) (Unix.getpid ())
-      t.dump_seq
-      (match rid with Some r -> Printf.sprintf "-rid%d" r | None -> "")
-      reason
-  in
-  let path = Filename.concat t.cfg.o_flight_dir name in
-  let body =
-    Obs_ring.dump_json
-      ~extra:(("metrics", Tm.metrics_json ()) :: extra)
-      ~reason ?rid t.ring
-  in
-  match
-    Vhdl_util.Unix_compat.mkdir_p t.cfg.o_flight_dir;
-    Vhdl_util.Unix_compat.write_file path body
-  with
-  | () ->
-    Tm.incr m_dumps;
-    prune_dumps t;
-    Ok path
-  | exception Sys_error msg -> Error msg
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-
-(* ------------------------------------------------------------------ *)
-(* Exemplar dumps: the full story of one slow request *)
-
-type exemplar = {
-  x_rid : int;
-  x_verb : string;
-  x_status : string;
-  x_service_us : float;
-  x_threshold_us : float; (* what made it slow *)
-  x_phases_us : (string * float) list; (* short-named, with "other" *)
-  x_trace : string; (* Chrome trace-event JSON of the request's spans *)
-  x_spans_dropped : int; (* spans past the per-request buffer cap *)
-}
-
-module Json = Tm.Json
-
-(** Write a slow-request exemplar to
-    [FLIGHT_DIR/exemplar-<utc>-<pid>-<seq>-rid<N>.json]: the request's
-    own span tree as an embedded Chrome trace, its phase breakdown, the
-    threshold it exceeded, and its recorded counter delta.  Rate-limited
-    to one per [o_exemplar_min_gap_s] on the telemetry clock ([Ok None]
-    when suppressed — a slow spell is a handful of exemplars, not one
-    dump per slow request) and subject to the same retention cap as
-    flight dumps. *)
-let dump_exemplar ?now t (x : exemplar) : (string option, string) result =
-  let now = match now with Some s -> s | None -> Tm.now_s () in
-  if now -. t.last_exemplar_s < t.cfg.o_exemplar_min_gap_s then begin
+(** Write one dump document to
+    [FLIGHT_DIR/flight-<utc>-<pid>-<seq>[-rid<N>]-<reason>.json]: when
+    and why ([dumped_at_s], [reason], [rid]), the recorded event window
+    and per-request counter deltas, a metrics snapshot, then [fields].
+    The document is written to the file piece by piece, each array
+    element rendered as it is written: built whole, it would leave
+    large blocks in the major heap on every dump, and exemplars are
+    written by a warm daemon whose live heap is gated. *)
+let dump ~reason ?rid ~fields t : (string option, string) result =
+  let now = Tm.now_s () in
+  let exemplar = reason = "exemplar" in
+  if exemplar && now -. t.last_exemplar_s < t.cfg.o_exemplar_min_gap_s then begin
     Tm.incr m_exemplars_suppressed;
     Ok None
   end
   else begin
-    t.last_exemplar_s <- now;
+    if exemplar then t.last_exemplar_s <- now;
     t.dump_seq <- t.dump_seq + 1;
     let name =
-      Printf.sprintf "exemplar-%s-%d-%03d-rid%d.json" (timestamp ())
-        (Unix.getpid ()) t.dump_seq x.x_rid
+      Printf.sprintf "flight-%s-%d-%03d%s-%s.json" (timestamp ()) (Unix.getpid ())
+        t.dump_seq
+        (match rid with Some r -> Printf.sprintf "-rid%d" r | None -> "")
+        reason
     in
     let path = Filename.concat t.cfg.o_flight_dir name in
-    let counters =
-      match Obs_ring.find_request_delta t.ring ~rid:x.x_rid with
-      | Some d ->
-        Json.obj
-          (List.map (fun (k, v) -> (k, Json.int v)) d.Obs_ring.rd_counters)
-      | None -> "null"
-    in
-    let body =
+    let delta d =
       Json.obj
         [
-          ("dumped_at_s", Json.float now);
-          ("reason", Json.str "exemplar");
-          ("rid", Json.int x.x_rid);
-          ("verb", Json.str x.x_verb);
-          ("status", Json.str x.x_status);
-          ("service_us", Json.float x.x_service_us);
-          ("threshold_us", Json.float x.x_threshold_us);
-          ( "phases_us",
-            Json.obj (List.map (fun (k, v) -> (k, Json.float v)) x.x_phases_us)
-          );
-          ("spans_dropped", Json.int x.x_spans_dropped);
-          ("counters", counters);
-          ("trace", x.x_trace);
+          ("rid", Json.int d.Obs_ring.rd_rid);
+          ( "counters",
+            Json.obj (List.map (fun (k, v) -> (k, Json.int v)) d.Obs_ring.rd_counters) );
         ]
+    in
+    let value v oc = output_string oc v in
+    (* [opening], the elements written by [f] with commas between, [closing] *)
+    let seq opening f closing xs oc =
+      output_char oc opening;
+      List.iteri
+        (fun i x ->
+          if i > 0 then output_char oc ',';
+          f oc x)
+        xs;
+      output_char oc closing
+    in
+    let arr to_json = seq '[' (fun oc x -> output_string oc (to_json x)) ']' in
+    let doc =
+      [
+        ("dumped_at_s", value (Json.float now));
+        ("reason", value (Json.str reason));
+        ("rid", value (match rid with Some r -> Json.int r | None -> "null"));
+        ("events_recorded", value (Json.int (Obs_ring.pushed t.ring)));
+        ("events", arr Obs_event.to_json (Obs_ring.events t.ring));
+        ("request_deltas", arr delta (Obs_ring.request_deltas t.ring));
+        ("metrics", value (Tm.metrics_json ()));
+      ]
+      @ List.map (fun (k, v) -> (k, value v)) fields
     in
     match
       Vhdl_util.Unix_compat.mkdir_p t.cfg.o_flight_dir;
-      Vhdl_util.Unix_compat.write_file path body
+      let oc = open_out_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          seq '{'
+            (fun oc (k, write) ->
+              output_string oc (Json.str k);
+              output_char oc ':';
+              write oc)
+            '}' doc oc;
+          close_out oc)
     with
     | () ->
-      Tm.incr m_exemplars;
+      Tm.incr m_dumps;
       prune_dumps t;
+      event t ?rid
+        ~fields:[ ("path", Obs_event.S path); ("reason", Obs_event.S reason) ]
+        Obs_event.Dump;
       Ok (Some path)
     | exception Sys_error msg -> Error msg
     | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)

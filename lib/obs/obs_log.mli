@@ -1,7 +1,7 @@
 (** The observability hub a daemon carries: events go to the always-on
     flight-recorder ring and, when configured, to a per-event-flushed
-    append-only JSONL sink; {!dump_flight} serializes the ring plus a
-    metrics snapshot to a timestamped file for post-mortems. *)
+    append-only JSONL sink; {!dump} serializes the ring plus a metrics
+    snapshot to a timestamped file for post-mortems. *)
 
 type config = {
   o_events_out : string option; (* JSONL sink; None = ring only *)
@@ -17,49 +17,28 @@ val default_config : config
 type t
 
 val create : config -> t
-(** Opens the sink in append mode when [o_events_out] is set. *)
-
-val ring : t -> Obs_ring.t
-
-val emit : t -> Obs_event.t -> unit
-(** Ring push + durable JSONL line (flushed before returning). *)
+(** Opens the sink in append mode when [o_events_out] is set; raises
+    [Sys_error] when it cannot be opened. *)
 
 val event :
   t -> ?rid:int -> ?fields:(string * Obs_event.field_value) list ->
   Obs_event.kind -> unit
-(** Build with the telemetry clock and emit in one step. *)
+(** Stamp an event with the telemetry clock, push it into the ring, and
+    write it as a durable JSONL line (flushed before returning). *)
 
 val note_request_delta : t -> rid:int -> (string * int) list -> unit
 
-val dump_flight :
-  t -> ?extra:(string * string) list -> reason:string -> ?rid:int -> unit ->
-  (string, string) result
+val dump :
+  reason:string -> ?rid:int -> fields:(string * string) list -> t ->
+  (string option, string) result
 (** Write [FLIGHT_DIR/flight-<utc>-<pid>-<seq>[-rid<N>]-<reason>.json]
-    containing the ring, a metrics snapshot, and [extra] top-level
-    fields; returns the path written.  Retention ([o_max_dumps]) is
-    enforced after every write. *)
-
-type exemplar = {
-  x_rid : int;
-  x_verb : string;
-  x_status : string;
-  x_service_us : float;
-  x_threshold_us : float; (* what made it slow *)
-  x_phases_us : (string * float) list; (* short-named, with "other" *)
-  x_trace : string; (* Chrome trace-event JSON of the request's spans *)
-  x_spans_dropped : int; (* spans past the per-request buffer cap *)
-}
-
-val dump_exemplar : ?now:float -> t -> exemplar -> (string option, string) result
-(** Write a slow-request exemplar to
-    [FLIGHT_DIR/exemplar-<utc>-<pid>-<seq>-rid<N>.json] — the request's
-    span tree as an embedded Chrome trace, its phase breakdown, its
-    counter delta from the flight-recorder ring.  Rate-limited to one
-    per [o_exemplar_min_gap_s] ([Ok None] when suppressed); retention
-    ([o_max_dumps]) is enforced after every write.  [now] overrides the
-    telemetry clock (tests). *)
-
-val prune_dumps : t -> unit
-(** Enforce the retention cap now (also runs after every dump). *)
+    and emit a [dump] event naming it; returns the path written.  Every
+    dump has one schema: [dumped_at_s], [reason], [rid] ([null] when
+    none is implicated), [events_recorded], [events], [request_deltas],
+    [metrics], then the caller's [fields] (rendered JSON values).  A dump
+    whose reason is ["exemplar"] is rate-limited to one per
+    [o_exemplar_min_gap_s] on the telemetry clock ([Ok None] when
+    suppressed).  Retention ([o_max_dumps]) is enforced after every
+    write. *)
 
 val close : t -> unit

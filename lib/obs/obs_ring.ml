@@ -29,6 +29,10 @@ let ring_to_list r =
     (fun i -> r.slots.(i mod n))
     (List.init (r.next - start) (fun k -> start + k))
 
+let ring_clear r =
+  Array.fill r.slots 0 (Array.length r.slots) None;
+  r.next <- 0
+
 type request_delta = {
   rd_rid : int;
   rd_counters : (string * int) list; (* telemetry counters this request moved *)
@@ -49,51 +53,4 @@ let note_request_delta t ~rid counters =
 
 let events t = ring_to_list t.events
 let request_deltas t = ring_to_list t.deltas
-
-(* newest match wins: a rid can recur across a very long run once the
-   (monotone) daemon counter wraps a restart — the recent one is the one
-   an exemplar is about *)
-let find_request_delta t ~rid =
-  List.find_opt (fun d -> d.rd_rid = rid) (List.rev (ring_to_list t.deltas))
-
 let pushed t = t.events.next
-
-(* ------------------------------------------------------------------ *)
-(* Dump rendering: one self-contained JSON document *)
-
-module Json = Vhdl_telemetry.Telemetry.Json
-
-(** Render the recorder's state as the body of a flight dump: the reason
-    and implicated request id, the recorded event window (oldest first),
-    the per-request counter deltas, plus whatever extra top-level fields
-    the caller supplies (a metrics snapshot, an SLO summary). *)
-let dump_json ?(extra = []) ~reason ?rid t =
-  Json.obj
-    (List.concat
-       [
-         [
-           ("dumped_at_s", Json.float (Vhdl_telemetry.Telemetry.now_s ()));
-           ("reason", Json.str reason);
-         ];
-         (match rid with Some r -> [ ("rid", Json.int r) ] | None -> []);
-         [
-           ("events_recorded", Json.int (pushed t));
-           ( "events",
-             Json.arr (List.map (fun e -> Obs_event.to_json e) (events t)) );
-           ( "request_deltas",
-             Json.arr
-               (List.map
-                  (fun d ->
-                    Json.obj
-                      [
-                        ("rid", Json.int d.rd_rid);
-                        ( "counters",
-                          Json.obj
-                            (List.map
-                               (fun (k, v) -> (k, Json.int v))
-                               d.rd_counters) );
-                      ])
-                  (request_deltas t)) );
-         ];
-         extra;
-       ])

@@ -1,6 +1,22 @@
 (** The flight recorder's memory: fixed-size rings of the last N events
     and the per-request telemetry-counter deltas of the last M requests.
-    Always on (a push is an array store), dumped on demand. *)
+    Always on (a push is an array store), dumped on demand by
+    {!Obs_log.dump}. *)
+
+(** {1 Bounded rings} *)
+
+type 'a ring
+(** The last [capacity] values pushed; older ones are overwritten. *)
+
+val ring_create : int -> 'a ring
+val ring_push : 'a ring -> 'a -> unit
+
+val ring_to_list : 'a ring -> 'a list
+(** The values still held, oldest first. *)
+
+val ring_clear : 'a ring -> unit
+
+(** {1 The flight recorder} *)
 
 type t
 
@@ -21,14 +37,5 @@ val events : t -> Obs_event.t list
 
 val request_deltas : t -> request_delta list
 
-val find_request_delta : t -> rid:int -> request_delta option
-(** The recorded counter delta of request [rid], newest match first —
-    what an exemplar dump embeds. *)
-
 val pushed : t -> int
 (** Total events ever pushed (≥ the recorded window). *)
-
-val dump_json :
-  ?extra:(string * string) list -> reason:string -> ?rid:int -> t -> string
-(** Render the recorder as a self-contained flight-dump JSON document;
-    [extra] adds top-level fields (metrics snapshot, SLO summary). *)

@@ -81,23 +81,31 @@ let accumulate tbl name v =
   | Some r -> r := !r +. v
   | None -> Hashtbl.add tbl name (ref v)
 
+(* the verbs the daemon answers itself: bookkeeping, not compile
+   service, so their (sub-microsecond) latencies would only dilute the
+   window's percentiles *)
+let inline_verbs = [ "stats"; "slo"; "shutdown"; "invalid" ]
+
 (** Record one request outcome.  [latency_us] is given for requests that
     ran (the same value the [serve.latency_us] telemetry histogram
     observes); sheds have no service latency.  [phases] is the request's
     per-phase attribution [(phase, microseconds)] and [allocs] the same
     attribution in bytes, [alloc_b] the request's total allocated bytes —
     all aggregated per bucket so the window can say where its time {e and}
-    its memory went. *)
-let observe t ~now ?latency_us ?(phases = []) ?(allocs = []) ?(alloc_b = 0.0)
+    its memory went.  A request whose [verb] is one of {!inline_verbs}
+    counts toward the request, shed and internal totals only. *)
+let observe t ~now ?verb ?latency_us ?(phases = []) ?(allocs = []) ?(alloc_b = 0.0)
     ~shed ~internal () =
   let b = slot_for t ~now in
   b.b_requests <- b.b_requests + 1;
   if shed then b.b_shed <- b.b_shed + 1;
   if internal then b.b_internal <- b.b_internal + 1;
-  List.iter (fun (name, us) -> accumulate b.b_phase name us) phases;
-  List.iter (fun (name, bytes) -> accumulate b.b_alloc name bytes) allocs;
-  b.b_alloc_b <- b.b_alloc_b +. alloc_b;
-  Option.iter (Tm.observe b.b_latency) latency_us
+  if not (List.mem (Option.value verb ~default:"") inline_verbs) then begin
+    List.iter (fun (name, us) -> accumulate b.b_phase name us) phases;
+    List.iter (fun (name, bytes) -> accumulate b.b_alloc name bytes) allocs;
+    b.b_alloc_b <- b.b_alloc_b +. alloc_b;
+    Option.iter (Tm.observe b.b_latency) latency_us
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Summaries *)

@@ -11,11 +11,10 @@ val create : ?window_s:float -> ?buckets:int -> unit -> t
 (** A sliding window of [window_s] seconds (default 60) sliced into
     [buckets] slots (default 12).  Expiry is lazy; no timer thread. *)
 
-val window_s : t -> float
-
 val observe :
   t ->
   now:float ->
+  ?verb:string ->
   ?latency_us:float ->
   ?phases:(string * float) list ->
   ?allocs:(string * float) list ->
@@ -29,7 +28,10 @@ val observe :
     [serve.latency_us] histogram observes); sheds have none.  [phases]
     is the request's per-phase attribution [(phase, microseconds)],
     [allocs] the same attribution in bytes, and [alloc_b] the
-    request's total allocated bytes — all aggregated per bucket. *)
+    request's total allocated bytes — all aggregated per bucket.  The
+    verbs the daemon answers inline ([stats], [slo], [shutdown],
+    [invalid]) count as requests but stay out of the latency, phase and
+    allocation sample, live and in the offline replay alike. *)
 
 type summary = {
   s_window_s : float;

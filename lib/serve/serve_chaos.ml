@@ -37,7 +37,7 @@ type summary = {
   no_reply : int; (* fault shots that by design expect none *)
   transport_failures : int;
   by_status : (string * int) list;
-  daemon_counters : (string * int) list; (* from the final stats verb *)
+  daemon_counters : (string * int) list; (* the final stats document's ledger *)
   violations : string list;
   log : string list; (* one line per shot, campaign order *)
 }
@@ -190,20 +190,15 @@ let check_shot (s : shot) : string option =
 (* ------------------------------------------------------------------ *)
 (* The campaign *)
 
-let parse_stats body =
-  List.filter_map
-    (fun line ->
-      match String.split_on_char ' ' (String.trim line) with
-      | [ name; v ] -> (
-        match int_of_string_opt v with
-        | Some n -> Some (name, n)
-        | None -> (
-          (* percentiles arrive as floats; keep them rounded *)
-          match float_of_string_opt v with
-          | Some f -> Some (name, int_of_float f)
-          | None -> None))
-      | _ -> None)
-    (String.split_on_char '\n' body)
+module Json = Vhdl_telemetry.Telemetry.Json
+
+(* the ledger of the daemon's stats document *)
+let ledger_of body =
+  match Result.map (Json.path [ "ledger" ]) (Json.parse body) with
+  | Ok (Some (Json.Obj kvs)) ->
+    Ok (List.filter_map (fun (k, v) -> Option.map (fun n -> (k, n)) (Json.to_int v)) kvs)
+  | Ok _ -> Error "stats document without a ledger"
+  | Error msg -> Error ("unreadable stats document: " ^ msg)
 
 let counter counters name = Option.value (List.assoc_opt name counters) ~default:0
 
@@ -247,13 +242,19 @@ let run ?(seed = 0) ?(shots = 240) ?(burst_every = 40) ?(burst_width = 6) ~socke
   let all = List.rev !results in
   let violations = List.filter_map check_shot all in
   (* the daemon's own books, via the stats verb *)
-  let daemon_counters, violations =
+  let ledger =
     match
       Serve_client.roundtrip ~timeout_s:10.0 ~socket
-        (Serve_protocol.request Serve_protocol.Stats)
+        (Serve_protocol.request ~json:true Serve_protocol.Stats)
     with
-    | Ok { Serve_protocol.rs_status = Serve_protocol.Ok_; rs_body; _ } ->
-      let cs = parse_stats rs_body in
+    | Ok { Serve_protocol.rs_status = Serve_protocol.Ok_; rs_body; _ } -> ledger_of rs_body
+    | Ok r -> Error ("stats verb answered " ^ Serve_protocol.status_name r.Serve_protocol.rs_status)
+    | Error msg -> Error ("stats verb unreachable: " ^ msg)
+  in
+  let daemon_counters, violations =
+    match ledger with
+    | Error msg -> ([], violations @ [ msg ])
+    | Ok cs ->
       let c = counter cs in
       let sum = c "serve.answered" + c "serve.shed" + c "serve.client_gone" in
       let v = ref [] in
@@ -282,14 +283,6 @@ let run ?(seed = 0) ?(shots = 240) ?(burst_every = 40) ?(burst_width = 6) ~socke
             (landed "fault:wedged-request")
           :: !v;
       (cs, violations @ List.rev !v)
-    | Ok r ->
-      ( [],
-        violations
-        @ [
-            "stats verb answered "
-            ^ Serve_protocol.status_name r.Serve_protocol.rs_status;
-          ] )
-    | Error msg -> ([], violations @ [ "stats verb unreachable: " ^ msg ])
   in
   (* the zero-deaths invariant: the daemon must still answer *)
   let violations =
@@ -303,31 +296,22 @@ let run ?(seed = 0) ?(shots = 240) ?(burst_every = 40) ?(burst_width = 6) ~socke
   let count p = List.length (List.filter p all) in
   let status_counts =
     List.filter_map
-      (fun st ->
+      (fun (st, name) ->
         let k =
           count (fun s ->
               match s.s_outcome with Status (st', _) -> st' = st | _ -> false)
         in
-        if k = 0 then None else Some (Serve_protocol.status_name st, k))
-      [
-        Serve_protocol.Ok_; Serve_protocol.Error_; Serve_protocol.Internal;
-        Serve_protocol.Timeout; Serve_protocol.Overload; Serve_protocol.Draining;
-        Serve_protocol.Bad_request;
-      ]
+        if k = 0 then None else Some (name, k))
+      Serve_protocol.status_names
   in
   {
     shots = !n;
     answered =
       count (fun s ->
-          match s.s_outcome with
-          | Status ((Serve_protocol.Overload | Serve_protocol.Draining), _) -> false
-          | Status _ -> true
-          | _ -> false);
+          match s.s_outcome with Status (st, _) -> not (Serve_protocol.is_shed st) | _ -> false);
     shed =
       count (fun s ->
-          match s.s_outcome with
-          | Status ((Serve_protocol.Overload | Serve_protocol.Draining), _) -> true
-          | _ -> false);
+          match s.s_outcome with Status (st, _) -> Serve_protocol.is_shed st | _ -> false);
     no_reply = count (fun s -> s.s_outcome = No_reply);
     transport_failures =
       count (fun s -> match s.s_outcome with Transport _ -> true | _ -> false);
@@ -342,9 +326,7 @@ let pp_summary fmt (s : summary) =
     s.shots s.answered s.shed s.no_reply s.transport_failures;
   List.iter (fun (st, k) -> Format.fprintf fmt "  status %-12s %d@\n" st k) s.by_status;
   List.iter
-    (fun (name, v) ->
-      if String.length name >= 6 && String.sub name 0 6 = "serve." then
-        Format.fprintf fmt "  daemon %-28s %d@\n" name v)
+    (fun (name, v) -> Format.fprintf fmt "  daemon %-28s %d@\n" name v)
     s.daemon_counters;
   if s.violations = [] then Format.fprintf fmt "  invariants: all hold@\n"
   else

@@ -20,7 +20,7 @@ type summary = {
   no_reply : int; (* fault shots that by design expect none *)
   transport_failures : int;
   by_status : (string * int) list;
-  daemon_counters : (string * int) list; (* from the final stats verb *)
+  daemon_counters : (string * int) list; (* the final stats document's ledger *)
   violations : string list; (* empty = every invariant held *)
   log : string list; (* one line per shot, campaign order *)
 }

@@ -30,11 +30,15 @@
       configured, an append-only JSONL sink;
     - the {b flight recorder} is dumped to a timestamped file when the
       request firewall trips, when the watchdog breaks a wedged request,
-      and on SIGUSR1 — crash forensics without always-on logging cost;
+      when the heap watchdog fires, on SIGUSR1, and (rate-limited) after
+      a slow request — one writer, one document schema, crash forensics
+      without always-on logging cost;
     - {b rolling SLO windows} summarize the last window of service
       latency (p50/p95/p99), shed rate and [internal] rate, are
       queryable live via the [slo] verb, and are checked each second
-      against configured objectives (breaches are events).
+      against configured objectives (breaches are events);
+    - the [stats] verb answers one JSON document; its text form is the
+      same document flattened to one [path value] line per scalar.
 
     Accounting invariant, asserted by the chaos campaign: every complete
     or failed frame resolves to exactly one of [answered], [shed], or
@@ -112,10 +116,7 @@ type t = {
   mutable breached : string list; (* metrics currently in breach *)
   mutable last_request : (int * string * string * float) option;
       (* rid, verb, status, service seconds — for stats and dumps *)
-  heap_ts : float array; (* heap watchdog ring: sample times ... *)
-  heap_w : float array; (* ... and live heap words *)
-  mutable heap_len : int; (* samples currently in the ring *)
-  mutable heap_pos : int; (* next slot to write *)
+  heap : (float * float) Obs_ring.ring; (* heap watchdog: (time, live words) *)
   mutable conns : conn list; (* still reading their request frame *)
   mutable draining : bool;
   mutable stop : bool; (* drain finished: leave the loop *)
@@ -131,8 +132,9 @@ let exemplar_min_obs = 8
 
 (* ------------------------------------------------------------------ *)
 (* Response delivery.  The write is blocking (responses are small and
-   local); a peer that vanished mid-response surfaces as EPIPE/ECONNRESET
-   — with SIGPIPE ignored — and is accounted [client_gone]. *)
+   local); a peer that vanished mid-response surfaces as a write error
+   (EPIPE/ECONNRESET — with SIGPIPE ignored) and is accounted
+   [client_gone]. *)
 
 type fate =
   | Answered
@@ -151,24 +153,12 @@ let fate_name = function
 
 let send_response conn (resp : Serve_protocol.response) : fate =
   let bytes = Serve_protocol.frame (Serve_protocol.encode_response resp) in
-  let shed_status =
-    match resp.Serve_protocol.rs_status with
-    | Serve_protocol.Overload | Serve_protocol.Draining -> true
-    | _ -> false
-  in
   match
     Unix.clear_nonblock conn.fd;
-    let n = String.length bytes in
-    let rec write_all off =
-      if off < n then
-        let w = Unix.write_substring conn.fd bytes off (n - off) in
-        write_all (off + w)
-    in
-    write_all 0
+    Serve_client.send_all conn.fd bytes
   with
-  | () -> if shed_status then Shed_ else Answered
-  | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-    Client_gone
+  | Ok () -> if Serve_protocol.is_shed resp.Serve_protocol.rs_status then Shed_ else Answered
+  | Error _ | (exception Unix.Unix_error (Unix.EBADF, _, _)) -> Client_gone
 
 let close_conn t conn =
   (try Unix.close conn.fd with Unix.Unix_error _ -> ());
@@ -198,31 +188,20 @@ let emit_start t conn ~verb ?queue_wait_us ?reason () =
     becomes the [finish] that pairs with the request's [start], stamped
     with its per-phase attribution ([ph_*] fields, microseconds).
 
-    [observe_latency:false] keeps daemon-verb answers (stats, slo,
-    bad-request) out of the SLO window's latency sample — the window
-    summarizes compile service time, not bookkeeping — while their
-    finish events still carry [service_us] and phases so the log-level
-    phase-sum invariant holds for every finish. *)
-let finish ?service_us ?(phases = []) ?(allocs = []) ?alloc_b
-    ?(observe_latency = true) t conn resp =
+    [verb] lets the SLO window keep daemon-verb answers (stats, slo,
+    bad-request) out of its latency sample — the window summarizes
+    compile service time, not bookkeeping — while their finish events
+    still carry [service_us] and phases so the log-level phase-sum
+    invariant holds for every finish. *)
+let finish ?verb ?service_us ?(phases = []) ?(allocs = []) ?alloc_b t conn resp =
   Tm.incr m_requests;
   let resp = { resp with Serve_protocol.rs_request_id = Some conn.rid } in
   let fate = send_response conn resp in
   count_fate fate;
   let status = resp.Serve_protocol.rs_status in
-  let shed =
-    match status with
-    | Serve_protocol.Overload | Serve_protocol.Draining -> true
-    | _ -> false
-  in
-  Obs_slo.observe t.slo ~now:(now ())
-    ?latency_us:(if observe_latency then service_us else None)
-    ~phases:(if observe_latency then phases else [])
-    ~allocs:(if observe_latency then allocs else [])
-    ~alloc_b:
-      (if observe_latency then Option.value alloc_b ~default:0.0 else 0.0)
-    ~shed
-    ~internal:(status = Serve_protocol.Internal) ();
+  let shed = Serve_protocol.is_shed status in
+  Obs_slo.observe t.slo ~now:(now ()) ?verb ?latency_us:service_us ~phases ~allocs
+    ?alloc_b ~shed ~internal:(status = Serve_protocol.Internal) ();
   let base =
     [
       ( (if shed then "reason" else "status"),
@@ -264,40 +243,34 @@ let finish ?service_us ?(phases = []) ?(allocs = []) ?alloc_b
 
 (** Finish for requests the daemon answers inline (stats, slo, shutdown,
     bad frames): the whole service time is daemon bookkeeping, so the
-    attribution is all ["other"], and the SLO window is not fed. *)
-let finish_inline ~t0 t conn resp =
+    attribution is all ["other"], and the SLO window leaves it out. *)
+let finish_inline ~t0 ~verb t conn resp =
   let svc = (now () -. t0) *. 1e6 in
-  finish ~service_us:svc
+  finish ~verb ~service_us:svc
     ~phases:[ ("other", svc) ]
     ~allocs:[ ("other", 0.0) ]
-    ~alloc_b:0.0 ~observe_latency:false t conn resp
+    ~alloc_b:0.0 t conn resp
 
 (* ------------------------------------------------------------------ *)
 (* Flight dumps *)
 
-(** Dump the flight recorder (plus the live SLO summary) to a
-    timestamped file — on firewall trips, watchdog fires, SIGUSR1, or by
-    an embedder's explicit request. *)
-let flight_dump t ~reason ?rid () =
-  let extra =
-    [ ("slo", Obs_slo.summary_json (Obs_slo.summary t.slo ~now:(now ()))) ]
-  in
-  match Obs_log.dump_flight t.obs ~extra ~reason ?rid () with
-  | Ok path ->
-    Obs_log.event t.obs ?rid
-      ~fields:[ ("path", Obs_event.S path); ("reason", Obs_event.S reason) ]
-      Obs_event.Dump;
-    t.cfg.d_log (Printf.sprintf "flight dump %s (%s)" path reason)
-  | Error msg -> t.cfg.d_log (Printf.sprintf "flight dump failed: %s" msg)
-
-let dump_flight_now ?(reason = "manual") t =
+(** Dump the flight recorder, the live SLO summary and [fields] to a
+    timestamped file named after the last serviced request — on firewall
+    trips, watchdog fires, heap breaches, SIGUSR1, and slow requests
+    (exemplars).  Quiet on exemplar rate-limit suppression; a failed
+    write is logged, never fatal. *)
+let dump t ~reason fields =
   let rid = Option.map (fun (r, _, _, _) -> r) t.last_request in
-  flight_dump t ~reason ?rid ()
+  let slo = Obs_slo.summary_json (Obs_slo.summary t.slo ~now:(now ())) in
+  match Obs_log.dump ~reason ?rid ~fields:(("slo", slo) :: fields) t.obs with
+  | Ok None -> ()
+  | Ok (Some path) -> t.cfg.d_log (Printf.sprintf "flight dump %s (%s)" path reason)
+  | Error msg -> t.cfg.d_log (Printf.sprintf "%s dump failed: %s" reason msg)
 
 (* ------------------------------------------------------------------ *)
 (* Frame and request intake *)
 
-(* the request ledger, in the order both stats documents list it *)
+(* the request ledger, in the order the stats document lists it *)
 let ledger =
   [
     "serve.requests"; "serve.answered"; "serve.shed"; "serve.client_gone";
@@ -307,22 +280,9 @@ let ledger =
     "serve.flight_dumps"; "serve.slo_breaches"; "serve.heap_breaches";
   ]
 
-let stats_body t =
-  let b = Buffer.create 256 in
-  List.iter (fun name -> Printf.bprintf b "%s %d\n" name (Tm.counter_value name)) ledger;
-  Printf.bprintf b "serve.queue_depth %d\n" (Serve_queue.length t.queue);
-  Printf.bprintf b "serve.latency_us.p50 %.0f\n" (Tm.percentile m_latency 0.50);
-  Printf.bprintf b "serve.latency_us.p99 %.0f\n" (Tm.percentile m_latency 0.99);
-  Printf.bprintf b "serve.worker_generation %d\n" (Serve_worker.generation t.worker);
-  Printf.bprintf b "serve.worker_served %d\n" (Serve_worker.served t.worker);
-  let st = Gc.quick_stat () in
-  Printf.bprintf b "gc.heap_words %d\n" st.Gc.heap_words;
-  Printf.bprintf b "gc.top_heap_words %d\n" st.Gc.top_heap_words;
-  Buffer.contents b
-
-(** The machine-readable stats document `vhdlc request stats --json` and
-    `vhdlc top` read: ledger, queue, worker, latency percentiles, the
-    last serviced request, and the live SLO window. *)
+(** The stats document `vhdlc request --stats --json` and `vhdlc top`
+    read: ledger, queue, worker, latency percentiles, heap, the last
+    serviced request, and the live SLO window. *)
 let stats_json t =
   let module J = Tm.Json in
   let st = Gc.quick_stat () in
@@ -372,6 +332,25 @@ let stats_json t =
             ] );
       ("slo", Obs_slo.summary_json (Obs_slo.summary t.slo ~now:(now ())));
     ]
+
+(** The text form of a stats document: one [path value] line per scalar
+    leaf, the path joining the object keys with dots. *)
+let stats_text doc =
+  let module J = Tm.Json in
+  let b = Buffer.create 1024 in
+  let rec leaves path (j : J.t) =
+    match j with
+    | J.Obj kvs ->
+      List.iter (fun (k, v) -> leaves (if path = "" then k else path ^ "." ^ k) v) kvs
+    | J.Num x -> Printf.bprintf b "%s %s\n" path (J.float x)
+    | J.Str s -> Printf.bprintf b "%s %s\n" path s
+    | J.Bool v -> Printf.bprintf b "%s %b\n" path v
+    | J.Null | J.Arr _ -> ()
+  in
+  (match J.parse doc with
+  | Ok j -> leaves "" j
+  | Error msg -> Printf.bprintf b "unreadable stats document: %s\n" msg);
+  Buffer.contents b
 
 let pp_objective b name limit value breached =
   match limit with
@@ -433,26 +412,25 @@ let intake t conn payload =
   | Error msg ->
     Tm.incr m_bad_requests;
     emit_start t conn ~verb:"invalid" ~reason:msg ();
-    finish_inline ~t0 t conn
+    finish_inline ~t0 ~verb:"invalid" t conn
       (Serve_protocol.response Serve_protocol.Bad_request ~body:(msg ^ "\n"))
   | Ok rq -> (
     match rq.Serve_protocol.rq_verb with
     | Serve_protocol.Stats ->
       emit_start t conn ~verb:"stats" ();
-      let body =
-        if rq.Serve_protocol.rq_json then stats_json t ^ "\n" else stats_body t
-      in
-      finish_inline ~t0 t conn (Serve_protocol.response Serve_protocol.Ok_ ~body)
+      let doc = stats_json t in
+      let body = if rq.Serve_protocol.rq_json then doc ^ "\n" else stats_text doc in
+      finish_inline ~t0 ~verb:"stats" t conn (Serve_protocol.response Serve_protocol.Ok_ ~body)
     | Serve_protocol.Slo ->
       emit_start t conn ~verb:"slo" ();
       let body =
         if rq.Serve_protocol.rq_json then slo_json t ^ "\n" else slo_body t
       in
-      finish_inline ~t0 t conn (Serve_protocol.response Serve_protocol.Ok_ ~body)
+      finish_inline ~t0 ~verb:"slo" t conn (Serve_protocol.response Serve_protocol.Ok_ ~body)
     | Serve_protocol.Shutdown ->
       emit_start t conn ~verb:"shutdown" ();
       begin_drain t ~reason:"shutdown requested";
-      finish_inline ~t0 t conn
+      finish_inline ~t0 ~verb:"shutdown" t conn
         (Serve_protocol.response Serve_protocol.Ok_ ~body:"draining\n")
     | _ when t.draining ->
       finish t conn (Serve_protocol.response Serve_protocol.Draining ~body:"daemon is draining\n")
@@ -481,7 +459,7 @@ let frame_failure t conn err =
   | Serve_protocol.Bad_magic -> Tm.incr m_bad_requests);
   emit_start t conn ~verb:"invalid"
     ~reason:(Serve_protocol.frame_error_to_string err) ();
-  finish_inline ~t0 t conn
+  finish_inline ~t0 ~verb:"invalid" t conn
     (Serve_protocol.response Serve_protocol.Bad_request
        ~body:(Serve_protocol.frame_error_to_string err ^ "\n"))
 
@@ -543,40 +521,6 @@ let reap_idle t =
 (* ------------------------------------------------------------------ *)
 (* Processing *)
 
-(** Write the slow-request exemplar for [rid]: the request's span tree
-    as a Chrome trace, its phase breakdown, its counter delta.  Quiet on
-    rate-limit suppression; a failed write is logged, never fatal. *)
-let exemplar_dump t ~rid ~verb ~status ~service_us ~threshold_us ~phases
-    ~spans ~spans_dropped =
-  let x =
-    {
-      Obs_log.x_rid = rid;
-      x_verb = verb;
-      x_status = status;
-      x_service_us = service_us;
-      x_threshold_us = threshold_us;
-      x_phases_us = phases;
-      x_trace = Tm.to_chrome_trace ~process_name:"vhdlc-serve" ~spans ();
-      x_spans_dropped = spans_dropped;
-    }
-  in
-  match Obs_log.dump_exemplar t.obs x with
-  | Ok None -> () (* rate-limited: the counter remembers, the disk rests *)
-  | Ok (Some path) ->
-    Obs_log.event t.obs ~rid
-      ~fields:
-        [
-          ("path", Obs_event.S path);
-          ("reason", Obs_event.S "exemplar");
-          ("service_us", Obs_event.F service_us);
-          ("threshold_us", Obs_event.F threshold_us);
-        ]
-      Obs_event.Dump;
-    t.cfg.d_log
-      (Printf.sprintf "exemplar %s (rid %d: %.0fus over %.0fus threshold)"
-         path rid service_us threshold_us)
-  | Error msg -> t.cfg.d_log (Printf.sprintf "exemplar dump failed: %s" msg)
-
 (** Pop and answer one admitted request.  The compile itself is blocking —
     the daemon is single-threaded by design; boundedness comes from the
     per-request deadline and the watchdog, not concurrency.  (Frames that
@@ -608,7 +552,8 @@ let process_one t =
     let elapsed = now () -. admitted_at in
     Serve_queue.note_service_time t.queue elapsed;
     Tm.observe m_latency (elapsed *. 1e6);
-    Obs_log.note_request_delta t.obs ~rid:conn.rid (Tm.delta snap);
+    let counters = Tm.delta snap in
+    Obs_log.note_request_delta t.obs ~rid:conn.rid counters;
     if Serve_worker.generation t.worker > gen0 then
       Obs_log.event t.obs ~rid:conn.rid
         ~fields:
@@ -622,14 +567,13 @@ let process_one t =
                  else "periodic") );
           ]
         Obs_event.Recycle;
-    (* the post-mortem moments: a tripped firewall or a fired watchdog
-       leaves its evidence on disk, named after the offending request *)
-    if resp.Serve_protocol.rs_wedged then
-      flight_dump t ~reason:"watchdog" ~rid:conn.rid ()
-    else if resp.Serve_protocol.rs_status = Serve_protocol.Internal then
-      flight_dump t ~reason:"firewall" ~rid:conn.rid ();
     let status = Serve_protocol.status_name resp.Serve_protocol.rs_status in
     t.last_request <- Some (conn.rid, verb, status, elapsed);
+    (* the post-mortem moments: a tripped firewall or a fired watchdog
+       leaves its evidence on disk, named after the offending request *)
+    if resp.Serve_protocol.rs_wedged then dump t ~reason:"watchdog" []
+    else if resp.Serve_protocol.rs_status = Serve_protocol.Internal then
+      dump t ~reason:"firewall" [];
     let service_us = elapsed *. 1e6 in
     let phases =
       Obs_attr.with_other ~total:service_us
@@ -654,12 +598,21 @@ let process_one t =
            (fun (name, w) -> (name, w *. bpw))
            (Serve_worker.last_allocs t.worker))
     in
-    let rid = conn.rid in
-    finish ~service_us ~phases ~allocs ~alloc_b t conn resp;
+    finish ~verb ~service_us ~phases ~allocs ~alloc_b t conn resp;
+    (* a slow request leaves an exemplar: its span tree as a Chrome
+       trace, its phase breakdown, and the counters it moved *)
     (match threshold_us with
     | Some th when service_us > th ->
-      exemplar_dump t ~rid ~verb ~status ~service_us ~threshold_us:th ~phases
-        ~spans:req_spans ~spans_dropped
+      let module J = Tm.Json in
+      dump t ~reason:"exemplar"
+        [
+          ("service_us", J.float service_us);
+          ("threshold_us", J.float th);
+          ("phases_us", J.obj (List.map (fun (k, v) -> (k, J.float v)) phases));
+          ("counters", J.obj (List.map (fun (k, v) -> (k, J.int v)) counters));
+          ("spans_dropped", J.int spans_dropped);
+          ("trace", Tm.to_chrome_trace ~process_name:"vhdlc-serve" ~spans:req_spans ());
+        ]
     | Some _ | None -> ());
     true
 
@@ -674,31 +627,42 @@ let create (cfg : config) =
      fate accounting, never as a fatal signal — also covers callers that
      drive [tick] directly instead of going through [serve] *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  (try Unix.unlink cfg.d_socket with Unix.Unix_error _ -> ());
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_fd (Unix.ADDR_UNIX cfg.d_socket);
-  Unix.listen listen_fd 64;
-  Unix.set_nonblock listen_fd;
-  {
-    cfg;
-    listen_fd;
-    worker = Serve_worker.create cfg.d_worker;
-    queue = Serve_queue.create ~capacity:cfg.d_queue_capacity;
-    obs = Obs_log.create cfg.d_obs;
-    slo = Obs_slo.create ~window_s:cfg.d_slo_window_s ();
-    next_rid = 0;
-    ticks = 0;
-    last_slo_check = now ();
-    breached = [];
-    last_request = None;
-    heap_ts = Array.make 64 0.0;
-    heap_w = Array.make 64 0.0;
-    heap_len = 0;
-    heap_pos = 0;
-    conns = [];
-    draining = false;
-    stop = false;
-  }
+  (* the event sink opens before the bind, so a bad sink path leaves no
+     socket file behind *)
+  match Obs_log.create cfg.d_obs with
+  | exception Sys_error msg -> Error msg
+  | obs -> (
+    (try Unix.unlink cfg.d_socket with Unix.Unix_error _ -> ());
+    let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match
+      Unix.bind listen_fd (Unix.ADDR_UNIX cfg.d_socket);
+      Unix.listen listen_fd 64;
+      Unix.set_nonblock listen_fd
+    with
+    | exception Unix.Unix_error (e, _, _) ->
+      Unix.close listen_fd;
+      (try Unix.unlink cfg.d_socket with Unix.Unix_error _ -> ());
+      Obs_log.close obs;
+      Error (Printf.sprintf "cannot listen on %s: %s" cfg.d_socket (Unix.error_message e))
+    | () ->
+      Ok
+        {
+          cfg;
+          listen_fd;
+          worker = Serve_worker.create cfg.d_worker;
+          queue = Serve_queue.create ~capacity:cfg.d_queue_capacity;
+          obs;
+          slo = Obs_slo.create ~window_s:cfg.d_slo_window_s ();
+          next_rid = 0;
+          ticks = 0;
+          last_slo_check = now ();
+          breached = [];
+          last_request = None;
+          heap = Obs_ring.ring_create 64;
+          conns = [];
+          draining = false;
+          stop = false;
+        })
 
 let accept_ready t =
   let rec loop () =
@@ -771,35 +735,33 @@ let check_slo t =
     t.breached <- List.map (fun (b : Obs_slo.breach) -> b.Obs_slo.br_metric) brs
   end
 
-(** Heap-health watchdog: push one (time, live words) sample into the
-    ring per tick and, once the ring holds enough history, least-squares
-    fit live words against time.  When the fitted growth across the
-    sampled window exceeds [d_heap_growth_pct] percent, emit one
-    [heap_breach] event, dump the flight recorder, and clear the ring —
-    the edge trigger: a heap that leaked and then plateaus fires exactly
-    once, and re-arming requires fresh post-breach history. *)
-let heap_check t ~live_w =
-  let n = t.heap_len in
-  if t.cfg.d_heap_growth_pct > 0.0 && n >= 16 then begin
-    let sx = ref 0.0 and sy = ref 0.0 and sxx = ref 0.0 and sxy = ref 0.0 in
-    let t_min = ref infinity and t_max = ref neg_infinity in
-    for i = 0 to n - 1 do
-      if t.heap_ts.(i) < !t_min then t_min := t.heap_ts.(i);
-      if t.heap_ts.(i) > !t_max then t_max := t.heap_ts.(i)
-    done;
-    for i = 0 to n - 1 do
-      let x = t.heap_ts.(i) -. !t_min and y = t.heap_w.(i) in
-      sx := !sx +. x;
-      sy := !sy +. y;
-      sxx := !sxx +. (x *. x);
-      sxy := !sxy +. (x *. y)
-    done;
+(** Heap-health watchdog, when armed: push one (time, live words) sample
+    into the ring per tick and, once the ring holds enough history,
+    least-squares fit live words against time.  When the fitted growth
+    across the sampled window exceeds [d_heap_growth_pct] percent, emit
+    one [heap_breach] event, dump the flight recorder, and clear the
+    ring — the edge trigger: a heap that leaked and then plateaus fires
+    exactly once, and re-arming requires fresh post-breach history. *)
+let heap_watch t =
+  if t.cfg.d_heap_growth_pct > 0.0 then begin
+    let live_w = float_of_int (Gc.quick_stat ()).Gc.heap_words in
+    Obs_ring.ring_push t.heap (now (), live_w);
+    let samples = Obs_ring.ring_to_list t.heap in
+    let n = List.length samples in
+    let t_min = List.fold_left (fun a (ts, _) -> Float.min a ts) infinity samples in
+    let span = List.fold_left (fun a (ts, _) -> Float.max a ts) neg_infinity samples -. t_min in
+    let sx, sy, sxx, sxy =
+      List.fold_left
+        (fun (sx, sy, sxx, sxy) (ts, y) ->
+          let x = ts -. t_min in
+          (sx +. x, sy +. y, sxx +. (x *. x), sxy +. (x *. y)))
+        (0.0, 0.0, 0.0, 0.0) samples
+    in
     let fn = float_of_int n in
-    let denom = (fn *. !sxx) -. (!sx *. !sx) in
-    if denom > 0.0 then begin
-      let slope = ((fn *. !sxy) -. (!sx *. !sy)) /. denom in
-      let intercept = (!sy -. (slope *. !sx)) /. fn in
-      let span = !t_max -. !t_min in
+    let denom = (fn *. sxx) -. (sx *. sx) in
+    if n >= 16 && denom > 0.0 then begin
+      let slope = ((fn *. sxy) -. (sx *. sy)) /. denom in
+      let intercept = (sy -. (slope *. sx)) /. fn in
       let growth_pct = 100.0 *. slope *. span /. Float.max intercept 1.0 in
       if growth_pct > t.cfg.d_heap_growth_pct then begin
         Tm.incr m_heap_breaches;
@@ -816,25 +778,13 @@ let heap_check t ~live_w =
           (Printf.sprintf
              "heap breach: live words grew %.1f%% over %.1fs (objective %.1f%%)"
              growth_pct span t.cfg.d_heap_growth_pct);
-        flight_dump t ~reason:"heap"
-          ?rid:(Option.map (fun (r, _, _, _) -> r) t.last_request)
-          ();
+        dump t ~reason:"heap" [];
         (* re-arm: drop the pre-breach history so the plateau that
            follows a one-time step does not re-fire *)
-        t.heap_len <- 0;
-        t.heap_pos <- 0
+        Obs_ring.ring_clear t.heap
       end
     end
   end
-
-let heap_sample t =
-  let ts = now () in
-  let live_w = float_of_int (Gc.quick_stat ()).Gc.heap_words in
-  t.heap_ts.(t.heap_pos) <- ts;
-  t.heap_w.(t.heap_pos) <- live_w;
-  t.heap_pos <- (t.heap_pos + 1) mod Array.length t.heap_ts;
-  if t.heap_len < Array.length t.heap_ts then t.heap_len <- t.heap_len + 1;
-  heap_check t ~live_w
 
 (** Graceful drain: answer everything already admitted, shed the rest,
     flush telemetry, remove the socket. *)
@@ -865,7 +815,7 @@ let tick ?(timeout_s = 0.05) t =
   end;
   if !signal_dump then begin
     signal_dump := false;
-    dump_flight_now ~reason:"sigusr1" t
+    dump t ~reason:"sigusr1" []
   end;
   t.ticks <- t.ticks + 1;
   let read_fds = t.listen_fd :: List.map (fun c -> c.fd) t.conns in
@@ -880,7 +830,7 @@ let tick ?(timeout_s = 0.05) t =
   reap_idle t;
   while process_one t do () done;
   check_slo t;
-  heap_sample t;
+  heap_watch t;
   if t.cfg.d_metrics_flush_ticks > 0 && t.ticks mod t.cfg.d_metrics_flush_ticks = 0
   then flush_metrics t;
   if t.draining && Serve_queue.length t.queue = 0 then t.stop <- true

@@ -13,17 +13,21 @@
     {!Obs_event} events into the {!Obs_ring} flight recorder and an
     optional JSONL sink; rolling {!Obs_slo} windows are queryable via
     the [slo] verb and checked against objectives once a second; the
-    flight recorder is dumped on firewall trips, watchdog fires, and
-    SIGUSR1.  Event-grammar invariant: every substantive response has
-    exactly one [start] and one [finish] sharing its request id.
+    flight recorder is dumped ({!Obs_log.dump}, one document schema) on
+    firewall trips, watchdog fires, heap breaches, SIGUSR1 and slow
+    requests.  The [stats] verb answers one JSON document; its text form
+    is that document flattened to one [path value] line per scalar.
+    Event-grammar invariant: every substantive response has exactly one
+    [start] and one [finish] sharing its request id.
 
     Tail triage: every [finish] carries the request's per-phase
     attribution ([ph_*] fields summing to [service_us]); each request's
     spans are buffered (bounded by [d_span_cap]) whether or not global
     tracing is on, and a request slower than the adaptive threshold
-    (the p99 objective, else 4 x window p50) produces a
-    rid-named exemplar dump — phase breakdown, counter delta, Chrome
-    trace — rate-limited and retention-capped.
+    (the p99 objective, else 4 x window p50) produces a rid-named
+    flight dump with reason [exemplar] that adds the phase breakdown,
+    the threshold, the request's counter delta and its Chrome trace —
+    rate-limited and retention-capped.
 
     Allocation attribution: every [finish] also carries per-phase
     allocated bytes ([al_*] fields summing to [alloc_b]), measured by
@@ -58,18 +62,15 @@ val default_config : config
 
 type t
 
-val create : config -> t
-(** Bind and listen on [d_socket] (an existing socket file is replaced)
-    and warm up the worker. *)
+val create : config -> (t, string) result
+(** Open the event sink, bind and listen on [d_socket] (an existing
+    socket file is replaced), and warm up the worker.  [Error] names the
+    sink or socket that could not be opened; nothing is left bound. *)
 
 val tick : ?timeout_s:float -> t -> unit
 (** One event-loop turn: accept, read, reap idle partial frames, drain the
     admission queue, check SLO objectives, run a periodic metrics flush
     when due.  Exposed for the unit battery; {!serve} loops it. *)
-
-val dump_flight_now : ?reason:string -> t -> unit
-(** Dump the flight recorder on demand (what the SIGUSR1 handler does),
-    tagged with the last serviced request's id. *)
 
 val serve : t -> unit
 (** Run until a drain completes (SIGTERM/SIGINT or a [shutdown] request).

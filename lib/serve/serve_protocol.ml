@@ -77,22 +77,18 @@ type verb =
   | Slo (* rolling SLO windows: p50/p95/p99, shed and internal rates *)
   | Shutdown (* answer, then drain and exit *)
 
-let verb_name = function
-  | Ping -> "ping"
-  | Compile -> "compile"
-  | Simulate -> "simulate"
-  | Stats -> "stats"
-  | Slo -> "slo"
-  | Shutdown -> "shutdown"
+(* each enum's wire names, listed once and read both ways *)
+let name_of names x = List.assoc x names
+let of_name names s = List.find_map (fun (x, n) -> if n = s then Some x else None) names
 
-let verb_of_name = function
-  | "ping" -> Some Ping
-  | "compile" -> Some Compile
-  | "simulate" -> Some Simulate
-  | "stats" -> Some Stats
-  | "slo" -> Some Slo
-  | "shutdown" -> Some Shutdown
-  | _ -> None
+let verb_names =
+  [
+    (Ping, "ping"); (Compile, "compile"); (Simulate, "simulate"); (Stats, "stats");
+    (Slo, "slo"); (Shutdown, "shutdown");
+  ]
+
+let verb_name = name_of verb_names
+let verb_of_name = of_name verb_names
 
 type request = {
   rq_verb : verb;
@@ -134,24 +130,17 @@ type status =
   | Draining (* shed at admission: the daemon is shutting down *)
   | Bad_request (* unparseable frame payload or oversized frame *)
 
-let status_name = function
-  | Ok_ -> "ok"
-  | Error_ -> "error"
-  | Internal -> "internal"
-  | Timeout -> "timeout"
-  | Overload -> "overload"
-  | Draining -> "draining"
-  | Bad_request -> "bad-request"
+let status_names =
+  [
+    (Ok_, "ok"); (Error_, "error"); (Internal, "internal"); (Timeout, "timeout");
+    (Overload, "overload"); (Draining, "draining"); (Bad_request, "bad-request");
+  ]
 
-let status_of_name = function
-  | "ok" -> Some Ok_
-  | "error" -> Some Error_
-  | "internal" -> Some Internal
-  | "timeout" -> Some Timeout
-  | "overload" -> Some Overload
-  | "draining" -> Some Draining
-  | "bad-request" -> Some Bad_request
-  | _ -> None
+let status_name = name_of status_names
+let status_of_name = of_name status_names
+
+(** The admission sheds: the request was never worked on. *)
+let is_shed = function Overload | Draining -> true | _ -> false
 
 (** Exit code [vhdlc request] maps each status to (transport failures are
     7) — stable, so scripts and the chaos campaign can branch on it. *)

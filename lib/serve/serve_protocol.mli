@@ -5,9 +5,7 @@
     payload.  Payload = one [vhdl-serve/1] header line + free-form body
     (VHDL source on requests; diagnostics/results on responses). *)
 
-val magic : string
 val header_bytes : int
-val version_tag : string
 
 val default_max_frame : int
 (** Default payload-size limit (4 MiB). *)
@@ -43,7 +41,6 @@ type verb =
   | Shutdown
 
 val verb_name : verb -> string
-val verb_of_name : string -> verb option
 
 type request = {
   rq_verb : verb;
@@ -85,8 +82,13 @@ type status =
   | Draining (* shed: daemon shutting down *)
   | Bad_request (* unparseable payload or oversized frame *)
 
+val status_names : (status * string) list
+(** Every status with its wire name, in exit-code order. *)
+
 val status_name : status -> string
-val status_of_name : string -> status option
+
+val is_shed : status -> bool
+(** [Overload] and [Draining]: shed at admission, never worked on. *)
 
 val status_exit_code : status -> int
 (** The stable exit code [vhdlc request] maps each status to. *)

@@ -48,13 +48,3 @@ let admit t x =
   end
 
 let pop t = Queue.take_opt t.q
-
-(** Drain the queue (graceful shutdown answers each entry before close).
-    The service-time EWMA resets with it: a drained queue starts a new
-    service epoch, so hints after a drain reflect fresh measurements
-    rather than the regime that was just abandoned. *)
-let drain t =
-  let xs = List.of_seq (Queue.to_seq t.q) in
-  Queue.clear t.q;
-  t.ewma_service_s <- default_service_s;
-  xs

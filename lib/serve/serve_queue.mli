@@ -21,7 +21,3 @@ val admit : 'a t -> 'a -> 'a admission
 (** Enqueue, or shed with a retry hint when the queue is at capacity. *)
 
 val pop : 'a t -> 'a option
-
-val drain : 'a t -> 'a list
-(** Empty the queue, returning the entries in arrival order.  Also
-    resets the service-time EWMA: a drained queue starts a new epoch. *)

@@ -24,7 +24,7 @@ type t
 val create : config -> t
 
 val generation : t -> int
-(** Bumped by every {!recycle}. *)
+(** Bumped every time the warm compiler is replaced. *)
 
 val served : t -> int
 (** Requests handled so far (across recycles). *)
@@ -42,9 +42,6 @@ val last_allocs : t -> (string * float) list
 val last_alloc_w : t -> float
 (** Words the last {!handle} allocated (minor + direct-major, promotions
     excluded), read with {!Vhdl_telemetry.Telemetry.allocated_words_now}. *)
-
-val recycle : t -> unit
-(** Replace the warm compiler with a fresh one. *)
 
 exception Wedged of { after_s : float }
 (** Raised by the watchdog's SIGALRM handler inside the wedged request. *)

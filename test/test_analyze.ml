@@ -146,8 +146,8 @@ let test_analyze_report () =
     Alcotest.(check (option string)) "schema" (Some "vhdl-analyze/1")
       (Option.bind (Json.mem "schema" j) Json.to_str)
 
-(* daemon-verb answers are excluded from the latency replay, matching
-   the live window's observe_latency:false rule *)
+(* daemon-verb answers are excluded from the latency replay, as the live
+   window excludes them *)
 let test_analyze_excludes_inline_verbs () =
   let events =
     run_with ~cascade_us:100.0 ~n:10

@@ -14,7 +14,7 @@ module J = Tm.Json
 let all_kinds =
   [
     E.Accept; E.Admit; E.Shed; E.Start; E.Finish; E.Reject; E.Recycle; E.Drain;
-    E.Breach; E.Dump; E.Flush;
+    E.Breach; E.Heap_breach; E.Dump; E.Flush;
   ]
 
 let test_kind_names_roundtrip () =
@@ -115,35 +115,63 @@ let test_ring_request_deltas () =
   let rids = List.map (fun d -> d.Obs_ring.rd_rid) (Obs_ring.request_deltas r) in
   Alcotest.(check (list int)) "last two requests" [ 2; 3 ] rids
 
-let test_dump_json_parses () =
-  let r = Obs_ring.create ~events:8 () in
-  Obs_ring.push r (E.make ~rid:5 E.Accept);
-  Obs_ring.push r (E.make ~rid:5 ~fields:[ ("verb", E.S "compile") ] E.Start);
-  Obs_ring.note_request_delta r ~rid:5 [ ("ag.attrs_evaluated", 7) ];
-  let doc = Obs_ring.dump_json ~extra:[ ("answer", "42") ] ~reason:"firewall" ~rid:5 r in
-  match J.parse doc with
-  | Error msg -> Alcotest.fail msg
-  | Ok j ->
-    Alcotest.(check (option string)) "reason" (Some "firewall")
-      (Option.bind (J.mem "reason" j) J.to_str);
-    Alcotest.(check (option int)) "rid" (Some 5) (Option.bind (J.mem "rid" j) J.to_int);
-    Alcotest.(check (option int)) "extra field" (Some 42)
-      (Option.bind (J.mem "answer" j) J.to_int);
-    (match J.mem "events" j with
-    | Some (J.Arr evs) -> Alcotest.(check int) "both events dumped" 2 (List.length evs)
-    | _ -> Alcotest.fail "events array missing");
-    match J.mem "request_deltas" j with
-    | Some (J.Arr [ d ]) ->
-      Alcotest.(check (option int)) "delta rid" (Some 5)
-        (Option.bind (J.mem "rid" d) J.to_int)
-    | _ -> Alcotest.fail "request_deltas missing"
-
 (* ------------------------------------------------------------------ *)
 (* The sink + dump hub *)
 
 let temp_path suffix =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "vhdl-obs-test-%d-%d%s" (Unix.getpid ()) (Random.int 100000) suffix)
+
+let rm_rf dir =
+  Array.iter
+    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+    (try Sys.readdir dir with Sys_error _ -> [||]);
+  try Unix.rmdir dir with Unix.Unix_error _ -> ()
+
+let dump_ok ?rid ?(fields = []) ~reason t =
+  match Obs_log.dump ~reason ?rid ~fields t with
+  | Ok (Some path) -> path
+  | Ok None -> Alcotest.failf "%s dump suppressed" reason
+  | Error msg -> Alcotest.fail msg
+
+(* a flight dump and an exemplar are one schema: each carries its reason,
+   rid, the recorded events and request deltas, then its own fields *)
+let test_dump_json_parses () =
+  let dir = temp_path ".dumps" in
+  let t =
+    Obs_log.create
+      { Obs_log.default_config with Obs_log.o_flight_dir = dir; o_ring_events = 8 }
+  in
+  Obs_log.event t ~rid:5 E.Accept;
+  Obs_log.event t ~rid:5 ~fields:[ ("verb", E.S "compile") ] E.Start;
+  Obs_log.note_request_delta t ~rid:5 [ ("ag.attrs_evaluated", 7) ];
+  let firewall = dump_ok t ~reason:"firewall" ~rid:5 ~fields:[ ("answer", "42") ] in
+  let exemplar = dump_ok t ~reason:"exemplar" ~rid:5 ~fields:[ ("trace", "[]") ] in
+  List.iter
+    (fun (path, reason, events) ->
+      match J.parse (Vhdl_util.Unix_compat.read_file path) with
+      | Error msg -> Alcotest.fail msg
+      | Ok j ->
+        Alcotest.(check (option string)) "reason" (Some reason)
+          (Option.bind (J.mem "reason" j) J.to_str);
+        Alcotest.(check (option int)) "rid" (Some 5) (Option.bind (J.mem "rid" j) J.to_int);
+        (match J.mem "events" j with
+        | Some (J.Arr evs) -> Alcotest.(check int) "events dumped" events (List.length evs)
+        | _ -> Alcotest.fail "events array missing");
+        (match J.mem "request_deltas" j with
+        | Some (J.Arr [ d ]) ->
+          Alcotest.(check (option int)) "delta rid" (Some 5)
+            (Option.bind (J.mem "rid" d) J.to_int)
+        | _ -> Alcotest.fail "request_deltas missing");
+        Alcotest.(check bool) "metrics snapshot embedded" true (J.mem "metrics" j <> None))
+    (* the exemplar's window also holds the firewall dump's own event *)
+    [ (firewall, "firewall", 2); (exemplar, "exemplar", 3) ];
+  (match J.parse (Vhdl_util.Unix_compat.read_file firewall) with
+  | Ok j ->
+    Alcotest.(check (option int)) "caller field" (Some 42)
+      (Option.bind (J.mem "answer" j) J.to_int)
+  | Error msg -> Alcotest.fail msg);
+  rm_rf dir
 
 let test_log_sink_roundtrip () =
   let path = temp_path ".jsonl" in
@@ -169,20 +197,13 @@ let test_flight_dump_writes_file () =
     Obs_log.create { Obs_log.default_config with Obs_log.o_flight_dir = dir }
   in
   Obs_log.event t ~rid:9 Obs_event.Accept;
-  (match Obs_log.dump_flight t ~reason:"watchdog" ~rid:9 () with
-  | Error msg -> Alcotest.fail msg
-  | Ok path ->
-    Alcotest.(check bool) "file exists" true (Sys.file_exists path);
-    Alcotest.(check bool) "named after the rid" true
-      (Astring_contains.contains (Filename.basename path) "-rid9-");
-    Alcotest.(check bool) "named after the reason" true
-      (Astring_contains.contains (Filename.basename path) "watchdog");
-    (match J.parse (Vhdl_util.Unix_compat.read_file path) with
-    | Error msg -> Alcotest.fail msg
-    | Ok j ->
-      Alcotest.(check bool) "metrics snapshot embedded" true (J.mem "metrics" j <> None));
-    Sys.remove path);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  let path = dump_ok t ~reason:"watchdog" ~rid:9 in
+  Alcotest.(check bool) "file exists" true (Sys.file_exists path);
+  Alcotest.(check bool) "named after the rid" true
+    (Astring_contains.contains (Filename.basename path) "-rid9-");
+  Alcotest.(check bool) "named after the reason" true
+    (Astring_contains.contains (Filename.basename path) "watchdog");
+  rm_rf dir
 
 let observe_each slo ~now latencies =
   List.iter
@@ -290,53 +311,44 @@ let test_slo_phase_attribution () =
     true
     (Astring_contains.contains att "attrs 67%")
 
-let exemplar ~rid =
-  {
-    Obs_log.x_rid = rid;
-    x_verb = "compile";
-    x_status = "ok";
-    x_service_us = 5000.0;
-    x_threshold_us = 1000.0;
-    x_phases_us = [ ("attrs", 4000.0); ("other", 1000.0) ];
-    x_trace = "[]";
-    x_spans_dropped = 0;
-  }
-
+(* exemplars are rate-limited on the telemetry clock; other dumps are
+   not, and do not restart the exemplar gap *)
 let test_exemplar_dump_and_rate_limit () =
   let dir = temp_path ".exemplars" in
   let t =
-    Obs_log.create { Obs_log.default_config with Obs_log.o_flight_dir = dir }
+    Obs_log.create
+      { Obs_log.default_config with Obs_log.o_flight_dir = dir; o_exemplar_min_gap_s = 0.5 }
   in
-  (match Obs_log.dump_exemplar ~now:10.0 t (exemplar ~rid:7) with
+  let exemplar rid = Obs_log.dump ~reason:"exemplar" ~rid ~fields:[ ("trace", "[]") ] t in
+  let path = dump_ok t ~reason:"exemplar" ~rid:7 ~fields:[ ("trace", "[]") ] in
+  Alcotest.(check bool) "named after the rid" true
+    (Astring_contains.contains (Filename.basename path) "-rid7-exemplar");
+  (match J.parse (Vhdl_util.Unix_compat.read_file path) with
   | Error msg -> Alcotest.fail msg
-  | Ok None -> Alcotest.fail "first exemplar must not be suppressed"
-  | Ok (Some path) ->
-    Alcotest.(check bool) "file exists" true (Sys.file_exists path);
-    Alcotest.(check bool) "named after the rid" true
-      (Astring_contains.contains (Filename.basename path) "-rid7.");
-    (match J.parse (Vhdl_util.Unix_compat.read_file path) with
-    | Error msg -> Alcotest.fail msg
-    | Ok j ->
-      (match J.mem "trace" j with
-      | Some (J.Arr _) -> ()
-      | _ -> Alcotest.fail "trace array missing");
-      Alcotest.(check (option string)) "reason" (Some "exemplar")
-        (Option.bind (J.mem "reason" j) J.to_str)));
-  (* inside the min gap: suppressed, not an error *)
-  (match Obs_log.dump_exemplar ~now:10.5 t (exemplar ~rid:8) with
+  | Ok j -> (
+    match J.mem "trace" j with
+    | Some (J.Arr _) -> ()
+    | _ -> Alcotest.fail "trace array missing"));
+  (* inside the min gap: suppressed, not an error — but a flight dump
+     still goes through *)
+  (match exemplar 8 with
   | Ok None -> ()
   | Ok (Some _) -> Alcotest.fail "exemplar inside the min gap not suppressed"
   | Error msg -> Alcotest.fail msg);
+  ignore (dump_ok t ~reason:"firewall" ~rid:8);
+  (match exemplar 8 with
+  | Ok None -> ()
+  | Ok (Some _) -> Alcotest.fail "a flight dump restarted the exemplar gap"
+  | Error msg -> Alcotest.fail msg);
   (* past the gap: dumping resumes *)
-  (match Obs_log.dump_exemplar ~now:12.0 t (exemplar ~rid:9) with
+  Unix.sleepf 0.6;
+  (match exemplar 9 with
   | Ok (Some _) -> ()
   | Ok None -> Alcotest.fail "exemplar past the gap still suppressed"
   | Error msg -> Alcotest.fail msg);
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (try Sys.readdir dir with Sys_error _ -> [||]);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  rm_rf dir
 
+(* the cap counts flight dumps and exemplars alike *)
 let test_dump_retention_cap () =
   let dir = temp_path ".retention" in
   let t =
@@ -350,12 +362,8 @@ let test_dump_retention_cap () =
   in
   let paths =
     List.map
-      (fun i ->
-        match Obs_log.dump_exemplar ~now:(float_of_int i) t (exemplar ~rid:i) with
-        | Ok (Some p) -> p
-        | Ok None -> Alcotest.failf "exemplar %d suppressed with a zero gap" i
-        | Error msg -> Alcotest.fail msg)
-      [ 1; 2; 3; 4 ]
+      (fun (reason, rid) -> dump_ok t ~reason ~rid)
+      [ ("exemplar", 1); ("firewall", 2); ("exemplar", 3); ("watchdog", 4) ]
   in
   let on_disk =
     Sys.readdir dir |> Array.to_list
@@ -369,10 +377,7 @@ let test_dump_retention_cap () =
     |> List.sort compare
   in
   Alcotest.(check (list string)) "oldest deleted" newest on_disk;
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (try Sys.readdir dir with Sys_error _ -> [||]);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  rm_rf dir
 
 (* ------------------------------------------------------------------ *)
 (* Rolling SLO windows *)

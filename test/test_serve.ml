@@ -98,9 +98,7 @@ let test_queue_bounds () =
     Alcotest.(check bool) "positive retry hint" true (retry_after_s > 0.0)
   | Serve_queue.Admitted -> Alcotest.fail "third request must shed");
   Alcotest.(check (option int)) "fifo pop" (Some 1) (Serve_queue.pop q);
-  Alcotest.(check bool) "room again" true (Serve_queue.admit q 3 = Serve_queue.Admitted);
-  Alcotest.(check (list int)) "drain in arrival order" [ 2; 3 ] (Serve_queue.drain q);
-  Alcotest.(check int) "empty after drain" 0 (Serve_queue.length q)
+  Alcotest.(check bool) "room again" true (Serve_queue.admit q 3 = Serve_queue.Admitted)
 
 let test_queue_retry_hint_tracks_service_time () =
   let q = Serve_queue.create ~capacity:8 in
@@ -115,8 +113,7 @@ let test_queue_retry_hint_tracks_service_time () =
     (Printf.sprintf "hint grows with service time (%.3f -> %.3f)" before after)
     true (after > before)
 
-(* EWMA edge cases: the hint before any measurement, after exactly one,
-   and across a drain (which starts a new service epoch) *)
+(* EWMA edge cases: the hint before any measurement, and after exactly one *)
 
 let test_queue_retry_hint_edges () =
   let q = Serve_queue.create ~capacity:4 in
@@ -136,17 +133,6 @@ let test_queue_retry_hint_edges () =
   Serve_queue.note_service_time q (-5.0);
   Alcotest.(check (float 1e-9)) "negative sample ignored"
     ((0.8 *. 0.05) +. (0.2 *. 1.0))
-    (Serve_queue.retry_after_s q)
-
-let test_queue_drain_resets_ewma () =
-  let q = Serve_queue.create ~capacity:4 in
-  for _ = 1 to 50 do
-    Serve_queue.note_service_time q 2.0
-  done;
-  Alcotest.(check bool) "hint reflects the slow regime" true
-    (Serve_queue.retry_after_s q > 1.0);
-  ignore (Serve_queue.drain q);
-  Alcotest.(check (float 1e-9)) "drain starts a fresh epoch" 0.05
     (Serve_queue.retry_after_s q)
 
 (* ------------------------------------------------------------------ *)
@@ -246,15 +232,19 @@ let temp_socket () =
 let with_daemon ?(queue = 4) ?(cfg = fun c -> c) f =
   let socket = temp_socket () in
   let d =
-    Serve_daemon.create
-      (cfg
-         {
-           Serve_daemon.default_config with
-           Serve_daemon.d_socket = socket;
-           d_queue_capacity = queue;
-           d_idle_timeout_s = 0.2;
-           d_worker = worker_cfg;
-         })
+    match
+      Serve_daemon.create
+        (cfg
+           {
+             Serve_daemon.default_config with
+             Serve_daemon.d_socket = socket;
+             d_queue_capacity = queue;
+             d_idle_timeout_s = 0.2;
+             d_worker = worker_cfg;
+           })
+    with
+    | Ok d -> d
+    | Error msg -> Alcotest.fail msg
   in
   Fun.protect ~finally:(fun () -> Serve_daemon.shutdown d) (fun () -> f socket d)
 
@@ -287,6 +277,38 @@ let test_daemon_socket_roundtrip () =
          previous request compiled *)
       let r2 = tick_roundtrip socket d (P.request P.Ping) in
       Alcotest.(check bool) "ping ok" true (r2.P.rs_status = P.Ok_))
+
+(* the text stats are the JSON document flattened: asked back to back,
+   every ledger counter reads the same in both, except the four the
+   first (text) stats request itself moved by the time the second is
+   answered — one request, one answer, one connection, and three events
+   (its finish, the second request's accept and start) *)
+let test_daemon_stats_text_matches_json () =
+  with_daemon (fun socket d ->
+      ignore (tick_roundtrip socket d (P.request P.Compile ~source:"entity s is end s;\n"));
+      let text = (tick_roundtrip socket d (P.request P.Stats)).P.rs_body in
+      let json = (tick_roundtrip socket d (P.request ~json:true P.Stats)).P.rs_body in
+      let module J = Vhdl_telemetry.Telemetry.Json in
+      let ledger =
+        match Result.map (J.path [ "ledger" ]) (J.parse json) with
+        | Ok (Some (J.Obj kvs)) -> kvs
+        | _ -> Alcotest.fail "stats JSON has no ledger object"
+      in
+      let text_lines = String.split_on_char '\n' text in
+      let moved = [ ("serve.requests", 1); ("serve.answered", 1); ("serve.connections", 1); ("serve.events", 3) ] in
+      List.iter
+        (fun (name, v) ->
+          let want = Option.get (J.to_int v) - Option.value (List.assoc_opt name moved) ~default:0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "text carries ledger.%s %d" name want)
+            true
+            (List.mem (Printf.sprintf "ledger.%s %d" name want) text_lines))
+        ledger;
+      Alcotest.(check int) "every ledger counter compared" 16 (List.length ledger);
+      List.iter
+        (fun line ->
+          Alcotest.(check bool) ("text has " ^ line) true (List.mem line text_lines))
+        [ "queue.depth 0"; "worker.generation 0"; "worker.served 1"; "draining false" ])
 
 let test_daemon_sheds_when_full () =
   with_daemon ~queue:1 (fun socket d ->
@@ -471,8 +493,6 @@ let suite =
       test_queue_retry_hint_tracks_service_time;
     Alcotest.test_case "retry hint edges: no samples, one sample" `Quick
       test_queue_retry_hint_edges;
-    Alcotest.test_case "drain resets the service EWMA" `Quick
-      test_queue_drain_resets_ewma;
     Alcotest.test_case "worker: healthy compile" `Quick test_worker_healthy;
     Alcotest.test_case "worker: fuel budget becomes timeout" `Quick
       test_worker_fuel_timeout;
@@ -485,6 +505,8 @@ let suite =
       test_watchdog_recycles_wedged_worker;
     Alcotest.test_case "watchdog disarms cleanly" `Quick test_watchdog_disarms;
     Alcotest.test_case "daemon: socket round-trip" `Quick test_daemon_socket_roundtrip;
+    Alcotest.test_case "daemon: text stats are the JSON document flattened" `Quick
+      test_daemon_stats_text_matches_json;
     Alcotest.test_case "daemon: sheds when the queue is full" `Quick
       test_daemon_sheds_when_full;
     Alcotest.test_case "daemon: torn frame rejected" `Quick
