@@ -106,10 +106,9 @@ let add_reference_library t ~name ~dir =
 
 let session t : Session.t =
   {
-    Session.work_library = "WORK";
-    find_unit = (fun ~library ~key -> Library.find t.work ~library ~key);
+    Session.find_unit = (fun ~library ~key -> Library.find t.work ~library ~key);
     known_library =
-      (fun lib -> lib = "WORK" || lib = "STD" || Library.resolve_library t.work lib <> None);
+      (fun lib -> lib = Session.work || lib = "STD" || Library.resolve_library t.work lib <> None);
     provenance = t.provenance;
     (* a Demand compiler is the differential oracle's reference side: the
        expression AG must not elide copies either *)

@@ -76,7 +76,6 @@ let classify_exn = function
   | Elaborate.Elaboration_error msg -> `Reject (Printf.sprintf "elaboration: %s" msg)
   | Rt.Simulation_error { time; msg } ->
     `Runtime (Printf.sprintf "simulation error at %s: %s" (Rt.format_time time) msg)
-  | Value_ops.Runtime_error msg -> `Runtime (Printf.sprintf "runtime error: %s" msg)
   | Stack_overflow -> `Crash "Stack_overflow"
   | e -> `Crash (Printexc.to_string e)
 

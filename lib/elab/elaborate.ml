@@ -129,56 +129,42 @@ let fresh_sig_id ctx =
   ctx.sig_counter <- id + 1;
   id
 
-let eval_static ?(subst = None) (e : Kir.expr) =
-  let e =
-    match subst with
-    | Some s -> Kir_util.subst_expr s e
-    | None -> e
-  in
-  Const_eval.eval_opt Const_eval.empty e
+(* a value that must be static once generics and unit constants are
+   substituted: generic actuals, generate ranges, port indices *)
+let eval_static subst e = Const_eval.eval_opt (Kir_util.subst_expr subst e)
 
-(* Evaluate an elaboration-time expression that may call user functions
-   (LRM 4.3.1.2 default expressions, architecture constants): a signal-less
-   interpreter environment over the given function table. *)
-let interp_eval ctx ~functions ~what (e : Kir.expr) : Value.t option =
-  let env =
-    {
-      Interp.e_signals = [||];
-      e_sig_params = [||];
-      e_guard = None;
-      e_globals = ctx.globals;
-      e_functions = functions;
-      e_proc_id = -1;
-      e_proc_name = "init:" ^ what;
-      e_now = (fun () -> 0);
-      e_display = Array.make 16 None;
-      e_level = 0;
-      e_emit = (fun ~severity:_ ~line:_ _ -> ());
-    }
-  in
-  match Interp.eval env e with
-  | v -> Some v
-  | exception Rt.Simulation_error _ -> None
+(* A signal-less environment over [functions]: for elaboration-time values
+   that may call user functions (LRM 4.3.1.2 default expressions,
+   architecture constants, signal initial values) and for resolution
+   functions. *)
+let function_env ctx ~functions =
+  {
+    Interp.e_signals = [||];
+    e_sig_params = [||];
+    e_guard = None;
+    e_globals = ctx.globals;
+    e_functions = functions;
+    e_proc_id = -1;
+    e_proc_name = "elaboration";
+    e_now = (fun () -> Kernel.now ctx.kernel);
+    e_display = Array.make 16 None;
+    e_level = 0;
+    e_emit = (fun ~severity:_ ~line:_ _ -> ());
+  }
 
-let make_signal ctx ?functions ~path ~ty ~kind ~resolution ~init_expr ~subst () =
+(* One evaluation through the one walk; a dynamic error in it is the
+   design's, reported as an elaboration error about [what ()]. *)
+let eval_init env ~what ~subst e =
+  match Interp.eval env (Kir_util.subst_expr subst e) with
+  | v -> v
+  | exception Rt.Simulation_error { msg; _ } -> err "%s: %s" (what ()) msg
+
+let declared_init env ~path ~subst ty = function
+  | None -> Value.default_of ty
+  | Some e -> eval_init env ~what:(fun () -> "initial value of " ^ path) ~subst e
+
+let make_signal ctx ~path ~ty ~kind ~resolution ~init =
   charge ctx;
-  let eval_with_functions e =
-    match functions with
-    | None -> None
-    | Some functions ->
-      interp_eval ctx ~functions ~what:path (Kir_util.subst_expr subst e)
-  in
-  let init =
-    match init_expr with
-    | None -> Value.default_of ty
-    | Some e -> (
-      match eval_static ~subst:(Some subst) e with
-      | Some v -> v
-      | None -> (
-        match eval_with_functions e with
-        | Some v -> v
-        | None -> err "initialiser of %s cannot be evaluated at elaboration" path))
-  in
   let s =
     Rt.make_signal ~id:(fresh_sig_id ctx) ~name:path ~ty ~kind ~resolution ~init
   in
@@ -189,6 +175,13 @@ let make_signal ctx ?functions ~path ~ty ~kind ~resolution ~init_expr ~subst () 
 
 (* global package signals, created once *)
 let elaborate_package_signals ctx =
+  let env = function_env ctx ~functions:ctx.pkg_functions in
+  let subst =
+    {
+      Kir_util.generic = (fun _ -> None);
+      unit_const = (fun n -> Hashtbl.find_opt ctx.pkg_deferred n);
+    }
+  in
   List.iter
     (fun (u : Unit_info.compiled_unit) ->
       match u.Unit_info.u_info with
@@ -197,16 +190,9 @@ let elaborate_package_signals ctx =
           (fun (sd : Kir.signal_decl) ->
             let path = Printf.sprintf ":%s:%s" pk.Unit_info.pk_name sd.Kir.sd_name in
             if not (Hashtbl.mem ctx.globals (pk.Unit_info.pk_name, sd.Kir.sd_name)) then begin
-              let subst =
-                {
-                  Kir_util.generic = (fun _ -> None);
-                  unit_const = (fun n -> Hashtbl.find_opt ctx.pkg_deferred n);
-                }
-              in
               let s =
-                make_signal ctx ~functions:ctx.pkg_functions ~path ~ty:sd.Kir.sd_ty
-                  ~kind:sd.Kir.sd_kind ~resolution:None ~init_expr:sd.Kir.sd_init
-                  ~subst ()
+                make_signal ctx ~path ~ty:sd.Kir.sd_ty ~kind:sd.Kir.sd_kind ~resolution:None
+                  ~init:(declared_init env ~path ~subst sd.Kir.sd_ty sd.Kir.sd_init)
               in
               Hashtbl.replace ctx.globals (pk.Unit_info.pk_name, sd.Kir.sd_name) s
             end)
@@ -217,24 +203,9 @@ let elaborate_package_signals ctx =
 (* ------------------------------------------------------------------ *)
 (* Instance elaboration *)
 
-(* Resolution functions need an interpreter environment with the instance's
-   function table. *)
-let resolution_closure ~functions ~kernel name =
-  let env =
-    {
-      Interp.e_signals = [||];
-      e_sig_params = [||];
-      e_guard = None;
-      e_globals = Hashtbl.create 1;
-      e_functions = functions;
-      e_proc_id = -1;
-      e_proc_name = "resolution:" ^ name;
-      e_now = (fun () -> Kernel.now kernel);
-      e_display = Array.make 16 None;
-      e_level = 0;
-      e_emit = (fun ~severity:_ ~line:_ _ -> ());
-    }
-  in
+(* a resolved signal's resolution function, called with its drivers'
+   values *)
+let resolution_closure env name =
   fun (values : Value.t list) ->
     let arg =
       Value.Varray
@@ -271,35 +242,27 @@ let rec elaborate_instance ctx ~path ~(entity : Unit_info.entity_info)
           | None -> Hashtbl.find_opt ctx.pkg_deferred name);
     }
   in
-  (* constants may call the architecture's own functions; each constant
-     sees the table with every earlier constant already substituted *)
-  let instance_functions () =
-    let functions = Hashtbl.copy ctx.pkg_functions in
+  (* instance-private function table: package functions + substituted arch
+     subprograms.  Constants may call the architecture's own functions;
+     each one sees the subprograms with every earlier constant substituted. *)
+  let functions = Hashtbl.copy ctx.pkg_functions in
+  let link_subprograms () =
     List.iter
       (fun (s : Kir.subprogram) ->
         Hashtbl.replace functions s.Kir.sub_name
           { s with Kir.sub_body = Kir_util.subst_stmts subst s.Kir.sub_body })
-      arch.Unit_info.ar_subprograms;
-    functions
+      arch.Unit_info.ar_subprograms
   in
+  link_subprograms ();
+  let env = function_env ctx ~functions in
   List.iter
-    (fun (name, ty, init) ->
-      ignore ty;
-      match eval_static ~subst:(Some subst) init with
-      | Some v -> Hashtbl.replace unit_consts name v
-      | None -> (
-        match
-          interp_eval ctx ~functions:(instance_functions ()) ~what:(path ^ ":" ^ name)
-            (Kir_util.subst_expr subst init)
-        with
-        | Some v -> Hashtbl.replace unit_consts name v
-        | None -> err "constant %s of %s cannot be evaluated at elaboration" name path))
+    (fun (name, _, init) ->
+      Hashtbl.replace unit_consts name
+        (eval_init env ~what:(fun () -> Printf.sprintf "constant %s of %s" name path) ~subst init);
+      link_subprograms ())
     arch.Unit_info.ar_constants;
-  (* instance-private function table: package functions + substituted arch
-     subprograms *)
-  let functions = instance_functions () in
   let resolution_of = function
-    | Some (Kir.F_user name) -> Some (resolution_closure ~functions ~kernel:ctx.kernel name)
+    | Some (Kir.F_user name) -> Some (resolution_closure env name)
     | None -> None
   in
   (* signal table: ports first, then architecture (and block) signals *)
@@ -312,25 +275,23 @@ let rec elaborate_instance ctx ~path ~(entity : Unit_info.entity_info)
         match port_signals.(i) with
         | Some s -> s (* connected: share the actual's signal object *)
         | None ->
-          make_signal ctx ~functions
-            ~path:(Printf.sprintf "%s:%s" path p.Kir.pd_name)
-            ~ty:p.Kir.pd_ty ~kind:`Plain ~resolution:None ~init_expr:p.Kir.pd_default
-            ~subst ()
+          let path = Printf.sprintf "%s:%s" path p.Kir.pd_name in
+          make_signal ctx ~path ~ty:p.Kir.pd_ty ~kind:`Plain ~resolution:None
+            ~init:(declared_init env ~path ~subst p.Kir.pd_ty p.Kir.pd_default)
       in
       table.(i) <- Some s)
     entity.Unit_info.en_ports;
   List.iteri
     (fun i (sd : Kir.signal_decl) ->
       let s =
-        make_signal ctx ~functions
-          ~path:(Printf.sprintf "%s:%s" path sd.Kir.sd_name)
-          ~ty:sd.Kir.sd_ty ~kind:sd.Kir.sd_kind
+        let path = Printf.sprintf "%s:%s" path sd.Kir.sd_name in
+        make_signal ctx ~path ~ty:sd.Kir.sd_ty ~kind:sd.Kir.sd_kind
           ~resolution:(resolution_of sd.Kir.sd_resolution)
-          ~init_expr:sd.Kir.sd_init ~subst ()
+          ~init:(declared_init env ~path ~subst sd.Kir.sd_ty sd.Kir.sd_init)
       in
       (match sd.Kir.sd_disconnect with
       | Some e -> (
-        match eval_static ~subst:(Some subst) e with
+        match eval_static subst e with
         | Some v -> s.Rt.sig_disconnect <- Value.as_int v
         | None ->
           err "disconnection time of %s cannot be evaluated at elaboration"
@@ -365,7 +326,7 @@ and elaborate_concurrents ctx ~path ~entity ~arch ~subst ~functions ~signals ~gu
             let gpath = Printf.sprintf "%s:%s:GUARD" path blk_label in
             let g =
               make_signal ctx ~path:gpath ~ty:Std.boolean ~kind:`Plain ~resolution:None
-                ~init_expr:None ~subst ()
+                ~init:(Value.default_of Std.boolean)
             in
             (* implicit driver process for the guard *)
             let guard_expr = Kir_util.subst_expr subst guard_expr in
@@ -400,12 +361,12 @@ and elaborate_concurrents ctx ~path ~entity ~arch ~subst ~functions ~signals ~gu
         (* expand the generate statement: the parameter rides through the
            body as a unit constant substituted per iteration *)
         let bound e =
-          match eval_static ~subst:(Some subst) e with
+          match eval_static subst e with
           | Some v -> Value.as_int v
           | None -> err "generate range of %s is not static" gen_label
         in
         let rewrap =
-          match eval_static ~subst:(Some subst) lo with
+          match eval_static subst lo with
           | Some (Value.Venum _) -> fun i -> Value.Venum i
           | _ -> fun i -> Value.Vint i
         in
@@ -426,7 +387,7 @@ and elaborate_concurrents ctx ~path ~entity ~arch ~subst ~functions ~signals ~gu
               gen_body)
           (Value.range_indices (bound lo, d, bound hi))
       | Kir.C_if_generate { ig_label; ig_cond; ig_body } -> (
-        match eval_static ~subst:(Some subst) ig_cond with
+        match eval_static subst ig_cond with
         | Some v when Value.truth v ->
           elaborate_concurrents ctx
             ~path:(Printf.sprintf "%s:%s" path ig_label)
@@ -494,16 +455,11 @@ and elaborate_process ctx ~path ~subst ~functions ~signals ~guard (p : Kir.proce
   (* initialize locals (may call functions) *)
   List.iteri
     (fun i (l : Kir.local) ->
-      let init =
-        match l.Kir.l_init with
-        | Some e -> (
-          let e = Kir_util.subst_expr subst e in
-          match Const_eval.eval_opt Const_eval.empty e with
-          | Some v -> v
-          | None -> Interp.eval env e)
-        | None -> Value.default_of l.Kir.l_ty
-      in
-      frame.Interp.vars.(i) <- init)
+      frame.Interp.vars.(i) <-
+        (match l.Kir.l_init with
+        | Some e ->
+          eval_init env ~what:(fun () -> Printf.sprintf "%s of %s" l.Kir.l_name proc_path) ~subst e
+        | None -> Value.default_of l.Kir.l_ty))
     p.Kir.proc_locals;
   Name_server.register ctx.ns proc_path (Name_server.Process proc)
 
@@ -569,12 +525,12 @@ and elaborate_sub_instance ctx ~path ~entity:_ ~arch ~subst ~functions:_ ~signal
         let value =
           match actual with
           | Some (Kir.Act_expr e) -> (
-            match eval_static ~subst:(Some subst) e with
+            match eval_static subst e with
             | Some v -> Some v
             | None -> err "generic %s of %s is not static" g.Kir.gd_name inst_path)
           | Some Kir.Act_open | None -> (
             match g.Kir.gd_default with
-            | Some e -> eval_static ~subst:(Some subst) e
+            | Some e -> eval_static subst e
             | None -> None)
           | Some (Kir.Act_signal _) | Some (Kir.Act_signal_index _)
           | Some (Kir.Act_signal_slice _) ->
@@ -611,7 +567,7 @@ and elaborate_sub_instance ctx ~path ~entity:_ ~arch ~subst ~functions:_ ~signal
                | _ -> err "bad element actual for port %s of %s" p.Kir.pd_name inst_path
              in
              let ix =
-               match eval_static ~subst:(Some subst) ix_expr with
+               match eval_static subst ix_expr with
                | Some v -> Value.as_int v
                | None -> err "element index for port %s of %s is not static" p.Kir.pd_name inst_path
              in
@@ -623,7 +579,8 @@ and elaborate_sub_instance ctx ~path ~entity:_ ~arch ~subst ~functions:_ ~signal
              let port_sig =
                make_signal ctx
                  ~path:(Printf.sprintf "%s:%s" inst_path p.Kir.pd_name)
-                 ~ty:p.Kir.pd_ty ~kind:`Plain ~resolution:None ~init_expr:None ~subst ()
+                 ~ty:p.Kir.pd_ty ~kind:`Plain ~resolution:None
+                 ~init:(Value.default_of p.Kir.pd_ty)
              in
              port_sig.Rt.current <- init;
              port_sig.Rt.last_value <- init;
@@ -642,7 +599,7 @@ and elaborate_sub_instance ctx ~path ~entity:_ ~arch ~subst ~functions:_ ~signal
                | _ -> err "bad slice actual for port %s of %s" p.Kir.pd_name inst_path
              in
              let static e =
-               match eval_static ~subst:(Some subst) e with
+               match eval_static subst e with
                | Some v -> Value.as_int v
                | None ->
                  err "slice bound for port %s of %s is not static" p.Kir.pd_name inst_path
@@ -665,7 +622,8 @@ and elaborate_sub_instance ctx ~path ~entity:_ ~arch ~subst ~functions:_ ~signal
              let port_sig =
                make_signal ctx
                  ~path:(Printf.sprintf "%s:%s" inst_path p.Kir.pd_name)
-                 ~ty:p.Kir.pd_ty ~kind:`Plain ~resolution:None ~init_expr:None ~subst ()
+                 ~ty:p.Kir.pd_ty ~kind:`Plain ~resolution:None
+                 ~init:(Value.default_of p.Kir.pd_ty)
              in
              port_sig.Rt.current <- init;
              port_sig.Rt.last_value <- init;
@@ -676,14 +634,15 @@ and elaborate_sub_instance ctx ~path ~entity:_ ~arch ~subst ~functions:_ ~signal
            | Some (Kir.Act_expr e) ->
              (* expression actual: a fresh signal holding the value *)
              let v =
-               match eval_static ~subst:(Some subst) e with
+               match eval_static subst e with
                | Some v -> v
                | None -> Value.default_of p.Kir.pd_ty
              in
              let s =
                make_signal ctx
                  ~path:(Printf.sprintf "%s:%s" inst_path p.Kir.pd_name)
-                 ~ty:p.Kir.pd_ty ~kind:`Plain ~resolution:None ~init_expr:None ~subst ()
+                 ~ty:p.Kir.pd_ty ~kind:`Plain ~resolution:None
+                 ~init:(Value.default_of p.Kir.pd_ty)
              in
              s.Rt.current <- v;
              s.Rt.last_value <- v;

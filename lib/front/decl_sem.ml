@@ -203,7 +203,7 @@ let resolve_subtype ~level ~line (lef : Lef.tok list) : resolved_subtype =
       | None -> (
         (* attribute range: X'RANGE *)
         let (lo, dir, hi), _, msgs = Expr_eval.eval_range ~level ~line inner in
-        match (Const_eval.eval_opt Const_eval.empty lo, Const_eval.eval_opt Const_eval.empty hi) with
+        match (Const_eval.eval_opt lo, Const_eval.eval_opt hi) with
         | Some l, Some h ->
           {
             rs_ty = Types.subtype ty ~constr:(Types.Crange (Value.as_int l, dir, Value.as_int h));
@@ -360,7 +360,15 @@ let constant_decl (oc : object_context) ~line (names : (string * int) list) (ty 
     | _ ->
       (out_empty, msgs @ [ Diag.error ~line "constant declaration requires an initial value" ]))
   | Some code -> (
-    match Const_eval.eval_opt Const_eval.empty code with
+    let static, msgs =
+      match Const_eval.eval code with
+      | static -> (static, msgs)
+      | exception Value_ops.Runtime_error m ->
+        (* a static value whose evaluation fails is an analysis error; the
+           names stay declared, with the type's default value *)
+        (Some (Value.default_of ty), msgs @ [ Diag.error ~line "%s" m ])
+    in
+    match static with
     | Some value ->
       let binds =
         List.map
@@ -676,7 +684,7 @@ let resolve_library ~line names : decl_out * Diag.t list =
 let initial_env () =
   let std = Std.env () in
   Env.extend_many std
-    [ ("WORK", Denot.Dlibrary (Session.work ())); ("STD", Denot.Dlibrary "STD") ]
+    [ ("WORK", Denot.Dlibrary Session.work); ("STD", Denot.Dlibrary "STD") ]
 
 (* ------------------------------------------------------------------ *)
 (* Miscellaneous declarations *)

@@ -79,21 +79,15 @@ let literal_cands (tok : Lef.tok) : cand list =
 (* ------------------------------------------------------------------ *)
 (* Static folding *)
 
-let try_fold_bin op code_a code_b =
-  match (code_a, code_b) with
-  | Kir.Elit va, Kir.Elit vb -> (
-    match Value_ops.binop op va vb with
-    | v -> Some v
-    | exception Value_ops.Runtime_error _ -> None)
-  | _ -> None
+(* a candidate whose code becomes a literal when it is static *)
+let folded ty code = cv ty code (Const_eval.eval_opt code)
 
-let try_fold_un op code =
+(* an operator folds when its operands already folded to literals; a
+   non-literal operand is not static, so the walk is not tried *)
+let fold_operator ty code =
   match code with
-  | Kir.Elit v -> (
-    match Value_ops.unop op v with
-    | v -> Some v
-    | exception Value_ops.Runtime_error _ -> None)
-  | _ -> None
+  | Kir.Ebin (_, Kir.Elit _, Kir.Elit _) | Kir.Eun (_, Kir.Elit _) -> folded ty code
+  | _ -> cv ty code None
 
 (* ------------------------------------------------------------------ *)
 (* Operator typing (LRM 7.2) *)
@@ -205,9 +199,7 @@ let apply_binop_predefined ~line op lcands rcands : cand list * Diag.t list =
             | Some rty ->
               if is_error_ty ta || is_error_ty tb then results := error_cand :: !results
               else begin
-                let kop = kir_binop op in
-                let static = try_fold_bin kop ca cb in
-                results := cv rty (Kir.Ebin (kop, ca, cb)) static :: !results
+                results := fold_operator rty (Kir.Ebin (kir_binop op, ca, cb)) :: !results
               end
             | None -> ())
           | _ -> ())
@@ -248,11 +240,7 @@ let apply_unop_predefined ~line op cands : cand list * Diag.t list =
           in
           if not ok then None
           else if is_error_ty ty then Some error_cand
-          else begin
-            let kop = kir_unop op in
-            let static = try_fold_un kop code in
-            Some (cv ty (Kir.Eun (kop, code)) static)
-          end
+          else Some (fold_operator ty (Kir.Eun (kir_unop op, code)))
         | Cagg _ | Cstr _ | Crng _ -> None)
       cands
   in
@@ -458,7 +446,7 @@ and coerce_aggregate ~line ~expected items =
     match !errors with
     | [] ->
       let agg = Kir.Eaggregate (List.rev !elements, shape) in
-      let static = Const_eval.eval_opt Const_eval.empty agg in
+      let static = Const_eval.eval_opt agg in
       let code = match static with Some v -> Kir.Elit v | None -> agg in
       Ok (code, static)
     | d :: _ -> Error d)
@@ -516,7 +504,7 @@ and coerce_aggregate ~line ~expected items =
       let agg =
         Kir.Eaggregate (List.rev !elements, Kir.Sh_record (List.map fst fields))
       in
-      let static = Const_eval.eval_opt Const_eval.empty agg in
+      let static = Const_eval.eval_opt agg in
       let code = match static with Some v -> Kir.Elit v | None -> agg in
       Ok (code, static)
     | d :: _ -> Error d)
@@ -670,31 +658,21 @@ let apply_args ~line (head_tok : Lef.tok option) (cands : cand list) (items : ai
         let index_ty = Option.get (Types.index_type ty) in
         match items with
         | [ item ] -> (
-          let folded kexpr kty =
-            let static = Const_eval.eval_opt Const_eval.empty kexpr in
-            let kexpr = match static with Some v -> Kir.Elit v | None -> kexpr in
-            Cv { ty = kty; code = kexpr; static }
-          in
           match item_range item with
           | Some ((lo, d, hi), _) ->
-            array_results := folded (Kir.Eslice (code, (lo, d, hi))) ty :: !array_results
+            array_results := folded ty (Kir.Eslice (code, (lo, d, hi))) :: !array_results
           | None -> (
             match item with
             | Ipos icands -> (
               match coerce ~line ~expected:index_ty icands with
               | Ok (icode, _) ->
-                array_results := folded (Kir.Eindex (code, icode)) elem :: !array_results
+                array_results := folded elem (Kir.Eindex (code, icode)) :: !array_results
               | Error d -> array_errors := d :: !array_errors)
             | Inamed _ -> ()))
         | _ when List.for_all (function Ipos _ -> true | _ -> false) items ->
           (* multi-dimensional indexing on nested arrays: m(i, j) = m(i)(j) *)
-          let folded kexpr kty =
-            let static = Const_eval.eval_opt Const_eval.empty kexpr in
-            let kexpr = match static with Some v -> Kir.Elit v | None -> kexpr in
-            Cv { ty = kty; code = kexpr; static }
-          in
           let rec go ty code = function
-            | [] -> array_results := folded code ty :: !array_results
+            | [] -> array_results := folded ty code :: !array_results
             | Ipos icands :: rest when Types.is_array ty -> (
               let elem = Option.get (Types.element_type ty) in
               let index_ty = Option.get (Types.index_type ty) in

@@ -84,7 +84,7 @@ let add b =
          ~ctx:"entity"
          ~unitname_deps:[ (2, "VAL") ]
          ~unitname:(function
-           | [ v ] -> Str (Session.work () ^ "." ^ tok_id v)
+           | [ v ] -> Str (Session.work ^ "." ^ tok_id v)
            | _ -> internal "entity unitname")
          4
       @ std_ctx_rules
@@ -96,7 +96,7 @@ let add b =
           ~ctx:"entity"
           ~unitname_deps:[ (2, "VAL") ]
           ~unitname:(function
-            | [ v ] -> Str (Session.work () ^ "." ^ tok_id v)
+            | [ v ] -> Str (Session.work ^ "." ^ tok_id v)
             | _ -> internal "entity unitname2")
           5
       @ [
@@ -132,7 +132,7 @@ let add b =
               | _ -> internal "entity decl env");
           rule ~target:(6, "CTX") ~deps:[] (fun _ -> Str "entity");
           rule ~target:(6, "UNITNAME") ~deps:[ (2, "VAL") ] (function
-            | [ v ] -> Str (Session.work () ^ "." ^ tok_id v)
+            | [ v ] -> Str (Session.work ^ "." ^ tok_id v)
             | _ -> internal "entity decl unitname");
           rule ~target:(0, "UNITS")
             ~deps:
@@ -216,7 +216,7 @@ let add b =
         rule ~target:(6, "LEVEL") ~deps:[] (fun _ -> Int (-1));
         rule ~target:(6, "SLOTBASE") ~deps:[] (fun _ -> Int 0);
         rule ~target:(6, "UNITNAME") ~deps:[ (2, "VAL"); (4, "VAL") ] (function
-          | [ a; e ] -> Str (Printf.sprintf "%s.%s(%s)" (Session.work ()) (tok_id e) (tok_id a))
+          | [ a; e ] -> Str (Printf.sprintf "%s.%s(%s)" Session.work (tok_id e) (tok_id a))
           | _ -> internal "arch unitname");
         (* signal indices continue after the entity ports *)
         rule ~target:(6, "SIGBASE") ~deps:[ (4, "VAL"); (4, "LINE") ] (function
@@ -231,7 +231,7 @@ let add b =
         rule ~target:(8, "LEVEL") ~deps:[] (fun _ -> Int (-1));
         rule ~target:(8, "SLOTBASE") ~deps:[] (fun _ -> Int 0);
         rule ~target:(8, "UNITNAME") ~deps:[ (2, "VAL"); (4, "VAL") ] (function
-          | [ a; e ] -> Str (Printf.sprintf "%s.%s(%s)" (Session.work ()) (tok_id e) (tok_id a))
+          | [ a; e ] -> Str (Printf.sprintf "%s.%s(%s)" Session.work (tok_id e) (tok_id a))
           | _ -> internal "arch concs unitname");
         rule ~target:(8, "SIGBASE") ~deps:[ (6, "SIGBASE"); (6, "REGION") ] (function
           | [ base; r ] -> Int (as_int base + (as_region r).r_signals)
@@ -291,7 +291,7 @@ let add b =
         rule ~target:(4, "SLOTBASE") ~deps:[] (fun _ -> Int 0);
         rule ~target:(4, "SIGBASE") ~deps:[] (fun _ -> Int 0);
         rule ~target:(4, "UNITNAME") ~deps:[ (2, "VAL") ] (function
-          | [ v ] -> Str (Session.work () ^ "." ^ tok_id v)
+          | [ v ] -> Str (Session.work ^ "." ^ tok_id v)
           | _ -> internal "package unitname");
         rule ~target:(0, "UNITS")
           ~deps:[ (2, "VAL"); (0, "CTXOUT"); (4, "OUT"); (0, "NLINES") ]
@@ -346,7 +346,7 @@ let add b =
         rule ~target:(5, "SLOTBASE") ~deps:[] (fun _ -> Int 0);
         rule ~target:(5, "SIGBASE") ~deps:[] (fun _ -> Int 0);
         rule ~target:(5, "UNITNAME") ~deps:[ (3, "VAL") ] (function
-          | [ v ] -> Str (Session.work () ^ "." ^ tok_id v)
+          | [ v ] -> Str (Session.work ^ "." ^ tok_id v)
           | _ -> internal "pkg body unitname");
         rule ~target:(0, "UNITS")
           ~deps:[ (3, "VAL"); (0, "CTXOUT"); (5, "OUT"); (0, "NLINES") ]
@@ -392,7 +392,7 @@ let add b =
         rule ~target:(8, "SLOTBASE") ~deps:[] (fun _ -> Int 0);
         rule ~target:(8, "SIGBASE") ~deps:[] (fun _ -> Int 0);
         rule ~target:(8, "UNITNAME") ~deps:[ (2, "VAL") ] (function
-          | [ v ] -> Str (Session.work () ^ "." ^ tok_id v)
+          | [ v ] -> Str (Session.work ^ "." ^ tok_id v)
           | _ -> internal "config unitname");
         rule ~target:(0, "SRES")
           ~deps:[ (2, "VAL"); (4, "VAL"); (4, "LINE"); (7, "VAL"); (8, "OUT"); (0, "NLINES") ]

@@ -15,8 +15,10 @@
     attribute evaluation (the compiler is single-threaded, as was the
     original). *)
 
+(* LRM 11.2: every design unit is analyzed into the library WORK names *)
+let work = "WORK"
+
 type t = {
-  work_library : string; (* logical name of the working library, e.g. WORK *)
   find_unit : library:string -> key:string -> Unit_info.compiled_unit option;
   known_library : string -> bool;
   provenance : Provenance.t option; (* the recorder the cascade records into *)
@@ -24,11 +26,10 @@ type t = {
   timer : Vhdl_util.Phase_timer.t; (* the compile's timer, charged by the cascade *)
 }
 
-let in_memory ?(work = "WORK") units =
+let in_memory units =
   let tbl = Hashtbl.create 32 in
   List.iter (fun (u : Unit_info.compiled_unit) -> Hashtbl.replace tbl (u.Unit_info.u_library, u.Unit_info.u_key) u) units;
   {
-    work_library = work;
     find_unit = (fun ~library ~key -> Hashtbl.find_opt tbl (library, key));
     known_library = (fun lib -> lib = work || lib = "STD");
     provenance = None;
@@ -49,7 +50,6 @@ let get () =
   | None -> Pval.internal "no active compilation session"
 
 let find_unit ~library ~key = (get ()).find_unit ~library ~key
-let work () = (get ()).work_library
 let known_library lib = lib = "STD" || (get ()).known_library lib
 
 (* the cascade also runs outside any session (tests, benches) *)

@@ -8,8 +8,11 @@
     session is installed around attribute evaluation; the compiler is
     single-threaded, as was the original. *)
 
+val work : string
+(** ["WORK"]: LRM 11.2's name for the working library, the one design
+    units are analyzed into. *)
+
 type t = {
-  work_library : string;
   find_unit : library:string -> key:string -> Unit_info.compiled_unit option;
   known_library : string -> bool;
   provenance : Provenance.t option;  (** the recorder the cascade records into *)
@@ -17,7 +20,7 @@ type t = {
   timer : Vhdl_util.Phase_timer.t;  (** the compile's phase timer, which the cascade charges *)
 }
 
-val in_memory : ?work:string -> Unit_info.compiled_unit list -> t
+val in_memory : Unit_info.compiled_unit list -> t
 (** A session over an in-memory unit list (tests, benches), with a fresh
     phase timer. *)
 
@@ -25,7 +28,6 @@ val with_session : t -> (unit -> 'a) -> 'a
 val get : unit -> t
 
 val find_unit : library:string -> key:string -> Unit_info.compiled_unit option
-val work : unit -> string
 val known_library : string -> bool
 
 val provenance : unit -> Provenance.t option

@@ -68,7 +68,7 @@ let entity ~name ~(generics : iface list) ~(ports : iface list) ~(source_lines :
       }
   in
   {
-    Unit_info.u_library = Session.work ();
+    Unit_info.u_library = Session.work;
     u_key = Unit_info.key_of info;
     u_info = info;
     u_deps = deps;
@@ -78,7 +78,7 @@ let entity ~name ~(generics : iface list) ~(ports : iface list) ~(source_lines :
 
 (** Look up the entity an architecture belongs to. *)
 let find_entity ~line name : Unit_info.entity_info option * Diag.t list =
-  match Session.find_unit ~library:(Session.work ()) ~key:("entity:" ^ name) with
+  match Session.find_unit ~library:Session.work ~key:("entity:" ^ name) with
   | Some { Unit_info.u_info = Unit_info.Uentity en; _ } -> (Some en, [])
   | Some _ | None ->
     (None, [ Diag.error ~line "entity %s is not in the working library" name ])
@@ -113,10 +113,10 @@ let architecture ~name ~entity_name ~(entity : Unit_info.entity_info option)
       }
   in
   {
-    Unit_info.u_library = Session.work ();
+    Unit_info.u_library = Session.work;
     u_key = Unit_info.key_of info;
     u_info = info;
-    u_deps = ((Session.work (), "entity:" ^ en_name) :: out.o_deps);
+    u_deps = ((Session.work, "entity:" ^ en_name) :: out.o_deps);
     u_source_lines = source_lines;
     u_sequence = 0;
   }
@@ -145,7 +145,7 @@ let package ~name ~(out : decl_out) ~(specs : Denot.subprog_sig list) ~(source_l
       }
   in
   {
-    Unit_info.u_library = Session.work ();
+    Unit_info.u_library = Session.work;
     u_key = Unit_info.key_of info;
     u_info = info;
     u_deps = out.o_deps;
@@ -155,7 +155,7 @@ let package ~name ~(out : decl_out) ~(specs : Denot.subprog_sig list) ~(source_l
 
 (** Environment for a package body: the package's own exports. *)
 let package_spec_env ~line name : (string * Denot.t) list * Diag.t list =
-  match Session.find_unit ~library:(Session.work ()) ~key:("package:" ^ name) with
+  match Session.find_unit ~library:Session.work ~key:("package:" ^ name) with
   | Some { Unit_info.u_info = Unit_info.Upackage pk; _ } -> (pk.Unit_info.pk_exports, [])
   | Some _ | None ->
     ([], [ Diag.error ~line "package declaration %s must be compiled first" name ])
@@ -170,10 +170,10 @@ let package_body ~name ~(out : decl_out) ~(source_lines : int) : Unit_info.compi
       }
   in
   {
-    Unit_info.u_library = Session.work ();
+    Unit_info.u_library = Session.work;
     u_key = Unit_info.key_of info;
     u_info = info;
-    u_deps = ((Session.work (), "package:" ^ name) :: out.o_deps);
+    u_deps = ((Session.work, "package:" ^ name) :: out.o_deps);
     u_source_lines = source_lines;
     u_sequence = 0;
   }
@@ -282,10 +282,10 @@ let check_config_spec ~line ~(arch : Unit_info.arch_info) (cs : Unit_info.config
 let configuration ~name ~entity_name ~arch_name ~(specs : Unit_info.config_spec list)
     ~(source_lines : int) ~line : Unit_info.compiled_unit * Diag.t list =
   let msgs =
-    match Session.find_unit ~library:(Session.work ()) ~key:("entity:" ^ entity_name) with
+    match Session.find_unit ~library:Session.work ~key:("entity:" ^ entity_name) with
     | Some _ -> (
       match
-        Session.find_unit ~library:(Session.work ())
+        Session.find_unit ~library:Session.work
           ~key:(Printf.sprintf "arch:%s(%s)" entity_name arch_name)
       with
       | Some { Unit_info.u_info = Unit_info.Uarch arch; _ } ->
@@ -309,13 +309,13 @@ let configuration ~name ~entity_name ~arch_name ~(specs : Unit_info.config_spec 
       }
   in
   ( {
-      Unit_info.u_library = Session.work ();
+      Unit_info.u_library = Session.work;
       u_key = Unit_info.key_of info;
       u_info = info;
       u_deps =
         [
-          (Session.work (), "entity:" ^ entity_name);
-          (Session.work (), Printf.sprintf "arch:%s(%s)" entity_name arch_name);
+          (Session.work, "entity:" ^ entity_name);
+          (Session.work, Printf.sprintf "arch:%s(%s)" entity_name arch_name);
         ];
       u_source_lines = source_lines;
       u_sequence = 0;
@@ -343,7 +343,7 @@ let config_spec ~line ~(scope : [ `Labels of string list | `All | `Others ])
           Unit_info.cs_scope = scope;
           cs_component = component;
           cs_binding =
-            { Unit_info.b_library = Session.work (); b_entity = entity; b_arch = arch };
+            { Unit_info.b_library = Session.work; b_entity = entity; b_arch = arch };
         };
       ],
       [] )

@@ -2,8 +2,8 @@
 
     This is the paper's "runtime support functions [that] perform all the
     predefined VHDL operations" — one of the four modules of the target
-    virtual machine.  Both the constant folder and the simulation kernel
-    evaluate KIR operators through this module. *)
+    virtual machine.  The one expression evaluator ({!Kir_eval}) applies
+    every KIR operator through this module, statically and at run time. *)
 
 exception Runtime_error of string
 

@@ -2,12 +2,15 @@
 
     This is the paper's "runtime support functions [that] perform all the
     predefined VHDL operations" — one of the four modules of the target
-    virtual machine.  Both the constant folder ({!Const_eval}) and the
-    simulation kernel evaluate KIR operators through this module. *)
+    virtual machine.  The one expression evaluator ({!Kir_eval}) applies
+    every KIR operator through this module, statically and at run time. *)
 
 exception Runtime_error of string
 (** Raised by every operation on a dynamic error: division by zero,
     out-of-bounds index, constraint violation, shape mismatch. *)
+
+val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
+(** Raise {!Runtime_error} with a formatted message. *)
 
 (** {1 Integer arithmetic with VHDL semantics} *)
 

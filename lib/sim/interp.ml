@@ -94,142 +94,40 @@ let write_var env ~level ~index v =
   else f.loop_vars.(-index - 1) <- v
 
 (* ------------------------------------------------------------------ *)
-(* Expressions *)
+(* Expressions: the one walk over run-time leaves *)
 
-let rec eval env (e : Kir.expr) : Value.t =
-  match e with
-  | Kir.Enull -> Value.Vnull
-  | Kir.Enew (ty, init) ->
-    let v = match init with Some e -> eval env e | None -> Value.default_of ty in
-    Value.Vaccess (ref v)
-  | Kir.Ederef e -> (
-    match eval env e with
-    | Value.Vaccess r -> !r
-    | Value.Vnull -> error env "dereference of a null access value"
-    | _ -> error env "dereference of a non-access value")
-  | Kir.Elit v -> v
-  | Kir.Evar { level; index; name } -> read_var env ~level ~index ~name
-  | Kir.Egeneric { name; _ } -> error env "generic %s was not substituted at elaboration" name
-  | Kir.Eunit_const { name } -> error env "constant %s was not substituted at elaboration" name
-  | Kir.Esig sref -> (signal_of env sref).Rt.current
-  | Kir.Esig_attr (sref, attr) -> (
-    let s = signal_of env sref in
-    match attr with
-    | Kir.Sa_event -> Value.vbool s.Rt.event
-    | Kir.Sa_active -> Value.vbool s.Rt.active
-    | Kir.Sa_stable -> Value.vbool (not s.Rt.event)
-    | Kir.Sa_last_value -> s.Rt.last_value
-    | Kir.Sa_last_event -> Value.Vphys (env.e_now () - s.Rt.last_event))
-  | Kir.Ebin (op, a, b) -> (
-    (* short-circuit boolean and/or *)
-    match op with
-    | Kir.Band -> (
-      match eval env a with
-      | Value.Venum 0 -> Value.vbool false
-      | Value.Venum 1 -> eval env b
-      | va -> Value_ops.binop op va (eval env b))
-    | Kir.Bor -> (
-      match eval env a with
-      | Value.Venum 1 -> Value.vbool true
-      | Value.Venum 0 -> eval env b
-      | va -> Value_ops.binop op va (eval env b))
-    | _ -> Value_ops.binop op (eval env a) (eval env b))
-  | Kir.Eun (op, a) -> Value_ops.unop op (eval env a)
-  | Kir.Eindex (a, i) -> Value_ops.index (eval env a) (Value.as_int (eval env i))
-  | Kir.Eslice (a, (l, d, r)) ->
-    Value_ops.slice (eval env a) (Value.as_int (eval env l), d, Value.as_int (eval env r))
-  | Kir.Efield (a, f) -> Value_ops.field (eval env a) f
-  | Kir.Eaggregate (els, shape) -> eval_aggregate env els shape
-  | Kir.Ecall (Kir.F_user f, args) -> call_function env f (List.map (eval env) args)
-  | Kir.Econvert (conv, a) -> (
-    let v = eval env a in
-    match conv with
-    | Kir.To_integer -> (
-      match v with
-      | Value.Vfloat x -> Value.Vint (int_of_float (Float.round x))
-      | v -> Value.Vint (Value.as_int v))
-    | Kir.To_float -> (
-      match v with
-      | Value.Vint n -> Value.Vfloat (float_of_int n)
-      | v -> v)
-    | Kir.To_pos -> Value.Vint (Value.as_int v)
-    | Kir.To_val ty ->
-      let n = Value.as_int v in
-      let result =
-        match ty.Types.kind with
-        | Types.Kenum lits ->
-          if n < 0 || n >= Array.length lits then
-            error env "T'VAL(%d) out of range for %s" n (Types.short_name ty)
-          else Value.Venum n
-        | Types.Kphys _ -> Value.Vphys n
-        | _ -> Value.Vint n
-      in
-      (try Value_ops.check_constraint ty result
-       with Value_ops.Runtime_error m -> error env "%s" m);
-      result)
-  | Kir.Earray_attr (a, attr) -> (
-    match eval env a with
-    | Value.Varray { bounds = l, d, r; _ } ->
-      Value.Vint
-        (match attr with
-        | Kir.At_left -> l
-        | Kir.At_right -> r
-        | Kir.At_high -> ( match d with Kir.To -> r | Kir.Downto -> l)
-        | Kir.At_low -> ( match d with Kir.To -> l | Kir.Downto -> r)
-        | Kir.At_length -> Value.range_length (l, d, r))
-    | _ -> error env "array attribute of a non-array value")
+let signal_value env sref = (signal_of env sref).Rt.current
 
-and eval_aggregate env els shape =
-  match shape with
-  | Kir.Sh_record field_names ->
-    let named =
-      List.filter_map
-        (function Kir.Ag_field (f, e) -> Some (f, e) | _ -> None)
-        els
-    in
-    let positional = List.filter_map (function Kir.Ag_pos e -> Some e | _ -> None) els in
-    Value.Vrecord
-      (List.mapi
-         (fun i name ->
-           match List.assoc_opt name named with
-           | Some e -> (name, eval env e)
-           | None -> (
-             match List.nth_opt positional i with
-             | Some e -> (name, eval env e)
-             | None -> error env "record aggregate misses field %s" name))
-         field_names)
-  | Kir.Sh_array bounds_opt ->
-    let positional = List.filter_map (function Kir.Ag_pos e -> Some e | _ -> None) els in
-    let named = List.filter_map (function Kir.Ag_named (i, e) -> Some (i, e) | _ -> None) els in
-    let others = List.find_map (function Kir.Ag_others e -> Some e | _ -> None) els in
-    let bounds =
-      match bounds_opt with
-      | Some b -> b
-      | None -> (1, Types.To, List.length positional + List.length named)
-    in
-    let len = Value.range_length bounds in
-    let slots = Array.make len None in
-    List.iteri (fun k e -> if k < len then slots.(k) <- Some (eval env e)) positional;
-    List.iter
-      (fun (i, e) ->
-        match Value.array_offset bounds i with
-        | Some off -> slots.(off) <- Some (eval env e)
-        | None -> error env "aggregate choice %d out of bounds" i)
-      named;
-    Value.Varray
-      {
-        bounds;
-        elems =
-          Array.map
-            (fun slot ->
-              match slot with
-              | Some v -> v
-              | None -> (
-                match others with
-                | Some e -> eval env e
-                | None -> error env "aggregate leaves elements undefined"))
-            slots;
-      }
+let signal_attr env sref attr =
+  let s = signal_of env sref in
+  match attr with
+  | Kir.Sa_event -> Value.vbool s.Rt.event
+  | Kir.Sa_active -> Value.vbool s.Rt.active
+  | Kir.Sa_stable -> Value.vbool (not s.Rt.event)
+  | Kir.Sa_last_value -> s.Rt.last_value
+  | Kir.Sa_last_event -> Value.Vphys (env.e_now () - s.Rt.last_event)
+
+(* A user call runs statements, which evaluate expressions through the
+   leaves: the call leaf reaches [call_function] through this cell, set
+   once below.  Built inside the recursive group instead, the record would
+   make every interpreter function a closure over it, and the walk measurably
+   slower. *)
+let call_function_cell = ref (fun env f _ -> error env "function %s is not linked" f)
+
+let leaves =
+  {
+    Kir_eval.var = read_var;
+    generic =
+      (fun env ~index:_ ~name -> error env "generic %s was not substituted at elaboration" name);
+    unit_const =
+      (fun env name -> error env "constant %s was not substituted at elaboration" name);
+    signal = signal_value;
+    signal_attr;
+    call = (fun env f args -> !call_function_cell env f args);
+    alloc = (fun _ v -> Value.Vaccess (ref v));
+  }
+
+let rec eval env e = Kir_eval.eval leaves env e
 
 and call_function env mangled (args : Value.t list) : Value.t =
   match run_subprogram env mangled args with
@@ -305,11 +203,7 @@ and assign_target env (t : Kir.target) (v : Value.t) : unit =
 and read_target env (t : Kir.target) : Value.t =
   match t with
   | Kir.Tvar { level; index; name } -> read_var env ~level ~index ~name
-  | Kir.Tderef t' -> (
-    match read_target env t' with
-    | Value.Vaccess r -> !r
-    | Value.Vnull -> error env "dereference of a null access value"
-    | _ -> error env "dereference of a non-access value")
+  | Kir.Tderef t' -> Kir_eval.deref (read_target env t')
   | Kir.Tindex (t', i) -> Value_ops.index (read_target env t') (Value.as_int (eval env i))
   | Kir.Tslice (t', (l, d, r)) ->
     Value_ops.slice (read_target env t')
@@ -386,11 +280,7 @@ and exec env (st : Kir.stmt) : unit =
   | Kir.Snull -> ()
   | Kir.Sassign (t, e, check_ty) ->
     let v = eval env e in
-    (match check_ty with
-    | Some ty -> (
-      try Value_ops.check_constraint ty v
-      with Value_ops.Runtime_error m -> error env "%s" m)
-    | None -> ());
+    (match check_ty with Some ty -> Value_ops.check_constraint ty v | None -> ());
     assign_target env t v
   | Kir.Ssig_assign { target; mode; waveform; line; _ } ->
     let s, update = sig_target_parts env target in
@@ -517,3 +407,9 @@ and exec env (st : Kir.stmt) : unit =
         | (Kir.Arg_out | Kir.Arg_inout), Some t -> assign_target env t frame.vars.(i)
         | _ -> ())
       args
+
+let () = call_function_cell := call_function
+
+(* evaluation outside a process body (elaboration): a dynamic error is a
+   simulation error at the current time *)
+let eval env e = try eval env e with Value_ops.Runtime_error m -> error env "%s" m

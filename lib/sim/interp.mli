@@ -3,7 +3,9 @@
     This is the "programmable in terms of C primitives" half of the paper's
     virtual machine — where their generated C executes natively, our KIR is
     interpreted.  Processes suspend on wait statements by performing the
-    {!Wait} effect, captured by the kernel scheduler. *)
+    {!Wait} effect, captured by the kernel scheduler.  Expressions are
+    evaluated by the one walk, {!Kir_eval}, over this module's run-time
+    leaves: frames, signals, subprogram calls and allocators. *)
 
 type frame = {
   vars : Value.t array;
@@ -39,8 +41,17 @@ type _ Effect.t += Wait : wait_req -> unit Effect.t
 exception Return_exc of Value.t option
 
 val eval : env -> Kir.expr -> Value.t
-(** Evaluate an expression.  Raises {!Rt.Simulation_error} on dynamic
-    errors (division by zero, constraint violations, unbound references). *)
+(** Evaluate an expression outside a process body (at elaboration): the
+    one walk, {!Kir_eval}, over the environment's frames, signals and
+    functions.  Raises {!Rt.Simulation_error} on dynamic errors (division
+    by zero, constraint violations, unbound references). *)
+
+(** {1 Process bodies}
+
+    These run inside {!Kernel.run}.  A dynamic error raised by the walk or
+    by {!Value_ops} escapes them as {!Value_ops.Runtime_error}; the kernel's
+    one handler per run turns it into {!Rt.Simulation_error} at the current
+    time. *)
 
 val exec : env -> Kir.stmt -> unit
 (** Execute one statement; may perform {!Wait}. *)
@@ -50,4 +61,4 @@ val exec_list : env -> Kir.stmt list -> unit
 
 val call_function : env -> string -> Value.t list -> Value.t
 (** Call a function by mangled name with evaluated arguments (used by
-    resolution closures and elaboration-time evaluation). *)
+    resolution closures). *)

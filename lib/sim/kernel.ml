@@ -312,11 +312,15 @@ let run k ~max_time =
     end
   in
   (* initialization: every process executes until its first wait, then
-     the cycle loop handles what it scheduled at time 0 *)
+     the cycle loop handles what it scheduled at time 0.  A dynamic error
+     in a process body or a resolution function is the design's: it stops
+     the run as a simulation error at the current time. *)
   try
     run_ready k;
     cycle 0
-  with Failure_severity _ -> Stopped
+  with
+  | Failure_severity _ -> Stopped
+  | Value_ops.Runtime_error msg -> Rt.sim_error ~time:k.now "%s" msg
 
 (** Force a stop from a message handler or observer. *)
 let stop k = k.stopped <- true

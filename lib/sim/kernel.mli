@@ -80,7 +80,10 @@ type outcome =
 
 val run : t -> max_time:Rt.time -> outcome
 (** Initialization phase (every process runs to its first wait), then the
-    cycle loop up to [max_time] inclusive. *)
+    cycle loop up to [max_time] inclusive.
+    @raise Rt.Simulation_error on a dynamic error in a process body or a
+      resolution function ({!Value_ops.Runtime_error} included), at the
+      time it happened. *)
 
 val stop : t -> unit
 (** Request a stop from a message handler or observer. *)

@@ -72,6 +72,41 @@ end t;
   | exception Rt.Simulation_error _ -> ()
   | _ -> Alcotest.fail "'SUCC at the upper bound must raise"
 
+(* a static 'VAL, 'SUCC or 'PRED outside the enumeration is rejected at
+   analysis, in an architecture as in a package, and the message names the
+   conversion *)
+let test_static_val_out_of_range_rejected () =
+  let architecture init =
+    Printf.sprintf
+      "entity tb is end tb;\narchitecture t of tb is\n\
+      \  type color is (red, green, blue);\n  constant S : color := %s;\n\
+      \  signal x : color := red;\nbegin\n  x <= S;\nend t;\n"
+      init
+  in
+  let package init =
+    Printf.sprintf
+      "package p is\n  type color is (red, green, blue);\n  constant S : color := %s;\nend p;\n"
+      init
+  in
+  List.iter
+    (fun (init, conversion) ->
+      List.iter
+        (fun src ->
+          match Vhdl_compiler.compile (Vhdl_compiler.create ()) src with
+          | exception Vhdl_compiler.Compile_error diags ->
+            let msgs = List.map (Format.asprintf "%a" Diag.pp) diags in
+            Alcotest.(check bool)
+              (init ^ " names the conversion: " ^ String.concat "; " msgs)
+              true
+              (List.exists (fun m -> Astring_contains.contains m conversion) msgs)
+          | _ -> Alcotest.failf "%s must be rejected" init)
+        [ architecture init; package init ])
+    [
+      ("color'succ(blue)", "T'VAL(3) out of range for COLOR");
+      ("color'val(7)", "T'VAL(7) out of range for COLOR");
+      ("color'pred(red)", "T'VAL(-1) out of range for COLOR");
+    ]
+
 (* a for-generate over a null range produces no instances *)
 let test_null_range_generate () =
   let sim =
@@ -1057,6 +1092,8 @@ let suite =
     Alcotest.test_case "relational operators do not associate" `Quick
       test_relations_do_not_associate;
     Alcotest.test_case "'SUCC at the bound raises" `Quick test_succ_at_bound_raises;
+    Alcotest.test_case "static 'VAL out of range is rejected" `Quick
+      test_static_val_out_of_range_rejected;
     Alcotest.test_case "null-range generate produces nothing" `Quick
       test_null_range_generate;
     Alcotest.test_case "null-range loops never run" `Quick test_null_range_loop;

@@ -477,8 +477,34 @@ let test_daemon_periodic_metrics_flush () =
       Alcotest.(check bool) "flushed document parses" true
         (match Vhdl_telemetry.Telemetry.Json.parse (Vhdl_util.Unix_compat.read_file metrics) with
         | Ok _ -> true
-        | Error _ -> false);
-      rm_rf dir)
+        | Error _ -> false));
+  (* after shutdown, whose final flush writes the document again *)
+  rm_rf dir;
+  Alcotest.(check bool) "no directory left behind" false (Sys.file_exists dir)
+
+(* a dynamic error in the design is the user's: answered as an error by
+   the same worker, not contained as a fault (the ledger's counters are
+   process-wide, so the fault count is compared across the request) *)
+let test_daemon_simulation_error_is_user_error () =
+  let source =
+    "entity dz is end dz;\narchitecture a of dz is\nbegin\n  p : process\n\
+    \    variable n : integer := 0;\n    variable q : integer;\n  begin\n\
+    \    q := 7 / n;\n    wait;\n  end process;\nend a;\n"
+  in
+  with_daemon (fun socket d ->
+      let stats () =
+        String.split_on_char '\n' (tick_roundtrip socket d (P.request P.Stats)).P.rs_body
+      in
+      let faults () =
+        List.find (String.starts_with ~prefix:"ledger.serve.faults_contained ") (stats ())
+      in
+      let faults_before = faults () in
+      let r = tick_roundtrip socket d (P.request P.Simulate ~top:"dz" ~max_ns:10 ~source) in
+      Alcotest.(check bool) "error status" true (r.P.rs_status = P.Error_);
+      Alcotest.(check bool) "names the error" true
+        (Astring_contains.contains r.P.rs_body "simulation error at 0 ns: division by zero");
+      Alcotest.(check string) "no fault contained" faults_before (faults ());
+      Alcotest.(check bool) "worker not recycled" true (List.mem "worker.generation 0" (stats ())))
 
 let suite =
   [
@@ -517,4 +543,6 @@ let suite =
       test_daemon_firewall_trip_dumps_flight;
     Alcotest.test_case "daemon: periodic metrics flush is atomic" `Quick
       test_daemon_periodic_metrics_flush;
+    Alcotest.test_case "daemon: a simulation error is the user's" `Quick
+      test_daemon_simulation_error_is_user_error;
   ]

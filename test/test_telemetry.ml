@@ -325,19 +325,29 @@ let test_golden_metrics () =
 (* Overhead guard: with tracing off, the only cost the telemetry layer
    adds to a compile is its counter bumps.  Bound that cost from above —
    (instrument ops during a compile) x (measured cost per op) — and
-   require it under 3% of the compile's own time. *)
+   require it under 3% of the compile's own time.  Both times are the
+   fastest of several runs: a test suite running beside this one slows
+   single runs, by different amounts on each side of the ratio. *)
+
+let fastest ~runs f =
+  let best = ref infinity in
+  for _ = 1 to runs do
+    let t0 = Sys.time () in
+    f ();
+    best := Float.min !best (Sys.time () -. t0)
+  done;
+  !best
 
 let test_overhead_guard () =
   Tm.reset ();
   Alcotest.(check bool) "tracing off" false (Tm.tracing ());
   let src = read_corpus "golden_seed18_processes.vhd" in
-  let start = Sys.time () in
-  let reps = 3 in
-  for _ = 1 to reps do
-    let c = Vhdl_compiler.create () in
-    ignore (Vhdl_compiler.compile c src)
-  done;
-  let compile_s = (Sys.time () -. start) /. float_of_int reps in
+  let reps = 5 in
+  let compile_s =
+    fastest ~runs:reps (fun () ->
+        let c = Vhdl_compiler.create () in
+        ignore (Vhdl_compiler.compile c src))
+  in
   (* counter values over-count the ops: every op is an incr (+1) or an add
      (+n, counted here as n ops).  Byte-valued phase.alloc_b ledger
      counters are excluded — a single add of megabytes is one op, not
@@ -357,12 +367,14 @@ let test_overhead_guard () =
   in
   Alcotest.(check bool) "the compile did real work" true (ops > 1000);
   let scratch = Tm.counter "test.overhead_scratch" in
-  let n = 5_000_000 in
-  let t0 = Sys.time () in
-  for _ = 1 to n do
-    Tm.incr scratch
-  done;
-  let per_op = (Sys.time () -. t0) /. float_of_int n in
+  let n = 1_000_000 in
+  let per_op =
+    fastest ~runs:5 (fun () ->
+        for _ = 1 to n do
+          Tm.incr scratch
+        done)
+    /. float_of_int n
+  in
   let budget = 0.03 *. compile_s in
   let cost = per_op *. float_of_int ops in
   if cost >= budget then
