@@ -2,8 +2,9 @@
 
     This is the paper's "runtime support functions [that] perform all the
     predefined VHDL operations" — one of the four modules of the target
-    virtual machine.  The one expression evaluator ({!Kir_eval}) applies
-    every KIR operator through this module, statically and at run time. *)
+    virtual machine.  The closures {!Kir_eval} translates expressions into
+    apply every KIR operator through this module, statically and at run
+    time. *)
 
 exception Runtime_error of string
 
@@ -255,3 +256,44 @@ let check_constraint (ty : Types.t) v =
     let lo, hi = match d with Types.To -> (a, b) | Types.Downto -> (b, a) in
     if x < lo || x > hi then fail "value %g out of range" x
   | _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Conversions, array attributes, dereference *)
+
+let convert (conv : Kir.conv) v =
+  match conv with
+  | Kir.To_integer -> (
+    match v with
+    | Value.Vfloat x -> Value.Vint (int_of_float (Float.round x))
+    | v -> Value.Vint (Value.as_int v))
+  | Kir.To_float -> ( match v with Value.Vint n -> Value.Vfloat (float_of_int n) | v -> v)
+  | Kir.To_pos -> Value.Vint (Value.as_int v)
+  | Kir.To_val ty ->
+    let n = Value.as_int v in
+    let result =
+      match ty.Types.kind with
+      | Types.Kenum lits ->
+        if n < 0 || n >= Array.length lits then
+          fail "T'VAL(%d) out of range for %s" n (Types.short_name ty)
+        else Value.Venum n
+      | Types.Kphys _ -> Value.Vphys n
+      | _ -> Value.Vint n
+    in
+    check_constraint ty result;
+    result
+
+let array_attr (attr : Kir.array_attr) = function
+  | Value.Varray { bounds = l, d, r; _ } ->
+    Value.Vint
+      (match attr with
+      | Kir.At_left -> l
+      | Kir.At_right -> r
+      | Kir.At_high -> ( match d with Kir.To -> r | Kir.Downto -> l)
+      | Kir.At_low -> ( match d with Kir.To -> l | Kir.Downto -> r)
+      | Kir.At_length -> Value.range_length (l, d, r))
+  | _ -> fail "array attribute of a non-array value"
+
+let deref = function
+  | Value.Vaccess r -> !r
+  | Value.Vnull -> fail "dereference of a null access value"
+  | _ -> fail "dereference of a non-access value"

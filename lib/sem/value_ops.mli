@@ -2,8 +2,9 @@
 
     This is the paper's "runtime support functions [that] perform all the
     predefined VHDL operations" — one of the four modules of the target
-    virtual machine.  The one expression evaluator ({!Kir_eval}) applies
-    every KIR operator through this module, statically and at run time. *)
+    virtual machine.  The closures {!Kir_eval} translates expressions into
+    apply every KIR operator through this module, statically and at run
+    time. *)
 
 exception Runtime_error of string
 (** Raised by every operation on a dynamic error: division by zero,
@@ -53,3 +54,15 @@ val update_field : Value.t -> string -> Value.t -> Value.t
 val check_constraint : Types.t -> Value.t -> unit
 (** Range check on assignment (LRM 3); raises {!Runtime_error} when the
     value lies outside the subtype's constraint. *)
+
+(** {1 Conversions, array attributes, dereference} *)
+
+val convert : Kir.conv -> Value.t -> Value.t
+(** INTEGER and REAL conversions, ['POS], and ['VAL] (range checked). *)
+
+val array_attr : Kir.array_attr -> Value.t -> Value.t
+(** ['LEFT], ['RIGHT], ['HIGH], ['LOW], ['LENGTH] of an array value. *)
+
+val deref : Value.t -> Value.t
+(** The object an access value designates (LRM 3.3); fails on [null] or a
+    non-access value. *)

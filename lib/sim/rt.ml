@@ -142,6 +142,15 @@ let schedule d ~mode ~(transactions : (time * Value.t option) list) =
 
 let disconnect d = d.drv_connected <- false
 
+(* what a wait statement waits for; the kernel handles the effect *)
+type wait_req = {
+  wr_on : signal list;
+  wr_until : (unit -> bool) option;
+  wr_for : time option; (* absolute wake time *)
+}
+
+type _ Effect.t += Wait : wait_req -> unit Effect.t
+
 exception Simulation_error of { time : time; msg : string }
 
 let sim_error ~time fmt =

@@ -67,6 +67,18 @@ and proc = {
   mutable wake_at : time option;
 }
 
+type wait_req = {
+  wr_on : signal list;
+  wr_until : (unit -> bool) option;
+  wr_for : time option;  (** absolute wake time *)
+}
+(** What a wait statement waits for. *)
+
+type _ Effect.t += Wait : wait_req -> unit Effect.t
+(** Performed by a wait statement in a translated process body; the
+    kernel's effect handler captures the continuation and resumes it when
+    a wake condition holds. *)
+
 exception Simulation_error of { time : time; msg : string }
 
 val sim_error : time:time -> ('a, Format.formatter, unit, 'b) format4 -> 'a
