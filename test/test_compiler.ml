@@ -604,8 +604,7 @@ end t;
   check_value sim ":tb:BUS_LINE" "'1'"
 
 let test_vif_roundtrip_separate_compilation () =
-  let dir = Filename.temp_file "vhdlvif" "" in
-  Sys.remove dir;
+  Tmp_dir.with_dir "vhdlvif" @@ fun dir ->
   (* first compiler instance writes the library *)
   let c1 = Vhdl_compiler.create ~work_dir:dir () in
   ignore
@@ -675,8 +674,7 @@ end bad;
 |}
   in
   let run src =
-    let dir = Filename.temp_file "vhdlhist" "" in
-    Sys.remove dir;
+    Tmp_dir.with_dir "vhdlhist" @@ fun dir ->
     let c = Vhdl_compiler.create ~work_dir:dir () in
     let units = Vhdl_compiler.compile ~fail_on_error:false c src in
     let dump (u : Unit_info.compiled_unit) =

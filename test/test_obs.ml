@@ -122,12 +122,6 @@ let temp_path suffix =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "vhdl-obs-test-%d-%d%s" (Unix.getpid ()) (Random.int 100000) suffix)
 
-let rm_rf dir =
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (try Sys.readdir dir with Sys_error _ -> [||]);
-  try Unix.rmdir dir with Unix.Unix_error _ -> ()
-
 let dump_ok ?rid ?(fields = []) ~reason t =
   match Obs_log.dump ~reason ?rid ~fields t with
   | Ok (Some path) -> path
@@ -171,7 +165,7 @@ let test_dump_json_parses () =
     Alcotest.(check (option int)) "caller field" (Some 42)
       (Option.bind (J.mem "answer" j) J.to_int)
   | Error msg -> Alcotest.fail msg);
-  rm_rf dir
+  Tmp_dir.rm_rf dir
 
 let test_log_sink_roundtrip () =
   let path = temp_path ".jsonl" in
@@ -203,7 +197,7 @@ let test_flight_dump_writes_file () =
     (Astring_contains.contains (Filename.basename path) "-rid9-");
   Alcotest.(check bool) "named after the reason" true
     (Astring_contains.contains (Filename.basename path) "watchdog");
-  rm_rf dir
+  Tmp_dir.rm_rf dir
 
 let observe_each slo ~now latencies =
   List.iter
@@ -346,7 +340,7 @@ let test_exemplar_dump_and_rate_limit () =
   | Ok (Some _) -> ()
   | Ok None -> Alcotest.fail "exemplar past the gap still suppressed"
   | Error msg -> Alcotest.fail msg);
-  rm_rf dir
+  Tmp_dir.rm_rf dir
 
 (* the cap counts flight dumps and exemplars alike *)
 let test_dump_retention_cap () =
@@ -377,7 +371,7 @@ let test_dump_retention_cap () =
     |> List.sort compare
   in
   Alcotest.(check (list string)) "oldest deleted" newest on_disk;
-  rm_rf dir
+  Tmp_dir.rm_rf dir
 
 (* ------------------------------------------------------------------ *)
 (* Rolling SLO windows *)

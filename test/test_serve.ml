@@ -381,12 +381,6 @@ let temp_dir () =
   Vhdl_util.Unix_compat.mkdir_p d;
   d
 
-let rm_rf dir =
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (try Sys.readdir dir with Sys_error _ -> [||]);
-  try Unix.rmdir dir with Unix.Unix_error _ -> ()
-
 let test_daemon_rids_echoed_and_logged () =
   let dir = temp_dir () in
   let events = Filename.concat dir "events.jsonl" in
@@ -424,7 +418,7 @@ let test_daemon_rids_echoed_and_logged () =
           in
           Alcotest.(check bool) "both requests finished in the log" true
             (List.mem a finish_rids && List.mem b finish_rids));
-        rm_rf dir
+        Tmp_dir.rm_rf dir
       | _ -> Alcotest.fail "responses carry no request id")
 
 let test_daemon_firewall_trip_dumps_flight () =
@@ -451,7 +445,7 @@ let test_daemon_firewall_trip_dumps_flight () =
       Alcotest.(check int) "one firewall dump" 1 (List.length dumps);
       Alcotest.(check bool) "dump named after the offending rid" true
         (Astring_contains.contains (List.hd dumps) (Printf.sprintf "-rid%d-" rid));
-      rm_rf dir)
+      Tmp_dir.rm_rf dir)
 
 let test_daemon_periodic_metrics_flush () =
   let dir = temp_dir () in
@@ -479,7 +473,7 @@ let test_daemon_periodic_metrics_flush () =
         | Ok _ -> true
         | Error _ -> false));
   (* after shutdown, whose final flush writes the document again *)
-  rm_rf dir;
+  Tmp_dir.rm_rf dir;
   Alcotest.(check bool) "no directory left behind" false (Sys.file_exists dir)
 
 (* a dynamic error in the design is the user's: answered as an error by
