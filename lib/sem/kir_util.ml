@@ -160,6 +160,16 @@ let rec subst_stmt (s : subst) (st : Kir.stmt) : Kir.stmt =
 
 let subst_stmts s = List.map (subst_stmt s)
 
+(* ------------------------------------------------------------------ *)
+(* A variable target read as the expression it names *)
+
+let rec target_expr : Kir.target -> Kir.expr = function
+  | Kir.Tvar { level; index; name } -> Kir.Evar { level; index; name }
+  | Kir.Tderef t -> Kir.Ederef (target_expr t)
+  | Kir.Tindex (t, i) -> Kir.Eindex (target_expr t, i)
+  | Kir.Tslice (t, r) -> Kir.Eslice (target_expr t, r)
+  | Kir.Tfield (t, f) -> Kir.Efield (target_expr t, f)
+
 (* Maximum for-loop nesting depth: sizes the loop-variable stack of a frame. *)
 let rec loop_depth_stmt (st : Kir.stmt) =
   match st with

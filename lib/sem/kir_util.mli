@@ -26,6 +26,10 @@ val subst_expr : subst -> Kir.expr -> Kir.expr
 val subst_stmt : subst -> Kir.stmt -> Kir.stmt
 val subst_stmts : subst -> Kir.stmt list -> Kir.stmt list
 
+val target_expr : Kir.target -> Kir.expr
+(** The expression that reads a variable target (the old value a partial
+    assignment modifies). *)
+
 (** {1 Shape queries} *)
 
 val loop_depth : Kir.stmt list -> int
