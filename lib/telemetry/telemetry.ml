@@ -29,6 +29,8 @@ let clock_epoch = Monotonic_clock.now ()
 let now_s () =
   Int64.to_float (Int64.sub (Monotonic_clock.now ()) clock_epoch) *. 1e-9
 
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+
 (* ------------------------------------------------------------------ *)
 (* Minimal JSON construction (no external dependency): values are built
    as strings with correct escaping.  Shared by the metric/trace exports

@@ -12,6 +12,10 @@ val now_s : unit -> float
     every timing consumer (spans, phase tables, the bench harness)
     shares. *)
 
+val now_ns : unit -> int
+(** The same clock in nanoseconds from an arbitrary origin, for timing
+    a hot loop without a float per read. *)
+
 (** Minimal JSON writer and reader (no external dependency). *)
 module Json : sig
   val escape : string -> string
