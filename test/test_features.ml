@@ -712,6 +712,81 @@ end t;
   let _ = Vhdl_compiler.run c2 sim ~max_ns:10 in
   check_int sim ":tb:M" 1789
 
+(* Linking: a subprogram reads the generics and constants of the instance
+   it is linked with.  An architecture function reads an earlier
+   architecture constant and a generic, and initializes a later constant;
+   each instance, also under a for-generate, sees its own values; a
+   package function reads a deferred constant. *)
+let test_linked_constants () =
+  let _, sim =
+    simulate ~ns:10
+      [
+        {|
+package lk is
+  constant scale : integer;
+  function scaled (x : integer) return integer;
+end lk;
+package body lk is
+  constant scale : integer := 3;
+  function scaled (x : integer) return integer is
+  begin
+    return x * scale;
+  end;
+end lk;
+
+use work.lk.all;
+entity cell is
+  generic (n : integer);
+  port (early, late, gen, pkg : out integer);
+end cell;
+architecture a of cell is
+  constant base : integer := n * 10;
+  function plus_base (x : integer) return integer is
+  begin
+    return x + base;
+  end;
+  function twice_n return integer is
+  begin
+    return 2 * n;
+  end;
+  constant later : integer := plus_base(1);
+begin
+  p : process
+  begin
+    early <= plus_base(0);
+    late <= later;
+    gen <= twice_n;
+    pkg <= scaled(n);
+    wait;
+  end process;
+end a;
+
+entity tb is end tb;
+architecture t of tb is
+  component cell
+    generic (n : integer);
+    port (early, late, gen, pkg : out integer);
+  end component;
+begin
+  u : cell generic map (n => 7)
+    port map (early => open, late => open, gen => open, pkg => open);
+  g : for i in 1 to 3 generate
+    c : cell generic map (n => i)
+      port map (early => open, late => open, gen => open, pkg => open);
+  end generate;
+end t;
+|};
+      ]
+  in
+  let check path n =
+    check_int sim (path ^ ":EARLY") (n * 10);
+    check_int sim (path ^ ":LATE") ((n * 10) + 1);
+    check_int sim (path ^ ":GEN") (2 * n);
+    check_int sim (path ^ ":PKG") (3 * n)
+  in
+  check ":tb:U" 7;
+  List.iter (fun i -> check (Printf.sprintf ":tb:G(%d):C" i) i) [ 1; 2; 3 ]
+
 (* LRM 7.3.5: conversions between abstract numeric types, and implicit
    conversion of universal (locally static) literals — but NOT of dynamic
    expressions of another integer type. *)
@@ -1139,4 +1214,6 @@ let suite =
     Alcotest.test_case "operator functions survive the VIF round trip" `Quick
       test_operator_function_vif_roundtrip;
     Alcotest.test_case "multi-dimensional arrays" `Quick test_multidimensional_arrays;
+    Alcotest.test_case "subprograms read the constants they are linked with" `Quick
+      test_linked_constants;
   ]
