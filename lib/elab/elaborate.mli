@@ -38,7 +38,8 @@ type top =
 
 val elaborate : ?trace_signals:bool -> ?step_budget:int -> library_view -> top -> model
 (** Build the instance hierarchy, create runtime signals and processes,
-    substitute generics and elaboration-time constants into the KIR, and
-    register everything with a fresh kernel and name server.
+    translate their KIR with each instance's generics and elaboration-time
+    constants as leaves, and register everything with a fresh kernel and
+    name server.
     [step_budget] bounds the hierarchy expansion (@raise Budget_exhausted
     beyond it). *)

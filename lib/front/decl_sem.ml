@@ -203,7 +203,8 @@ let resolve_subtype ~level ~line (lef : Lef.tok list) : resolved_subtype =
       | None -> (
         (* attribute range: X'RANGE *)
         let (lo, dir, hi), _, msgs = Expr_eval.eval_range ~level ~line inner in
-        match (Const_eval.eval_opt lo, Const_eval.eval_opt hi) with
+        let static = Const_eval.eval_opt Const_eval.none in
+        match (static lo, static hi) with
         | Some l, Some h ->
           {
             rs_ty = Types.subtype ty ~constr:(Types.Crange (Value.as_int l, dir, Value.as_int h));
@@ -361,7 +362,7 @@ let constant_decl (oc : object_context) ~line (names : (string * int) list) (ty 
       (out_empty, msgs @ [ Diag.error ~line "constant declaration requires an initial value" ]))
   | Some code -> (
     let static, msgs =
-      match Const_eval.eval code with
+      match Const_eval.eval Const_eval.none code with
       | static -> (static, msgs)
       | exception Value_ops.Runtime_error m ->
         (* a static value whose evaluation fails is an analysis error; the

@@ -80,7 +80,7 @@ let literal_cands (tok : Lef.tok) : cand list =
 (* Static folding *)
 
 (* a candidate whose code becomes a literal when it is static *)
-let folded ty code = cv ty code (Const_eval.eval_opt code)
+let folded ty code = cv ty code (Const_eval.eval_opt Const_eval.none code)
 
 (* an operator folds when its operands already folded to literals; a
    non-literal operand is not static, so the walk is not tried *)
@@ -446,7 +446,7 @@ and coerce_aggregate ~line ~expected items =
     match !errors with
     | [] ->
       let agg = Kir.Eaggregate (List.rev !elements, shape) in
-      let static = Const_eval.eval_opt agg in
+      let static = Const_eval.eval_opt Const_eval.none agg in
       let code = match static with Some v -> Kir.Elit v | None -> agg in
       Ok (code, static)
     | d :: _ -> Error d)
@@ -504,7 +504,7 @@ and coerce_aggregate ~line ~expected items =
       let agg =
         Kir.Eaggregate (List.rev !elements, Kir.Sh_record (List.map fst fields))
       in
-      let static = Const_eval.eval_opt agg in
+      let static = Const_eval.eval_opt Const_eval.none agg in
       let code = match static with Some v -> Kir.Elit v | None -> agg in
       Ok (code, static)
     | d :: _ -> Error d)

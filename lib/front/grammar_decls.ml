@@ -331,7 +331,7 @@ let add b =
                         | `Lef lef -> Expr_eval.eval_range ~level ~line lef
                       in
                       let static e =
-                        match Const_eval.eval_opt e with
+                        match Const_eval.eval_opt Const_eval.none e with
                         | Some v -> Value.as_int v
                         | None -> 0
                       in

@@ -2,9 +2,11 @@
 
     The paper's compiler emits C source that is compiled by the host system
     and linked with the Vantage simulation kernel.  Our substitution keeps
-    the same phase structure: the front end emits KIR, the "link" step binds
-    KIR references to runtime objects, and the kernel interprets it.  See
-    DESIGN.md for why this preserves the behaviours under study.
+    the same phase structure: the front end emits KIR, and the "link" step
+    (elaboration) translates it once into closures the kernel runs,
+    binding generics, constants, signals and callees to their runtime
+    values and objects as it translates.  See DESIGN.md for why this
+    preserves the behaviours under study.
 
     References are symbolic enough to survive the VIF (separate
     compilation): variables are (level, index) frame slots — which directly
@@ -67,10 +69,11 @@ type expr =
   | Elit of Value.t
   | Evar of { level : int; index : int; name : string }
       (* negative index: for-loop variable slot -(index+1) *)
-  | Egeneric of { index : int; name : string } (* substituted at elaboration *)
+  | Egeneric of { index : int; name : string } (* resolved when linked *)
   | Eunit_const of { name : string }
-      (* architecture-level constant whose initializer depends on generics;
-         substituted at elaboration *)
+      (* architecture-level constant whose initializer depends on generics,
+         a generate parameter or a deferred package constant; resolved
+         when linked *)
   | Esig of sig_ref
   | Esig_attr of sig_ref * sattr
   | Ebin of binop * expr * expr

@@ -34,133 +34,6 @@ let signals_read_expr e = List.rev (signals_read_expr_acc [] e)
 let signals_read_exprs es = List.rev (List.fold_left signals_read_expr_acc [] es)
 
 (* ------------------------------------------------------------------ *)
-(* Substitution of elaboration-time values (generics, unit constants):
-   performed once per instance when the code is "linked" with the kernel. *)
-
-type subst = {
-  generic : int -> Value.t option;
-  unit_const : string -> Value.t option;
-}
-
-let rec subst_expr (s : subst) (e : Kir.expr) : Kir.expr =
-  match e with
-  | Kir.Elit _ | Kir.Evar _ | Kir.Esig _ | Kir.Esig_attr _ | Kir.Enull -> e
-  | Kir.Enew (ty, init) -> Kir.Enew (ty, Option.map (subst_expr s) init)
-  | Kir.Ederef a -> Kir.Ederef (subst_expr s a)
-  | Kir.Egeneric { index; name } -> (
-    match s.generic index with
-    | Some v -> Kir.Elit v
-    | None -> Kir.Egeneric { index; name })
-  | Kir.Eunit_const { name } -> (
-    match s.unit_const name with
-    | Some v -> Kir.Elit v
-    | None -> Kir.Eunit_const { name })
-  | Kir.Ebin (op, a, b) -> Kir.Ebin (op, subst_expr s a, subst_expr s b)
-  | Kir.Eun (op, a) -> Kir.Eun (op, subst_expr s a)
-  | Kir.Eindex (a, i) -> Kir.Eindex (subst_expr s a, subst_expr s i)
-  | Kir.Eslice (a, (l, d, r)) -> Kir.Eslice (subst_expr s a, (subst_expr s l, d, subst_expr s r))
-  | Kir.Efield (a, f) -> Kir.Efield (subst_expr s a, f)
-  | Kir.Eaggregate (els, shape) ->
-    Kir.Eaggregate
-      ( List.map
-          (fun el ->
-            match el with
-            | Kir.Ag_pos e -> Kir.Ag_pos (subst_expr s e)
-            | Kir.Ag_named (i, e) -> Kir.Ag_named (i, subst_expr s e)
-            | Kir.Ag_field (f, e) -> Kir.Ag_field (f, subst_expr s e)
-            | Kir.Ag_others e -> Kir.Ag_others (subst_expr s e))
-          els,
-        shape )
-  | Kir.Ecall (f, args) -> Kir.Ecall (f, List.map (subst_expr s) args)
-  | Kir.Econvert (c, a) -> Kir.Econvert (c, subst_expr s a)
-  | Kir.Earray_attr (a, at) -> Kir.Earray_attr (subst_expr s a, at)
-
-let rec subst_target (s : subst) (t : Kir.target) : Kir.target =
-  match t with
-  | Kir.Tvar _ -> t
-  | Kir.Tderef t' -> Kir.Tderef (subst_target s t')
-  | Kir.Tindex (t', i) -> Kir.Tindex (subst_target s t', subst_expr s i)
-  | Kir.Tslice (t', (l, d, r)) ->
-    Kir.Tslice (subst_target s t', (subst_expr s l, d, subst_expr s r))
-  | Kir.Tfield (t', f) -> Kir.Tfield (subst_target s t', f)
-
-let rec subst_sig_target (s : subst) (t : Kir.sig_target) : Kir.sig_target =
-  match t with
-  | Kir.Ts_sig _ -> t
-  | Kir.Ts_index (t', i) -> Kir.Ts_index (subst_sig_target s t', subst_expr s i)
-  | Kir.Ts_slice (t', (l, d, r)) ->
-    Kir.Ts_slice (subst_sig_target s t', (subst_expr s l, d, subst_expr s r))
-  | Kir.Ts_field (t', f) -> Kir.Ts_field (subst_sig_target s t', f)
-
-let rec subst_stmt (s : subst) (st : Kir.stmt) : Kir.stmt =
-  match st with
-  | Kir.Snull -> st
-  | Kir.Sassign (t, e, ty) -> Kir.Sassign (subst_target s t, subst_expr s e, ty)
-  | Kir.Ssig_assign { target; mode; waveform; guarded; line } ->
-    Kir.Ssig_assign
-      {
-        target = subst_sig_target s target;
-        mode;
-        waveform =
-          List.map
-            (fun (w : Kir.waveform_element) ->
-              {
-                Kir.wv_value = Option.map (subst_expr s) w.Kir.wv_value;
-                wv_after = Option.map (subst_expr s) w.Kir.wv_after;
-              })
-            waveform;
-        guarded;
-        line;
-      }
-  | Kir.Sif (arms, els) ->
-    Kir.Sif
-      ( List.map (fun (c, body) -> (subst_expr s c, List.map (subst_stmt s) body)) arms,
-        List.map (subst_stmt s) els )
-  | Kir.Scase (e, alts) ->
-    Kir.Scase
-      ( subst_expr s e,
-        List.map (fun (cs, body) -> (cs, List.map (subst_stmt s) body)) alts )
-  | Kir.Sfor { var; var_name; range = l, d, r; body; loop_label } ->
-    Kir.Sfor
-      {
-        var;
-        var_name;
-        range = (subst_expr s l, d, subst_expr s r);
-        body = List.map (subst_stmt s) body;
-        loop_label;
-      }
-  | Kir.Swhile (c, body, lbl) -> Kir.Swhile (subst_expr s c, List.map (subst_stmt s) body, lbl)
-  | Kir.Sloop (body, lbl) -> Kir.Sloop (List.map (subst_stmt s) body, lbl)
-  | Kir.Sexit { cond; label } -> Kir.Sexit { cond = Option.map (subst_expr s) cond; label }
-  | Kir.Snext { cond; label } -> Kir.Snext { cond = Option.map (subst_expr s) cond; label }
-  | Kir.Swait { on; until; for_; line } ->
-    Kir.Swait
-      { on; until = Option.map (subst_expr s) until; for_ = Option.map (subst_expr s) for_; line }
-  | Kir.Sdisconnect t -> Kir.Sdisconnect (subst_sig_target s t)
-  | Kir.Sreturn e -> Kir.Sreturn (Option.map (subst_expr s) e)
-  | Kir.Sassert { cond; report; severity; line } ->
-    Kir.Sassert
-      {
-        cond = subst_expr s cond;
-        report = Option.map (subst_expr s) report;
-        severity = Option.map (subst_expr s) severity;
-        line;
-      }
-  | Kir.Scall (p, args) ->
-    Kir.Scall
-      ( p,
-        List.map
-          (fun (a : Kir.call_arg) ->
-            {
-              a with
-              Kir.ca_expr = subst_expr s a.Kir.ca_expr;
-              ca_target = Option.map (subst_target s) a.Kir.ca_target;
-            })
-          args )
-
-let subst_stmts s = List.map (subst_stmt s)
-
-(* ------------------------------------------------------------------ *)
 (* A variable target read as the expression it names *)
 
 let rec target_expr : Kir.target -> Kir.expr = function

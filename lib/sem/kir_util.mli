@@ -12,20 +12,6 @@ val signals_read_expr_acc : Kir.sig_ref list -> Kir.expr -> Kir.sig_ref list
 (** Accumulating form (reverse order, deduplicated) for callers folding
     over several expressions. *)
 
-(** {1 Elaboration-time substitution}
-
-    Generics and unit constants are replaced by their per-instance values
-    when the code is "linked" with the kernel. *)
-
-type subst = {
-  generic : int -> Value.t option;
-  unit_const : string -> Value.t option;
-}
-
-val subst_expr : subst -> Kir.expr -> Kir.expr
-val subst_stmt : subst -> Kir.stmt -> Kir.stmt
-val subst_stmts : subst -> Kir.stmt list -> Kir.stmt list
-
 val target_expr : Kir.target -> Kir.expr
 (** The expression that reads a variable target (the old value a partial
     assignment modifies). *)

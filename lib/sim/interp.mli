@@ -9,15 +9,16 @@
     that waits mid-body suspends by performing the {!Rt.Wait} effect,
     captured by the kernel scheduler.
 
-    What the translation resolves: each signal reference (an instance
-    signal, GUARD or a global signal of a process body; signal parameters
-    and a subprogram's instance signals are the caller's and are read when
-    the code runs), each callee and each frame slot.  Each signal
-    assignment caches its driver on first execution.  A subprogram body is
-    translated on its first call and the translation lives in its
-    function-table {!entry}.  A reference that cannot resolve translates to
-    a closure that raises {!Rt.Simulation_error} when it runs, so a process
-    that never reaches it still runs. *)
+    What the translation resolves: each generic and unit constant (from
+    the record the code is linked with), each signal reference (an
+    instance signal, GUARD or a global signal of a process body; signal
+    parameters and a subprogram's instance signals are the caller's and
+    are read when the code runs), each callee and each frame slot.  Each
+    signal assignment caches its driver on first execution.  A subprogram
+    body is translated on its first call and the translation lives in its
+    function-table {!entry}.  A reference that cannot resolve translates
+    to a closure that raises {!Rt.Simulation_error} when it runs, so a
+    process that never reaches it still runs. *)
 
 type frame = Value.t array
 (** A process's or subprogram's variables, then its loop variables from
@@ -25,11 +26,15 @@ type frame = Value.t array
     [length - k - 1]. *)
 
 type entry
-(** A function-table entry: a subprogram and, after its first call, its
-    translation.  Replacing an entry in the table (re-substituting the
-    subprogram) replaces its translation with it. *)
+(** A function-table entry: a subprogram, the generics and unit constants
+    it is linked with, and, after its first call, its translation. *)
 
-val entry : Kir.subprogram -> entry
+val entry : Const_eval.consts -> Kir.subprogram -> entry
+(** [entry consts sub]: the body's generic and unit-constant leaves
+    resolve from [consts] when it is translated, on its first call, not
+    from its caller's.  An architecture's subprograms are linked once per
+    instance; a constant a subprogram reads is declared before it, so it
+    has its value by the first call (VHDL declares before use). *)
 
 type env
 (** Where translated code runs: one per process, plus one signal-less
@@ -37,6 +42,7 @@ type env
     functions. *)
 
 val env :
+  consts:Const_eval.consts ->
   signals:Rt.signal array ->
   guard:Rt.signal option ->
   globals:(string * string, Rt.signal) Hashtbl.t ->
@@ -48,12 +54,14 @@ val env :
   ?frame:frame ->
   unit ->
   env
-(** [signals] is the instance signal table (ports first), [guard] the
-    enclosing block's GUARD, [functions] the instance's function table by
-    mangled name, [proc_id] the process whose drivers signal assignments
-    use, [name] the path errors name, [kernel] the clock, [emit] where
-    assert/report messages go, and [frame] the process's own variables
-    (display level 0). *)
+(** [consts] are the generics and unit constants a process body or an
+    elaboration-time value reads (its instance's, plus any generate
+    parameter), [signals] is the instance signal table (ports first),
+    [guard] the enclosing block's GUARD, [functions] the instance's
+    function table by mangled name, [proc_id] the process whose drivers
+    signal assignments use, [name] the path errors name, [kernel] the
+    clock, [emit] where assert/report messages go, and [frame] the
+    process's own variables (display level 0). *)
 
 val eval : env -> Kir.expr -> Value.t
 (** Evaluate an expression outside a process body (at elaboration):
