@@ -51,9 +51,12 @@ val update_field : Value.t -> string -> Value.t -> Value.t
 
 (** {1 Constraint checks} *)
 
-val check_constraint : Types.t -> Value.t -> unit
-(** Range check on assignment (LRM 3); raises {!Runtime_error} when the
-    value lies outside the subtype's constraint. *)
+val to_subtype : Types.t -> Value.t -> Value.t
+(** The value an assignment gives an object of subtype [ty] (LRM 8.3,
+    8.5): an array value of a constrained array subtype's length takes the
+    subtype's index range (it slides); a scalar is range checked.  Raises
+    {!Runtime_error} on a length mismatch or a value outside the
+    subtype's range. *)
 
 (** {1 Conversions, array attributes, dereference} *)
 
