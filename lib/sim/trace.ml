@@ -52,9 +52,10 @@ let timescale_label fs =
   if n = 1 || n = 10 || n = 100 then Printf.sprintf "%d %s" n unit
   else Printf.sprintf "%d fs" (max 1 fs)
 
-(* fixed-width two's-complement binary, most significant bit first *)
+(* fixed-width two's-complement binary, most significant bit first; an
+   OCaml int has 63 bits, so bits above 62 repeat its sign *)
 let bin_of_int ~width n =
-  String.init width (fun i -> if (n lsr (width - 1 - i)) land 1 = 1 then '1' else '0')
+  String.init width (fun i -> if (n asr (min 62 (width - 1 - i))) land 1 = 1 then '1' else '0')
 
 let bits_for n =
   (* bits needed for positions 0 .. n-1 *)
@@ -97,15 +98,7 @@ let vcd_var i (path, (s : Rt.signal)) =
   in
   let v_id, v_type, v_width, v_render =
     match s.Rt.sig_ty.Types.kind with
-    | Types.Kint ->
-      ( id,
-        "integer",
-        32,
-        fun v ->
-          match v with
-          | Value.Vint n -> Printf.sprintf "b%s %s" (bin_of_int ~width:32 n) id
-          | _ -> Printf.sprintf "bx %s" id )
-    | Types.Kphys _ ->
+    | Types.Kint | Types.Kphys _ ->
       ( id,
         "integer",
         64,
@@ -182,8 +175,9 @@ let rec emit_scope buf name tree =
 
 (** Render the full change log as an IEEE-1364 VCD document.  Scopes nest
     following the [:]-separated hierarchical paths; two-valued enumerations
-    (BIT, BOOLEAN) are scalars, larger enumerations and integers dump as
-    binary vectors, reals as [r] changes.  The initial values appear in a
+    (BIT, BOOLEAN) are scalars, larger enumerations dump as binary
+    vectors, integers and physical values as 64-bit two's-complement
+    vectors, reals as [r] changes.  The initial values appear in a
     [$dumpvars] block at time 0; later times emit only actual changes. *)
 let to_vcd t ~timescale_fs =
   let buf = Buffer.create 1024 in

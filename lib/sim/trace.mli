@@ -25,6 +25,7 @@ val to_vcd : t -> timescale_fs:int -> string
 (** Render the change log as an IEEE-1364 VCD document (loadable by
     GTKWave).  Scopes nest following the [:]-separated hierarchical signal
     paths; two-valued enumerations (BIT, BOOLEAN) dump as scalars, larger
-    enumerations and integers as binary vectors, reals as [r] changes.
+    enumerations as binary vectors, integers and physical values as
+    64-bit two's-complement vectors, reals as [r] changes.
     Initial values appear in a [$dumpvars] block at time 0; later times
     emit only actual changes. *)

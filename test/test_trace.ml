@@ -147,7 +147,7 @@ let test_golden_vcd () =
         "$timescale 1 ps $end";
         "$scope module top $end";
         "$var wire 1 ! CLK $end";
-        "$var integer 32 # CNT $end";
+        "$var integer 64 # CNT $end";
         "$scope module U1 $end";
         "$var real 64 $ T $end";
         "$upscope $end";
@@ -156,18 +156,39 @@ let test_golden_vcd () =
         "#0";
         "$dumpvars";
         "0!";
-        "b00000000000000000000000000000000 #";
+        "b0000000000000000000000000000000000000000000000000000000000000000 #";
         "r0.5 $";
         "$end";
         "#1000";
         "1!";
-        "b00000000000000000000000000000101 #";
+        "b0000000000000000000000000000000000000000000000000000000000000101 #";
         "#3000";
         "r1.25 $";
         "";
       ]
   in
   Alcotest.(check string) "golden VCD" expected (Trace.to_vcd tr ~timescale_fs:1000)
+
+(* Integers and physical values dump as 64-bit two's complement: the sign
+   of an OCaml int (bit 62) fills bit 63 *)
+let test_negative_vcd () =
+  let tr = Trace.create () in
+  let i = mk_signal ~id:0 ~name:":top:I" ~ty:Std.integer ~init:(Value.Vint min_int) in
+  let t = mk_signal ~id:1 ~name:":top:T" ~ty:Std.time ~init:(Value.Vphys (-3)) in
+  Trace.watch tr ":top:I" i;
+  Trace.watch tr ":top:T" t;
+  fire i 1000 (Value.Vint (min_int + 1) (* INTEGER'LEFT *));
+  fire t 1000 (Value.Vphys (-1));
+  let vcd = parse_vcd (Trace.to_vcd tr ~timescale_fs:1000) in
+  Alcotest.(check (list int)) "widths" [ 64; 64 ]
+    (List.map (fun v -> v.vv_width) vcd.v_vars);
+  let bits s = "b" ^ s in
+  Alcotest.(check (list (pair string string))) "initial values"
+    [ ("!", bits ("11" ^ String.make 62 '0')); ("#", bits (String.make 62 '1' ^ "01")) ]
+    vcd.v_dumpvars;
+  Alcotest.(check (list string)) "INTEGER'LEFT and -1 fs"
+    [ bits ("11" ^ String.make 61 '0' ^ "1"); bits (String.make 64 '1') ]
+    (List.map (fun (_, _, tok) -> tok) vcd.v_changes)
 
 (* ------------------------------------------------------------------ *)
 (* Round trip on a real simulation *)
@@ -336,7 +357,7 @@ let test_enum_widths () =
   Alcotest.(check int) "5 literals need 3 bits" 3 state.vv_width;
   let dout = find_var vcd "DOUT" in
   Alcotest.(check string) "integer var type" "integer" dout.vv_type;
-  Alcotest.(check int) "integer width" 32 dout.vv_width
+  Alcotest.(check int) "integer width" 64 dout.vv_width
 
 let suite =
   [
@@ -344,4 +365,5 @@ let suite =
     Alcotest.test_case "round trip on a corpus simulation" `Quick test_roundtrip_corpus;
     Alcotest.test_case "enum and integer widths" `Quick test_enum_widths;
     Alcotest.test_case "kernel goldens" `Quick test_kernel_goldens;
+    Alcotest.test_case "negative integers and times" `Quick test_negative_vcd;
   ]
