@@ -11,20 +11,41 @@
 # compile it into a fresh library and simulate it at the top entity and
 # horizon its header names, writing a VCD; the VCD, the messages (stdout
 # and stderr) and the exit code must agree.  One line per disagreement,
-# then a summary; exit 1 on any disagreement, 2 on a usage error.
+# then a summary; exit 1 on any disagreement or when no design ran, 2 on
+# a usage error (a binary that is not executable, a malformed SEEDS or
+# SIZES).
 set -eu
 
-if [ $# -lt 2 ]; then
+usage() {
+  [ $# -eq 0 ] || echo "sim_diff: $*" >&2
   echo "usage: $0 PARENT_VHDLC CHANGE_VHDLC [SEEDS] [SIZES]" >&2
   exit 2
-fi
+}
+[ $# -ge 2 ] || usage
 abs() { case $1 in /*) echo "$1" ;; *) echo "$PWD/$1" ;; esac; }
 A=$(abs "$1")
 B=$(abs "$2")
 SEEDS=${3:-1-200}
 SIZES=$(echo "${4:-2 4 6}" | tr ',' ' ')
-FIRST=${SEEDS%-*}
+for bin in "$A" "$B"; do
+  [ -f "$bin" ] && [ -x "$bin" ] || usage "$bin is not an executable file"
+done
+FIRST=${SEEDS%%-*}
 LAST=${SEEDS#*-}
+case $SEEDS in
+  [0-9]*-[0-9]*) ;;
+  *) usage "SEEDS must be FIRST-LAST, not '$SEEDS'" ;;
+esac
+case $FIRST$LAST in
+  *[!0-9]*) usage "SEEDS must be FIRST-LAST, not '$SEEDS'" ;;
+esac
+[ "$FIRST" -le "$LAST" ] || usage "SEEDS $SEEDS is an empty range"
+[ -n "$(echo $SIZES)" ] || usage "SIZES is empty"
+for size in $SIZES; do
+  case $size in
+    *[!0-9]* | 0*) usage "SIZES must be positive integers, not '$size'" ;;
+  esac
+done
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 FUZZ=${VHDLFUZZ:-$ROOT/_build/default/bin/vhdlfuzz.exe}
@@ -70,4 +91,5 @@ for size in $SIZES; do
 done
 
 echo "sim_diff: $designs designs, $differ differ"
+[ "$designs" -gt 0 ] || { echo "sim_diff: no design ran" >&2; exit 1; }
 [ "$differ" -eq 0 ]
