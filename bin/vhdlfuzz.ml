@@ -235,7 +235,6 @@ let run_serve_chaos ~seed ~shots ~quiet =
           Serve_worker.default_config with
           Serve_worker.w_allow_faults = true;
           w_watchdog_grace_s = 0.3;
-          w_recycle_every = 64;
         };
       d_obs =
         {

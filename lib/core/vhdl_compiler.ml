@@ -46,9 +46,7 @@ type t = {
   work : Library.t;
   timer : Timer.t;
   strategy : strategy;
-  mutable budgets : Supervisor.budgets;
-      (* re-settable so a long-lived compiler (the serve daemon's warm
-         worker) can apply per-request limits; read at each compile start *)
+  budgets : Supervisor.budgets;
   provenance : Provenance.t option; (* attribute-dependency recorder *)
   mutable diagnostics : Diag.t list; (* newest first *)
   mutable last_report : Supervisor.unit_report list;
@@ -120,7 +118,6 @@ let work_library t = t.work
 let timer t = t.timer
 let strategy t = t.strategy
 let budgets t = t.budgets
-let set_budgets t budgets = t.budgets <- budgets
 let provenance t = t.provenance
 let diagnostics t = List.rev t.diagnostics
 let last_report t = t.last_report

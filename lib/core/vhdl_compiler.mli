@@ -53,12 +53,6 @@ val create :
 val strategy : t -> strategy
 val budgets : t -> Supervisor.budgets
 
-val set_budgets : t -> Supervisor.budgets -> unit
-(** Replace the resource budgets.  They are read at the start of each
-    [compile] / [elaborate] / [run], so a long-lived compiler — the serve
-    daemon's warm worker — can apply per-request limits without rebuilding
-    its working library. *)
-
 val provenance : t -> Provenance.t option
 (** The recorder passed at [create], if any. *)
 

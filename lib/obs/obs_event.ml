@@ -20,9 +20,11 @@
     - a frame that never became a request (client vanished mid-frame)
       is a [reject].
 
-    [recycle], [drain], [breach], [dump] and [flush] are daemon-level
-    events; they carry a request id only when one is implicated (the
-    request whose escape tripped the firewall, for instance).
+    [drain], [breach], [dump] and [flush] are daemon-level events; they
+    carry a request id only when one is implicated (the request whose
+    escape tripped the firewall, for instance).  [recycle] is decoded but
+    never written: earlier daemons logged it when they replaced their
+    warm worker, and their logs still analyze.
 
     Encoding is one flat JSON object per line —
     [{"ts":1.042,"ev":"finish","rid":7,"status":"ok",...}] — readable by
@@ -39,7 +41,7 @@ type kind =
   | Start (* response computation begins *)
   | Finish (* response delivered (or the client was gone) *)
   | Reject (* frame never became a request; no response was owed *)
-  | Recycle (* the warm worker was replaced *)
+  | Recycle (* read only: logs of earlier daemons, which replaced a warm worker *)
   | Drain (* lifecycle: drain begins / daemon stopped *)
   | Breach (* a rolling SLO objective was violated *)
   | Heap_breach (* the heap-health watchdog detected sustained growth *)

@@ -156,7 +156,7 @@ let status_exit_code = function
 type response = {
   rs_status : status;
   rs_retry_after_s : float option; (* Overload: when to try again *)
-  rs_wedged : bool; (* Timeout: the watchdog fired, worker recycled *)
+  rs_wedged : bool; (* Timeout: the watchdog broke the request *)
   rs_request_id : int option; (* the daemon's id for this request *)
   rs_body : string;
 }

@@ -96,7 +96,7 @@ val status_exit_code : status -> int
 type response = {
   rs_status : status;
   rs_retry_after_s : float option;
-  rs_wedged : bool; (* the watchdog fired; the worker was recycled *)
+  rs_wedged : bool; (* the watchdog fired and broke the request *)
   rs_request_id : int option; (* the daemon's id: correlates the response
                                  with event-log lines and trace spans *)
   rs_body : string;

@@ -1,4 +1,4 @@
-(** The daemon's warm worker: one long-lived compiler servicing requests
+(** The daemon's worker: every request compiles with a fresh compiler,
     behind a request-level firewall and an out-of-band watchdog.
 
     The worker is where "one bad request must never take the process down"
@@ -14,28 +14,26 @@
     - a SIGALRM watchdog covers the escapes budgets cannot: code wedged
       outside the evaluator's tick hook (an injected spin, a pathological
       loop).  When it fires, the in-flight request is answered [timeout
-      wedged=1] and the worker state is recycled, because a computation
-      interrupted at an arbitrary safepoint may have left the warm state
-      inconsistent;
-    - the warm compiler is recycled every [recycle_every] requests anyway,
-      bounding diagnostic and library growth over a long-lived process.
+      wedged=1].
 
-    Warmth is the point of the daemon: the LALR tables and both attribute
-    grammars are process-global and stay hot across requests, and the working library persists between requests of
-    the same worker generation. *)
+    A request is a function of its source and the reference libraries
+    only, as a one-shot compile is: its compiler has an empty in-memory
+    WORK library over freshly opened [--ref] libraries, and is dropped with
+    the response.  A request interrupted at an arbitrary safepoint
+    therefore leaves nothing behind for the next one.  What stays warm is
+    process-global and read-only: the LALR tables, both attribute grammars
+    and the evaluation plan. *)
 
 module Tm = Vhdl_telemetry.Telemetry
 
 let m_faults_contained = Tm.counter "serve.faults_contained"
 let m_timeouts = Tm.counter "serve.timeouts"
 let m_wedges = Tm.counter "serve.wedges"
-let m_recycles = Tm.counter "serve.worker_recycles"
 
 type config = {
   w_default_deadline_s : float; (* when the request names none *)
   w_watchdog_grace_s : float; (* watchdog = deadline + grace *)
   w_allow_faults : bool; (* honor poison= / spin_ms= / hog_kb= request fields *)
-  w_recycle_every : int; (* fresh compiler every N requests *)
   w_budgets : Supervisor.budgets; (* base limits under request overrides *)
   w_ref_libs : (string * string) list; (* reference libraries (name, dir) *)
 }
@@ -45,16 +43,13 @@ let default_config =
     w_default_deadline_s = 10.0;
     w_watchdog_grace_s = 2.0;
     w_allow_faults = false;
-    w_recycle_every = 256;
     w_budgets = Supervisor.no_budgets;
     w_ref_libs = [];
   }
 
 type t = {
   cfg : config;
-  mutable compiler : Vhdl_compiler.t;
   mutable served : int; (* requests handled by this worker *)
-  mutable generation : int; (* bumped by every recycle *)
   mutable last_phases : (string * float) list;
       (* per-phase self-time (seconds) of the last handled request *)
   mutable last_allocs : (string * float) list;
@@ -65,8 +60,8 @@ type t = {
          leak the heap-health watchdog must catch *)
 }
 
-let fresh_compiler cfg =
-  let c = Vhdl_compiler.create ~budgets:cfg.w_budgets () in
+let fresh_compiler cfg budgets =
+  let c = Vhdl_compiler.create ~budgets () in
   List.iter
     (fun (name, dir) -> Vhdl_compiler.add_reference_library c ~name ~dir)
     cfg.w_ref_libs;
@@ -78,29 +73,17 @@ let create cfg =
   Vhdl_compiler.load_generated ();
   {
     cfg;
-    compiler = fresh_compiler cfg;
     served = 0;
-    generation = 0;
     last_phases = [];
     last_allocs = [];
     last_alloc_w = 0.0;
     hog = [];
   }
 
-let generation t = t.generation
 let served t = t.served
 let last_phases t = t.last_phases
 let last_allocs t = t.last_allocs
 let last_alloc_w t = t.last_alloc_w
-
-(** Replace the warm compiler — after a wedge or an unclassified escape
-    (the interrupted state may be inconsistent), and periodically to bound
-    accumulated diagnostics and library growth. *)
-let recycle t =
-  t.compiler <- fresh_compiler t.cfg;
-  t.generation <- t.generation + 1;
-  t.hog <- []; (* a fresh worker drops the planted leak with the rest *)
-  Tm.incr m_recycles
 
 (* ------------------------------------------------------------------ *)
 (* Watchdog: an out-of-band interval timer that breaks wedged requests.
@@ -172,22 +155,14 @@ let status_of_diags diags : Serve_protocol.status =
   else if Diag.has_errors diags then Serve_protocol.Error_
   else Serve_protocol.Ok_
 
-(* diagnostics accumulated on the warm compiler by THIS request only *)
-let diags_delta c ~before =
-  let all = Vhdl_compiler.diagnostics c in
-  let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t in
-  drop before all
-
-let run_compile t (rq : Serve_protocol.request) : Serve_protocol.response =
-  let c = t.compiler in
-  let before = List.length (Vhdl_compiler.diagnostics c) in
+let run_compile c (rq : Serve_protocol.request) : Serve_protocol.response =
   let units =
     try Vhdl_compiler.compile ~fail_on_error:false c rq.Serve_protocol.rq_source
     with Vhdl_compiler.Compile_error _ ->
       (* nothing parsed: the diagnostics carry the reason *)
       []
   in
-  let diags = diags_delta c ~before in
+  let diags = Vhdl_compiler.diagnostics c in
   let buf = Buffer.create 256 in
   List.iter
     (fun u -> Buffer.add_string buf (Printf.sprintf "compiled %s\n" u.Unit_info.u_key))
@@ -202,20 +177,18 @@ let run_compile t (rq : Serve_protocol.request) : Serve_protocol.response =
     (Vhdl_compiler.last_report c);
   Serve_protocol.response (status_of_diags diags) ~body:(Buffer.contents buf)
 
-let run_simulate t (rq : Serve_protocol.request) : Serve_protocol.response =
-  let c = t.compiler in
-  let before = List.length (Vhdl_compiler.diagnostics c) in
+let run_simulate c (rq : Serve_protocol.request) : Serve_protocol.response =
   let compile_ok =
     if rq.Serve_protocol.rq_source = "" then true
     else
       match Vhdl_compiler.compile ~fail_on_error:false c rq.Serve_protocol.rq_source with
-      | _ -> not (Diag.has_errors (diags_delta c ~before))
+      | _ -> not (Diag.has_errors (Vhdl_compiler.diagnostics c))
       | exception Vhdl_compiler.Compile_error _ -> false
   in
   let buf = Buffer.create 256 in
   if not compile_ok then begin
-    pp_diag_lines buf (diags_delta c ~before);
-    Serve_protocol.response (status_of_diags (diags_delta c ~before))
+    pp_diag_lines buf (Vhdl_compiler.diagnostics c);
+    Serve_protocol.response (status_of_diags (Vhdl_compiler.diagnostics c))
       ~body:(Buffer.contents buf)
   end
   else
@@ -246,8 +219,8 @@ let run_simulate t (rq : Serve_protocol.request) : Serve_protocol.response =
              | Kernel.Fuel_exhausted -> "fuel-exhausted")
              (Rt.format_time (Kernel.now (Vhdl_compiler.kernel sim)))
              st.Kernel.delta_cycles st.Kernel.events);
-        pp_diag_lines buf (diags_delta c ~before);
-        Serve_protocol.response (status_of_diags (diags_delta c ~before))
+        pp_diag_lines buf (Vhdl_compiler.diagnostics c);
+        Serve_protocol.response (status_of_diags (Vhdl_compiler.diagnostics c))
           ~body:(Buffer.contents buf)
       | exception Vhdl_compiler.Compile_error ds ->
         (* elaboration ran under the supervisor firewall: budget and
@@ -269,11 +242,11 @@ let spin_for ms =
     ignore (Sys.opaque_identity (ref 0))
   done
 
-let run_verb t (rq : Serve_protocol.request) : Serve_protocol.response =
+let run_verb c (rq : Serve_protocol.request) : Serve_protocol.response =
   match rq.Serve_protocol.rq_verb with
   | Serve_protocol.Ping -> Serve_protocol.response Serve_protocol.Ok_ ~body:"pong\n"
-  | Serve_protocol.Compile -> run_compile t rq
-  | Serve_protocol.Simulate -> run_simulate t rq
+  | Serve_protocol.Compile -> run_compile c rq
+  | Serve_protocol.Simulate -> run_simulate c rq
   | Serve_protocol.Stats | Serve_protocol.Slo | Serve_protocol.Shutdown ->
     (* daemon-level verbs; reaching the worker is a dispatch bug upstream *)
     Serve_protocol.response Serve_protocol.Bad_request
@@ -281,29 +254,11 @@ let run_verb t (rq : Serve_protocol.request) : Serve_protocol.response =
 
 (** Handle one admitted request.  Total: always returns a response, never
     raises (fatal conditions like [Out_of_memory] excepted). *)
-(* this request's phase self-times: the compiler's (cumulative) phase
-   timer diffed around the request.  The timer OBJECT is captured before
-   the work so a mid-request recycle — which swaps in a fresh compiler
-   and fresh timer — still diffs against the timer the request actually
-   charged. *)
-let phase_delta ~before ~after =
-  List.filter_map
-    (fun (name, total) ->
-      let prior =
-        Option.value (List.assoc_opt name before) ~default:0.0
-      in
-      let d = total -. prior in
-      if d > 0.0 then Some (name, d) else None)
-    after
-
 let handle t (rq : Serve_protocol.request) : Serve_protocol.response =
   t.served <- t.served + 1;
-  let timer0 = Vhdl_compiler.timer t.compiler in
-  let phases_before = Vhdl_util.Phase_timer.report timer0 in
-  let allocs_before = Vhdl_util.Phase_timer.report_alloc timer0 in
   let aw0 = Tm.allocated_words_now () in
   let deadline_s = effective_deadline t.cfg rq in
-  Vhdl_compiler.set_budgets t.compiler (request_budgets t.cfg rq ~deadline_s);
+  let c = fresh_compiler t.cfg (request_budgets t.cfg rq ~deadline_s) in
   let fault_denied =
     (not t.cfg.w_allow_faults)
     && (rq.Serve_protocol.rq_poison <> None
@@ -323,42 +278,35 @@ let handle t (rq : Serve_protocol.request) : Serve_protocol.response =
             if rq.Serve_protocol.rq_hog_kb > 0 then
               t.hog <- Bytes.create (rq.Serve_protocol.rq_hog_kb * 1024) :: t.hog;
             match rq.Serve_protocol.rq_poison with
-            | Some key -> Difftest_fault.with_poison key (fun () -> run_verb t rq)
-            | None -> run_verb t rq)
+            | Some key -> Difftest_fault.with_poison key (fun () -> run_verb c rq)
+            | None -> run_verb c rq)
       with
       | resp -> resp
       | exception Wedged { after_s } ->
-        (* the watchdog broke a wedged request: answer it, then recycle —
-           state interrupted at an arbitrary safepoint is not trusted *)
+        (* the watchdog broke a wedged request: its compiler goes with
+           the response, so no interrupted state outlives it *)
         Tm.incr m_wedges;
-        recycle t;
         Serve_protocol.response Serve_protocol.Timeout ~wedged:true
           ~body:
             (Printf.sprintf
                "diag [budget:serve] request wedged: watchdog fired after %.3fs \
-                (deadline %.3fs + grace); worker recycled\n"
+                (deadline %.3fs + grace)\n"
                after_s deadline_s)
       | exception Out_of_memory -> raise Out_of_memory
       | exception Sys.Break -> raise Sys.Break
       | exception exn ->
         (* the request-level firewall: wider than the per-unit supervisor —
            whatever escaped, the daemon answers and keeps serving *)
-        recycle t;
         Serve_protocol.response Serve_protocol.Internal
           ~body:
-            (Printf.sprintf "diag [internal:serve] request firewall: %s; worker recycled\n"
+            (Printf.sprintf "diag [internal:serve] request firewall: %s\n"
                (Printexc.to_string exn))
   in
-  t.last_phases <-
-    phase_delta ~before:phases_before
-      ~after:(Vhdl_util.Phase_timer.report timer0);
-  t.last_allocs <-
-    phase_delta ~before:allocs_before
-      ~after:(Vhdl_util.Phase_timer.report_alloc timer0);
+  t.last_phases <- Vhdl_util.Phase_timer.report (Vhdl_compiler.timer c);
+  t.last_allocs <- Vhdl_util.Phase_timer.report_alloc (Vhdl_compiler.timer c);
   t.last_alloc_w <- Float.max 0.0 (Tm.allocated_words_now () -. aw0);
   (match resp.Serve_protocol.rs_status with
   | Serve_protocol.Internal -> Tm.incr m_faults_contained
   | Serve_protocol.Timeout -> Tm.incr m_timeouts
   | _ -> ());
-  if t.cfg.w_recycle_every > 0 && t.served mod t.cfg.w_recycle_every = 0 then recycle t;
   resp

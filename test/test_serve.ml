@@ -197,9 +197,8 @@ let test_worker_faults_gated () =
   Alcotest.(check bool) "poison rejected without --allow-faults" true
     (r.P.rs_status = P.Bad_request)
 
-let test_watchdog_recycles_wedged_worker () =
+let test_watchdog_breaks_wedged_request () =
   let w = Serve_worker.create worker_cfg in
-  let gen0 = Serve_worker.generation w in
   (* spins far past deadline+grace: only the watchdog can end it *)
   let t0 = Vhdl_util.Unix_compat.now () in
   let r =
@@ -212,9 +211,24 @@ let test_watchdog_recycles_wedged_worker () =
   Alcotest.(check bool)
     (Printf.sprintf "broken promptly (%.2fs), not after the 5s spin" elapsed)
     true (elapsed < 2.0);
-  Alcotest.(check bool) "worker recycled" true (Serve_worker.generation w > gen0);
-  let r2 = Serve_worker.handle w (P.request P.Ping) in
-  Alcotest.(check bool) "worker answers after recycle" true (r2.P.rs_status = P.Ok_)
+  let r2 = Serve_worker.handle w (P.request P.Compile ~source:"entity w is end w;\n") in
+  Alcotest.(check bool) "the next request compiles" true (r2.P.rs_status = P.Ok_)
+
+(* a request sees only its own units: a package compiled by an earlier
+   request is not in the next one's WORK, as with one-shot compiles into
+   fresh work directories *)
+let test_worker_request_scoped_work () =
+  let w = Serve_worker.create worker_cfg in
+  let compile source = Serve_worker.handle w (P.request P.Compile ~source) in
+  let user = "use work.hp.all;\nentity he is end he;\n" in
+  Alcotest.(check bool) "unknown package" true ((compile user).P.rs_status = P.Error_);
+  Alcotest.(check bool) "package compiles" true
+    ((compile "package hp is\n  constant k : integer := 3;\nend hp;\n").P.rs_status = P.Ok_);
+  Alcotest.(check bool) "still unknown to the next request" true
+    ((compile user).P.rs_status = P.Error_);
+  Alcotest.(check bool) "both in one request" true
+    ((compile ("package hp is\n  constant k : integer := 3;\nend hp;\n" ^ user)).P.rs_status
+    = P.Ok_)
 
 let test_watchdog_disarms () =
   (* after a protected region completes in time, no stray alarm may fire *)
@@ -273,8 +287,6 @@ let test_daemon_socket_roundtrip () =
       Alcotest.(check bool) "ok" true (r.P.rs_status = P.Ok_);
       Alcotest.(check bool) "compiled key in body" true
         (Astring_contains.contains r.P.rs_body "entity:D");
-      (* the warm library persists across requests: simulate what the
-         previous request compiled *)
       let r2 = tick_roundtrip socket d (P.request P.Ping) in
       Alcotest.(check bool) "ping ok" true (r2.P.rs_status = P.Ok_))
 
@@ -304,11 +316,11 @@ let test_daemon_stats_text_matches_json () =
             true
             (List.mem (Printf.sprintf "ledger.%s %d" name want) text_lines))
         ledger;
-      Alcotest.(check int) "every ledger counter compared" 16 (List.length ledger);
+      Alcotest.(check int) "every ledger counter compared" 15 (List.length ledger);
       List.iter
         (fun line ->
           Alcotest.(check bool) ("text has " ^ line) true (List.mem line text_lines))
-        [ "queue.depth 0"; "worker.generation 0"; "worker.served 1"; "draining false" ])
+        [ "queue.depth 0"; "worker.served 1"; "draining false" ])
 
 let test_daemon_sheds_when_full () =
   with_daemon ~queue:1 (fun socket d ->
@@ -489,16 +501,17 @@ let test_daemon_simulation_error_is_user_error () =
       let stats () =
         String.split_on_char '\n' (tick_roundtrip socket d (P.request P.Stats)).P.rs_body
       in
-      let faults () =
-        List.find (String.starts_with ~prefix:"ledger.serve.faults_contained ") (stats ())
+      let ledger name =
+        List.find (String.starts_with ~prefix:("ledger.serve." ^ name ^ " ")) (stats ())
       in
-      let faults_before = faults () in
+      let faults_before = ledger "faults_contained" in
+      let timeouts_before = ledger "timeouts" in
       let r = tick_roundtrip socket d (P.request P.Simulate ~top:"dz" ~max_ns:10 ~source) in
       Alcotest.(check bool) "error status" true (r.P.rs_status = P.Error_);
       Alcotest.(check bool) "names the error" true
         (Astring_contains.contains r.P.rs_body "simulation error at 0 ns: division by zero");
-      Alcotest.(check string) "no fault contained" faults_before (faults ());
-      Alcotest.(check bool) "worker not recycled" true (List.mem "worker.generation 0" (stats ())))
+      Alcotest.(check string) "no fault contained" faults_before (ledger "faults_contained");
+      Alcotest.(check string) "no timeout" timeouts_before (ledger "timeouts"))
 
 let suite =
   [
@@ -521,8 +534,8 @@ let suite =
     Alcotest.test_case "worker: poison contained, worker survives" `Quick
       test_worker_poison_contained;
     Alcotest.test_case "worker: fault fields gated" `Quick test_worker_faults_gated;
-    Alcotest.test_case "watchdog breaks and recycles a wedged worker" `Quick
-      test_watchdog_recycles_wedged_worker;
+    Alcotest.test_case "watchdog breaks a wedged request" `Quick
+      test_watchdog_breaks_wedged_request;
     Alcotest.test_case "watchdog disarms cleanly" `Quick test_watchdog_disarms;
     Alcotest.test_case "daemon: socket round-trip" `Quick test_daemon_socket_roundtrip;
     Alcotest.test_case "daemon: text stats are the JSON document flattened" `Quick
@@ -539,4 +552,6 @@ let suite =
       test_daemon_periodic_metrics_flush;
     Alcotest.test_case "daemon: a simulation error is the user's" `Quick
       test_daemon_simulation_error_is_user_error;
+    Alcotest.test_case "worker: each request has its own WORK" `Quick
+      test_worker_request_scoped_work;
   ]
