@@ -120,6 +120,33 @@ let ids_in_order v = List.rev (as_ids v)
 let lefs_in_order v = List.rev (as_lefs v)
 let ifaces_in_order v = List.rev (as_ifaces v)
 
+(* [env] with a generic clause's generics at their flat slot positions:
+   the environment of the port clause and the declarations that follow
+   it.  The generic clause itself is analyzed without them: a generic
+   may not be named in the interface list that declares it (LRM
+   4.3.3.1). *)
+let generics_env env generics =
+  let binds, _ =
+    List.fold_left
+      (fun (acc, idx) i ->
+        List.fold_left
+          (fun (acc, idx) (n, _) ->
+            ( ( n,
+                Denot.Dobject
+                  {
+                    name = n;
+                    cls = Denot.Cconstant;
+                    ty = i.if_ty;
+                    mode = None;
+                    slot = Denot.Sl_generic idx;
+                  } )
+              :: acc,
+              idx + 1 ))
+          (acc, idx) i.if_names)
+      ([], 0) (ifaces_in_order generics)
+  in
+  Env.extend_many env (List.rev binds)
+
 (* LINE1 of a declaration: the line of its first token, where the
    homograph check reports a redeclaration *)
 let first_line : Pval.t B.rule_spec = copy ~target:(0, "LINE1") ~from:(1, "LINE")

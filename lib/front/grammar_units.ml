@@ -89,9 +89,9 @@ let add b =
          4
       @ std_ctx_rules
           ~env_rule:
-            ( [ (0, "CTXOUT") ],
+            ( [ (0, "CTXOUT"); (4, "IFACES") ],
               function
-              | [ ctxout ] -> Env (unit_env ctxout)
+              | [ ctxout; generics ] -> Env (generics_env (unit_env ctxout) generics)
               | _ -> internal "entity env2" )
           ~ctx:"entity"
           ~unitname_deps:[ (2, "VAL") ]
@@ -106,29 +106,7 @@ let add b =
           rule ~target:(6, "ENV")
             ~deps:[ (0, "CTXOUT"); (4, "IFACES") ]
             (function
-              | [ ctxout; generics ] ->
-                (* generics are visible to the entity's declarations, at
-                   their flat slot positions *)
-                let binds, _ =
-                  List.fold_left
-                    (fun (acc, idx) i ->
-                      List.fold_left
-                        (fun (acc, idx) (n, _) ->
-                          ( ( n,
-                              Denot.Dobject
-                                {
-                                  name = n;
-                                  cls = Denot.Cconstant;
-                                  ty = i.if_ty;
-                                  mode = None;
-                                  slot = Denot.Sl_generic idx;
-                                } )
-                            :: acc,
-                            idx + 1 ))
-                        (acc, idx) i.if_names)
-                    ([], 0) (ifaces_in_order generics)
-                in
-                Env (Env.extend_many (unit_env ctxout) (List.rev binds))
+              | [ ctxout; generics ] -> Env (generics_env (unit_env ctxout) generics)
               | _ -> internal "entity decl env");
           rule ~target:(6, "CTX") ~deps:[] (fun _ -> Str "entity");
           rule ~target:(6, "UNITNAME") ~deps:[ (2, "VAL") ] (function

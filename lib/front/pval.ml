@@ -164,6 +164,7 @@ type iface = {
   if_ty : Types.t;
   if_resolution : Denot.subprog_sig option;
   if_default : Kir.expr option;
+  if_default_msgs : Diag.t list; (* diagnostics of the default expression *)
   if_bus : bool;
 }
 
