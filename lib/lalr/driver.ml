@@ -7,11 +7,12 @@
     the trivial list scanner of the cascaded expression evaluator — the
     paper's [scanner(){ X = car(L); L = cdr(L); return X; }]).
 
-    Two entry points share the automaton loop: {!parse} stops at the first
-    error (the cascade's LEF re-parse wants that — a malformed expression is
-    a single diagnostic), while {!parse_recovering} performs phrase-level
-    panic-mode recovery so one source file yields all of its syntax errors
-    in a single run and the well-formed design units survive. *)
+    Two entry points share one automaton loop and differ in what they do
+    on an error: {!parse} raises at the first (the cascade's LEF re-parse
+    wants that — a malformed expression is a single diagnostic), while
+    {!parse_recovering} performs phrase-level panic-mode recovery so one
+    source file yields all of its syntax errors in a single run and the
+    well-formed design units survive. *)
 
 type 'v token = {
   t_sym : int;
@@ -56,80 +57,105 @@ exception
    where the nesting became unreasonable. *)
 let default_max_depth = 5_000
 
-let too_deep line max_depth =
-  Syntax_error
-    {
-      line;
-      found = Printf.sprintf "nesting deeper than %d levels" max_depth;
-      expected = [];
-    }
+(* The automaton's state: the parse stack (states and semantic values,
+   newest first, with its depth), the lookahead, the shifts since the last
+   recovery, and the stack as the last checkpoint reduce left it. *)
+type ('v, 'n) machine = {
+  mutable states : int list;
+  mutable values : 'n list;
+  mutable depth : int;
+  mutable lookahead : 'v token;
+  mutable shifts : int;
+  mutable saved : int list * 'n list * int;
+}
 
-let parse ?(max_depth = default_max_depth) (tbl : Table.t)
-    ~(lexer : unit -> 'v token) ~(shift : int -> 'v -> int -> 'n)
-    ~(reduce : int -> 'n list -> 'n) : 'n =
+(* The automaton loop of both entry points.  On an error action, and on a
+   shift past [max_depth], it calls [fail m ~line ~found ~expected]: that
+   raises (parse), or repairs [m] and returns whether to go on
+   (parse_recovering).  The root is returned when the input is accepted
+   with one value on the stack. *)
+let run ~max_depth (tbl : Table.t) ~(lexer : unit -> 'v token)
+    ~(shift : int -> 'v -> int -> 'n) ~(reduce : int -> 'n list -> 'n)
+    ~(checkpoint : int -> bool) ~fail : 'n option =
   let cfg = tbl.Table.cfg in
   let probe = conflict_probe tbl in
-  let states = ref [ 0 ] in
-  let depth = ref 1 in
-  let values : 'n list ref = ref [] in
-  let lookahead = ref (lexer ()) in
-  let rec loop () =
-    let state = List.hd !states in
-    let tok = !lookahead in
+  let m =
+    {
+      states = [ 0 ];
+      values = [];
+      depth = 1;
+      lookahead = lexer ();
+      shifts = max_int; (* the start counts as progress *)
+      saved = ([ 0 ], [], 1);
+    }
+  in
+  let result = ref None in
+  let running = ref true in
+  while !running do
+    let state = List.hd m.states in
+    let tok = m.lookahead in
     (match probe with Some p -> p state tok.t_sym | None -> ());
     match tbl.Table.action.(state).(tok.t_sym) with
     | Table.Shift st' ->
-      if !depth >= max_depth then raise (too_deep tok.t_line max_depth);
-      Tm.incr m_shifts;
-      states := st' :: !states;
-      incr depth;
-      values := shift tok.t_sym tok.t_value tok.t_line :: !values;
-      lookahead := lexer ();
-      loop ()
+      if m.depth >= max_depth then begin
+        Tm.incr m_errors;
+        running :=
+          fail m ~line:tok.t_line
+            ~found:(Printf.sprintf "nesting deeper than %d levels" max_depth)
+            ~expected:[]
+      end
+      else begin
+        Tm.incr m_shifts;
+        m.states <- st' :: m.states;
+        m.depth <- m.depth + 1;
+        m.values <- shift tok.t_sym tok.t_value tok.t_line :: m.values;
+        if m.shifts < max_int then m.shifts <- m.shifts + 1;
+        m.lookahead <- lexer ()
+      end
     | Table.Reduce prod_id ->
       Tm.incr m_reduces;
       let p = Cfg.production cfg prod_id in
-      let arity = Array.length p.Cfg.rhs in
       (* pop [arity] states and values; children come out in source order *)
-      let pop_n n =
-        let children = ref [] in
-        for _ = 1 to n do
-          (match !values with
-          | v :: vs ->
-            children := v :: !children;
-            values := vs
-          | [] -> assert false);
-          match !states with
-          | _ :: sts -> states := sts
-          | [] -> assert false
-        done;
-        !children
-      in
-      let children = pop_n arity in
-      depth := !depth - arity;
-      let node = reduce prod_id children in
-      let state' = List.hd !states in
-      let goto = tbl.Table.goto.(state').(p.Cfg.lhs) in
+      let children = ref [] in
+      for _ = 1 to Array.length p.Cfg.rhs do
+        (match m.values with
+        | v :: vs ->
+          children := v :: !children;
+          m.values <- vs
+        | [] -> assert false);
+        match m.states with
+        | _ :: sts -> m.states <- sts
+        | [] -> assert false
+      done;
+      m.depth <- m.depth - Array.length p.Cfg.rhs;
+      let node = reduce prod_id !children in
+      let goto = tbl.Table.goto.(List.hd m.states).(p.Cfg.lhs) in
       if goto < 0 then assert false;
-      states := goto :: !states;
-      incr depth;
-      values := node :: !values;
-      loop ()
-    | Table.Accept -> (
-      match !values with
-      | [ v ] -> v
-      | _ -> assert false)
+      m.states <- goto :: m.states;
+      m.depth <- m.depth + 1;
+      m.values <- node :: m.values;
+      if checkpoint prod_id then m.saved <- (m.states, m.values, m.depth)
+    | Table.Accept ->
+      (match m.values with
+      | [ v ] -> result := Some v
+      | _ -> ());
+      running := false
     | Table.Error ->
       Tm.incr m_errors;
-      raise
-        (Syntax_error
-           {
-             line = tok.t_line;
-             found = cfg.Cfg.symbol_name tok.t_sym;
-             expected = Table.expected_terminals tbl state;
-           })
-  in
-  loop ()
+      running :=
+        fail m ~line:tok.t_line ~found:(cfg.Cfg.symbol_name tok.t_sym)
+          ~expected:(Table.expected_terminals tbl state)
+  done;
+  !result
+
+let parse ?(max_depth = default_max_depth) tbl ~lexer ~shift ~reduce =
+  match
+    run ~max_depth tbl ~lexer ~shift ~reduce
+      ~checkpoint:(fun _ -> false)
+      ~fail:(fun _ ~line ~found ~expected -> raise (Syntax_error { line; found; expected }))
+  with
+  | Some v -> v
+  | None -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Panic-mode error recovery *)
@@ -177,36 +203,20 @@ let parse_recovering ?(max_errors = default_max_errors)
     ~(lexer : unit -> 'v token) ~eof ~(shift : int -> 'v -> int -> 'n)
     ~(reduce : int -> 'n list -> 'n) ~(checkpoint : int -> bool)
     ~(classify : int -> sync_class) : 'n recovery =
-  let cfg = tbl.Table.cfg in
-  let probe = conflict_probe tbl in
-  let states = ref [ 0 ] in
-  let depth = ref 1 in
-  let values : 'n list ref = ref [] in
-  let saved = ref ([ 0 ], [], 1) in
   let errors = ref [] in (* newest first *)
-  let shifts_since_recovery = ref max_int in (* start counts as progress *)
-  let lookahead = ref (lexer ()) in
-  let result = ref None in
   let eof_salvage_tried = ref false in
-  let running = ref true in
-  let record line found expected =
-    if !shifts_since_recovery > 0 then
-      errors :=
-        { e_line = line; e_found = found; e_expected = expected; e_skipped = 0 }
-        :: !errors
-  in
   let add_skipped n =
     match !errors with
     | e :: rest when n > 0 -> errors := { e with e_skipped = e.e_skipped + n } :: rest
     | _ -> ()
   in
   (* discard the offending token, then scan to a synchronizing point *)
-  let skip_to_sync () =
+  let skip_to_sync m =
     let skipped = ref 0 in
     let seen_end = ref false in
     let stop = ref false in
     while not !stop do
-      let tok = !lookahead in
+      let tok = m.lookahead in
       if tok.t_sym = eof then stop := true
       else if !skipped > 0 && classify tok.t_sym = Sync_start then stop := true
       else begin
@@ -215,89 +225,39 @@ let parse_recovering ?(max_errors = default_max_errors)
         | Sync_end -> seen_end := true
         | Sync_semi -> if !seen_end then stop := true
         | Sync_start | Sync_other -> ());
-        lookahead := lexer ()
+        m.lookahead <- lexer ()
       end
     done;
     Tm.add m_skipped !skipped;
     add_skipped !skipped
   in
-  let recover line found expected =
-    let progressed = !shifts_since_recovery > 0 in
-    Tm.incr m_errors;
+  (* record the error unless it cascades from the last recovery, restore
+     the checkpoint, and resynchronize; false stops the parse *)
+  let recover m ~line ~found ~expected =
+    let progressed = m.shifts > 0 in
     Tm.incr m_resyncs;
-    record line found expected;
-    if List.length !errors >= max_errors then running := false
+    if progressed then
+      errors := { e_line = line; e_found = found; e_expected = expected; e_skipped = 0 } :: !errors;
+    if List.length !errors >= max_errors then false
     else begin
-      let ss, vs, d = !saved in
-      states := ss;
-      values := vs;
-      depth := d;
-      shifts_since_recovery := 0;
-      let tok = !lookahead in
+      let ss, vs, d = m.saved in
+      m.states <- ss;
+      m.values <- vs;
+      m.depth <- d;
+      m.shifts <- 0;
+      let tok = m.lookahead in
       if tok.t_sym = eof then begin
         (* final salvage: try to accept what we have, exactly once *)
-        if !eof_salvage_tried then running := false
-        else eof_salvage_tried := true
+        let again = not !eof_salvage_tried in
+        eof_salvage_tried := true;
+        again
       end
-      else if progressed && classify tok.t_sym = Sync_start then
+      else begin
         (* already standing on a fresh unit starter: retry it as-is *)
-        ()
-      else skip_to_sync ()
+        if not (progressed && classify tok.t_sym = Sync_start) then skip_to_sync m;
+        true
+      end
     end
   in
-  while !running do
-    let state = List.hd !states in
-    let tok = !lookahead in
-    (match probe with Some p -> p state tok.t_sym | None -> ());
-    match tbl.Table.action.(state).(tok.t_sym) with
-    | Table.Shift st' ->
-      if !depth >= max_depth then
-        recover tok.t_line
-          (Printf.sprintf "nesting deeper than %d levels" max_depth)
-          []
-      else begin
-        Tm.incr m_shifts;
-        states := st' :: !states;
-        incr depth;
-        values := shift tok.t_sym tok.t_value tok.t_line :: !values;
-        if !shifts_since_recovery < max_int then incr shifts_since_recovery;
-        lookahead := lexer ()
-      end
-    | Table.Reduce prod_id ->
-      Tm.incr m_reduces;
-      let p = Cfg.production cfg prod_id in
-      let arity = Array.length p.Cfg.rhs in
-      let pop_n n =
-        let children = ref [] in
-        for _ = 1 to n do
-          (match !values with
-          | v :: vs ->
-            children := v :: !children;
-            values := vs
-          | [] -> assert false);
-          match !states with
-          | _ :: sts -> states := sts
-          | [] -> assert false
-        done;
-        !children
-      in
-      let children = pop_n arity in
-      depth := !depth - arity;
-      let node = reduce prod_id children in
-      let state' = List.hd !states in
-      let goto = tbl.Table.goto.(state').(p.Cfg.lhs) in
-      if goto < 0 then assert false;
-      states := goto :: !states;
-      incr depth;
-      values := node :: !values;
-      if checkpoint prod_id then saved := (!states, !values, !depth)
-    | Table.Accept ->
-      (match !values with
-      | [ v ] -> result := Some v
-      | _ -> ());
-      running := false
-    | Table.Error ->
-      recover tok.t_line (cfg.Cfg.symbol_name tok.t_sym)
-        (Table.expected_terminals tbl state)
-  done;
-  { r_root = !result; r_errors = List.rev !errors }
+  let root = run ~max_depth tbl ~lexer ~shift ~reduce ~checkpoint ~fail:recover in
+  { r_root = root; r_errors = List.rev !errors }
