@@ -48,6 +48,7 @@ type t = {
   mutable step_fuel : int option; (* process resumptions per instant *)
   mutable steps_this_instant : int;
   mutable stopped : bool;
+  mutable sample_draw : int; (* xorshift state of the sim.exec_ns sample *)
 }
 
 exception Failure_severity of { time : Rt.time; msg : string }
@@ -77,6 +78,7 @@ let create ?(delta_limit = 5000) ?step_fuel () =
     step_fuel;
     steps_this_instant = 0;
     stopped = false;
+    sample_draw = 0x2545F491;
   }
 
 let set_step_fuel k fuel = k.step_fuel <- fuel
@@ -174,10 +176,24 @@ let add_process k ~name ~(sensitivity : Rt.signal list) ~has_wait ~(body : Rt.pr
   make_ready k proc;
   proc
 
+(* While tracing, sim.exec_ns estimates the time spent inside process
+   bodies (the rest of the sim layer's time is scheduling).  Two clock
+   reads cost as much as the body of a small process, so one run in
+   [exec_stride], on average, is timed and its time counted [exec_stride]
+   times.  A xorshift draw picks the runs: a fixed stride could lock onto
+   one process of a fixed per-delta order. *)
+let exec_stride = 8
+
+let sample_this_run k =
+  let x = k.sample_draw in
+  let x = x lxor (x lsl 13) in
+  let x = x lxor (x lsr 7) in
+  let x = x lxor (x lsl 17) in
+  k.sample_draw <- x;
+  (x lsr 24) land (exec_stride - 1) = 0
+
 (* run the ready processes in registration order, which fixes the order of
-   their messages and of the drivers they create; while tracing, the time
-   spent inside process bodies is added to sim.exec_ns (the rest of the
-   sim layer's time is scheduling) *)
+   their messages and of the drivers they create *)
 let run_ready k =
   let traced = Tm.tracing () in
   while Heap.min_key k.ready < max_int do
@@ -188,10 +204,10 @@ let run_ready k =
     p.Rt.wake_until <- None;
     p.Rt.wake_at <- None;
     k.stats.process_runs <- k.stats.process_runs + 1;
-    if traced then begin
+    if traced && sample_this_run k then begin
       let t0 = Tm.now_ns () in
       p.Rt.resume ();
-      Tm.add m_exec_ns (Tm.now_ns () - t0)
+      Tm.add m_exec_ns (exec_stride * (Tm.now_ns () - t0))
     end
     else p.Rt.resume ()
   done

@@ -8,8 +8,9 @@
     or only through its sensitivity list, runs as a plain call per
     resumption; one that waits mid-body is an OCaml-5 effect fiber
     suspended on the {!Rt.Wait} effect.  While telemetry tracing is on,
-    the time inside process bodies is counted in [sim.exec_ns]; the rest
-    of the simulation's time is scheduling. *)
+    [sim.exec_ns] estimates the time inside process bodies from a random
+    sample of one process run in eight; the rest of the simulation's time
+    is scheduling. *)
 
 type severity_counts = {
   mutable notes : int;
