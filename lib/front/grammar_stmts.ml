@@ -222,8 +222,7 @@ let add b =
             Arms ((as_lef cond, as_stmts code) :: as_arms prev)
           | _ -> internal "elsif_more");
       ];
-  prod ~name:"else_none" ~lhs:"else_opt" ~rhs:[]
-    ~rules:[ rule ~target:(0, "CODE") ~deps:[] (fun _ -> Stmts Nil) ];
+  prod ~name:"else_none" ~lhs:"else_opt" ~rhs:[] ~rules:[];
   prod ~name:"else_some" ~lhs:"else_opt" ~rhs:[ "else"; "stmts" ] ~rules:[];
 
   (* ---- case ---- *)
