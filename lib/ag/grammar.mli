@@ -119,6 +119,16 @@ exception Ill_formed of string
 (** Raised at {!Builder.freeze} for malformed grammars: missing or
     duplicate rules, bad positions, terminals with attributes, etc. *)
 
+(** The dependencies of a semantic rule, typed by the function they feed:
+    each [(pos, attr)] occurrence adds one parameter of type ['v], and a
+    [Rest] tail adds one ['v list] parameter for its occurrences.  A call
+    site writes a list literal, [~deps:[ (1, "VAL"); (1, "LINE") ]], and
+    the type checker resolves it against [fun v line -> ...]. *)
+type ('v, 'f, 'r) deps =
+  | [] : ('v, 'r, 'r) deps
+  | ( :: ) : (int * string) * ('v, 'f, 'r) deps -> ('v, 'v -> 'f, 'r) deps
+  | Rest : (int * string) list -> ('v, 'v list -> 'r, 'r) deps
+
 module Builder : sig
   type 'v rule_spec
   type 'v t
@@ -137,12 +147,17 @@ module Builder : sig
 
   val attr_member : 'v t -> sym:string -> cls:string -> unit
 
-  val rule :
-    target:int * string -> deps:(int * string) list -> ('v list -> 'v) -> 'v rule_spec
+  val rule : target:int * string -> deps:('v, 'f, 'v) deps -> 'f -> 'v rule_spec
   (** A semantic rule: [target] receives the result of applying the
-      function to the dependency values, in order.  Targets must be
+      function to the dependency values, one argument per dependency in
+      order, so the type checker checks the rule's arity.  Targets must be
       synthesized-of-LHS or inherited-of-RHS; dependencies may reference
       any occurrence (local chaining included). *)
+
+  val rule_map :
+    ('r -> 'v) -> target:int * string -> deps:('v, 'f, 'r) deps -> 'f -> 'v rule_spec
+  (** [rule_map wrap]: a rule whose function's result [wrap] turns into
+      the attribute value. *)
 
   val const : target:int * string -> 'v -> 'v rule_spec
   val copy : target:int * string -> from:int * string -> 'v rule_spec

@@ -16,37 +16,31 @@
 
 module B = Grammar.Builder
 open Pval
+open Gram_util
 
-let rule = B.rule
-let copy = B.copy
-
-(* projections of the hidden RES pair: (CANDS, extra MSGS) *)
-let res_pair (cands, msgs) = Pair (Cands cands, Msgs msgs)
-
-let cands_of_res = function
-  | [ v ] -> fst (as_pair v)
-  | _ -> internal "cands_of_res"
-
-let msgs_of_res vs =
-  (* first dep is RES; the rest are children MSGS *)
-  match vs with
-  | res :: children ->
-    let _, m = as_pair res in
-    Msgs (List.concat_map as_msgs children @ as_msgs m)
-  | [] -> internal "msgs_of_res"
-
-(* a production whose CANDS/MSGS come from a helper returning a pair;
-   [msg_deps] lists the children whose MSGS must still be merged in *)
+(* a production whose CANDS/MSGS come from a helper returning a pair, held
+   by the hidden RES attribute; [msg_deps] lists the children whose MSGS
+   must still be merged in *)
 let helper_rules ~deps ~msg_deps f =
   [
-    rule ~target:(0, "RES") ~deps (fun vs -> res_pair (f vs));
-    rule ~target:(0, "CANDS") ~deps:[ (0, "RES") ] cands_of_res;
-    rule ~target:(0, "MSGS")
-      ~deps:((0, "RES") :: List.map (fun p -> (p, "MSGS")) msg_deps)
-      msgs_of_res;
+    B.rule_map (fun (cands, msgs) -> Pair (Cands cands, Msgs msgs)) ~target:(0, "RES") ~deps f;
+    rule ~target:(0, "CANDS") ~deps:[ (0, "RES") ] Gram_util.fst_of;
+    Gram_util.msgs_rule ~res:"RES" msg_deps;
   ]
 
 let line_of_ltok v = (as_ltok v).Lef.l_line
+
+(* payloads of classified tokens *)
+let operator tok =
+  match tok.Lef.l_kind with
+  | Lef.Kop o -> (o, [])
+  | Lef.Kop_user { op; cands } -> (op, cands)
+  | _ -> internal "operator token expected"
+
+let type_of v =
+  match (as_ltok v).Lef.l_kind with
+  | Lef.Ktype t -> t
+  | _ -> internal "TYPE token"
 
 (* ITEMS accumulates newest first, one cons per item; its readers put it
    in source order once *)
@@ -84,11 +78,9 @@ let build () =
   B.attr b ~sym:"choice" ~name:"CH" ~dir:Grammar.Synthesized;
 
   let prod = B.production b in
-  let no_res sym =
-    (* productions relying on the implicit CANDS copy still must define RES
-       (it has no class); give it a dummy *)
-    rule ~target:(0, "RES") ~deps:[] (fun _ -> ignore sym; Unit)
-  in
+  (* productions relying on the implicit CANDS copy still must define RES
+     (it has no class); give it a dummy *)
+  let no_res = B.const ~target:(0, "RES") Unit in
 
   (* ---- goal ---- *)
   prod ~name:"xgoal" ~lhs:"xgoal" ~rhs:[ "xexpr" ] ~rules:[];
@@ -100,61 +92,45 @@ let build () =
         (helper_rules
            ~deps:[ (l_pos, "CANDS"); (op_pos, "VAL"); (r_pos, "CANDS") ]
            ~msg_deps:[ l_pos; r_pos ]
-           (function
-             | [ l; opv; r ] ->
-               let tok = as_ltok opv in
-               let op, user =
-                 match tok.Lef.l_kind with
-                 | Lef.Kop o -> (o, [])
-                 | Lef.Kop_user { op; cands } -> (op, cands)
-                 | _ -> internal "operator token expected"
-               in
-               Expr_sem.apply_binop ~line:tok.Lef.l_line ~user op (as_cands l)
-                 (as_cands r)
-             | _ -> internal "binop_prod"))
+           (fun l opv r ->
+             let tok = as_ltok opv in
+             let op, user = operator tok in
+             Expr_sem.apply_binop ~line:tok.Lef.l_line ~user op (as_cands l)
+               (as_cands r)))
   in
-  prod ~name:"xexpr_rel" ~lhs:"xexpr" ~rhs:[ "relation" ] ~rules:[ no_res "xexpr" ];
+  prod ~name:"xexpr_rel" ~lhs:"xexpr" ~rhs:[ "relation" ] ~rules:[ no_res ];
   binop_prod ~name:"xexpr_logop" ~lhs:"xexpr" ~rhs:[ "xexpr"; "LOGOP"; "relation" ]
     ~op_pos:2 ~l_pos:1 ~r_pos:3;
-  prod ~name:"relation_simple" ~lhs:"relation" ~rhs:[ "simple" ] ~rules:[ no_res "relation" ];
+  prod ~name:"relation_simple" ~lhs:"relation" ~rhs:[ "simple" ] ~rules:[ no_res ];
   binop_prod ~name:"relation_rel" ~lhs:"relation" ~rhs:[ "simple"; "RELOP"; "simple" ]
     ~op_pos:2 ~l_pos:1 ~r_pos:3;
-  prod ~name:"simple_term" ~lhs:"simple" ~rhs:[ "xterm" ] ~rules:[ no_res "simple" ];
+  prod ~name:"simple_term" ~lhs:"simple" ~rhs:[ "xterm" ] ~rules:[ no_res ];
   prod ~name:"simple_sign" ~lhs:"simple" ~rhs:[ "ADDOP"; "xterm" ]
     ~rules:
-      (helper_rules ~deps:[ (1, "VAL"); (2, "CANDS") ] ~msg_deps:[ 2 ] (function
-        | [ opv; c ] ->
+      (helper_rules ~deps:[ (1, "VAL"); (2, "CANDS") ] ~msg_deps:[ 2 ] (fun opv c ->
           let tok = as_ltok opv in
-          let op, user =
-            match tok.Lef.l_kind with
-            | Lef.Kop o -> (o, [])
-            | Lef.Kop_user { op; cands } -> (op, cands)
-            | _ -> internal "sign token"
-          in
+          let op, user = operator tok in
           if op = "&" then
             ([ Expr_sem.error_cand ], [ Diag.error ~line:tok.Lef.l_line "misplaced operator &" ])
-          else Expr_sem.apply_unop ~line:tok.Lef.l_line ~user op (as_cands c)
-        | _ -> internal "simple_sign"));
+          else Expr_sem.apply_unop ~line:tok.Lef.l_line ~user op (as_cands c)));
   binop_prod ~name:"simple_add" ~lhs:"simple" ~rhs:[ "simple"; "ADDOP"; "xterm" ]
     ~op_pos:2 ~l_pos:1 ~r_pos:3;
-  prod ~name:"term_factor" ~lhs:"xterm" ~rhs:[ "factor" ] ~rules:[ no_res "xterm" ];
+  prod ~name:"term_factor" ~lhs:"xterm" ~rhs:[ "factor" ] ~rules:[ no_res ];
   binop_prod ~name:"term_mul" ~lhs:"xterm" ~rhs:[ "xterm"; "MULOP"; "factor" ]
     ~op_pos:2 ~l_pos:1 ~r_pos:3;
-  prod ~name:"factor_primary" ~lhs:"factor" ~rhs:[ "primary" ] ~rules:[ no_res "factor" ];
+  prod ~name:"factor_primary" ~lhs:"factor" ~rhs:[ "primary" ] ~rules:[ no_res ];
   binop_prod ~name:"factor_exp" ~lhs:"factor" ~rhs:[ "primary"; "EXPOP"; "primary" ]
     ~op_pos:2 ~l_pos:1 ~r_pos:3;
   let unop_prod ~name ~kw ~op =
     prod ~name ~lhs:"factor" ~rhs:[ kw; "primary" ]
       ~rules:
-        (helper_rules ~deps:[ (1, "VAL"); (2, "CANDS") ] ~msg_deps:[ 2 ] (function
-          | [ opv; c ] ->
+        (helper_rules ~deps:[ (1, "VAL"); (2, "CANDS") ] ~msg_deps:[ 2 ] (fun opv c ->
             let user =
               match (as_ltok opv).Lef.l_kind with
               | Lef.Kop_user { cands; _ } -> cands
               | _ -> []
             in
-            Expr_sem.apply_unop ~line:(line_of_ltok opv) ~user op (as_cands c)
-          | _ -> internal "unop_prod"))
+            Expr_sem.apply_unop ~line:(line_of_ltok opv) ~user op (as_cands c)))
   in
   unop_prod ~name:"factor_abs" ~kw:"ABS" ~op:"abs";
   unop_prod ~name:"factor_not" ~kw:"NOT" ~op:"not";
@@ -162,139 +138,88 @@ let build () =
   (* ---- primaries ---- *)
   prod ~name:"primary_name" ~lhs:"primary" ~rhs:[ "pname" ]
     ~rules:
-      (helper_rules ~deps:[ (1, "CANDS"); (1, "HEAD") ] ~msg_deps:[ 1 ] (function
-        | [ c; head ] -> (
+      (helper_rules ~deps:[ (1, "CANDS"); (1, "HEAD") ] ~msg_deps:[ 1 ] (fun c head ->
           match as_opt head with
           | Some (Ltok { Lef.l_kind = Lef.Kfunc sigs | Lef.Kproc sigs; l_line }) ->
             Expr_sem.func_cands ~line:l_line sigs
-          | _ -> (as_cands c, []))
-        | _ -> internal "primary_name"));
+          | _ -> (as_cands c, [])));
   let literal_prod term =
     prod ~name:("primary_" ^ term) ~lhs:"primary" ~rhs:[ term ]
       ~rules:
         [
-          no_res "primary";
-          rule ~target:(0, "CANDS") ~deps:[ (1, "VAL") ] (function
-            | [ v ] -> Cands (Expr_sem.literal_cands (as_ltok v))
-            | _ -> internal "literal");
+          no_res;
+          rule ~target:(0, "CANDS") ~deps:[ (1, "VAL") ] (fun v ->
+              Cands (Expr_sem.literal_cands (as_ltok v)));
         ]
   in
   List.iter literal_prod [ "LINT"; "LREAL"; "LPHYS"; "LSTR"; "LBITSTR"; "ENUMLIT" ];
   prod ~name:"primary_attrval" ~lhs:"primary" ~rhs:[ "ATTRVAL" ]
     ~rules:
       [
-        no_res "primary";
-        rule ~target:(0, "CANDS") ~deps:[ (1, "VAL") ] (function
-          | [ v ] -> Cands (Expr_sem.head_cands ~level:0 (as_ltok v))
-          | _ -> internal "attrval");
+        no_res;
+        rule ~target:(0, "CANDS") ~deps:[ (1, "VAL") ] (fun v ->
+            Cands (Expr_sem.head_cands ~level:0 (as_ltok v)));
       ];
   (* parenthesized expression or aggregate *)
   prod ~name:"primary_paren" ~lhs:"primary" ~rhs:[ "("; "items"; ")" ]
     ~rules:
       [
-        no_res "primary";
-        rule ~target:(0, "CANDS") ~deps:[ (2, "ITEMS") ] (function
-          | [ items ] -> (
+        no_res;
+        rule ~target:(0, "CANDS") ~deps:[ (2, "ITEMS") ] (fun items ->
             match items_of items with
             | [ Ipos cands ] -> Cands cands (* plain parentheses *)
-            | items -> Cands [ Cagg items ])
-          | _ -> internal "paren");
+            | items -> Cands [ Cagg items ]);
       ];
   (* type conversion *)
   prod ~name:"primary_conversion" ~lhs:"primary" ~rhs:[ "TYPE"; "("; "items"; ")" ]
     ~rules:
-      (helper_rules ~deps:[ (1, "VAL"); (3, "ITEMS") ] ~msg_deps:[ 3 ] (function
-        | [ tyv; items ] -> (
-          let tok = as_ltok tyv in
-          let ty =
-            match tok.Lef.l_kind with
-            | Lef.Ktype t -> t
-            | _ -> internal "TYPE token"
-          in
+      (helper_rules ~deps:[ (1, "VAL"); (3, "ITEMS") ] ~msg_deps:[ 3 ] (fun tyv items ->
+          let tok = as_ltok tyv and ty = type_of tyv in
           match items_of items with
           | [ Ipos cands ] -> Expr_sem.conversion ~line:tok.Lef.l_line ty cands
           | _ ->
             ( [ Expr_sem.error_cand ],
-              [ Diag.error ~line:tok.Lef.l_line "type conversion takes a single expression" ] ))
-        | _ -> internal "conversion"));
+              [ Diag.error ~line:tok.Lef.l_line "type conversion takes a single expression" ] )));
   (* qualified expression *)
   prod ~name:"primary_qualified" ~lhs:"primary" ~rhs:[ "TYPE"; "'"; "("; "items"; ")" ]
     ~rules:
-      (helper_rules ~deps:[ (1, "VAL"); (4, "ITEMS") ] ~msg_deps:[ 4 ] (function
-        | [ tyv; items ] -> (
-          let tok = as_ltok tyv in
-          let ty =
-            match tok.Lef.l_kind with
-            | Lef.Ktype t -> t
-            | _ -> internal "TYPE token"
-          in
+      (helper_rules ~deps:[ (1, "VAL"); (4, "ITEMS") ] ~msg_deps:[ 4 ] (fun tyv items ->
+          let tok = as_ltok tyv and ty = type_of tyv in
           match items_of items with
           | [ Ipos cands ] -> Expr_sem.qualified ~line:tok.Lef.l_line ty cands
-          | items -> Expr_sem.qualified ~line:tok.Lef.l_line ty [ Cagg items ])
-        | _ -> internal "qualified"));
+          | items -> Expr_sem.qualified ~line:tok.Lef.l_line ty [ Cagg items ]));
   (* allocators: new T, new T'(e) — the result adapts to any access type
      designating T (resolved by the expected type, like null) *)
   prod ~name:"primary_new" ~lhs:"primary" ~rhs:[ "NEW"; "TYPE" ]
     ~rules:
-      (helper_rules ~deps:[ (2, "VAL") ] ~msg_deps:[] (function
-        | [ tyv ] -> (
-          match (as_ltok tyv).Lef.l_kind with
-          | Lef.Ktype t ->
-            ( [
-                Cv
-                  {
-                    ty = Expr_sem.anon_access_ty t;
-                    code = Kir.Enew (t, None);
-                    static = None;
-                  };
-              ],
-              [] )
-          | _ -> internal "TYPE token")
-        | _ -> internal "primary_new"));
+      (helper_rules ~deps:[ (2, "VAL") ] ~msg_deps:[] (fun tyv ->
+          let t = type_of tyv in
+          let ty = Expr_sem.anon_access_ty t in
+          ([ Cv { ty; code = Kir.Enew (t, None); static = None } ], [])));
   prod ~name:"primary_new_init" ~lhs:"primary"
     ~rhs:[ "NEW"; "TYPE"; "'"; "("; "items"; ")" ]
     ~rules:
-      (helper_rules ~deps:[ (2, "VAL"); (5, "ITEMS") ] ~msg_deps:[ 5 ] (function
-        | [ tyv; items ] -> (
-          let tok = as_ltok tyv in
-          match tok.Lef.l_kind with
-          | Lef.Ktype t -> (
-            let qcands, msgs =
-              match items_of items with
-              | [ Ipos cands ] -> Expr_sem.qualified ~line:tok.Lef.l_line t cands
-              | its -> Expr_sem.qualified ~line:tok.Lef.l_line t [ Cagg its ]
-            in
-            match qcands with
-            | Cv { code; _ } :: _ ->
-              ( [
-                  Cv
-                    {
-                      ty = Expr_sem.anon_access_ty t;
-                      code = Kir.Enew (t, Some code);
-                      static = None;
-                    };
-                ],
-                msgs )
-            | _ -> ([ Expr_sem.error_cand ], msgs))
-          | _ -> internal "TYPE token")
-        | _ -> internal "primary_new_init"));
+      (helper_rules ~deps:[ (2, "VAL"); (5, "ITEMS") ] ~msg_deps:[ 5 ] (fun tyv items ->
+          let tok = as_ltok tyv and t = type_of tyv in
+          let qcands, msgs =
+            match items_of items with
+            | [ Ipos cands ] -> Expr_sem.qualified ~line:tok.Lef.l_line t cands
+            | its -> Expr_sem.qualified ~line:tok.Lef.l_line t [ Cagg its ]
+          in
+          match qcands with
+          | Cv { code; _ } :: _ ->
+            let ty = Expr_sem.anon_access_ty t in
+            ([ Cv { ty; code = Kir.Enew (t, Some code); static = None } ], msgs)
+          | _ -> ([ Expr_sem.error_cand ], msgs)));
   (* the null access literal *)
   prod ~name:"primary_null" ~lhs:"primary" ~rhs:[ "LNULL" ]
-    ~rules:
-      (helper_rules ~deps:[] ~msg_deps:[] (function
-        | [] -> ([ Expr_sem.null_cand ], [])
-        | _ -> internal "primary_null"));
+    ~rules:(helper_rules ~deps:[] ~msg_deps:[] ([ Expr_sem.null_cand ], []));
 
   (* type attribute: INTEGER'LOW, T'RANGE, ... *)
   prod ~name:"primary_type_attr" ~lhs:"primary" ~rhs:[ "TYPE"; "'"; "ATTR" ]
     ~rules:
-      (helper_rules ~deps:[ (1, "VAL"); (3, "VAL") ] ~msg_deps:[] (function
-        | [ tyv; attrv ] -> (
-          let ty =
-            match (as_ltok tyv).Lef.l_kind with
-            | Lef.Ktype t -> t
-            | _ -> internal "TYPE token"
-          in
+      (helper_rules ~deps:[ (1, "VAL"); (3, "VAL") ] ~msg_deps:[] (fun tyv attrv ->
+          let ty = type_of tyv in
           let atok = as_ltok attrv in
           match atok.Lef.l_kind with
           | Lef.Kattr a ->
@@ -302,113 +227,95 @@ let build () =
               ( [ Expr_sem.error_cand ],
                 [ Diag.error ~line:atok.Lef.l_line "attribute '%s requires an argument" a ] )
             else Expr_sem.scalar_type_attr ~line:atok.Lef.l_line ty a
-          | _ -> internal "ATTR token")
-        | _ -> internal "type_attr"));
+          | _ -> internal "ATTR token"));
   (* attribute function: T'POS(x), T'VAL(n), T'SUCC(x)... *)
   prod ~name:"primary_type_attr_fn" ~lhs:"primary"
     ~rhs:[ "TYPE"; "'"; "ATTR"; "("; "items"; ")" ]
     ~rules:
-      (helper_rules ~deps:[ (1, "VAL"); (3, "VAL"); (5, "ITEMS") ] ~msg_deps:[ 5 ] (function
-        | [ tyv; attrv; items ] -> (
-          let ty =
-            match (as_ltok tyv).Lef.l_kind with
-            | Lef.Ktype t -> t
-            | _ -> internal "TYPE token"
-          in
-          let atok = as_ltok attrv in
-          match atok.Lef.l_kind with
-          | Lef.Kattr a ->
-            Expr_sem.apply_type_attr_args ~line:atok.Lef.l_line ty a (items_of items)
-          | _ -> internal "ATTR token")
-        | _ -> internal "type_attr_fn"));
+      (helper_rules
+         ~deps:[ (1, "VAL"); (3, "VAL"); (5, "ITEMS") ]
+         ~msg_deps:[ 5 ]
+         (fun tyv attrv items ->
+           let ty = type_of tyv in
+           let atok = as_ltok attrv in
+           match atok.Lef.l_kind with
+           | Lef.Kattr a ->
+             Expr_sem.apply_type_attr_args ~line:atok.Lef.l_line ty a (items_of items)
+           | _ -> internal "ATTR token"));
 
   (* ---- names ---- *)
   let head_prod term =
     prod ~name:("pname_" ^ term) ~lhs:"pname" ~rhs:[ term ]
       ~rules:
         [
-          no_res "pname";
-          rule ~target:(0, "CANDS") ~deps:[ (1, "VAL"); (0, "XLEVEL") ] (function
-            | [ v; lvl ] -> Cands (Expr_sem.head_cands ~level:(as_int lvl) (as_ltok v))
-            | _ -> internal "head");
-          rule ~target:(0, "HEAD") ~deps:[ (1, "VAL") ] (function
-            | [ v ] -> Opt (Some v)
-            | _ -> internal "head2");
+          no_res;
+          rule ~target:(0, "CANDS") ~deps:[ (1, "VAL"); (0, "XLEVEL") ] (fun v lvl ->
+              Cands (Expr_sem.head_cands ~level:(as_int lvl) (as_ltok v)));
+          rule ~target:(0, "HEAD") ~deps:[ (1, "VAL") ] (fun v -> Opt (Some v));
         ]
   in
   List.iter head_prod [ "VAR"; "SIG"; "GEN"; "CONSTV"; "FUNC"; "PROC" ];
   prod ~name:"pname_args" ~lhs:"pname" ~rhs:[ "pname"; "("; "items"; ")" ]
     ~rules:
-      (rule ~target:(0, "HEAD") ~deps:[] (fun _ -> Opt None)
+      (const ~target:(0, "HEAD") (Opt None)
       :: helper_rules
            ~deps:[ (1, "HEAD"); (1, "CANDS"); (2, "VAL"); (3, "ITEMS") ]
            ~msg_deps:[ 1; 3 ]
-           (function
-             | [ head; cands; lp; items ] ->
-               let head_tok =
-                 match as_opt head with
-                 | Some (Ltok t) -> Some t
-                 | _ -> None
-               in
-               Expr_sem.apply_args ~line:(line_of_ltok lp) head_tok (as_cands cands)
-                 (items_of items)
-             | _ -> internal "pname_args"));
+           (fun head cands lp items ->
+             let head_tok =
+               match as_opt head with
+               | Some (Ltok t) -> Some t
+               | _ -> None
+             in
+             Expr_sem.apply_args ~line:(line_of_ltok lp) head_tok (as_cands cands)
+               (items_of items)));
   prod ~name:"pname_field" ~lhs:"pname" ~rhs:[ "pname"; "."; "IDENT" ]
     ~rules:
-      (rule ~target:(0, "HEAD") ~deps:[] (fun _ -> Opt None)
-      :: helper_rules ~deps:[ (1, "CANDS"); (3, "VAL") ] ~msg_deps:[ 1 ] (function
-           | [ cands; fv ] -> (
+      (const ~target:(0, "HEAD") (Opt None)
+      :: helper_rules ~deps:[ (1, "CANDS"); (3, "VAL") ] ~msg_deps:[ 1 ] (fun cands fv ->
              let tok = as_ltok fv in
              match tok.Lef.l_kind with
              | Lef.Kident f -> Expr_sem.select_field ~line:tok.Lef.l_line (as_cands cands) f
-             | _ -> internal "field token")
-           | _ -> internal "pname_field"));
+             | _ -> internal "field token"));
   (* dereference: p.all *)
   prod ~name:"pname_deref" ~lhs:"pname" ~rhs:[ "pname"; "."; "all" ]
     ~rules:
-      (rule ~target:(0, "HEAD") ~deps:[] (fun _ -> Opt None)
-      :: helper_rules ~deps:[ (1, "CANDS"); (2, "LINE") ] ~msg_deps:[ 1 ] (function
-           | [ cands; line ] -> Expr_sem.deref ~line:(as_int line) (as_cands cands)
-           | _ -> internal "pname_deref"));
+      (const ~target:(0, "HEAD") (Opt None)
+      :: helper_rules ~deps:[ (1, "CANDS"); (2, "LINE") ] ~msg_deps:[ 1 ] (fun cands line ->
+          Expr_sem.deref ~line:(as_int line) (as_cands cands)));
   prod ~name:"pname_attr" ~lhs:"pname" ~rhs:[ "pname"; "'"; "ATTR" ]
     ~rules:
-      (rule ~target:(0, "HEAD") ~deps:[] (fun _ -> Opt None)
-      :: helper_rules ~deps:[ (1, "CANDS"); (3, "VAL") ] ~msg_deps:[ 1 ] (function
-           | [ cands; av ] -> (
+      (const ~target:(0, "HEAD") (Opt None)
+      :: helper_rules ~deps:[ (1, "CANDS"); (3, "VAL") ] ~msg_deps:[ 1 ] (fun cands av ->
              let tok = as_ltok av in
              match tok.Lef.l_kind with
              | Lef.Kattr a -> Expr_sem.apply_name_attr ~line:tok.Lef.l_line (as_cands cands) a
-             | _ -> internal "attr token")
-           | _ -> internal "pname_attr"));
+             | _ -> internal "attr token"));
 
   (* ---- aggregate / argument items ---- *)
   prod ~name:"items_one" ~lhs:"items" ~rhs:[ "item" ]
     ~rules:
       [
-        rule ~target:(0, "ITEMS") ~deps:[ (1, "ITEM") ] (function
-          | [ i ] -> Aitems (List.rev (as_aitems i))
-          | _ -> internal "items_one");
+        rule ~target:(0, "ITEMS") ~deps:[ (1, "ITEM") ] (fun i ->
+            Aitems (List.rev (as_aitems i)));
       ];
   prod ~name:"items_more" ~lhs:"items" ~rhs:[ "items"; ","; "item" ]
     ~rules:
       [
-        rule ~target:(0, "ITEMS") ~deps:[ (1, "ITEMS"); (3, "ITEM") ] (function
-          | [ l; i ] -> Aitems (List.rev_append (as_aitems i) (as_aitems l))
-          | _ -> internal "items_more");
+        rule ~target:(0, "ITEMS") ~deps:[ (1, "ITEMS"); (3, "ITEM") ] (fun l i ->
+            Aitems (List.rev_append (as_aitems i) (as_aitems l)));
       ];
   prod ~name:"item_expr" ~lhs:"item" ~rhs:[ "xexpr" ]
     ~rules:
       [
-        rule ~target:(0, "ITEM") ~deps:[ (1, "CANDS") ] (function
-          | [ c ] -> Aitems [ Ipos (as_cands c) ]
-          | _ -> internal "item_expr");
+        rule ~target:(0, "ITEM") ~deps:[ (1, "CANDS") ] (fun c ->
+            Aitems [ Ipos (as_cands c) ]);
       ];
   let item_range ~name ~dir_term ~dir =
     prod ~name ~lhs:"item" ~rhs:[ "simple"; dir_term; "simple" ]
       ~rules:
         [
-          rule ~target:(0, "ITEM") ~deps:[ (1, "CANDS"); (3, "CANDS") ] (function
-            | [ lo; hi ] -> (
+          rule ~target:(0, "ITEM") ~deps:[ (1, "CANDS"); (3, "CANDS") ] (fun lo hi ->
               (* a positional range item: used by slices; encode as a Crng
                  candidate built from the extreme expressions *)
               let pick cands =
@@ -418,8 +325,7 @@ let build () =
               in
               match (pick lo, pick hi) with
               | Some l, Some h -> Aitems [ Ipos [ Crng ((l, dir, h), None) ] ]
-              | _ -> Aitems [ Ipos [ Expr_sem.error_cand ] ])
-            | _ -> internal "item_range");
+              | _ -> Aitems [ Ipos [ Expr_sem.error_cand ] ]);
         ]
   in
   item_range ~name:"item_range_to" ~dir_term:"to" ~dir:Types.To;
@@ -427,59 +333,50 @@ let build () =
   prod ~name:"item_named" ~lhs:"item" ~rhs:[ "chlist"; "=>"; "xexpr" ]
     ~rules:
       [
-        rule ~target:(0, "ITEM") ~deps:[ (1, "CHS"); (3, "CANDS") ] (function
-          | [ chs; c ] -> Aitems [ Inamed (as_achoices chs, as_cands c) ]
-          | _ -> internal "item_named");
+        rule ~target:(0, "ITEM") ~deps:[ (1, "CHS"); (3, "CANDS") ] (fun chs c ->
+            Aitems [ Inamed (as_achoices chs, as_cands c) ]);
       ];
   prod ~name:"item_named_open" ~lhs:"item" ~rhs:[ "chlist"; "=>"; "open" ]
     ~rules:
       [
-        rule ~target:(0, "ITEM") ~deps:[ (1, "CHS") ] (function
-          | [ chs ] -> Aitems [ Inamed (as_achoices chs, []) ]
-          | _ -> internal "item_named_open");
+        rule ~target:(0, "ITEM") ~deps:[ (1, "CHS") ] (fun chs ->
+            Aitems [ Inamed (as_achoices chs, []) ]);
       ];
   prod ~name:"chlist_one" ~lhs:"chlist" ~rhs:[ "choice" ]
     ~rules:
       [
-        rule ~target:(0, "CHS") ~deps:[ (1, "CH") ] (function
-          | [ c ] -> Achoices (as_achoices c)
-          | _ -> internal "chlist_one");
+        rule ~target:(0, "CHS") ~deps:[ (1, "CH") ] (fun c -> Achoices (as_achoices c));
       ];
   prod ~name:"chlist_more" ~lhs:"chlist" ~rhs:[ "chlist"; "|"; "choice" ]
     ~rules:
       [
-        rule ~target:(0, "CHS") ~deps:[ (1, "CHS"); (3, "CH") ] (function
-          | [ l; c ] -> Achoices (as_achoices l @ as_achoices c)
-          | _ -> internal "chlist_more");
+        rule ~target:(0, "CHS") ~deps:[ (1, "CHS"); (3, "CH") ] (fun l c ->
+            Achoices (as_achoices l @ as_achoices c));
       ];
   prod ~name:"choice_expr" ~lhs:"choice" ~rhs:[ "simple" ]
     ~rules:
       [
-        rule ~target:(0, "CH") ~deps:[ (1, "CANDS") ] (function
-          | [ c ] -> Achoices [ Cexpr (as_cands c) ]
-          | _ -> internal "choice_expr");
+        rule ~target:(0, "CH") ~deps:[ (1, "CANDS") ] (fun c ->
+            Achoices [ Cexpr (as_cands c) ]);
       ];
   let choice_range ~name ~dir_term ~dir =
     prod ~name ~lhs:"choice" ~rhs:[ "simple"; dir_term; "simple" ]
       ~rules:
         [
-          rule ~target:(0, "CH") ~deps:[ (1, "CANDS"); (3, "CANDS") ] (function
-            | [ lo; hi ] -> Achoices [ Cchoice_range (as_cands lo, dir, as_cands hi) ]
-            | _ -> internal "choice_range");
+          rule ~target:(0, "CH") ~deps:[ (1, "CANDS"); (3, "CANDS") ] (fun lo hi ->
+              Achoices [ Cchoice_range (as_cands lo, dir, as_cands hi) ]);
         ]
   in
   choice_range ~name:"choice_range_to" ~dir_term:"to" ~dir:Types.To;
   choice_range ~name:"choice_range_downto" ~dir_term:"downto" ~dir:Types.Downto;
   prod ~name:"choice_others" ~lhs:"choice" ~rhs:[ "others" ]
-    ~rules:[ rule ~target:(0, "CH") ~deps:[] (fun _ -> Achoices [ Cothers ]) ];
+    ~rules:[ const ~target:(0, "CH") (Achoices [ Cothers ]) ];
   prod ~name:"choice_ident" ~lhs:"choice" ~rhs:[ "IDENT" ]
     ~rules:
       [
-        rule ~target:(0, "CH") ~deps:[ (1, "VAL") ] (function
-          | [ v ] -> (
+        rule ~target:(0, "CH") ~deps:[ (1, "VAL") ] (fun v ->
             match (as_ltok v).Lef.l_kind with
             | Lef.Kident s -> Achoices [ Cident s ]
-            | _ -> internal "choice ident token")
-          | _ -> internal "choice_ident");
+            | _ -> internal "choice ident token");
       ];
   B.freeze b ~start:"xgoal"

@@ -290,6 +290,11 @@ let tok_id v =
   | Token.Tid s -> s
   | t -> internal "expected identifier token, got %s" (Token.describe t)
 
+let tok_string v =
+  match as_tok v with
+  | Token.Tstring s -> s
+  | t -> internal "expected string token, got %s" (Token.describe t)
+
 (* ------------------------------------------------------------------ *)
 (* Compact value summaries for the provenance recorder: one short line per
    attribute value, enough to read a why-chain, never the whole payload. *)

@@ -55,13 +55,10 @@ let binary_grammar ?(extra_production = false) () =
   production b ~name:"num_frac" ~lhs:"num" ~rhs:[ "list"; "dot"; "list" ]
     ~rules:
       [
-        rule ~target:(0, "v") ~deps:[ (1, "v"); (3, "v") ] (function
-          | [ a; c ] -> F (as_f a +. as_f c)
-          | _ -> assert false);
+        rule ~target:(0, "v") ~deps:[ (1, "v"); (3, "v") ] (fun a c ->
+            F (as_f a +. as_f c));
         const ~target:(1, "scale") (I 0);
-        rule ~target:(3, "scale") ~deps:[ (3, "len") ] (function
-          | [ len ] -> I (-as_i len)
-          | _ -> assert false);
+        rule ~target:(3, "scale") ~deps:[ (3, "len") ] (fun len -> I (-as_i len));
       ];
   production b ~name:"list_one" ~lhs:"list" ~rhs:[ "bit" ]
     ~rules:
@@ -73,15 +70,10 @@ let binary_grammar ?(extra_production = false) () =
   production b ~name:"list_more" ~lhs:"list" ~rhs:[ "list"; "bit" ]
     ~rules:
       [
-        rule ~target:(0, "v") ~deps:[ (1, "v"); (2, "v") ] (function
-          | [ a; c ] -> F (as_f a +. as_f c)
-          | _ -> assert false);
-        rule ~target:(0, "len") ~deps:[ (1, "len") ] (function
-          | [ n ] -> I (as_i n + 1)
-          | _ -> assert false);
-        rule ~target:(1, "scale") ~deps:[ (0, "scale") ] (function
-          | [ s ] -> I (as_i s + 1)
-          | _ -> assert false);
+        rule ~target:(0, "v") ~deps:[ (1, "v"); (2, "v") ] (fun a c ->
+            F (as_f a +. as_f c));
+        rule ~target:(0, "len") ~deps:[ (1, "len") ] (fun n -> I (as_i n + 1));
+        rule ~target:(1, "scale") ~deps:[ (0, "scale") ] (fun s -> I (as_i s + 1));
         copy ~target:(2, "scale") ~from:(0, "scale");
       ];
   production b ~name:"bit_zero" ~lhs:"bit" ~rhs:[ "zero" ]
@@ -92,9 +84,8 @@ let binary_grammar ?(extra_production = false) () =
   production b ~name:"bit_one" ~lhs:"bit" ~rhs:[ "one" ]
     ~rules:
       [
-        rule ~target:(0, "v") ~deps:[ (0, "scale") ] (function
-          | [ s ] -> F (2.0 ** float_of_int (as_i s))
-          | _ -> assert false);
+        rule ~target:(0, "v") ~deps:[ (0, "scale") ] (fun s ->
+            F (2.0 ** float_of_int (as_i s)));
       ];
   freeze b ~start:"num"
 
@@ -159,12 +150,12 @@ let test_plan_matches_demand () =
    the plan (which forces everything), and the plan never exceeds one
    application per declared attribute per tree node.  A tree belongs to
    one evaluator, so each side evaluates its own parse of the input. *)
-let check_agreement ?(root_inherited = []) ~msg g parse ~goals ~eq =
-  let ev_d = Evaluator.create g ~root_inherited (parse ()) in
+let check_agreement ?(root_inherited = []) ?token_line ~msg g parse ~goals ~eq =
+  let ev_d = Evaluator.create g ?token_line ~root_inherited (parse ()) in
   let demand_goals = List.map (fun a -> Evaluator.goal ev_d a) goals in
   let demand_apps = Evaluator.rule_applications ev_d in
   let tree = parse () in
-  let ev_p = Evaluator.create g ~root_inherited tree in
+  let ev_p = Evaluator.create g ?token_line ~root_inherited tree in
   let passes = Evaluator.evaluate_plan ev_p ~plan:(Analysis.plan (Analysis.compute g)) in
   let plan_goals = List.map (fun a -> Evaluator.goal ev_p a) goals in
   let plan_apps = Evaluator.rule_applications ev_p in
@@ -234,7 +225,7 @@ let classes_grammar () =
     ~rules:
       [
         rule ~target:(0, "MSGS") ~deps:[ (1, "VAL") ] (function
-          | [ S s ] -> L [ s ]
+          | S s -> L [ s ]
           | _ -> assert false);
       ];
   freeze b ~start:"goal"
@@ -414,6 +405,90 @@ let test_implicit_counts () =
   Alcotest.(check int) "implicit rule count" 6 stats.Stats.rules_implicit;
   Alcotest.(check int) "explicit rule count" 2
     (stats.Stats.rules_total - stats.Stats.rules_implicit)
+
+(* ------------------------------------------------------------------ *)
+(* Typed rule dependencies: one function parameter per dependency, in
+   order.  Every rule returns its arguments' strings in the order it got
+   them, so a swapped or dropped argument changes a goal. *)
+
+let strs = function
+  | S s -> [ s ]
+  | I n -> [ string_of_int n ]
+  | L l -> l
+  | F _ -> Alcotest.fail "unexpected float value"
+
+let typed_grammar () =
+  let open Grammar.Builder in
+  let b = create () in
+  List.iter (fun t -> ignore (terminal b t)) [ "a"; "b"; "c"; "$" ];
+  List.iter (fun n -> ignore (nonterminal b n)) [ "goal"; "x" ];
+  List.iter (fun name -> attr b ~sym:"goal" ~name ~dir:Grammar.Synthesized) [ "out"; "rest" ];
+  List.iter (fun name -> attr b ~sym:"x" ~name ~dir:Grammar.Inherited) [ "c1"; "c2" ];
+  List.iter
+    (fun name -> attr b ~sym:"x" ~name ~dir:Grammar.Synthesized)
+    [ "s0"; "s1"; "s2"; "s3"; "out"; "rest" ];
+  (* a typed context prefix: the two inherited attributes come first *)
+  let ctx d : (v, _, _) Grammar.deps = (0, "c1") :: (0, "c2") :: d in
+  production b ~name:"goal" ~lhs:"goal" ~rhs:[ "x" ]
+    ~rules:
+      [
+        const ~target:(1, "c1") (S "c1");
+        const ~target:(1, "c2") (S "c2");
+        copy ~target:(0, "out") ~from:(1, "out");
+        rule ~target:(0, "rest") ~deps:[ (1, "rest") ] (fun r -> r);
+      ];
+  production b ~name:"x" ~lhs:"x" ~rhs:[ "a"; "b"; "c" ]
+    ~rules:
+      [
+        const ~target:(0, "s0") (S "k");
+        rule ~target:(0, "s1") ~deps:[ (1, "VAL") ] (fun a -> L (strs a));
+        rule_map
+          (fun l -> L l)
+          ~target:(0, "s2")
+          ~deps:[ (2, "VAL"); (2, "LINE") ]
+          (fun b line -> strs b @ strs line);
+        rule ~target:(0, "s3")
+          ~deps:[ (1, "LINE"); (3, "VAL"); (3, "LINE") ]
+          (fun l1 c l3 -> L (strs l1 @ strs c @ strs l3));
+        rule ~target:(0, "out")
+          ~deps:
+            (ctx
+               [
+                 (1, "VAL"); (2, "VAL"); (3, "VAL"); (1, "LINE"); (2, "LINE"); (3, "LINE");
+                 (0, "s0"); (0, "s1"); (0, "s2");
+               ])
+          (fun c1 c2 a b c l1 l2 l3 s0 s1 s2 ->
+            L (List.concat_map strs [ c1; c2; a; b; c; l1; l2; l3; s0; s1; s2 ]));
+        rule ~target:(0, "rest")
+          ~deps:((0, "s3") :: Rest [ (0, "s0"); (0, "c2"); (0, "s2") ])
+          (fun s3 rest -> L (strs s3 @ List.concat_map strs rest));
+      ];
+  freeze b ~start:"goal"
+
+let parse_abc g =
+  let parser_t = Parsing.create ~name:"typed" g ~eof:"$" in
+  let tok i t = { Driver.t_sym = Grammar.find_symbol g t; t_value = S t; t_line = i + 1 } in
+  Parsing.parse_list parser_t ~eof_value:(S "") (List.mapi tok [ "a"; "b"; "c" ])
+
+let test_typed_deps () =
+  let g = typed_grammar () in
+  let arities =
+    Array.to_list g.Grammar.productions
+    |> List.concat_map (fun p -> Array.to_list p.Grammar.rules)
+    |> List.map (fun (r : v Grammar.rule) -> List.length r.Grammar.deps)
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check (list int)) "arities" [ 0; 1; 2; 3; 4; 11 ] arities;
+  let token_line n = I n in
+  let ev = Evaluator.create g ~token_line ~root_inherited:[] (parse_abc g) in
+  Alcotest.(check (list string)) "out: every argument, in order"
+    [ "c1"; "c2"; "a"; "b"; "c"; "1"; "2"; "3"; "k"; "a"; "b"; "2" ]
+    (strs (Evaluator.goal ev "out"));
+  Alcotest.(check (list string)) "rest: head, then the Rest tail in order"
+    [ "1"; "c"; "3"; "k"; "c2"; "b"; "2" ]
+    (strs (Evaluator.goal ev "rest"));
+  check_agreement ~token_line ~msg:"typed" g (fun () -> parse_abc g) ~goals:[ "out"; "rest" ]
+    ~eq:( = )
 
 (* ------------------------------------------------------------------ *)
 (* Circularity detection *)
@@ -657,6 +732,8 @@ let suite =
     Alcotest.test_case "merge class concatenates in order" `Quick test_merge_class;
     Alcotest.test_case "copy class threads values implicitly" `Quick test_copy_class;
     Alcotest.test_case "implicit rule counting" `Quick test_implicit_counts;
+    Alcotest.test_case "typed dependencies: arities, order, Rest, prefix" `Quick
+      test_typed_deps;
     Alcotest.test_case "static circularity detection" `Quick test_circularity_static;
     Alcotest.test_case "dynamic cycle detection" `Quick test_circularity_dynamic;
     Alcotest.test_case "reject rule for inherited lhs attribute" `Quick test_reject_bad_rule;

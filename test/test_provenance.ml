@@ -55,13 +55,10 @@ let binary_grammar () =
   production b ~name:"num_frac" ~lhs:"num" ~rhs:[ "list"; "dot"; "list" ]
     ~rules:
       [
-        rule ~target:(0, "v") ~deps:[ (1, "v"); (3, "v") ] (function
-          | [ a; c ] -> F (as_f a +. as_f c)
-          | _ -> assert false);
+        rule ~target:(0, "v") ~deps:[ (1, "v"); (3, "v") ] (fun a c ->
+            F (as_f a +. as_f c));
         const ~target:(1, "scale") (I 0);
-        rule ~target:(3, "scale") ~deps:[ (3, "len") ] (function
-          | [ len ] -> I (-as_i len)
-          | _ -> assert false);
+        rule ~target:(3, "scale") ~deps:[ (3, "len") ] (fun len -> I (-as_i len));
       ];
   production b ~name:"list_one" ~lhs:"list" ~rhs:[ "bit" ]
     ~rules:
@@ -73,15 +70,10 @@ let binary_grammar () =
   production b ~name:"list_more" ~lhs:"list" ~rhs:[ "list"; "bit" ]
     ~rules:
       [
-        rule ~target:(0, "v") ~deps:[ (1, "v"); (2, "v") ] (function
-          | [ a; c ] -> F (as_f a +. as_f c)
-          | _ -> assert false);
-        rule ~target:(0, "len") ~deps:[ (1, "len") ] (function
-          | [ n ] -> I (as_i n + 1)
-          | _ -> assert false);
-        rule ~target:(1, "scale") ~deps:[ (0, "scale") ] (function
-          | [ s ] -> I (as_i s + 1)
-          | _ -> assert false);
+        rule ~target:(0, "v") ~deps:[ (1, "v"); (2, "v") ] (fun a c ->
+            F (as_f a +. as_f c));
+        rule ~target:(0, "len") ~deps:[ (1, "len") ] (fun n -> I (as_i n + 1));
+        rule ~target:(1, "scale") ~deps:[ (0, "scale") ] (fun s -> I (as_i s + 1));
         copy ~target:(2, "scale") ~from:(0, "scale");
       ];
   (* reads the terminal's VAL so the graph gets Token records *)
@@ -89,15 +81,14 @@ let binary_grammar () =
     ~rules:
       [
         rule ~target:(0, "v") ~deps:[ (1, "VAL") ] (function
-          | [ S _ ] -> F 0.0
+          | S _ -> F 0.0
           | _ -> assert false);
       ];
   production b ~name:"bit_one" ~lhs:"bit" ~rhs:[ "one" ]
     ~rules:
       [
-        rule ~target:(0, "v") ~deps:[ (0, "scale") ] (function
-          | [ s ] -> F (2.0 ** float_of_int (as_i s))
-          | _ -> assert false);
+        rule ~target:(0, "v") ~deps:[ (0, "scale") ] (fun s ->
+            F (2.0 ** float_of_int (as_i s)));
       ];
   freeze b ~start:"num"
 
