@@ -50,7 +50,6 @@ type report = {
   a_finishes : int;
   a_sheds : int;
   a_rejects : int;
-  a_recycles : int;
   a_breaches : int;
   a_heap_breaches : int;
   a_dumps : int;
@@ -126,7 +125,7 @@ let analyze ?(window_s = 60.0) ?(top_k = 5) (events : Obs_event.t list) : report
   let statuses = Hashtbl.create 8 and shed_reasons = Hashtbl.create 8 in
   let finishes = ref [] in
   let shed_outcomes = ref [] in
-  let rejects = ref 0 and recycles = ref 0 and breaches = ref 0 and dumps = ref 0 in
+  let rejects = ref 0 and breaches = ref 0 and dumps = ref 0 in
   let heap_breaches = ref 0 in
   List.iter
     (fun e ->
@@ -155,7 +154,6 @@ let analyze ?(window_s = 60.0) ?(top_k = 5) (events : Obs_event.t list) : report
           (ts, fun slo -> Obs_slo.observe slo ~now:ts ~shed:true ~internal:false ())
           :: !shed_outcomes
       | Obs_event.Reject -> incr rejects
-      | Obs_event.Recycle -> incr recycles
       | Obs_event.Breach -> incr breaches
       | Obs_event.Heap_breach -> incr heap_breaches
       | Obs_event.Dump -> incr dumps
@@ -226,7 +224,6 @@ let analyze ?(window_s = 60.0) ?(top_k = 5) (events : Obs_event.t list) : report
     a_finishes = List.length finishes;
     a_sheds = List.length !shed_outcomes;
     a_rejects = !rejects;
-    a_recycles = !recycles;
     a_breaches = !breaches;
     a_heap_breaches = !heap_breaches;
     a_dumps = !dumps;
@@ -291,9 +288,9 @@ let pp fmt (r : report) =
   Format.fprintf fmt "@[<v>";
   Format.fprintf fmt
     "event log: %d events over %.1fs — %d finishes, %d sheds, %d rejects, %d \
-     recycles, %d breaches, %d heap breaches, %d dumps@,"
-    r.a_events r.a_span_s r.a_finishes r.a_sheds r.a_rejects r.a_recycles
-    r.a_breaches r.a_heap_breaches r.a_dumps;
+     breaches, %d heap breaches, %d dumps@,"
+    r.a_events r.a_span_s r.a_finishes r.a_sheds r.a_rejects r.a_breaches
+    r.a_heap_breaches r.a_dumps;
   Format.fprintf fmt "%a@," Obs_slo.pp_summary r.a_summary;
   (match Obs_attr.attribution ~top:4 r.a_summary.Obs_slo.s_phase_us with
   | "" -> ()
@@ -342,7 +339,6 @@ let to_json (r : report) =
       ("finishes", Json.int r.a_finishes);
       ("sheds", Json.int r.a_sheds);
       ("rejects", Json.int r.a_rejects);
-      ("recycles", Json.int r.a_recycles);
       ("breaches", Json.int r.a_breaches);
       ("heap_breaches", Json.int r.a_heap_breaches);
       ("dumps", Json.int r.a_dumps);

@@ -23,7 +23,6 @@ type report = {
   a_finishes : int;
   a_sheds : int;
   a_rejects : int;
-  a_recycles : int;
   a_breaches : int;
   a_heap_breaches : int;
   a_dumps : int;

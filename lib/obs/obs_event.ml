@@ -22,9 +22,7 @@
 
     [drain], [breach], [dump] and [flush] are daemon-level events; they
     carry a request id only when one is implicated (the request whose
-    escape tripped the firewall, for instance).  [recycle] is decoded but
-    never written: earlier daemons logged it when they replaced their
-    warm worker, and their logs still analyze.
+    escape tripped the firewall, for instance).
 
     Encoding is one flat JSON object per line —
     [{"ts":1.042,"ev":"finish","rid":7,"status":"ok",...}] — readable by
@@ -41,7 +39,6 @@ type kind =
   | Start (* response computation begins *)
   | Finish (* response delivered (or the client was gone) *)
   | Reject (* frame never became a request; no response was owed *)
-  | Recycle (* read only: logs of earlier daemons, which replaced a warm worker *)
   | Drain (* lifecycle: drain begins / daemon stopped *)
   | Breach (* a rolling SLO objective was violated *)
   | Heap_breach (* the heap-health watchdog detected sustained growth *)
@@ -51,7 +48,7 @@ type kind =
 let kind_names =
   [
     (Accept, "accept"); (Admit, "admit"); (Shed, "shed"); (Start, "start");
-    (Finish, "finish"); (Reject, "reject"); (Recycle, "recycle");
+    (Finish, "finish"); (Reject, "reject");
     (Drain, "drain"); (Breach, "breach"); (Heap_breach, "heap_breach");
     (Dump, "dump"); (Flush, "flush");
   ]
@@ -287,7 +284,7 @@ let check_log (events : t list) : string list =
                    %.0fB (tolerance %.0fB)"
                   rid sum total tolerance)
         end
-      | (Recycle | Drain | Breach | Heap_breach | Dump | Flush), _ -> ())
+      | (Drain | Breach | Heap_breach | Dump | Flush), _ -> ())
     events;
   Hashtbl.iter
     (fun rid n ->

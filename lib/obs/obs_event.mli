@@ -13,7 +13,6 @@ type kind =
   | Start (* response computation begins *)
   | Finish (* response delivered (or the client was gone) *)
   | Reject (* frame never became a request; no response was owed *)
-  | Recycle (* read only: logs of earlier daemons, which replaced a warm worker *)
   | Drain (* lifecycle: drain begins / daemon stopped *)
   | Breach (* a rolling SLO objective was violated *)
   | Heap_breach (* the heap-health watchdog detected sustained growth *)

@@ -13,7 +13,7 @@ module J = Tm.Json
 
 let all_kinds =
   [
-    E.Accept; E.Admit; E.Shed; E.Start; E.Finish; E.Reject; E.Recycle; E.Drain;
+    E.Accept; E.Admit; E.Shed; E.Start; E.Finish; E.Reject; E.Drain;
     E.Breach; E.Heap_breach; E.Dump; E.Flush;
   ]
 
