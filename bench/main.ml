@@ -46,7 +46,19 @@ let ag_stats () =
     "        expr AG 160 prods / 101 syms /  446 attrs / 2132 rules (1061 implicit) / 4 visits\n";
   Printf.printf "\nimplicit-rule fraction (paper: \"more than half\"): %.0f%% / %.0f%%\n"
     (100.0 *. Stats.implicit_fraction s1)
-    (100.0 *. Stats.implicit_fraction s2)
+    (100.0 *. Stats.implicit_fraction s2);
+  (* the unit productions a staged parse builds no tree node for *)
+  List.iter
+    (fun (name, g) ->
+      let chains =
+        List.filter_map
+          (fun (p : _ Grammar.production) ->
+            if p.Grammar.chain then Some p.Grammar.prod_name else None)
+          (Array.to_list g.Grammar.productions)
+      in
+      Printf.printf "\n%s chain productions (%d of %d):\n  %s\n" name (List.length chains)
+        (Grammar.n_productions g) (String.concat " " chains))
+    [ ("VHDL AG", Main_grammar.grammar ()); ("expr AG", Expr_eval.grammar ()) ]
 
 (* ------------------------------------------------------------------ *)
 (* PERF-SPEED *)
@@ -407,7 +419,9 @@ let evaluator_test ~name force =
         let run () =
           Session.with_session session (fun () ->
               let tokens = Main_grammar.tokens_of_source src in
-              let tree = Parsing.parse_list parser_ ~eof_value:Pval.Unit tokens in
+              let tree =
+                Parsing.parse_list parser_ ~elide_chains:true ~eof_value:Pval.Unit tokens
+              in
               let ev =
                 Evaluator.create
                   ~token_line:(fun n -> Pval.Int n)

@@ -89,8 +89,7 @@ let create ?token_line ?fuel ?(tick = fun () -> ()) ?provenance
     copy_elide;
   }
 
-let find_rule t prod_id ~pos ~slot attr =
-  let p = Grammar.production t.grammar prod_id in
+let find_rule t (p : 'v Grammar.production) ~pos ~slot attr =
   match Grammar.rule_for p ~pos ~slot with
   | r -> r
   | exception Not_found ->
@@ -106,10 +105,13 @@ let node_label t node =
 (* Evaluate attribute [attr] of [node], memoized in the cell at the
    attribute's slot; the node's cells are allocated on its first write.
    For synthesized attributes the defining rule lives in the node's own
-   production; for inherited ones it lives in the parent's production (or
-   in [root_inherited] at the root); either way it is found by the same
-   slot.  An attribute the symbol does not declare has no slot and no rule:
-   [compute_attr] raises. *)
+   production, found by that slot; for inherited ones it lives in the
+   parent's production (or in [root_inherited] at the root), found by the
+   slot of the symbol the parent's production has at the node's position.
+   That symbol is the node's own, or the left-hand side of a chain the
+   parser built no node for ({!Grammar.production.chain}).  An attribute
+   the symbol does not declare has no slot and no rule: [compute_attr]
+   raises. *)
 let rec eval_node t node attr =
   let sym =
     if node.Tree.prod >= 0 then (Grammar.production t.grammar node.Tree.prod).Grammar.lhs
@@ -162,12 +164,16 @@ and compute_attr t node ~slot attr =
   end
   else
     match Grammar.attr_dir t.grammar attr with
-    | Grammar.Synthesized -> apply_or_elide t node (find_rule t node.Tree.prod ~pos:0 ~slot attr)
+    | Grammar.Synthesized ->
+      let p = Grammar.production t.grammar node.Tree.prod in
+      apply_or_elide t node (find_rule t p ~pos:0 ~slot attr)
     | Grammar.Inherited -> (
       match node.Tree.parent with
       | Some parent ->
-        let rule = find_rule t parent.Tree.prod ~pos:(node.Tree.index + 1) ~slot attr in
-        apply_or_elide t parent rule
+        let p = Grammar.production t.grammar parent.Tree.prod in
+        let i = node.Tree.index in
+        let slot = Grammar.slot t.grammar p.Grammar.rhs.(i) attr in
+        apply_or_elide t parent (find_rule t p ~pos:(i + 1) ~slot attr)
       | None -> (
         match List.assoc_opt attr t.root_inherited with
         | Some v ->
@@ -289,9 +295,16 @@ let evaluate_plan ?site t ~(plan : Analysis.plan) =
 type 'v site = 'v Tree.t
 
 (** Interior nodes whose production's left-hand side is [symbol], in source
-    order — the per-design-unit entry points of the supervisor. *)
+    order — the per-design-unit entry points of the supervisor.  A symbol
+    with a chain production is refused: a staged parse may have built no
+    node for it. *)
 let sites t ~symbol =
   let sym = Grammar.find_symbol t.grammar symbol in
+  if
+    List.exists
+      (fun p -> (Grammar.production t.grammar p).Grammar.chain)
+      t.grammar.Grammar.prods_of.(sym)
+  then invalid_arg ("Evaluator.sites: " ^ symbol ^ " is the left-hand side of a chain production");
   let acc = ref [] in
   let rec walk node =
     if node.Tree.prod >= 0 then begin

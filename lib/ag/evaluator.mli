@@ -73,7 +73,9 @@ type 'v site
 (** An interior node of the decorated tree. *)
 
 val sites : 'v t -> symbol:string -> 'v site list
-(** Nodes whose production's left-hand side is [symbol], in source order. *)
+(** Nodes whose production's left-hand side is [symbol], in source order.
+    @raise Invalid_argument if [symbol] is the left-hand side of a chain
+    production ({!Grammar.production.chain}): a tree may lack its nodes. *)
 
 val eval_at : 'v t -> 'v site -> string -> 'v
 (** Value of attribute [name] at the site; inherited attributes resolve

@@ -63,6 +63,9 @@ type 'v production = {
       (* occurrence position -> slot of the symbol there -> position in
          [rules] of the rule defining it, -1 if none: positions, so a rule
          replaced in place (fault injection) is the one applied *)
+  chain : bool;
+      (* a transparent unit production A -> B, marked at freeze time next
+         to [copy_of]: the staged parser builds no node for it *)
 }
 
 type 'v t = {
@@ -501,6 +504,7 @@ module Builder = struct
             rhs;
             rules = Array.of_list (explicit @ implicit);
             rule_at;
+            chain = false;
           })
         specs
     in
@@ -515,6 +519,47 @@ module Builder = struct
       | Some _ -> ill_formed "start symbol %s is a terminal" start
       | None -> ill_formed "start symbol %s is not defined" start
     in
+    (* Chain productions.  [read.(sym).(s)]: some rule reads the attribute
+       in slot [s] of [sym] at a child position.  A unit production
+       A -> B is a chain when A is not the start symbol, B is a
+       nonterminal, every rule is a same-attribute copy between A and B or
+       a dependency-free constant for a synthesized attribute of A that
+       nothing reads at a child position, and B declares every other
+       attribute of A: a parent that reads B's attributes where it expects
+       A's then gets the values A's node would have passed through. *)
+    let read = Array.map (fun n -> Array.make n false) n_slots in
+    Array.iter
+      (fun p ->
+        Array.iter
+          (fun r ->
+            List.iter
+              (fun d ->
+                if d.pos > 0 then
+                  let sym = p.rhs.(d.pos - 1) in
+                  read.(sym).(slots.(sym).(d.attr)) <- true)
+              r.deps)
+          p.rules)
+      productions;
+    let is_chain p =
+      let transparent r =
+        match r.copy_of with
+        | Some src ->
+          src.attr = r.target.attr && src.pos + r.target.pos = 1
+        | None ->
+          r.target.pos = 0 && r.deps = []
+          && not read.(p.lhs).(slots.(p.lhs).(r.target.attr))
+      in
+      (* with every rule transparent, a synthesized attribute of A that B
+         does not declare has a dead constant *)
+      Array.length p.rhs = 1
+      && p.lhs <> start
+      && (not is_terminal.(p.rhs.(0)))
+      && Array.for_all transparent p.rules
+      && List.for_all
+           (fun a -> has_attr p.rhs.(0) a || attrs.(a).dir = Synthesized)
+           sym_attrs.(p.lhs)
+    in
+    let productions = Array.map (fun p -> { p with chain = is_chain p }) productions in
     (* every nonterminal must have a production *)
     for sym = 0 to n_syms - 1 do
       if (not is_terminal.(sym)) && prods_of.(sym) = [] then

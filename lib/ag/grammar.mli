@@ -63,6 +63,15 @@ type 'v production = {
           {!slot}), or -1; read it through {!rule_for}.  It holds
           positions, not rules, so a rule replaced in place in [rules]
           (fault injection) is the one every later evaluation applies. *)
+  chain : bool;
+      (** A chain production, marked at {!Builder.freeze}: a unit
+          production [A -> B] where [B] is a nonterminal, [A] is not the
+          start symbol, every rule is a same-attribute copy between [A] and
+          [B] or a dependency-free constant for a synthesized attribute of
+          [A] that no rule reads at a child position, and [B] declares every
+          other attribute of [A].  A parser may hand [B]'s node up in its
+          place ({!Parsing.parse}): what a parent reads of [A] is then what
+          [B] has. *)
 }
 
 type 'v t = {

@@ -63,11 +63,21 @@ let of_tables (g : 'v Grammar.t) ~eof ~action ~goto =
 
 let conflicts t = t.table.Table.conflicts
 
+let shift term value line = Tree.leaf ~term ~value ~line
+
+(* The reduce callback.  With [elide_chains], a chain production (see
+   {!Grammar.production.chain}) builds no node: its one child stands in
+   its place. *)
+let reduce t ~elide_chains =
+  if elide_chains then fun prod children ->
+    match children with
+    | [ child ] when (Grammar.production t.grammar prod).Grammar.chain -> child
+    | _ -> Tree.node prod children
+  else Tree.node
+
 (** Parse a token stream into a derivation tree of the AG. *)
-let parse t ~lexer =
-  Driver.parse t.table ~lexer
-    ~shift:(fun term value line -> Tree.leaf ~term ~value ~line)
-    ~reduce:(fun prod children -> Tree.node prod children)
+let parse t ~elide_chains ~lexer =
+  Driver.parse t.table ~lexer ~shift ~reduce:(reduce t ~elide_chains)
 
 let list_lexer t ~eof_value tokens =
   let remaining = ref tokens in
@@ -82,18 +92,15 @@ let list_lexer t ~eof_value tokens =
 
 (** Parse a pre-materialized token list (the LEF case: the scanner "just
     takes the next LEF token off the front of the list"). *)
-let parse_list t ~eof_value tokens =
-  parse t ~lexer:(list_lexer t ~eof_value tokens)
+let parse_list t ~elide_chains ~eof_value tokens =
+  parse t ~elide_chains ~lexer:(list_lexer t ~eof_value tokens)
 
 (** Parse a token list with panic-mode error recovery (see
     {!Vhdl_lalr.Driver.parse_recovering}): every syntax error in the list
     is reported, and the well-formed regions between the checkpoints
     survive into the returned derivation tree. *)
-let parse_list_recovering ?max_errors ?max_depth t ~eof_value ~checkpoint
-    ~classify tokens : 'v Tree.t Driver.recovery =
+let parse_list_recovering ?max_errors ?max_depth t ~elide_chains ~eof_value
+    ~checkpoint ~classify tokens : 'v Tree.t Driver.recovery =
   Driver.parse_recovering ?max_errors ?max_depth t.table
     ~lexer:(list_lexer t ~eof_value tokens)
-    ~eof:t.eof
-    ~shift:(fun term value line -> Tree.leaf ~term ~value ~line)
-    ~reduce:(fun prod children -> Tree.node prod children)
-    ~checkpoint ~classify
+    ~eof:t.eof ~shift ~reduce:(reduce t ~elide_chains) ~checkpoint ~classify

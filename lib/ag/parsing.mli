@@ -37,12 +37,19 @@ val of_tables :
 
 val conflicts : 'v t -> Vhdl_lalr.Table.conflict list
 
-val parse : 'v t -> lexer:(unit -> 'v Vhdl_lalr.Driver.token) -> 'v Tree.t
+val parse :
+  'v t -> elide_chains:bool -> lexer:(unit -> 'v Vhdl_lalr.Driver.token) -> 'v Tree.t
 (** Parse a token stream into a derivation tree.  The shift/reduce
     callbacks build {!Tree.t} nodes directly, parent links and empty
-    attribute cells included, for one {!Evaluator} to number and decorate. *)
+    attribute cells included, for one {!Evaluator} to number and decorate.
+    With [elide_chains], a reduce by a chain production
+    ({!Grammar.production.chain}) builds no node and hands its one child
+    up: the staged compile path's trees.  The reference path passes
+    [false] and gets every node, so the differential oracle checks the
+    elision. *)
 
-val parse_list : 'v t -> eof_value:'v -> 'v Vhdl_lalr.Driver.token list -> 'v Tree.t
+val parse_list :
+  'v t -> elide_chains:bool -> eof_value:'v -> 'v Vhdl_lalr.Driver.token list -> 'v Tree.t
 (** Parse a pre-materialized token list (the LEF case: the scanner "just
     takes the next LEF token off the front of the list"). *)
 
@@ -50,6 +57,7 @@ val parse_list_recovering :
   ?max_errors:int ->
   ?max_depth:int ->
   'v t ->
+  elide_chains:bool ->
   eof_value:'v ->
   checkpoint:(int -> bool) ->
   classify:(int -> Vhdl_lalr.Driver.sync_class) ->

@@ -284,8 +284,9 @@ let compile ?(fail_on_error = true) t source : Unit_info.compiled_unit list =
       let checkpoint, classify = Lazy.force recovery_hooks in
       let recovery =
         Timer.time t.timer "parser" (fun () ->
-            Parsing.parse_list_recovering parser_ ~eof_value:Pval.Unit ~checkpoint
-              ~classify tokens)
+            Parsing.parse_list_recovering parser_
+              ~elide_chains:(t.strategy = Staged)
+              ~eof_value:Pval.Unit ~checkpoint ~classify tokens)
       in
       let parse_diags = List.map diag_of_parse_error recovery.Driver.r_errors in
       match recovery.Driver.r_root with

@@ -72,7 +72,11 @@ let parse t ~what ~line lef =
   Tm.add m_lef_tokens n;
   Tm.observe m_expr_lef_tokens (float_of_int n);
   Tm.incr m_reparses;
-  match Parsing.parse_list t.parser_ ~eof_value:Pval.Unit (driver_tokens t lef) with
+  match
+    Parsing.parse_list t.parser_
+      ~elide_chains:(not (Session.reference ()))
+      ~eof_value:Pval.Unit (driver_tokens t lef)
+  with
   | tree -> Ok tree
   | exception Vhdl_lalr.Driver.Syntax_error { line = eline; found; _ } ->
     Tm.incr m_parse_errors;

@@ -89,7 +89,7 @@ let binary_grammar ?(extra_production = false) () =
       ];
   freeze b ~start:"num"
 
-let parse_binary g input =
+let parse_binary ?(elide_chains = false) g input =
   let parser_t = Parsing.create ~name:"binary" g ~eof:"$" in
   let tokens =
     List.map
@@ -104,7 +104,7 @@ let parse_binary g input =
         { Driver.t_sym = Grammar.find_symbol g sym; t_value = S (String.make 1 c); t_line = 1 })
       (List.init (String.length input) (String.get input))
   in
-  Parsing.parse_list parser_t ~eof_value:(S "") tokens
+  Parsing.parse_list parser_t ~elide_chains ~eof_value:(S "") tokens
 
 let test_binary_value () =
   let g = binary_grammar () in
@@ -149,12 +149,16 @@ let test_plan_matches_demand () =
    demand (goal-reachable only, memoized) never applies more rules than
    the plan (which forces everything), and the plan never exceeds one
    application per declared attribute per tree node.  A tree belongs to
-   one evaluator, so each side evaluates its own parse of the input. *)
+   one evaluator, so each side evaluates its own parse of the input: the
+   demand side a full tree, the plan side one without chain nodes, as on
+   the compiler's two paths. *)
 let check_agreement ?(root_inherited = []) ?token_line ~msg g parse ~goals ~eq =
-  let ev_d = Evaluator.create g ?token_line ~root_inherited (parse ()) in
+  let ev_d =
+    Evaluator.create g ?token_line ~root_inherited (parse ~elide_chains:false)
+  in
   let demand_goals = List.map (fun a -> Evaluator.goal ev_d a) goals in
   let demand_apps = Evaluator.rule_applications ev_d in
-  let tree = parse () in
+  let tree = parse ~elide_chains:true in
   let ev_p = Evaluator.create g ?token_line ~root_inherited tree in
   let passes = Evaluator.evaluate_plan ev_p ~plan:(Analysis.plan (Analysis.compute g)) in
   let plan_goals = List.map (fun a -> Evaluator.goal ev_p a) goals in
@@ -230,7 +234,7 @@ let classes_grammar () =
       ];
   freeze b ~start:"goal"
 
-let parse_ids g ids =
+let parse_ids ?(elide_chains = false) g ids =
   let parser_t = Parsing.create ~name:"classes" g ~eof:"$" in
   let id_sym = Grammar.find_symbol g "id" and semi = Grammar.find_symbol g "semi" in
   let tokens =
@@ -243,12 +247,13 @@ let parse_ids g ids =
       ids
     |> fun l -> List.filteri (fun i _ -> i < (2 * List.length ids) - 1) l
   in
-  Parsing.parse_list parser_t ~eof_value:(S "") tokens
+  Parsing.parse_list parser_t ~elide_chains ~eof_value:(S "") tokens
 
 (* Copy elision under the plan: the classes grammar is mostly implicit
    copy/merge rules, so the plan must exclude copy targets from forcing,
    elision must cut per-evaluator rule applications, and the goal value
-   must not move. *)
+   must not move.  The side without elision parses a full tree; the other
+   builds no node for the chain [stmts_one]. *)
 let test_plan_elides_copies () =
   let g = classes_grammar () in
   let plan = Analysis.plan (Analysis.compute g) in
@@ -258,7 +263,7 @@ let test_plan_elides_copies () =
     let ev =
       Evaluator.create g ~copy_elide
         ~root_inherited:[ ("ENV", S "root-env") ]
-        (parse_ids g [ "a"; "b"; "c" ])
+        (parse_ids ~elide_chains:copy_elide g [ "a"; "b"; "c" ])
     in
     ignore (Evaluator.evaluate_plan ev ~plan);
     (as_l (Evaluator.goal ev "MSGS"), Evaluator.rule_applications ev)
@@ -270,6 +275,141 @@ let test_plan_elides_copies () =
     (Printf.sprintf "elision cuts applications (%d < %d)" apps_elided apps_full)
     true (apps_elided < apps_full)
 
+(* ------------------------------------------------------------------ *)
+(* Chain productions: a parse with [~elide_chains] builds no node for a
+   transparent unit production. *)
+
+(* goal -> a -> b -> x, where [a -> b] passes OUT up and ENV down, gives
+   [a] a constant K, and is a chain unless [goal] reads K.  The two
+   symbols lay out their slots differently: ENV is slot 0 of [a] and slot
+   3 of [b], so the rule [goal] has for it is found only by [a]'s slot.
+   [a_rules] replaces the rules of [a -> b]. *)
+let chain_grammar ?(goal_reads_k = false) ?a_rules () =
+  let open Grammar.Builder in
+  let b = create () in
+  List.iter (fun t -> ignore (terminal b t)) [ "x"; "$" ];
+  List.iter (fun n -> ignore (nonterminal b n)) [ "goal"; "a"; "b" ];
+  let decl sym names =
+    List.iter
+      (fun (name, dir) -> attr b ~sym ~name ~dir)
+      names
+  in
+  decl "goal" [ ("OUT", Grammar.Synthesized) ];
+  decl "a"
+    [
+      ("ENV", Grammar.Inherited); ("OUT", Grammar.Synthesized); ("ALT", Grammar.Synthesized);
+      ("K", Grammar.Synthesized);
+    ];
+  decl "b"
+    [
+      ("EXTRA", Grammar.Synthesized); ("ALT", Grammar.Synthesized);
+      ("OUT", Grammar.Synthesized); ("ENV", Grammar.Inherited);
+    ];
+  production b ~name:"goal" ~lhs:"goal" ~rhs:[ "a" ]
+    ~rules:
+      [
+        const ~target:(1, "ENV") (S "env");
+        (if goal_reads_k then
+           rule ~target:(0, "OUT") ~deps:[ (1, "OUT"); (1, "K") ] (fun o k ->
+               L (as_l o @ as_l k))
+         else copy ~target:(0, "OUT") ~from:(1, "OUT"));
+      ];
+  production b ~name:"a_b" ~lhs:"a" ~rhs:[ "b" ]
+    ~rules:
+      (Option.value a_rules
+         ~default:
+           [
+             copy ~target:(0, "OUT") ~from:(1, "OUT");
+             copy ~target:(0, "ALT") ~from:(1, "ALT");
+             copy ~target:(1, "ENV") ~from:(0, "ENV");
+             const ~target:(0, "K") (L [ "k" ]);
+           ]);
+  production b ~name:"b_x" ~lhs:"b" ~rhs:[ "x" ]
+    ~rules:
+      [
+        rule ~target:(0, "OUT") ~deps:[ (0, "ENV"); (1, "VAL") ] (fun e v ->
+            L [ (match e with S s -> s | _ -> "?"); (match v with S s -> s | _ -> "?") ]);
+        const ~target:(0, "ALT") (L [ "alt" ]);
+        const ~target:(0, "EXTRA") (L []);
+      ];
+  freeze b ~start:"goal"
+
+let chain_of g name =
+  (Option.get
+     (Array.find_opt (fun p -> p.Grammar.prod_name = name) g.Grammar.productions))
+    .Grammar.chain
+
+let parse_x ~elide_chains g =
+  Parsing.parse_list
+    (Parsing.create ~name:"chain" g ~eof:"$")
+    ~elide_chains ~eof_value:(S "")
+    [ { Driver.t_sym = Grammar.find_symbol g "x"; t_value = S "x"; t_line = 1 } ]
+
+(* What is a chain, and what is not: a unit production with an explicit
+   rule that is no copy, with a copy of a differently named attribute, or
+   with a constant a parent reads keeps its node. *)
+let test_chain_marking () =
+  let open Grammar.Builder in
+  Alcotest.(check bool) "copies plus an unread constant" true
+    (chain_of (chain_grammar ()) "a_b");
+  Alcotest.(check bool) "the start symbol's production" false
+    (chain_of (chain_grammar ()) "goal");
+  Alcotest.(check bool) "a production over a terminal" false
+    (chain_of (chain_grammar ()) "b_x");
+  let not_chain what a_rules =
+    Alcotest.(check bool) what false (chain_of (chain_grammar ~a_rules ()) "a_b")
+  in
+  let up = copy ~target:(0, "OUT") ~from:(1, "OUT")
+  and alt = copy ~target:(0, "ALT") ~from:(1, "ALT")
+  and down = copy ~target:(1, "ENV") ~from:(0, "ENV")
+  and k = const ~target:(0, "K") (L [ "k" ]) in
+  not_chain "an explicit rule that is no copy"
+    [ rule ~target:(0, "OUT") ~deps:[ (1, "OUT") ] (fun v -> v); alt; down; k ];
+  not_chain "a copy of a differently named attribute"
+    [ copy ~target:(0, "OUT") ~from:(1, "ALT"); alt; down; k ];
+  not_chain "a constant passed down" [ up; alt; const ~target:(1, "ENV") (S "e"); k ];
+  Alcotest.(check bool) "a constant a parent reads" false
+    (chain_of (chain_grammar ~goal_reads_k:true ()) "a_b");
+  (* the real grammars: the expression AG's operator-free levels *)
+  let eg = Expr_eval.grammar () in
+  List.iter
+    (fun name -> Alcotest.(check bool) ("expression AG " ^ name) true (chain_of eg name))
+    [ "factor_primary"; "term_factor"; "relation_simple"; "simple_term"; "xexpr_rel" ]
+
+(* An elided tree gives the full tree's goals with fewer attributes and
+   fewer nodes.  Its rule applications fall by exactly the chain's dead
+   constant K.  ENV reaches [b] through the rule [goal] has for [a]'s
+   slot: looked up by [b]'s own slot, it would be missing. *)
+let test_chain_elision () =
+  let g = chain_grammar () in
+  let plan = Analysis.plan (Analysis.compute g) in
+  let run ~elide_chains =
+    let tree = parse_x ~elide_chains g in
+    let size = Tree.size tree in
+    let attrs = Vhdl_telemetry.Telemetry.counter_value "ag.attrs_evaluated" in
+    let ev = Evaluator.create g ~root_inherited:[] tree in
+    ignore (Evaluator.evaluate_plan ev ~plan);
+    let out = as_l (Evaluator.goal ev "OUT") in
+    ( out,
+      size,
+      Vhdl_telemetry.Telemetry.counter_value "ag.attrs_evaluated" - attrs,
+      Evaluator.rule_applications ev,
+      ev )
+  in
+  let out_full, size_full, attrs_full, apps_full, _ = run ~elide_chains:false in
+  let out, size, attrs, apps, ev = run ~elide_chains:true in
+  Alcotest.(check (list string)) "same goal" out_full out;
+  Alcotest.(check (list string)) "ENV reached b" [ "env"; "x" ] out;
+  Alcotest.(check int) "one node fewer" (size_full - 1) size;
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer attributes (%d < %d)" attrs attrs_full)
+    true (attrs < attrs_full);
+  Alcotest.(check int) "only the dead constant is not applied" (apps_full - 1) apps;
+  Alcotest.(check int) "b is a site" 1 (List.length (Evaluator.sites ev ~symbol:"b"));
+  match Evaluator.sites ev ~symbol:"a" with
+  | _ -> Alcotest.fail "a chain symbol is no site"
+  | exception Invalid_argument _ -> ()
+
 let test_agreement_all_grammars () =
   let eq_v a b =
     match (a, b) with
@@ -280,7 +420,7 @@ let test_agreement_all_grammars () =
   List.iter
     (fun input ->
       check_agreement ~msg:("binary " ^ input) g
-        (fun () -> parse_binary g input)
+        (fun ~elide_chains -> parse_binary ~elide_chains g input)
         ~goals:[ "v" ] ~eq:eq_v)
     [ "0"; "1"; "1101"; "110.101"; "0.111"; "10110101.0011" ];
   let g = classes_grammar () in
@@ -290,7 +430,7 @@ let test_agreement_all_grammars () =
         ~root_inherited:[ ("ENV", S "root-env") ]
         ~msg:("classes " ^ String.concat "," ids)
         g
-        (fun () -> parse_ids g ids)
+        (fun ~elide_chains -> parse_ids ~elide_chains g ids)
         ~goals:[ "MSGS" ] ~eq:eq_v)
     [ [ "a" ]; [ "a"; "b"; "c" ]; [ "p"; "q"; "r"; "s"; "t" ] ]
 
@@ -465,10 +605,10 @@ let typed_grammar () =
       ];
   freeze b ~start:"goal"
 
-let parse_abc g =
+let parse_abc ?(elide_chains = false) g =
   let parser_t = Parsing.create ~name:"typed" g ~eof:"$" in
   let tok i t = { Driver.t_sym = Grammar.find_symbol g t; t_value = S t; t_line = i + 1 } in
-  Parsing.parse_list parser_t ~eof_value:(S "") (List.mapi tok [ "a"; "b"; "c" ])
+  Parsing.parse_list parser_t ~elide_chains ~eof_value:(S "") (List.mapi tok [ "a"; "b"; "c" ])
 
 let test_typed_deps () =
   let g = typed_grammar () in
@@ -487,7 +627,7 @@ let test_typed_deps () =
   Alcotest.(check (list string)) "rest: head, then the Rest tail in order"
     [ "1"; "c"; "3"; "k"; "c2"; "b"; "2" ]
     (strs (Evaluator.goal ev "rest"));
-  check_agreement ~token_line ~msg:"typed" g (fun () -> parse_abc g) ~goals:[ "out"; "rest" ]
+  check_agreement ~token_line ~msg:"typed" g (fun ~elide_chains -> parse_abc ~elide_chains g) ~goals:[ "out"; "rest" ]
     ~eq:( = )
 
 (* ------------------------------------------------------------------ *)
@@ -597,8 +737,9 @@ let test_principal_ag_noncircular () =
   Alcotest.(check bool) "implicit rules are the majority (TBL-IMPLICIT)" true
     (Stats.implicit_fraction s > 0.5)
 
-(* staged (plan-based) evaluation of the principal AG produces the same
-   compiled units as demand evaluation *)
+(* staged (plan-based) evaluation of the principal AG, over a tree without
+   chain nodes, produces the same compiled units as demand evaluation over
+   a full tree *)
 let test_staged_principal () =
   let source =
     "entity e is\n  port (a : in bit; y : out bit);\nend e;\n\narchitecture r of e is\nbegin\n  y <= not a after 1 ns;\nend r;"
@@ -609,13 +750,13 @@ let test_staged_principal () =
     Vhdl_compiler.compile (Vhdl_compiler.create ())
       "entity e is\n  port (a : in bit; y : out bit);\nend e;"
   in
-  let compile_with forcing =
+  let compile_with ~elide_chains forcing =
     let session = Session.in_memory entity in
     Session.with_session session (fun () ->
         let g = Main_grammar.grammar () in
         let parser_ = Main_grammar.parser_ () in
         let tokens = Main_grammar.tokens_of_source source in
-        let tree = Parsing.parse_list parser_ ~eof_value:Pval.Unit tokens in
+        let tree = Parsing.parse_list parser_ ~elide_chains ~eof_value:Pval.Unit tokens in
         let ev =
           Evaluator.create
             ~token_line:(fun n -> Pval.Int n)
@@ -631,9 +772,9 @@ let test_staged_principal () =
           (fun (u : Unit_info.compiled_unit) -> u.Unit_info.u_key)
           (Pval.as_units (Evaluator.goal ev "UNITS")))
   in
-  let demand = compile_with (fun _ _ -> ()) in
+  let demand = compile_with ~elide_chains:false (fun _ _ -> ()) in
   let planned =
-    compile_with (fun g ev ->
+    compile_with ~elide_chains:true (fun g ev ->
         ignore (Evaluator.evaluate_plan ev ~plan:(Analysis.plan (Analysis.compute g))))
   in
   Alcotest.(check (list string)) "plan: same units" demand planned
@@ -722,6 +863,9 @@ let suite =
     Alcotest.test_case "binary analysis: visits" `Quick test_binary_analysis;
     Alcotest.test_case "plan evaluation matches demand" `Quick test_plan_matches_demand;
     Alcotest.test_case "plan elides copy chains" `Quick test_plan_elides_copies;
+    Alcotest.test_case "chain productions: what is one" `Quick test_chain_marking;
+    Alcotest.test_case "chain productions: elided tree, same goals" `Quick
+      test_chain_elision;
     Alcotest.test_case "demand/staged agreement across example grammars" `Quick
       test_agreement_all_grammars;
     QCheck_alcotest.to_alcotest binary_property;

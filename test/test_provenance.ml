@@ -111,7 +111,7 @@ let parse_binary g input =
         })
       (List.init (String.length input) (String.get input))
   in
-  Parsing.parse_list parser_t ~eof_value:(S "") tokens
+  Parsing.parse_list parser_t ~elide_chains:false ~eof_value:(S "") tokens
 
 let eval_recorded input =
   let g = binary_grammar () in
