@@ -182,13 +182,15 @@ let of_line line =
   | Ok j -> of_json j
 
 (** Parse a whole event log (one JSON object per line; blank lines
-    ignored).  A malformed {e final} line is the signature of a crash
+    ignored).  A final line that is not JSON is the signature of a crash
     mid-write (the sink flushes per event, so only the very last line
     can be torn): it is skipped with a counted warning rather than
     failing the read, so post-mortem analytics still run on a log whose
-    writer died.  A malformed line {e followed by} well-formed ones is
-    real corruption and still fails — a log that does not parse
-    end-to-end is itself a finding. *)
+    writer died.  A line that is not JSON {e followed by} well-formed
+    ones is real corruption and still fails — a log that does not parse
+    end-to-end is itself a finding.  So does a line that is JSON but no
+    event (an unknown [ev] kind, say), wherever it stands: a writer that
+    died mid-line leaves no such line. *)
 let read_log path : (t list * string list, string) result =
   let text = Vhdl_util.Unix_compat.read_file path in
   let lines = String.split_on_char '\n' text in
@@ -197,18 +199,19 @@ let read_log path : (t list * string list, string) result =
     | line :: rest ->
       let trimmed = String.trim line in
       if trimmed = "" then go (n + 1) acc warnings rest
-      else (
-        match of_line trimmed with
-        | Ok e -> go (n + 1) (e :: acc) warnings rest
+      else
+        let fail msg = Error (Printf.sprintf "%s:%d: %s" path n msg) in
+        match J.parse trimmed with
+        | Ok j -> (
+          match of_json j with
+          | Ok e -> go (n + 1) (e :: acc) warnings rest
+          | Error msg -> fail msg)
+        | Error msg when List.exists (fun l -> String.trim l <> "") rest -> fail msg
         | Error msg ->
-          if List.exists (fun l -> String.trim l <> "") rest then
-            Error (Printf.sprintf "%s:%d: %s" path n msg)
-          else
-            go (n + 1) acc
-              (Printf.sprintf "%s:%d: skipped truncated trailing line (%s)"
-                 path n msg
-              :: warnings)
-              rest)
+          go (n + 1) acc
+            (Printf.sprintf "%s:%d: skipped truncated trailing line (%s)" path n msg
+            :: warnings)
+            rest
   in
   go 1 [] [] lines
 

@@ -66,10 +66,11 @@ val to_line : t -> string
 val of_line : string -> (t, string) result
 
 val read_log : string -> (t list * string list, string) result
-(** Parse a whole JSONL event log.  A malformed {e final} line (crash
+(** Parse a whole JSONL event log.  A final line that is not JSON (crash
     mid-write) is skipped and reported as a warning in the second
-    component; malformed lines with well-formed lines after them are
-    real corruption and fail the read. *)
+    component; such a line with well-formed lines after them is real
+    corruption and fails the read, as does a JSON line that is no event
+    (e.g. an unknown [ev] kind) anywhere in the log. *)
 
 val check_log : t list -> string list
 (** Violations of the request-lifecycle grammar: monotone accept rids,

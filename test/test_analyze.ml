@@ -56,6 +56,18 @@ let test_read_log_rejects_midfile_corruption () =
   | Ok _ -> Alcotest.fail "mid-file corruption must fail the read");
   Sys.remove path
 
+(* A last line that parses but names no known event kind is no torn
+   write: the read fails, as it would anywhere else in the log. *)
+let test_read_log_rejects_unknown_kind () =
+  let path = temp_path ".jsonl" in
+  write_log path [ "{\"ts\":1.0,\"ev\":\"recycle\",\"rid\":1}\n" ];
+  (match E.read_log path with
+  | Error msg ->
+    Alcotest.(check bool) "error names the line and the kind" true
+      (Astring_contains.contains msg ":1: event without a known ev kind")
+  | Ok _ -> Alcotest.fail "an unknown event kind must fail the read");
+  Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* The analyze engine over a synthetic log *)
 
@@ -213,6 +225,8 @@ let suite =
       test_read_log_skips_torn_tail;
     Alcotest.test_case "read_log rejects mid-file corruption" `Quick
       test_read_log_rejects_midfile_corruption;
+    Alcotest.test_case "read_log rejects an unknown event kind" `Quick
+      test_read_log_rejects_unknown_kind;
     Alcotest.test_case "analyze aggregates a synthetic log" `Quick
       test_analyze_report;
     Alcotest.test_case "analyze excludes inline daemon verbs" `Quick
