@@ -321,13 +321,6 @@ let plan t =
   in
   { pl_passes = passes; pl_force = force; pl_copy_targets = !copy_targets }
 
-(** Maximum number of visits over all symbols — the paper's "max visits". *)
-let max_visits t =
-  let parts = visit_partitions t in
-  Array.fold_left
-    (fun acc l -> List.fold_left (fun acc (_, v) -> max acc v) acc l)
-    1 parts
-
 (** Visits needed for one particular symbol. *)
 let visits_of t sym_name =
   let parts = visit_partitions t in

@@ -47,8 +47,5 @@ val plan : 'v t -> plan
     generating the evaluator once).
     @raise Not_orderable as {!visit_partitions}. *)
 
-val max_visits : 'v t -> int
-(** The paper's "max visits" row. *)
-
 val visits_of : 'v t -> string -> int
 (** Visits needed for one symbol, by name. *)

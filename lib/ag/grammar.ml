@@ -580,17 +580,3 @@ module Builder = struct
       token_line_attr;
     }
 end
-
-let pp_production g fmt p =
-  Format.fprintf fmt "%s ::= %s" (symbol_name g p.lhs)
-    (if Array.length p.rhs = 0 then "<empty>"
-     else String.concat " " (Array.to_list (Array.map (symbol_name g) p.rhs)))
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>";
-  Array.iter
-    (fun p ->
-      Format.fprintf fmt "[%d] %a  (%d rules)@," p.prod_id (pp_production g) p
-        (Array.length p.rules))
-    g.productions;
-  Format.fprintf fmt "@]"

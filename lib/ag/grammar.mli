@@ -178,6 +178,3 @@ module Builder : sig
   (** Validate, complete implicit rules, and seal the grammar.
       @raise Ill_formed on any inconsistency. *)
 end
-
-val pp_production : 'v t -> Format.formatter -> 'v production -> unit
-val pp : Format.formatter -> 'v t -> unit

@@ -36,13 +36,12 @@ let cfg_of_grammar (g : 'v Grammar.t) ~eof =
   Cfg.create ~n_symbols:n ~is_terminal ~productions ~start:g.Grammar.start ~eof:eof_id
     ~symbol_name:(Grammar.symbol_name g)
 
-(** Build the parser.  By default any LALR conflict is an error (the AG
-    author must resolve it by restructuring, per the paper's discussion);
-    pass [~allow_conflicts:true] to accept the yacc-style resolution. *)
-let create ?(allow_conflicts = false) ?(name = "grammar") (g : 'v Grammar.t) ~eof =
+(** Build the parser.  Any LALR conflict is an error: the AG author must
+    resolve it by restructuring, per the paper's discussion. *)
+let create ?(name = "grammar") (g : 'v Grammar.t) ~eof =
   let cfg = cfg_of_grammar g ~eof in
   let table = Table.build cfg in
-  if (not allow_conflicts) && table.Table.conflicts <> [] then begin
+  if table.Table.conflicts <> [] then begin
     let report =
       Format.asprintf "@[<v>%a@]"
         (Format.pp_print_list (Table.pp_conflict table))

@@ -20,10 +20,10 @@ val cfg_of_grammar : 'v Grammar.t -> eof:string -> Vhdl_lalr.Cfg.t
 (** The underlying context-free grammar; [eof] names a declared terminal
     the lexer emits at end of input. *)
 
-val create : ?allow_conflicts:bool -> ?name:string -> 'v Grammar.t -> eof:string -> 'v t
-(** Build the LALR(1) tables.  @raise Conflicts unless [allow_conflicts]
-    (the paper's authors had to track conflict resolution by hand when
-    uniting productions; we reject instead). *)
+val create : ?name:string -> 'v Grammar.t -> eof:string -> 'v t
+(** Build the LALR(1) tables.  @raise Conflicts on any conflict (the
+    paper's authors had to track conflict resolution by hand when uniting
+    productions; we reject instead). *)
 
 val of_tables :
   'v Grammar.t ->

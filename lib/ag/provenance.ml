@@ -228,8 +228,10 @@ let describe r =
 (** The why-chain: the record, then (indented) the records it read,
     transitively, down to [depth].  A record already printed is referenced
     back by id rather than re-expanded, so shared subgraphs stay readable
-    and the traversal terminates on any DAG. *)
-let pp_why_chain ?(depth = 6) ?(max_deps = 16) t fmt root =
+    and the traversal terminates on any DAG.  At most 16 dependencies are
+    printed per record. *)
+let pp_why_chain ?(depth = 6) t fmt root =
+  let max_deps = 16 in
   let seen = Hashtbl.create 64 in
   let rec go fmt prefix id level =
     match get t id with

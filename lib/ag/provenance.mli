@@ -115,13 +115,12 @@ val note_root_inherited : t -> unit
 
 (** {1 Consumers} *)
 
-val pp_why_chain :
-  ?depth:int -> ?max_deps:int -> t -> Format.formatter -> int -> unit
+val pp_why_chain : ?depth:int -> t -> Format.formatter -> int -> unit
 (** Print the transitive provenance slice (the why-chain) rooted at a
     record id: the instance, its value, its cost, and — indented — the
     instances it read, to [depth] levels (default 6).  Repeated records are
-    referenced back instead of re-expanded; [max_deps] (default 16) bounds
-    the fan-out printed per record. *)
+    referenced back instead of re-expanded; at most 16 dependencies are
+    printed per record. *)
 
 val to_dot : ?depth:int -> t -> root:int -> string
 (** The same slice as a GraphViz digraph (records as boxes, reads as

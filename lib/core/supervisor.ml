@@ -22,15 +22,11 @@ let m_internal_escapes = Tm.counter "supervisor.internal_escapes"
 
 (** Pipeline phases, for tagging diagnostics. *)
 type phase =
-  | Scan
-  | Parse
   | Analysis
   | Elaboration
   | Simulation
 
 let phase_name = function
-  | Scan -> "scan"
-  | Parse -> "parse"
   | Analysis -> "analysis"
   | Elaboration -> "elaboration"
   | Simulation -> "simulation"

@@ -13,8 +13,6 @@
     propagate. *)
 
 type phase =
-  | Scan
-  | Parse
   | Analysis
   | Elaboration
   | Simulation

@@ -77,8 +77,10 @@ let replay ?(inject_fault = false) path =
 (* ------------------------------------------------------------------ *)
 (* Campaigns *)
 
-let run_campaign ?(inject_fault = false) ?corpus_dir ?(shrink_budget = 600)
-    ?(log = fun _ -> ()) ~seeds ~size () =
+(* oracle runs the shrinker may spend on one failing design *)
+let shrink_budget = 600
+
+let run_campaign ?(inject_fault = false) ?corpus_dir ?(log = fun _ -> ()) ~seeds ~size () =
   if inject_fault then Difftest_fault.arm ();
   let s =
     {
@@ -155,7 +157,7 @@ let default_campaign_budgets =
   }
 
 let run_budget_campaign ?(budgets = default_campaign_budgets) ?corpus_dir
-    ?(shrink_budget = 600) ?(log = fun _ -> ()) ~seeds ~size () =
+    ?(log = fun _ -> ()) ~seeds ~size () =
   let s =
     {
       total = 0;

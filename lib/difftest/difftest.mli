@@ -21,7 +21,6 @@ type summary = {
 val run_campaign :
   ?inject_fault:bool ->
   ?corpus_dir:string ->
-  ?shrink_budget:int ->
   ?log:(string -> unit) ->
   seeds:int list ->
   size:int ->
@@ -41,7 +40,6 @@ val default_campaign_budgets : Supervisor.budgets
 val run_budget_campaign :
   ?budgets:Supervisor.budgets ->
   ?corpus_dir:string ->
-  ?shrink_budget:int ->
   ?log:(string -> unit) ->
   seeds:int list ->
   size:int ->

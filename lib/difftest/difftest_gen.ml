@@ -275,8 +275,8 @@ let generate ~seed ~size =
 (* ------------------------------------------------------------------ *)
 (* Random runtime values (shared with the Value_ops property tests) *)
 
-let int_array ?(min_len = 0) ?(max_len = 12) st =
-  let n = min_len + Random.State.int st (max_len - min_len + 1) in
+let int_array st =
+  let n = Random.State.int st 13 in
   let lo = Random.State.int st 8 in
   Value.Varray
     {
@@ -284,8 +284,8 @@ let int_array ?(min_len = 0) ?(max_len = 12) st =
       elems = Array.init n (fun _ -> Value.Vint (Random.State.int st 2001 - 1000));
     }
 
-let bit_vector ?(min_len = 1) ?(max_len = 16) st =
-  let n = min_len + Random.State.int st (max_len - min_len + 1) in
+let bit_vector st =
+  let n = 1 + Random.State.int st 16 in
   Value.Varray
     {
       bounds = (0, Value.To, n - 1);

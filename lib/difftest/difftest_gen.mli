@@ -34,8 +34,8 @@ val bool_expr : Random.State.t -> env:string list -> depth:int -> string
 val value : ?depth:int -> Random.State.t -> Value.t
 (** A random scalar or composite {!Value.t}. *)
 
-val int_array : ?min_len:int -> ?max_len:int -> Random.State.t -> Value.t
-(** A [Varray] of [Vint] with a random ascending bound. *)
+val int_array : Random.State.t -> Value.t
+(** A [Varray] of 0 to 12 [Vint]s with a random ascending bound. *)
 
-val bit_vector : ?min_len:int -> ?max_len:int -> Random.State.t -> Value.t
-(** A [Varray] of bit [Venum]s. *)
+val bit_vector : Random.State.t -> Value.t
+(** A [Varray] of 1 to 16 bit [Venum]s. *)

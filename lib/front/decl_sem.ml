@@ -67,12 +67,6 @@ let classify_op ~env ~line op : Lef.tok =
 let classify ~env ~line name : Lef.tok list * Diag.t list =
   classify_denots ~line ~name (Env.lookup env name)
 
-(** Load a compiled unit, returning its info. *)
-let foreign_unit ~line ~library ~key : (Unit_info.compiled_unit option * Diag.t list) =
-  match Session.find_unit ~library ~key with
-  | Some u -> (Some u, [])
-  | None -> (None, [ Diag.error ~line "unit %s not found in library %s" key library ])
-
 (** Selected name [prefix . id]: package item, library unit, or record
     field.  [prefix_lef] is the prefix's LEF. *)
 let classify_selected ~env ~line prefix_lef id : Lef.tok list * Diag.t list =
@@ -272,39 +266,6 @@ let enum_type_def ~unit_name (literals : (string * int) list) =
           literals
       in
       (ty, binds))
-
-let integer_type_def ~unit_name ~level ~line lo_lef dir hi_lef =
-  Tydef
-    (fun name ->
-      let bounds =
-        match
-          ( static_int_of ~level ~line ~expected:Std.integer lo_lef,
-            static_int_of ~level ~line ~expected:Std.integer hi_lef )
-        with
-        | Ok lo, Ok hi -> (lo, dir, hi)
-        | _ -> (0, Types.To, 0)
-      in
-      let ty =
-        {
-          Types.base = qualify ~unit_name name;
-          kind = Types.Kint;
-          constr = Some (Types.Crange ((fun (a, _, _) -> a) bounds, dir, (fun (_, _, c) -> c) bounds));
-        }
-      in
-      (ty, []))
-
-let array_type_def ~unit_name ~(index_ty : Types.t) ~(elem_ty : Types.t)
-    ~(constr : (int * Types.dir * int) option) =
-  Tydef
-    (fun name ->
-      let ty =
-        {
-          Types.base = qualify ~unit_name name;
-          kind = Types.Karray { index = index_ty; elem = elem_ty };
-          constr = Option.map (fun (l, d, r) -> Types.Crange (l, d, r)) constr;
-        }
-      in
-      (ty, []))
 
 let record_type_def ~unit_name ~(fields : (string * Types.t) list) =
   Tydef

@@ -26,10 +26,6 @@ let cv ty code static =
   | Some v -> Cv { ty; code = Kir.Elit v; static }
   | None -> Cv { ty; code; static }
 
-let cand_ty = function
-  | Cv { ty; _ } -> Some ty
-  | Cagg _ | Cstr _ | Crng _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Candidate sets for LEF head tokens *)
 

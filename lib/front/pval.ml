@@ -210,7 +210,6 @@ type t =
   | Lefs of Lef.tok list list (* name lists (sensitivity etc.) *)
   | Ids of (string * int) list
   | Cands of cand list
-  | Xres of xres
   | Aitems of aitem list
   | Achoices of achoice list
   | Out of decl_out cat
@@ -251,7 +250,6 @@ let as_lef = function Lef l -> l | _ -> internal "expected Lef"
 let as_lefs = function Lefs l -> l | _ -> internal "expected Lefs"
 let as_ids = function Ids l -> l | _ -> internal "expected Ids"
 let as_cands = function Cands c -> c | _ -> internal "expected Cands"
-let as_xres = function Xres x -> x | _ -> internal "expected Xres"
 let as_aitems = function Aitems l -> l | _ -> internal "expected Aitems"
 let as_achoices = function Achoices l -> l | _ -> internal "expected Achoices"
 let as_out = function Out o -> out_of_cat o | _ -> internal "expected Out"
@@ -319,7 +317,6 @@ let rec summary ?(fuel = 2) v =
   | Ids ids ->
     Printf.sprintf "ids[%s]" (clip 32 (String.concat "," (List.map fst ids)))
   | Cands c -> Printf.sprintf "cands[%d]" (List.length c)
-  | Xres x -> "xres:" ^ x.x_ty.Types.base
   | Aitems l -> Printf.sprintf "aitems[%d]" (List.length l)
   | Achoices l -> Printf.sprintf "achoices[%d]" (List.length l)
   | Out o ->

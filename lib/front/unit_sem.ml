@@ -121,17 +121,6 @@ let architecture ~name ~entity_name ~(entity : Unit_info.entity_info option)
     u_sequence = 0;
   }
 
-(** Architecture-level elaboration-time constants (see
-    {!Decl_sem.constant_decl}): the o_locals of an architecture's
-    declarative part. *)
-let arch_constants (out : decl_out) : (string * Types.t * Kir.expr) list =
-  List.filter_map
-    (fun (l : Kir.local) ->
-      match l.Kir.l_init with
-      | Some init -> Some (l.Kir.l_name, l.Kir.l_ty, init)
-      | None -> None)
-    out.o_locals
-
 (** Assemble a package declaration. *)
 let package ~name ~(out : decl_out) ~(specs : Denot.subprog_sig list) ~(source_lines : int) :
     Unit_info.compiled_unit =

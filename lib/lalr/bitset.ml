@@ -33,7 +33,3 @@ let elements t =
     if mem t i then acc := i :: !acc
   done;
   !acc
-
-let is_empty t =
-  let rec scan b = b >= Bytes.length t.bits || (Bytes.get t.bits b = '\000' && scan (b + 1)) in
-  scan 0

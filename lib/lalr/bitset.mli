@@ -11,4 +11,3 @@ val union_into : into:t -> t -> bool
 (** Add all elements of the second set; [true] if the target changed. *)
 
 val elements : t -> int list
-val is_empty : t -> bool

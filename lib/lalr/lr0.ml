@@ -141,18 +141,3 @@ let reductions t state =
          let dot = item_dot ~stride:t.stride it in
          let rhs = prod_rhs t p in
          if dot = Array.length rhs then Some p else None)
-
-let pp_item t fmt it =
-  let p = item_prod ~stride:t.stride it in
-  let dot = item_dot ~stride:t.stride it in
-  let rhs = prod_rhs t p in
-  let lhs_name =
-    if p = t.aug_prod then "S'" else t.cfg.Cfg.symbol_name (Cfg.production t.cfg p).Cfg.lhs
-  in
-  Format.fprintf fmt "%s ::=" lhs_name;
-  Array.iteri
-    (fun i s ->
-      if i = dot then Format.pp_print_string fmt " .";
-      Format.fprintf fmt " %s" (t.cfg.Cfg.symbol_name s))
-    rhs;
-  if dot = Array.length rhs then Format.pp_print_string fmt " ."

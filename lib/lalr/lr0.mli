@@ -35,6 +35,3 @@ val items : t -> int -> item list
 
 val reductions : t -> int -> int list
 (** Complete items (dot at end) of a state, as production ids. *)
-
-val pp_item : t -> Format.formatter -> item -> unit
-(** ["expr ::= expr . + term"] — for conflict reports and debugging. *)

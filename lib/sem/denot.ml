@@ -59,35 +59,9 @@ type t =
   | Dlabel of string
   | Dphys_unit of { ty : Types.t; scale : int; image : string } (* ns, us, ... *)
 
-let describe = function
-  | Dobject { cls = Cconstant; _ } -> "constant"
-  | Dobject { cls = Cvariable; _ } -> "variable"
-  | Dobject { cls = Csignal; _ } -> "signal"
-  | Dtype _ -> "type"
-  | Dsubtype _ -> "subtype"
-  | Denum_lit _ -> "enumeration literal"
-  | Dsubprog { ss_kind = `Function; _ } -> "function"
-  | Dsubprog { ss_kind = `Procedure; _ } -> "procedure"
-  | Dcomponent _ -> "component"
-  | Dattr_decl _ -> "attribute"
-  | Dattr_value _ -> "attribute value"
-  | Dunit _ -> "design unit"
-  | Dlibrary _ -> "library"
-  | Dlabel _ -> "label"
-  | Dphys_unit _ -> "physical unit"
-
 (** Overloadable denotations coexist under one name (LRM 10.3): subprograms
     and enumeration literals.  Everything else hides. *)
 let overloadable = function
   | Dsubprog _ | Denum_lit _ -> true
   | Dobject _ | Dtype _ | Dsubtype _ | Dcomponent _ | Dattr_decl _ | Dattr_value _
   | Dunit _ | Dlibrary _ | Dlabel _ | Dphys_unit _ -> false
-
-let type_of = function
-  | Dobject { ty; _ } -> Some ty
-  | Dtype ty | Dsubtype ty -> Some ty
-  | Denum_lit { ty; _ } -> Some ty
-  | Dsubprog { ss_ret; _ } -> ss_ret
-  | Dattr_value { ty; _ } -> Some ty
-  | Dphys_unit { ty; _ } -> Some ty
-  | Dcomponent _ | Dattr_decl _ | Dunit _ | Dlibrary _ | Dlabel _ -> None

@@ -13,7 +13,6 @@
     being processed. *)
 
 type severity =
-  | Note
   | Warning
   | Error
 
@@ -56,7 +55,6 @@ let is_budget d =
   | User | Internal _ -> false
 
 let severity_string = function
-  | Note -> "note"
   | Warning -> "warning"
   | Error -> "error"
 

@@ -3,7 +3,6 @@
     semantic tree" by the MSGS merge class. *)
 
 type severity =
-  | Note
   | Warning
   | Error
 

@@ -102,35 +102,10 @@ let enum_pos t image =
     scan 0
   | _ -> None
 
-let record_fields t =
-  match t.kind with
-  | Krecord fields -> Some fields
-  | _ -> None
-
 let field_type t name =
   match t.kind with
   | Krecord fields -> List.assoc_opt name fields
   | _ -> None
-
-(** Physical-unit scale factor relative to the primary unit. *)
-let phys_unit_scale t unit_name =
-  match t.kind with
-  | Kphys units -> List.assoc_opt unit_name units
-  | _ -> None
-
-let rec pp fmt t =
-  match t.constr with
-  | None -> Format.pp_print_string fmt t.base
-  | Some (Crange (l, d, r)) ->
-    Format.fprintf fmt "%s range %d %s %d" t.base l
-      (match d with To -> "to" | Downto -> "downto")
-      r
-  | Some (Cfloat_range (l, d, r)) ->
-    Format.fprintf fmt "%s range %g %s %g" t.base l
-      (match d with To -> "to" | Downto -> "downto")
-      r
-
-and to_string t = Format.asprintf "%a" pp t
 
 (* short display name: last component of the qualified base name *)
 let short_name t =

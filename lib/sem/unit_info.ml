@@ -87,17 +87,3 @@ let key_of = function
   | Upackage p -> "package:" ^ p.pk_name
   | Upackage_body b -> "body:" ^ b.pb_name
   | Uconfig c -> "config:" ^ c.cf_name
-
-let name_of = function
-  | Uentity e -> e.en_name
-  | Uarch a -> a.ar_name
-  | Upackage p -> p.pk_name
-  | Upackage_body b -> b.pb_name
-  | Uconfig c -> c.cf_name
-
-let describe = function
-  | Uentity _ -> "entity"
-  | Uarch _ -> "architecture"
-  | Upackage _ -> "package"
-  | Upackage_body _ -> "package body"
-  | Uconfig _ -> "configuration"

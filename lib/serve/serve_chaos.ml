@@ -202,8 +202,7 @@ let ledger_of body =
 
 let counter counters name = Option.value (List.assoc_opt name counters) ~default:0
 
-let run ?(seed = 0) ?(shots = 240) ?(burst_every = 40) ?(burst_width = 6) ~socket () :
-    summary =
+let run ?(seed = 0) ?(shots = 240) ~socket () : summary =
   let rng = Random.State.make [| seed; 0x5e2e |] in
   let faults = Array.of_list Difftest_fault.serve_faults in
   let results = ref [] in
@@ -221,10 +220,10 @@ let run ?(seed = 0) ?(shots = 240) ?(burst_every = 40) ?(burst_width = 6) ~socke
     | Error msg -> Transport msg
   in
   while !n < shots do
-    if burst_every > 0 && !n > 0 && !n mod burst_every = 0 then
+    if !n > 0 && !n mod 40 = 0 then
       List.iteri
         (fun i o -> record (Printf.sprintf "burst[%d]" i) o)
-        (fire_burst ~socket ~width:burst_width)
+        (fire_burst ~socket ~width:6)
     else begin
       let roll = Random.State.int rng 100 in
       if roll < 35 then record "healthy:compile" (rq_outcome (healthy_compile rng !n))

@@ -25,18 +25,11 @@ type summary = {
   log : string list; (* one line per shot, campaign order *)
 }
 
-val run :
-  ?seed:int ->
-  ?shots:int ->
-  ?burst_every:int ->
-  ?burst_width:int ->
-  socket:string ->
-  unit ->
-  summary
-(** Fire [shots] (default 240) at the daemon on [socket]; every
-    [burst_every] shots a [burst_width]-wide concurrent burst exercises
-    admission shedding.  Deterministic for a given [seed].  The daemon
-    must run with fault injection allowed and a queue smaller than the
-    burst width for the full mix to land. *)
+val run : ?seed:int -> ?shots:int -> socket:string -> unit -> summary
+(** Fire [shots] (default 240) at the daemon on [socket]; every 40 shots a
+    6-wide concurrent burst exercises admission shedding.  Deterministic
+    for a given [seed].  The daemon must run with fault injection allowed
+    and a queue smaller than the burst width (6) for the full mix to
+    land. *)
 
 val pp_summary : Format.formatter -> summary -> unit

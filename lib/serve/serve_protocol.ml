@@ -161,12 +161,12 @@ type response = {
   rs_body : string;
 }
 
-let response ?retry_after_s ?(wedged = false) ?request_id ?(body = "") status =
+let response ?retry_after_s ?(wedged = false) ?(body = "") status =
   {
     rs_status = status;
     rs_retry_after_s = retry_after_s;
     rs_wedged = wedged;
-    rs_request_id = request_id;
+    rs_request_id = None;
     rs_body = body;
   }
 

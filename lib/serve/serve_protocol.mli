@@ -102,9 +102,9 @@ type response = {
   rs_body : string;
 }
 
-val response :
-  ?retry_after_s:float -> ?wedged:bool -> ?request_id:int -> ?body:string ->
-  status -> response
+val response : ?retry_after_s:float -> ?wedged:bool -> ?body:string -> status -> response
+(** A response without a request id; the daemon stamps its id when it
+    sends the response. *)
 
 val encode_response : response -> string
 val decode_response : string -> (response, string) result

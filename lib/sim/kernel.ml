@@ -44,10 +44,8 @@ type t = {
   mutable updated : Rt.signal list; (* updated in the last cycle *)
   stats : stats;
   mutable on_message : Rt.time -> severity:int -> string -> unit;
-  mutable delta_limit : int;
   mutable step_fuel : int option; (* process resumptions per instant *)
   mutable steps_this_instant : int;
-  mutable stopped : bool;
   mutable sample_draw : int; (* xorshift state of the sim.exec_ns sample *)
 }
 
@@ -59,7 +57,10 @@ let severity_name = function
   | 2 -> "error"
   | _ -> "failure"
 
-let create ?(delta_limit = 5000) ?step_fuel () =
+(* delta cycles per simulated instant before a combinational loop is reported *)
+let delta_limit = 5000
+
+let create () =
   {
     now = 0;
     next_proc_id = 0;
@@ -74,10 +75,8 @@ let create ?(delta_limit = 5000) ?step_fuel () =
     on_message =
       (fun time ~severity msg ->
         Printf.eprintf "%s: %s: %s\n%!" (Rt.format_time time) (severity_name severity) msg);
-    delta_limit;
-    step_fuel;
+    step_fuel = None;
     steps_this_instant = 0;
-    stopped = false;
     sample_draw = 0x2545F491;
   }
 
@@ -293,7 +292,7 @@ let update_and_wake k =
 type outcome =
   | Quiescent (* no more events scheduled *)
   | Time_limit (* reached max_time *)
-  | Stopped (* a FAILURE assertion or explicit stop *)
+  | Stopped (* a FAILURE assertion *)
   | Fuel_exhausted (* the per-instant process-step fuel ran out *)
 
 (* the sim.* counters hear of a run's work once, when it returns *)
@@ -313,7 +312,7 @@ let exporting_stats k f =
 let run k ~max_time =
   exporting_stats k @@ fun () ->
   let rec cycle deltas_here =
-    let t = if k.stopped then max_int else next_event_time k in
+    let t = next_event_time k in
     if t = max_int then Quiescent
     else if t > max_time then begin
       k.now <- max_time;
@@ -323,7 +322,7 @@ let run k ~max_time =
       let deltas_here = if t = k.now then deltas_here + 1 else 0 in
       if t = k.now then begin
         k.stats.delta_cycles <- k.stats.delta_cycles + 1;
-        if deltas_here > k.delta_limit then
+        if deltas_here > delta_limit then
           Rt.sim_error ~time:k.now "delta-cycle limit exceeded (combinational loop?)"
       end
       else begin
@@ -354,6 +353,3 @@ let run k ~max_time =
   with
   | Failure_severity _ -> Stopped
   | Value_ops.Runtime_error msg -> Rt.sim_error ~time:k.now "%s" msg
-
-(** Force a stop from a message handler or observer. *)
-let stop k = k.stopped <- true

@@ -35,10 +35,10 @@ exception Failure_severity of { time : Rt.time; msg : string }
 val severity_name : int -> string
 (** 0 = note, 1 = warning, 2 = error, 3+ = failure. *)
 
-val create : ?delta_limit:int -> ?step_fuel:int -> unit -> t
-(** A fresh kernel.  [delta_limit] bounds delta cycles per simulated instant
-    (combinational-loop detection); [step_fuel] bounds process resumptions
-    per simulated instant (runaway-process containment). *)
+val create : unit -> t
+(** A fresh kernel.  It allows 5000 delta cycles per simulated instant
+    before it reports a combinational loop, and no step fuel until
+    {!set_step_fuel}. *)
 
 val set_step_fuel : t -> int option -> unit
 (** Bound (or unbound, with [None]) the number of process resumptions the
@@ -89,7 +89,7 @@ val add_process :
 type outcome =
   | Quiescent (* no more events scheduled *)
   | Time_limit (* reached max_time *)
-  | Stopped (* a FAILURE assertion or explicit stop *)
+  | Stopped (* a FAILURE assertion *)
   | Fuel_exhausted (* the per-instant process-step fuel ran out *)
 
 val run : t -> max_time:Rt.time -> outcome
@@ -98,6 +98,3 @@ val run : t -> max_time:Rt.time -> outcome
     @raise Rt.Simulation_error on a dynamic error in a process body or a
       resolution function ({!Value_ops.Runtime_error} included), at the
       time it happened. *)
-
-val stop : t -> unit
-(** Request a stop from a message handler or observer. *)

@@ -26,20 +26,6 @@ let find_signal t path =
   | Some (Signal s) -> Some s
   | _ -> None
 
-let signals t =
-  List.rev t.paths
-  |> List.filter_map (fun p ->
-         match Hashtbl.find_opt t.table p with
-         | Some (Signal s) -> Some (p, s)
-         | _ -> None)
-
-let processes t =
-  List.rev t.paths
-  |> List.filter_map (fun p ->
-         match Hashtbl.find_opt t.table p with
-         | Some (Process pr) -> Some (p, pr)
-         | _ -> None)
-
 let instances t =
   List.rev t.paths
   |> List.filter_map (fun p ->

@@ -14,10 +14,6 @@ val register : t -> string -> entry -> unit
 val find : t -> string -> entry option
 val find_signal : t -> string -> Rt.signal option
 
-val signals : t -> (string * Rt.signal) list
-(** All signals in registration order. *)
-
-val processes : t -> (string * Rt.proc) list
 val instances : t -> (string * string * string) list
 (** (path, entity, architecture) of every instance. *)
 

@@ -424,7 +424,6 @@ let tracing_on = ref false
 let spans_acc : span list ref = ref [] (* completion order, newest first *)
 let spans_count = ref 0 (* length of spans_acc *)
 let open_depth = ref 0
-let open_args : (string * string) list list ref = ref [] (* per open span *)
 
 (* Bounded-capture mode for {!with_request_spans}: [Some (base, cap)]
    means at most [cap] spans may accumulate past the [base] count; the
@@ -435,19 +434,11 @@ let span_dropped = ref 0
 
 let set_tracing b =
   tracing_on := b;
-  if not b then begin
-    open_depth := 0;
-    open_args := []
-  end
+  if not b then open_depth := 0
 
 let tracing () = !tracing_on
 
-(** Record a completed span measured by the caller (used by
-    {!Vhdl_util.Phase_timer} so the phase accounting and the span tree come
-    from the same two clock reads and cannot disagree).  No-op when tracing
-    is off.  [depth] defaults to the current open-span depth. *)
-let record_span ?(cat = "phase") ?(args = []) ?depth ?(alloc_w = 0.0) ~name
-    ~start_s ~dur_s () =
+let add_span ~cat ~args ~depth ~alloc_w ~name ~start_s ~dur_s =
   if !tracing_on then (
     match !span_limit with
     | Some (base, cap) when !spans_count - base >= cap ->
@@ -459,12 +450,20 @@ let record_span ?(cat = "phase") ?(args = []) ?depth ?(alloc_w = 0.0) ~name
           sp_cat = cat;
           sp_start = start_s;
           sp_dur = dur_s;
-          sp_depth = (match depth with Some d -> d | None -> !open_depth);
+          sp_depth = depth;
           sp_alloc_w = alloc_w;
           sp_args = args;
         }
         :: !spans_acc;
       spans_count := !spans_count + 1)
+
+(** Record a completed span measured by the caller (used by
+    {!Vhdl_util.Phase_timer} so the phase accounting and the span tree come
+    from the same two clock reads and cannot disagree).  No-op when tracing
+    is off.  [depth] defaults to the current open-span depth. *)
+let record_span ?(cat = "phase") ?depth ?(alloc_w = 0.0) ~name ~start_s ~dur_s () =
+  let depth = match depth with Some d -> d | None -> !open_depth in
+  add_span ~cat ~args:[] ~depth ~alloc_w ~name ~start_s ~dur_s
 
 (** [with_span ~cat name f] runs [f] inside a span.  With tracing off this
     is a single flag test around [f].  Spans close even when [f] escapes
@@ -490,7 +489,6 @@ let with_span ?(cat = "span") ?(args = []) name f =
   else begin
     let depth = !open_depth in
     open_depth := depth + 1;
-    open_args := args :: !open_args;
     if depth >= Array.length !alloc_snap then begin
       let bigger = Array.make (2 * Array.length !alloc_snap) 0.0 in
       Array.blit !alloc_snap 0 bigger 0 (Array.length !alloc_snap);
@@ -502,15 +500,8 @@ let with_span ?(cat = "span") ?(args = []) name f =
     let close start aw1 =
       let alloc_w = aw1 -. !alloc_snap.(depth) in
       let dur = now_s () -. start in
-      let args =
-        match !open_args with
-        | a :: rest ->
-          open_args := rest;
-          a
-        | [] -> []
-      in
       open_depth := depth;
-      record_span ~cat ~args ~depth ~alloc_w ~name ~start_s:start ~dur_s:dur ()
+      add_span ~cat ~args ~depth ~alloc_w ~name ~start_s:start ~dur_s:dur
     in
     let start = now_s () in
     !alloc_snap.(depth) <- Gc.minor_words ();
@@ -524,14 +515,6 @@ let with_span ?(cat = "span") ?(args = []) name f =
       close start aw1;
       raise exn
   end
-
-(** Attach a key/value argument to the innermost open span (no-op when
-    tracing is off or no span is open) — for values only known mid-span,
-    like a token count. *)
-let annotate key v =
-  match !open_args with
-  | args :: rest -> open_args := ((key, v) :: args) :: rest
-  | [] -> ()
 
 (** Completed spans, oldest first. *)
 let spans () = List.rev !spans_acc
@@ -553,7 +536,7 @@ let clear_spans () =
 let with_request_spans ?(cap = 512) f =
   let was_on = !tracing_on in
   let saved_acc = !spans_acc and base_count = !spans_count in
-  let saved_depth = !open_depth and saved_args = !open_args in
+  let saved_depth = !open_depth in
   tracing_on := true;
   span_limit := Some (base_count, cap);
   let saved_dropped = !span_dropped in
@@ -572,8 +555,7 @@ let with_request_spans ?(cap = 512) f =
       tracing_on := false;
       spans_acc := saved_acc;
       spans_count := base_count;
-      open_depth := saved_depth;
-      open_args := saved_args
+      open_depth := saved_depth
     end;
     (captured, dropped)
   in
@@ -640,22 +622,22 @@ let instruments () =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (** Human-readable metrics report: all registered instruments in name
-    order.  [nonzero] (default true) hides instruments that never fired —
-    the interesting view after a run. *)
-let pp_metrics ?(nonzero = true) fmt () =
+    order, hiding those that never fired — the interesting view after a
+    run. *)
+let pp_metrics fmt () =
   sample_gc ();
   Format.fprintf fmt "@[<v>";
   List.iter
     (fun (name, i) ->
       match i with
       | Counter c ->
-        if (not nonzero) || c.c_value <> 0 then
+        if c.c_value <> 0 then
           Format.fprintf fmt "%-34s %12d@," name c.c_value
       | Gauge g ->
-        if (not nonzero) || g.g_value <> 0.0 then
+        if g.g_value <> 0.0 then
           Format.fprintf fmt "%-34s %12.4f@," name g.g_value
       | Histogram h ->
-        if (not nonzero) || h.h_count <> 0 then
+        if h.h_count <> 0 then
           Format.fprintf fmt
             "%-34s %12d  sum %.0f  min %.0f  max %.0f  mean %.1f  p50 %.0f  p90 \
              %.0f  p99 %.0f@,"

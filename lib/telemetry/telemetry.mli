@@ -149,7 +149,6 @@ val tracing : unit -> bool
 
 val record_span :
   ?cat:string ->
-  ?args:(string * string) list ->
   ?depth:int ->
   ?alloc_w:float ->
   name:string ->
@@ -167,9 +166,6 @@ val with_span :
     span closes even when [f] escapes.  Allocation is snapshotted
     allocation-free around [f], so a span whose body allocates nothing
     reports [sp_alloc_w = 0.0] exactly. *)
-
-val annotate : string -> string -> unit
-(** Attach a key/value argument to the innermost open span. *)
 
 val spans : unit -> span list
 (** Completed spans, oldest first. *)
@@ -197,7 +193,7 @@ val delta : (string * int) list -> (string * int) list
 val instruments : unit -> (string * instrument) list
 (** Every registered instrument, in name order. *)
 
-val pp_metrics : ?nonzero:bool -> Format.formatter -> unit -> unit
+val pp_metrics : Format.formatter -> unit -> unit
 val metrics_json : unit -> string
 
 val to_chrome_trace : ?process_name:string -> ?spans:span list -> unit -> string

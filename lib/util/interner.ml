@@ -33,8 +33,3 @@ let name t id =
   t.names.(id)
 
 let count t = t.next
-
-let iter t f =
-  for id = 0 to t.next - 1 do
-    f id t.names.(id)
-  done

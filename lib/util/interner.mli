@@ -10,4 +10,3 @@ val intern : t -> string -> int
 val find_opt : t -> string -> int option
 val name : t -> int -> string
 val count : t -> int
-val iter : t -> (int -> string -> unit) -> unit

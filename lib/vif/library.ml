@@ -23,7 +23,6 @@ type t = {
   units : (string, Unit_info.compiled_unit) Hashtbl.t; (* by key *)
   loaded_files : (string, unit) Hashtbl.t; (* VIF files already parsed *)
   mutable references : (string * t) list; (* read-only reference libraries *)
-  writable : bool;
   timer : Timer.t; (* charged "VIF read" / "VIF write" (PERF-PHASE) *)
   mutable sequence : int; (* compilation order stamp *)
 }
@@ -44,7 +43,6 @@ let create ?dir ~name ~timer () =
       units = Hashtbl.create 64;
       loaded_files = Hashtbl.create 64;
       references = [];
-      writable = true;
       timer;
       sequence = 1; (* first stamp 2, as in VIF written by earlier versions *)
     }
@@ -113,7 +111,6 @@ let sibling_stamp t dir ~own entity =
     latest-compiled-architecture default rule; an architecture written to
     disk is stamped above its siblings already there. *)
 let insert t (u : Unit_info.compiled_unit) =
-  if not t.writable then err "library %s is read-only" t.lib_name;
   let file = file_of_key u.Unit_info.u_key in
   (match (t.lib_dir, u.Unit_info.u_info) with
   | Some dir, Unit_info.Uarch ar ->
