@@ -79,6 +79,26 @@ let scan_digits st =
   go ();
   Buffer.contents buf
 
+let out_of_range st = error st "integer literal exceeds INTEGER'HIGH (%d)" max_int
+
+(* [n] in base [base] followed by the digit [d], within INTEGER's range *)
+let push_digit st ~base n d =
+  if n > (max_int - d) / base then out_of_range st else (n * base) + d
+
+let int_of_digits st digits =
+  let n = ref 0 in
+  for i = 0 to String.length digits - 1 do
+    n := push_digit st ~base:10 !n (Char.code digits.[i] - Char.code '0')
+  done;
+  !n
+
+(* the digits of an exponent, after its sign; [max_int] stands for any
+   exponent too large for an int *)
+let scan_exponent st =
+  match scan_digits st with
+  | "" -> error st "malformed exponent in abstract literal"
+  | digits -> Option.value (int_of_string_opt digits) ~default:max_int
+
 let scan_based st base_digits =
   (* we are just past the '#'; base_digits is the base *)
   let base =
@@ -101,7 +121,7 @@ let scan_based st base_digits =
       advance st;
       go ()
     | c when digit_value c >= 0 && digit_value c < base ->
-      value := (!value * base) + digit_value c;
+      value := push_digit st ~base !value (digit_value c);
       any := true;
       advance st;
       go ()
@@ -135,26 +155,25 @@ let scan_number st =
             ""
           | _ -> ""
         in
-        "e" ^ sign ^ scan_digits st
+        "e" ^ sign ^ string_of_int (scan_exponent st)
       | _ -> ""
     in
-    Token.Treal (float_of_string (int_part ^ "." ^ frac ^ exp))
+    (match float_of_string_opt (int_part ^ "." ^ frac ^ exp) with
+    | Some r -> Token.Treal r
+    | None -> error st "malformed real literal")
   | 'e' | 'E' ->
     (* integer with exponent: 1E6 *)
     advance st;
-    let sign =
-      match peek st with
-      | '+' ->
-        advance st;
-        1
-      | '-' -> error st "negative exponent in integer literal"
-      | _ -> 1
+    (match peek st with
+    | '+' -> advance st
+    | '-' -> error st "negative exponent in integer literal"
+    | _ -> ());
+    let e = scan_exponent st in
+    let rec scale n e =
+      if n = 0 || e = 0 then n else scale (push_digit st ~base:10 n 0) (e - 1)
     in
-    ignore sign;
-    let e = int_of_string (scan_digits st) in
-    let rec pow10 acc n = if n = 0 then acc else pow10 (acc * 10) (n - 1) in
-    Token.Tint (int_of_string int_part * pow10 1 e)
-  | _ -> Token.Tint (int_of_string int_part)
+    Token.Tint (scale (int_of_digits st int_part) e)
+  | _ -> Token.Tint (int_of_digits st int_part)
 
 let scan_string st =
   advance st (* opening quote *);

@@ -32,6 +32,11 @@ let test_numbers () =
     Alcotest.(check int) "underscores" 1_000_000 d;
     Alcotest.(check int) "exponent" 1000 e
   | _ -> Alcotest.fail "expected five integers");
+  (* INTEGER'HIGH (max_int) itself is a literal; zero scales to zero *)
+  Alcotest.(check bool) "largest integers" true
+    (toks (string_of_int max_int ^ " 16#3FFF_FFFF_FFFF_FFFF# 4E18 0E99999999999999999999")
+    = [ Token.Tint max_int; Token.Tint max_int; Token.Tint 4_000_000_000_000_000_000; Token.Tint 0;
+        Token.Teof ]);
   match toks "3.14 2.5E2" with
   | [ Token.Treal a; Token.Treal b; Token.Teof ] ->
     Alcotest.(check (float 1e-9)) "real" 3.14 a;
@@ -88,7 +93,10 @@ let test_errors () =
   expect_error "\"unterminated";
   expect_error "16#GG#";
   expect_error "B\"012\"";
-  expect_error "$"
+  expect_error "$";
+  (* a missing exponent, and integers past INTEGER'HIGH in each notation *)
+  List.iter expect_error
+    [ "1e"; "1.0E+"; "4611686018427387904"; "5E18"; "1E99999999999999999999"; "16#4000000000000000#" ]
 
 let roundtrip_ident =
   QCheck.Test.make ~name:"identifier lexing is total and stable" ~count:300
