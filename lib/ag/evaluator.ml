@@ -102,6 +102,27 @@ let node_label t node =
     (Grammar.production t.grammar node.Tree.prod).Grammar.prod_name
   else Grammar.symbol_name t.grammar node.Tree.term
 
+(* Count an application of [rule] (telemetry, provenance, fuel, tick) and
+   return [x], its last argument: it runs after the arguments, before [f]. *)
+let applied t at_node rule x =
+  t.rule_applications <- t.rule_applications + 1;
+  Tm.incr m_rule_applications;
+  (match t.prov with
+  | Some (rc, _, _) ->
+    (* the open record is the rule's target instance (for inherited
+       attributes that is the child's instance; the defining production is
+       this node's) *)
+    Provenance.note_rule rc
+      ~defining_prod:(Grammar.production t.grammar at_node.Tree.prod).Grammar.prod_name
+      ~implicit:(rule.Grammar.provenance = Grammar.Implicit)
+  | None -> ());
+  (match t.fuel with
+  | Some limit when t.rule_applications > limit ->
+    raise (Fuel_exhausted { applications = t.rule_applications; limit })
+  | _ -> ());
+  if t.rule_applications land 255 = 0 then t.tick ();
+  x
+
 (* Evaluate attribute [attr] of [node], memoized in the cell at the
    attribute's slot; the node's cells are allocated on its first write.
    For synthesized attributes the defining rule lives in the node's own
@@ -167,24 +188,25 @@ and compute_attr t node ~slot attr =
     | Grammar.Synthesized ->
       let p = Grammar.production t.grammar node.Tree.prod in
       apply_or_elide t node (find_rule t p ~pos:0 ~slot attr)
-    | Grammar.Inherited -> (
-      match node.Tree.parent with
-      | Some parent ->
+    | Grammar.Inherited ->
+      let parent = node.Tree.parent in
+      if parent != node then begin
         let p = Grammar.production t.grammar parent.Tree.prod in
         let i = node.Tree.index in
         let slot = Grammar.slot t.grammar p.Grammar.rhs.(i) attr in
         apply_or_elide t parent (find_rule t p ~pos:(i + 1) ~slot attr)
-      | None -> (
-        match List.assoc_opt attr t.root_inherited with
-        | Some v ->
+      end
+      else (
+        match List.assoc attr t.root_inherited with
+        | v ->
           (match t.prov with
           | Some (rc, _, _) -> Provenance.note_root_inherited rc
           | None -> ());
           v
-        | None ->
+        | exception Not_found ->
           invalid_arg
             (Printf.sprintf "no value supplied for root inherited attribute %s"
-               (Grammar.attr_name t.grammar attr))))
+               (Grammar.attr_name t.grammar attr)))
 
 and eval_token t node attr =
   if attr = t.grammar.Grammar.token_value_attr then Option.get node.Tree.value
@@ -228,25 +250,21 @@ and apply_or_elide t at_node rule =
     arg_of t at_node src
   | _ -> apply_rule t at_node rule
 
+(* The dependencies are evaluated left to right into the arguments of the
+   rule's arity case (only [Args] builds a list); the last passes [applied]. *)
 and apply_rule t at_node rule =
-  let args = List.map (arg_of t at_node) rule.Grammar.deps in
-  t.rule_applications <- t.rule_applications + 1;
-  Tm.incr m_rule_applications;
-  (match t.prov with
-  | Some (rc, _, _) ->
-    (* the open record is the rule's target instance (for inherited
-       attributes that is the child's instance; the defining production is
-       this node's) *)
-    Provenance.note_rule rc
-      ~defining_prod:(Grammar.production t.grammar at_node.Tree.prod).Grammar.prod_name
-      ~implicit:(rule.Grammar.provenance = Grammar.Implicit)
-  | None -> ());
-  (match t.fuel with
-  | Some limit when t.rule_applications > limit ->
-    raise (Fuel_exhausted { applications = t.rule_applications; limit })
-  | _ -> ());
-  if t.rule_applications land 255 = 0 then t.tick ();
-  rule.Grammar.compute args
+  match (rule.Grammar.compute, rule.Grammar.deps) with
+  | Grammar.Args0 f, [] -> f (applied t at_node rule ())
+  | Grammar.Args1 f, [ d1 ] -> f (applied t at_node rule (arg_of t at_node d1))
+  | Grammar.Args2 f, [ d1; d2 ] ->
+    let a = arg_of t at_node d1 in
+    f a (applied t at_node rule (arg_of t at_node d2))
+  | Grammar.Args3 f, [ d1; d2; d3 ] ->
+    let a = arg_of t at_node d1 in
+    let b = arg_of t at_node d2 in
+    f a b (applied t at_node rule (arg_of t at_node d3))
+  | Grammar.Args f, deps -> f (applied t at_node rule (List.map (arg_of t at_node) deps))
+  | _ -> invalid_arg "Evaluator: a rule's arity case does not match its dependencies"
 
 (** Value of synthesized attribute [name] at the root — the paper's "goal
     attributes" that constitute the result of the translation. *)

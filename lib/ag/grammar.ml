@@ -40,10 +40,26 @@ type provenance =
   | Explicit
   | Implicit (* supplied by attribute-class completion *)
 
+(* A semantic function by the number of values it takes: 0 to 3, most
+   applications, as arguments; 4 or more, or a [Rest] tail, as a list. *)
+type ('v, 'r) compute =
+  | Args0 of (unit -> 'r)
+  | Args1 of ('v -> 'r)
+  | Args2 of ('v -> 'v -> 'r)
+  | Args3 of ('v -> 'v -> 'v -> 'r)
+  | Args of ('v list -> 'r)
+
+let map_result wrap = function
+  | Args0 f -> Args0 (fun () -> wrap (f ()))
+  | Args1 f -> Args1 (fun a -> wrap (f a))
+  | Args2 f -> Args2 (fun a b -> wrap (f a b))
+  | Args3 f -> Args3 (fun a b c -> wrap (f a b c))
+  | Args f -> Args (fun vs -> wrap (f vs))
+
 type 'v rule = {
   target : occurrence;
   deps : occurrence list;
-  compute : 'v list -> 'v;
+  compute : ('v, 'v) compute;
   provenance : provenance;
   copy_of : occurrence option;
       (* [Some src] iff the rule is a pure copy of [src] — the target's
@@ -146,38 +162,38 @@ let rec occurrences : type v f r. (v, f, r) deps -> (int * string) list = functi
   | Rest ds -> ds
 
 let mismatch () = invalid_arg "Grammar: rule applied to the wrong number of values"
-let identity = function [ v ] -> v | _ -> mismatch ()
 
-(* The stored form of a typed rule function.  Every arity the grammars use
-   (0 to 8, 10, 11, and one occurrence before a [Rest] tail) has its own
-   case, a full application that allocates nothing; any other list takes
-   the general case, which applies one argument at a time. *)
-let rec lower : type v f r. (v, f, r) deps -> f -> v list -> r =
+(* The stored form of a typed rule function.  A rule of 0 to 3
+   dependencies takes their values as arguments.  A longer one, or one
+   with a [Rest] tail, takes a list, by a case per length the grammars use
+   (4 to 8, 10, 11, and one occurrence before a tail) that applies the
+   function to all of them at once: nothing is allocated beyond the list. *)
+let lower : type v f r. (v, f, r) deps -> f -> (v, r) compute =
  fun deps f ->
   match deps with
-  | [] -> fun _ -> f
-  | [ _ ] -> ( function [ a ] -> f a | _ -> mismatch ())
-  | [ _; _ ] -> ( function [ a; b ] -> f a b | _ -> mismatch ())
-  | [ _; _; _ ] -> ( function [ a; b; c ] -> f a b c | _ -> mismatch ())
-  | [ _; _; _; _ ] -> ( function [ a; b; c; d ] -> f a b c d | _ -> mismatch ())
-  | [ _; _; _; _; _ ] -> ( function [ a; b; c; d; e ] -> f a b c d e | _ -> mismatch ())
-  | [ _; _; _; _; _; _ ] -> (
-    function [ a; b; c; d; e; g ] -> f a b c d e g | _ -> mismatch ())
-  | [ _; _; _; _; _; _; _ ] -> (
-    function [ a; b; c; d; e; g; h ] -> f a b c d e g h | _ -> mismatch ())
-  | [ _; _; _; _; _; _; _; _ ] -> (
-    function [ a; b; c; d; e; g; h; i ] -> f a b c d e g h i | _ -> mismatch ())
-  | [ _; _; _; _; _; _; _; _; _; _ ] -> (
-    function
-    | [ a; b; c; d; e; g; h; i; j; k ] -> f a b c d e g h i j k
-    | _ -> mismatch ())
-  | [ _; _; _; _; _; _; _; _; _; _; _ ] -> (
-    function
-    | [ a; b; c; d; e; g; h; i; j; k; l ] -> f a b c d e g h i j k l
-    | _ -> mismatch ())
-  | Rest _ -> f
-  | _ :: Rest _ -> ( function a :: rest -> f a rest | [] -> mismatch ())
-  | _ :: ds -> ( function a :: rest -> lower ds (f a) rest | [] -> mismatch ())
+  | [] -> Args0 (fun () -> f)
+  | [ _ ] -> Args1 f
+  | [ _; _ ] -> Args2 f
+  | [ _; _; _ ] -> Args3 f
+  | [ _; _; _; _ ] -> Args (function [ a; b; c; d ] -> f a b c d | _ -> mismatch ())
+  | [ _; _; _; _; _ ] -> Args (function [ a; b; c; d; e ] -> f a b c d e | _ -> mismatch ())
+  | [ _; _; _; _; _; _ ] ->
+    Args (function [ a; b; c; d; e; g ] -> f a b c d e g | _ -> mismatch ())
+  | [ _; _; _; _; _; _; _ ] ->
+    Args (function [ a; b; c; d; e; g; h ] -> f a b c d e g h | _ -> mismatch ())
+  | [ _; _; _; _; _; _; _; _ ] ->
+    Args (function [ a; b; c; d; e; g; h; i ] -> f a b c d e g h i | _ -> mismatch ())
+  | [ _; _; _; _; _; _; _; _; _; _ ] ->
+    Args
+      (function
+      | [ a; b; c; d; e; g; h; i; j; k ] -> f a b c d e g h i j k | _ -> mismatch ())
+  | [ _; _; _; _; _; _; _; _; _; _; _ ] ->
+    Args
+      (function
+      | [ a; b; c; d; e; g; h; i; j; k; l ] -> f a b c d e g h i j k l | _ -> mismatch ())
+  | Rest _ -> Args f
+  | _ :: Rest _ -> Args (function a :: rest -> f a rest | [] -> mismatch ())
+  | _ -> invalid_arg "Grammar.lower: no stored form for this dependency list; add a case"
 
 (* ------------------------------------------------------------------ *)
 (* Builder *)
@@ -186,7 +202,7 @@ module Builder = struct
   type 'v rule_spec = {
     s_target : int * string;
     s_deps : (int * string) list;
-    s_fn : 'v list -> 'v;
+    s_fn : ('v, 'v) compute;
     s_copy : bool; (* built by {!copy}: the function is the identity *)
   }
 
@@ -287,16 +303,14 @@ module Builder = struct
 
   let rule ~target ~deps f = spec ~target ~deps (lower deps f)
 
-  let rule_map wrap ~target ~deps f =
-    let app = lower deps f in
-    spec ~target ~deps (fun vs -> wrap (app vs))
+  let rule_map wrap ~target ~deps f = spec ~target ~deps (map_result wrap (lower deps f))
 
   (** A rule with no dependencies (a constant). *)
   let const ~target v = rule ~target ~deps:[] v
 
   (** A copy rule — tagged so the evaluator may elide it (move the value by
       reference instead of applying the identity). *)
-  let copy ~target ~from = { (spec ~target ~deps:[ from ] identity) with s_copy = true }
+  let copy ~target ~from = { (spec ~target ~deps:[ from ] (Args1 Fun.id)) with s_copy = true }
 
   let production b ~name ~lhs ~rhs ~rules =
     ignore (nonterminal b lhs);
@@ -463,8 +477,8 @@ module Builder = struct
                   let implicit_rule ?copy_of deps compute =
                     Some { target = occ; deps; compute; provenance = Implicit; copy_of }
                   in
-                  let copy_rule src = implicit_rule ~copy_of:src [ src ] identity in
-                  let unit_rule u = implicit_rule [] (fun _ -> u) in
+                  let copy_rule src = implicit_rule ~copy_of:src [ src ] (Args1 Fun.id) in
+                  let unit_rule u = implicit_rule [] (Args0 (fun () -> u)) in
                   match decl.default with
                   | None ->
                     ill_formed "production %s: no rule for %s of %s at position %d"
@@ -486,12 +500,17 @@ module Builder = struct
                     | src :: _ -> copy_rule src
                     | [] -> unit_rule u)
                   | Some (Merge (m, u)) -> (
-                    let merge = function [] -> u | v :: vs -> List.fold_left m v vs in
+                    (* a left fold over the sources *)
                     match List.filter (fun o -> o.pos > 0) (other_occurrences ()) with
                     | [] -> unit_rule u
                     (* a one-source merge is a copy: fold of one *)
-                    | [ src ] -> implicit_rule ~copy_of:src [ src ] merge
-                    | deps -> implicit_rule deps merge)
+                    | [ src ] -> copy_rule src
+                    | [ _; _ ] as deps -> implicit_rule deps (Args2 m)
+                    | [ _; _; _ ] as deps ->
+                      implicit_rule deps (Args3 (fun a b c -> m (m a b) c))
+                    | deps ->
+                      implicit_rule deps
+                        (Args (function [] -> u | v :: vs -> List.fold_left m v vs)))
                 end)
               (List.rev !required)
           in

@@ -38,10 +38,23 @@ type provenance =
   | Explicit
   | Implicit (* supplied by attribute-class completion *)
 
+(** A semantic function by the number of dependency values it takes: one
+    case each for 0 to 3 dependencies, and [Args] for 4 or more or a
+    [Rest] tail, which takes the values as one list in [deps] order. *)
+type ('v, 'r) compute =
+  | Args0 of (unit -> 'r)
+  | Args1 of ('v -> 'r)
+  | Args2 of ('v -> 'v -> 'r)
+  | Args3 of ('v -> 'v -> 'v -> 'r)
+  | Args of ('v list -> 'r)
+
+val map_result : ('r -> 's) -> ('v, 'r) compute -> ('v, 's) compute
+(** [map_result wrap c] applies [wrap] to [c]'s result at each application. *)
+
 type 'v rule = {
   target : occurrence;
   deps : occurrence list;
-  compute : 'v list -> 'v;
+  compute : ('v, 'v) compute;
   provenance : provenance;
   copy_of : occurrence option;
       (** [Some src] iff the rule is a pure copy of [src].  Tagged at

@@ -14,6 +14,7 @@ type 'v t = {
   grammar : 'v Grammar.t;
   table : Table.t;
   eof : int;
+  stub : 'v Tree.t; (* the {!Tree.stub} of the nodes this parser builds *)
 }
 
 exception
@@ -49,7 +50,7 @@ let create ?(name = "grammar") (g : 'v Grammar.t) ~eof =
     in
     raise (Conflicts { grammar_name = name; report })
   end;
-  { grammar = g; table; eof = Grammar.find_symbol g eof }
+  { grammar = g; table; eof = Grammar.find_symbol g eof; stub = Tree.stub () }
 
 (** A parser over tables generated earlier from the same grammar (see
     {!Generated}): only the grammar's context-free skeleton is rebuilt. *)
@@ -58,25 +59,22 @@ let of_tables (g : 'v Grammar.t) ~eof ~action ~goto =
   let table =
     { Table.cfg; action; goto; conflicts = []; n_states = Array.length action }
   in
-  { grammar = g; table; eof = Grammar.find_symbol g eof }
+  { grammar = g; table; eof = Grammar.find_symbol g eof; stub = Tree.stub () }
 
-let conflicts t = t.table.Table.conflicts
+let shift t term value line = Tree.leaf ~stub:t.stub ~term ~value ~line
 
-let shift term value line = Tree.leaf ~term ~value ~line
-
-(* The reduce callback.  With [elide_chains], a chain production (see
+(* The reduce callback: the children are [stack.(base ..)], copied into
+   the new node's own array.  With [elide_chains], a chain production (see
    {!Grammar.production.chain}) builds no node: its one child stands in
    its place. *)
-let reduce t ~elide_chains =
-  if elide_chains then fun prod children ->
-    match children with
-    | [ child ] when (Grammar.production t.grammar prod).Grammar.chain -> child
-    | _ -> Tree.node prod children
-  else Tree.node
+let reduce t ~elide_chains prod stack base =
+  let p = Grammar.production t.grammar prod in
+  if elide_chains && p.Grammar.chain then stack.(base)
+  else Tree.node ~stub:t.stub prod (Array.sub stack base (Array.length p.Grammar.rhs))
 
 (** Parse a token stream into a derivation tree of the AG. *)
 let parse t ~elide_chains ~lexer =
-  Driver.parse t.table ~lexer ~shift ~reduce:(reduce t ~elide_chains)
+  Driver.parse t.table ~lexer ~shift:(shift t) ~reduce:(reduce t ~elide_chains)
 
 let list_lexer t ~eof_value tokens =
   let remaining = ref tokens in
@@ -102,4 +100,4 @@ let parse_list_recovering ?max_errors ?max_depth t ~elide_chains ~eof_value
     ~checkpoint ~classify tokens : 'v Tree.t Driver.recovery =
   Driver.parse_recovering ?max_errors ?max_depth t.table
     ~lexer:(list_lexer t ~eof_value tokens)
-    ~eof:t.eof ~shift ~reduce:(reduce t ~elide_chains) ~checkpoint ~classify
+    ~eof:t.eof ~shift:(shift t) ~reduce:(reduce t ~elide_chains) ~checkpoint ~classify

@@ -8,6 +8,7 @@ type 'v t = {
   grammar : 'v Grammar.t;
   table : Vhdl_lalr.Table.t;
   eof : int;
+  stub : 'v Tree.t;  (** the {!Tree.stub} of the nodes this parser builds *)
 }
 
 exception
@@ -15,10 +16,6 @@ exception
     grammar_name : string;
     report : string;
   }
-
-val cfg_of_grammar : 'v Grammar.t -> eof:string -> Vhdl_lalr.Cfg.t
-(** The underlying context-free grammar; [eof] names a declared terminal
-    the lexer emits at end of input. *)
 
 val create : ?name:string -> 'v Grammar.t -> eof:string -> 'v t
 (** Build the LALR(1) tables.  @raise Conflicts on any conflict (the
@@ -34,8 +31,6 @@ val of_tables :
 (** A parser over conflict-free tables built earlier for the same grammar
     — the run-time half of build-time generation ({!Generated.load} checks
     the grammar's fingerprint first). *)
-
-val conflicts : 'v t -> Vhdl_lalr.Table.conflict list
 
 val parse :
   'v t -> elide_chains:bool -> lexer:(unit -> 'v Vhdl_lalr.Driver.token) -> 'v Tree.t

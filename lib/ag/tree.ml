@@ -15,47 +15,44 @@ type 'v t = {
   value : 'v option; (* token value, for leaves *)
   line : int; (* leaves: token line; interior: first non-zero child line *)
   children : 'v t array;
-  mutable parent : 'v t option;
+  mutable parent : 'v t; (* the node itself at the root *)
   mutable index : int; (* our position among the parent's children *)
   mutable id : int; (* 0 until an evaluator numbers the tree *)
   mutable cells : 'v cell array; (* by the symbol's slots; [||] until first write *)
 }
 
-let leaf ~term ~value ~line =
-  {
-    prod = -1;
-    term;
-    value = Some value;
-    line;
-    children = [||];
-    parent = None;
-    index = 0;
-    id = 0;
-    cells = [||];
-  }
-
-let node prod children =
-  let children = Array.of_list children in
-  let line = ref 0 in
-  Array.iter (fun c -> if !line = 0 then line := c.line) children;
-  let n =
+(* A record cannot point at itself from its first allocation: [let rec]
+   builds it twice.  So a new node is a copy of [stub] with its own fields,
+   and [node] then points its children at itself and itself at itself. *)
+let stub () =
+  let rec n =
     {
-      prod;
+      prod = -1;
       term = -1;
       value = None;
-      line = !line;
-      children;
-      parent = None;
+      line = 0;
+      children = [||];
+      parent = n;
       index = 0;
       id = 0;
       cells = [||];
     }
   in
-  Array.iteri
-    (fun i c ->
-      c.parent <- Some n;
-      c.index <- i)
-    children;
+  n
+
+let leaf ~stub ~term ~value ~line = { stub with term; value = Some value; line }
+
+let node ~stub prod children =
+  let line = ref 0 in
+  for i = Array.length children - 1 downto 0 do
+    if children.(i).line <> 0 then line := children.(i).line
+  done;
+  let n = { stub with prod; line = !line; children } in
+  n.parent <- n;
+  for i = 0 to Array.length children - 1 do
+    children.(i).parent <- n;
+    children.(i).index <- i
+  done;
   n
 
 let rec size t = Array.fold_left (fun acc c -> acc + size c) 1 t.children

@@ -29,16 +29,24 @@ type 'v t = {
       (** leaves: the token's line; interior: the first non-zero line among
           the children, so 0 only for a region that derives no token *)
   children : 'v t array;
-  mutable parent : 'v t option;
+  mutable parent : 'v t;
+      (** the node itself at the root; a leaf's [stub] until a [node] adopts it *)
   mutable index : int;  (** position among the parent's children *)
   mutable id : int;  (** 0 until {!Evaluator.create} numbers the tree *)
   mutable cells : 'v cell array;
       (** slot -> evaluation state; [[||]] until the first write *)
 }
 
-val node : int -> 'v t list -> 'v t
-(** [node prod children] reduces [children] (in source order) by [prod]
-    and links them to the new node. *)
+val stub : unit -> 'v t
+(** The first [parent] of new nodes, never part of a tree; one serves any
+    number of trees. *)
 
-val leaf : term:int -> value:'v -> line:int -> 'v t
+val node : stub:'v t -> int -> 'v t array -> 'v t
+(** [node ~stub prod children] reduces [children] (in source order) by
+    [prod]: the new node keeps the array as its [children], becomes their
+    parent, and is its own parent until a later [node] adopts it. *)
+
+val leaf : stub:'v t -> term:int -> value:'v -> line:int -> 'v t
+(** A token leaf, under [stub] until a [node] adopts it. *)
+
 val size : 'v t -> int

@@ -39,8 +39,8 @@ let wrap_rules g ~select wrap =
     Array.iteri
       (fun j (r : Pval.t Grammar.rule) ->
         if select p r then
-          let orig = r.Grammar.compute in
-          p.Grammar.rules.(j) <- { r with Grammar.compute = (fun args -> wrap (orig args)) })
+          p.Grammar.rules.(j) <-
+            { r with Grammar.compute = Grammar.map_result wrap r.Grammar.compute })
       p.Grammar.rules
   done
 

@@ -53,15 +53,24 @@ let timed f =
 let provenance_hook () =
   Option.map (fun r -> (r, "expr", Pval.summary)) (Session.provenance ())
 
-let driver_tokens t lef =
-  List.map
-    (fun tok ->
+(* The paper's trivial scanner, [scanner(){ X = car(L); L = cdr(L); return
+   X; }]: each call takes the next LEF token off the front of the list and
+   builds the driver's token for it; past the end it answers LEOF at the
+   last token's line. *)
+let scanner t lef =
+  let rest = ref lef and line = ref 0 in
+  fun () ->
+    match !rest with
+    | tok :: l ->
+      rest := l;
+      line := tok.Lef.l_line;
       {
         Vhdl_lalr.Driver.t_sym = Grammar.find_symbol t.grammar (Lef.terminal_name tok);
         t_value = Pval.Ltok tok;
         t_line = tok.Lef.l_line;
-      })
-    lef
+      }
+    | [] ->
+      { Vhdl_lalr.Driver.t_sym = t.parser_.Parsing.eof; t_value = Pval.Unit; t_line = !line }
 
 (* Parse [lef] afresh — the paper's trivial scanner feeding the generated
    parser.  A syntax error becomes the diagnostic both entry points report:
@@ -73,9 +82,9 @@ let parse t ~what ~line lef =
   Tm.observe m_expr_lef_tokens (float_of_int n);
   Tm.incr m_reparses;
   match
-    Parsing.parse_list t.parser_
+    Parsing.parse t.parser_
       ~elide_chains:(not (Session.reference ()))
-      ~eof_value:Pval.Unit (driver_tokens t lef)
+      ~lexer:(scanner t lef)
   with
   | tree -> Ok tree
   | exception Vhdl_lalr.Driver.Syntax_error { line = eline; found; _ } ->

@@ -159,7 +159,8 @@ let scan_number st =
       | _ -> ""
     in
     (match float_of_string_opt (int_part ^ "." ^ frac ^ exp) with
-    | Some r -> Token.Treal r
+    | Some r when Float.is_finite r -> Token.Treal r
+    | Some _ -> error st "real literal exceeds REAL'HIGH (%g)" max_float
     | None -> error st "malformed real literal")
   | 'e' | 'E' ->
     (* integer with exponent: 1E6 *)

@@ -57,17 +57,34 @@ exception
    where the nesting became unreasonable. *)
 let default_max_depth = 5_000
 
-(* The automaton's state: the parse stack (states and semantic values,
-   newest first, with its depth), the lookahead, the shifts since the last
-   recovery, and the stack as the last checkpoint reduce left it. *)
+(* The automaton's state: the parse stack ([states.(0)] is the start
+   state, [values.(i)] sits under [states.(i + 1)], and [sp] values make a
+   depth of [sp + 1]), the lookahead, the shifts since the last recovery,
+   and a copy of the stack as the last checkpoint reduce left it. *)
 type ('v, 'n) machine = {
-  mutable states : int list;
-  mutable values : 'n list;
-  mutable depth : int;
+  mutable states : int array;
+  mutable values : 'n array; (* as long as [states] after the first push *)
+  mutable sp : int;
   mutable lookahead : 'v token;
   mutable shifts : int;
-  mutable saved : int list * 'n list * int;
+  mutable saved : int array * 'n array;
 }
+
+(* Push [st] and the value [v] under it.  The arrays double together; the
+   first value array is filled with [v], so no dummy value is needed. *)
+let push m st v =
+  let sp = m.sp in
+  if sp + 1 >= Array.length m.states then begin
+    let cap = max 16 (2 * Array.length m.states) in
+    let states = Array.make cap 0 and values = Array.make cap v in
+    Array.blit m.states 0 states 0 (sp + 1);
+    Array.blit m.values 0 values 0 sp;
+    m.states <- states;
+    m.values <- values
+  end;
+  m.states.(sp + 1) <- st;
+  m.values.(sp) <- v;
+  m.sp <- sp + 1
 
 (* The automaton loop of both entry points.  On an error action, and on a
    shift past [max_depth], it calls [fail m ~line ~found ~expected]: that
@@ -75,29 +92,29 @@ type ('v, 'n) machine = {
    (parse_recovering).  The root is returned when the input is accepted
    with one value on the stack. *)
 let run ~max_depth (tbl : Table.t) ~(lexer : unit -> 'v token)
-    ~(shift : int -> 'v -> int -> 'n) ~(reduce : int -> 'n list -> 'n)
+    ~(shift : int -> 'v -> int -> 'n) ~(reduce : int -> 'n array -> int -> 'n)
     ~(checkpoint : int -> bool) ~fail : 'n option =
   let cfg = tbl.Table.cfg in
   let probe = conflict_probe tbl in
   let m =
     {
-      states = [ 0 ];
-      values = [];
-      depth = 1;
+      states = [| 0 |];
+      values = [||];
+      sp = 0;
       lookahead = lexer ();
       shifts = max_int; (* the start counts as progress *)
-      saved = ([ 0 ], [], 1);
+      saved = ([| 0 |], [||]);
     }
   in
   let result = ref None in
   let running = ref true in
   while !running do
-    let state = List.hd m.states in
+    let state = m.states.(m.sp) in
     let tok = m.lookahead in
     (match probe with Some p -> p state tok.t_sym | None -> ());
     match tbl.Table.action.(state).(tok.t_sym) with
     | Table.Shift st' ->
-      if m.depth >= max_depth then begin
+      if m.sp + 1 >= max_depth then begin
         Tm.incr m_errors;
         running :=
           fail m ~line:tok.t_line
@@ -106,39 +123,24 @@ let run ~max_depth (tbl : Table.t) ~(lexer : unit -> 'v token)
       end
       else begin
         Tm.incr m_shifts;
-        m.states <- st' :: m.states;
-        m.depth <- m.depth + 1;
-        m.values <- shift tok.t_sym tok.t_value tok.t_line :: m.values;
+        push m st' (shift tok.t_sym tok.t_value tok.t_line);
         if m.shifts < max_int then m.shifts <- m.shifts + 1;
         m.lookahead <- lexer ()
       end
     | Table.Reduce prod_id ->
       Tm.incr m_reduces;
       let p = Cfg.production cfg prod_id in
-      (* pop [arity] states and values; children come out in source order *)
-      let children = ref [] in
-      for _ = 1 to Array.length p.Cfg.rhs do
-        (match m.values with
-        | v :: vs ->
-          children := v :: !children;
-          m.values <- vs
-        | [] -> assert false);
-        match m.states with
-        | _ :: sts -> m.states <- sts
-        | [] -> assert false
-      done;
-      m.depth <- m.depth - Array.length p.Cfg.rhs;
-      let node = reduce prod_id !children in
-      let goto = tbl.Table.goto.(List.hd m.states).(p.Cfg.lhs) in
+      (* pop [arity] entries; the children are [values.(base ..)] *)
+      let base = m.sp - Array.length p.Cfg.rhs in
+      let node = reduce prod_id m.values base in
+      let goto = tbl.Table.goto.(m.states.(base)).(p.Cfg.lhs) in
       if goto < 0 then assert false;
-      m.states <- goto :: m.states;
-      m.depth <- m.depth + 1;
-      m.values <- node :: m.values;
-      if checkpoint prod_id then m.saved <- (m.states, m.values, m.depth)
+      m.sp <- base;
+      push m goto node;
+      if checkpoint prod_id then
+        m.saved <- (Array.sub m.states 0 (m.sp + 1), Array.sub m.values 0 m.sp)
     | Table.Accept ->
-      (match m.values with
-      | [ v ] -> result := Some v
-      | _ -> ());
+      if m.sp = 1 then result := Some m.values.(0);
       running := false
     | Table.Error ->
       Tm.incr m_errors;
@@ -201,7 +203,7 @@ let default_max_errors = 25
 let parse_recovering ?(max_errors = default_max_errors)
     ?(max_depth = default_max_depth) (tbl : Table.t)
     ~(lexer : unit -> 'v token) ~eof ~(shift : int -> 'v -> int -> 'n)
-    ~(reduce : int -> 'n list -> 'n) ~(checkpoint : int -> bool)
+    ~(reduce : int -> 'n array -> int -> 'n) ~(checkpoint : int -> bool)
     ~(classify : int -> sync_class) : 'n recovery =
   let errors = ref [] in (* newest first *)
   let eof_salvage_tried = ref false in
@@ -240,10 +242,10 @@ let parse_recovering ?(max_errors = default_max_errors)
       errors := { e_line = line; e_found = found; e_expected = expected; e_skipped = 0 } :: !errors;
     if List.length !errors >= max_errors then false
     else begin
-      let ss, vs, d = m.saved in
-      m.states <- ss;
-      m.values <- vs;
-      m.depth <- d;
+      let states, values = m.saved in
+      Array.blit states 0 m.states 0 (Array.length states);
+      Array.blit values 0 m.values 0 (Array.length values);
+      m.sp <- Array.length values;
       m.shifts <- 0;
       let tok = m.lookahead in
       if tok.t_sym = eof then begin

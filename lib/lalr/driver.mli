@@ -18,19 +18,20 @@ exception
     expected : string list;
   }
 
-val default_max_depth : int
-(** Default parse-stack depth bound (see [?max_depth] below). *)
-
 val parse :
   ?max_depth:int ->
   Table.t ->
   lexer:(unit -> 'v token) ->
   shift:(int -> 'v -> int -> 'n) ->
-  reduce:(int -> 'n list -> 'n) ->
+  reduce:(int -> 'n array -> int -> 'n) ->
   'n
 (** [parse tbl ~lexer ~shift ~reduce] runs the automaton: [shift sym value
-    line] builds a leaf, [reduce prod children] a node (children in source
-    order).  Stops at the first error.  [max_depth] bounds the parse stack
+    line] builds a leaf, [reduce prod stack base] a node from the children
+    [stack.(base)] .. [stack.(base + n - 1)] of the [n]-symbol [prod].  The
+    [stack] is the driver's own, overwritten after the call: a callback
+    keeps children by copying them.  The driver allocates nothing per
+    shift or reduce.  Stops at the first error.  [max_depth] bounds the
+    parse stack
     so pathological nesting (thousands of unclosed parentheses) becomes a
     {!Syntax_error} instead of an eventual [Stack_overflow] downstream. *)
 
@@ -57,8 +58,6 @@ type 'n recovery = {
   r_errors : error list; (* oldest first *)
 }
 
-val default_max_errors : int
-
 val parse_recovering :
   ?max_errors:int ->
   ?max_depth:int ->
@@ -66,14 +65,15 @@ val parse_recovering :
   lexer:(unit -> 'v token) ->
   eof:int ->
   shift:(int -> 'v -> int -> 'n) ->
-  reduce:(int -> 'n list -> 'n) ->
+  reduce:(int -> 'n array -> int -> 'n) ->
   checkpoint:(int -> bool) ->
   classify:(int -> sync_class) ->
   'n recovery
 (** Parse with phrase-level panic-mode recovery: on error, record a
-    located diagnostic, restore the stack to the last reduce of a
-    [checkpoint] production (for a design file: the design-unit list, so
-    well-formed sibling units survive), discard tokens to a synchronizing
-    point per [classify], and resume.  Cascade errors that follow a
-    resynchronization without any input progress are suppressed.  Collects
+    located diagnostic, restore the stack to the copy of its prefix taken
+    at the last reduce of a [checkpoint] production (for a design file: the
+    design-unit list, so well-formed sibling units survive), discard tokens
+    to a synchronizing point per [classify], and resume.  Cascade errors
+    that follow a resynchronization without any input progress are
+    suppressed.  Collects
     at most [max_errors] diagnostics. *)

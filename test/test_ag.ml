@@ -454,12 +454,13 @@ let test_rule_replaced_in_place () =
   Array.iteri
     (fun j (r : v Grammar.rule) ->
       if Grammar.attr_name g r.Grammar.target.Grammar.attr = "MSGS" then
-        let orig = r.Grammar.compute in
         stmt_id.Grammar.rules.(j) <-
           {
             r with
             Grammar.compute =
-              (fun args -> L (List.map String.uppercase_ascii (as_l (orig args))));
+              Grammar.map_result
+                (fun v -> L (List.map String.uppercase_ascii (as_l v)))
+                r.Grammar.compute;
           })
     stmt_id.Grammar.rules;
   Alcotest.(check (list string)) "wrapped rule applied" [ "A"; "B" ] (msgs ())
@@ -499,11 +500,13 @@ let test_slot_cells () =
     {
       r with
       Grammar.compute =
-        (fun args ->
-          if !armed then (
-            armed := false;
-            raise Exit);
-          r.Grammar.compute args);
+        Grammar.map_result
+          (fun v ->
+            if !armed then (
+              armed := false;
+              raise Exit);
+            v)
+          r.Grammar.compute;
     };
   let tree = parse_binary g "1101" in
   let ev = Evaluator.create g ~root_inherited:[] tree in
@@ -760,8 +763,9 @@ let test_circularity_static () =
 let test_circularity_dynamic () =
   let g = circular_grammar () in
   let x = Grammar.find_symbol g "x" in
+  let stub = Tree.stub () in
   let tree =
-    Tree.node 0 [ Tree.node 1 [ Tree.leaf ~term:x ~value:(S "x") ~line:1 ] ]
+    Tree.node ~stub 0 [| Tree.node ~stub 1 [| Tree.leaf ~stub ~term:x ~value:(S "x") ~line:1 |] |]
   in
   let ev = Evaluator.create g ~root_inherited:[] tree in
   match Evaluator.goal ev "out" with

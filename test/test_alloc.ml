@@ -20,7 +20,10 @@
      2000-declaration package as in a 250-declaration one, and per
      literal in a 1000-literal enumeration as in a 250-literal one;
    - the expression AG's [items_more] ITEMS rule allocates the same bytes
-     per element in a 4000-element aggregate as in a 500-element one. *)
+     per element in a 4000-element aggregate as in a 500-element one;
+   - the LALR driver allocates nothing of its own per shift or reduce, and
+     the evaluator nothing per rule application beyond the memo cell's
+     [Done] box and the node's cells. *)
 
 module Telemetry = Vhdl_telemetry.Telemetry
 module Phase_timer = Vhdl_util.Phase_timer
@@ -331,6 +334,94 @@ let test_items_linear_in_aggregate () =
     Alcotest.failf "items_more ITEMS: %.0f B per element at 500, %.0f B at 4000 (%.2fx, bound 1.3x)"
       small large ratio
 
+(* The driver with callbacks that allocate nothing, over the expression
+   grammar of the LALR tests on [id + id * id + ...]: what remains is the
+   stack, allocated once per parse.  A stack of cons cells costs at least 6
+   words per shift. *)
+let test_driver_allocates_nothing_per_token () =
+  let module Driver = Vhdl_lalr.Driver in
+  let cfg, id_of = Test_lalr.build_cfg Test_lalr.expr_spec in
+  let table = Vhdl_lalr.Table.build cfg in
+  let n = 4001 in
+  let tokens =
+    Array.init (n + 1) (fun i ->
+        let w =
+          if i = n then "$" else if i mod 2 = 0 then "id" else if i mod 4 = 1 then "+" else "*"
+        in
+        { Driver.t_sym = id_of w; t_value = (); t_line = 1 })
+  in
+  let next = ref 0 in
+  let lexer () =
+    let t = tokens.(!next) in
+    incr next;
+    t
+  in
+  let w0 = Gc.minor_words () in
+  Driver.parse table ~lexer ~shift:(fun _ () _ -> ()) ~reduce:(fun _ _ _ -> ());
+  let words = Gc.minor_words () -. w0 in
+  if words >= float_of_int n then
+    Alcotest.failf "the driver allocated %.0f words over %d tokens (bound: under 1 per token)"
+      words n
+
+type v = K of int
+
+(* A list AG whose rules take 1, 2 and 3 values and return preallocated
+   ones: per node, A reads 1, B 2 and C 3 dependencies. *)
+let arity_grammar () =
+  let open Grammar.Builder in
+  let b = create () in
+  ignore (terminal b "x");
+  ignore (terminal b "$");
+  List.iter (fun name -> attr b ~sym:"L" ~name ~dir:Grammar.Synthesized) [ "A"; "B"; "C" ];
+  attr b ~sym:"S" ~name:"OUT" ~dir:Grammar.Synthesized;
+  let k1 = K 1 and k2 = K 2 and k3 = K 3 in
+  production b ~name:"s" ~lhs:"S" ~rhs:[ "L" ]
+    ~rules:[ rule ~target:(0, "OUT") ~deps:[ (1, "A"); (1, "B"); (1, "C") ] (fun _ _ _ -> k3) ];
+  production b ~name:"l_more" ~lhs:"L" ~rhs:[ "L"; "x" ]
+    ~rules:
+      [
+        rule ~target:(0, "A") ~deps:[ (1, "A") ] (fun _ -> k1);
+        rule ~target:(0, "B") ~deps:[ (1, "B"); (2, "VAL") ] (fun _ _ -> k2);
+        rule ~target:(0, "C") ~deps:[ (1, "C"); (0, "A"); (0, "B") ] (fun _ _ _ -> k3);
+      ];
+  production b ~name:"l_one" ~lhs:"L" ~rhs:[ "x" ]
+    ~rules:
+      [
+        rule ~target:(0, "A") ~deps:[ (1, "VAL") ] (fun _ -> k1);
+        rule ~target:(0, "B") ~deps:[ (1, "VAL"); (1, "VAL") ] (fun _ _ -> k2);
+        rule ~target:(0, "C") ~deps:[ (1, "VAL"); (0, "A"); (0, "B") ] (fun _ _ _ -> k3);
+      ];
+  freeze b ~start:"S"
+
+(* What evaluating the goal may allocate: per attribute instance, the
+   [Done] box (2 words) of its memo cell, and per node its cells (a slot
+   per attribute, plus the header).  Argument lists of 3 words per
+   dependency would add 2 to 6 words per application. *)
+let test_rule_application_allocates_no_arguments () =
+  let g = arity_grammar () in
+  let parser_ = Parsing.create ~name:"arity" g ~eof:"$" in
+  let n = 1000 in
+  let x = Grammar.find_symbol g "x" in
+  let tokens = List.init n (fun i -> { Vhdl_lalr.Driver.t_sym = x; t_value = K i; t_line = 1 }) in
+  let tree = Parsing.parse_list parser_ ~elide_chains:false ~eof_value:(K 0) tokens in
+  let ev = Evaluator.create g ~root_inherited:[] tree in
+  let w0 = Gc.minor_words () in
+  ignore (Evaluator.goal ev "OUT");
+  let words = Gc.minor_words () -. w0 in
+  let apps = Evaluator.rule_applications ev in
+  Alcotest.(check int) "applications" (1 + (3 * n)) apps;
+  (* instances: every rule's target and every leaf's VAL; cells: the root
+     S (1 slot), n L nodes (3 slots), n leaves (VAL and LINE) *)
+  let done_words = 2 * (apps + n) in
+  let cell_words = 2 + (4 * n) + (3 * n) in
+  let bound = done_words + cell_words + 16 in
+  if words > float_of_int bound then
+    Alcotest.failf
+      "evaluation allocated %.2f words per rule application; the Done boxes and cells \
+       account for %.2f"
+      (words /. float_of_int apps)
+      (float_of_int (done_words + cell_words) /. float_of_int apps)
+
 let suite =
   [
     Alcotest.test_case "zero-allocation span reports exactly 0" `Quick
@@ -355,4 +446,8 @@ let suite =
       test_attr_eval_linear_in_region;
     Alcotest.test_case "aggregate items are linear in their count" `Quick
       test_items_linear_in_aggregate;
+    Alcotest.test_case "the LALR driver allocates under a word per token" `Quick
+      test_driver_allocates_nothing_per_token;
+    Alcotest.test_case "a rule application builds no argument list" `Quick
+      test_rule_application_allocates_no_arguments;
   ]

@@ -70,14 +70,12 @@ let eval_arith table id_of input =
   in
   Driver.parse table ~lexer
     ~shift:(fun _ v _ -> v)
-    ~reduce:(fun prod children ->
-      match (prod, children) with
-      | 0, [ a; _; b ] -> a + b
-      | 1, [ a ] -> a
-      | 2, [ a; _; b ] -> a * b
-      | 3, [ a ] -> a
-      | 4, [ _; a; _ ] -> a
-      | 5, [ a ] -> a
+    ~reduce:(fun prod stack i ->
+      match prod with
+      | 0 -> stack.(i) + stack.(i + 2)
+      | 2 -> stack.(i) * stack.(i + 2)
+      | 4 -> stack.(i + 1)
+      | 1 | 3 | 5 -> stack.(i)
       | _ -> assert false)
 
 let test_expr_parse () =
@@ -136,7 +134,7 @@ let parse_words cfg id_of table words =
       t
     | [] -> assert false
   in
-  Driver.parse table ~lexer ~shift:(fun _ _ _ -> ()) ~reduce:(fun _ _ -> ())
+  Driver.parse table ~lexer ~shift:(fun _ _ _ -> ()) ~reduce:(fun _ _ _ -> ())
 
 let test_nullable () =
   let cfg, id_of = build_cfg nullable_spec in
@@ -329,6 +327,95 @@ let arith_roundtrip =
       in
       eval_arith table id_of tokens = oracle tokens)
 
+(* Panic-mode recovery on a toy grammar of units, each [unit E ;] with E a
+   nest of parentheses around [x].  The reduce of the unit list is the
+   checkpoint, and [unit] starts a fresh segment.  The second unit nests
+   40 deep, past the parse stack's first capacity, before the checkpoint
+   that closes it; the third and fifth units are malformed. *)
+let units_spec =
+  {
+    terminals = [ "unit"; "x"; "("; ")"; ";" ];
+    nonterminals = [ "S"; "Us"; "U"; "E" ];
+    prods =
+      [
+        ("S", [ "Us" ]);
+        ("Us", [ "Us"; "U" ]);
+        ("Us", [ "U" ]);
+        ("U", [ "unit"; "E"; ";" ]);
+        ("E", [ "("; "E"; ")" ]);
+        ("E", [ "x" ]);
+      ];
+    start = "S";
+  }
+
+type unit_value =
+  | Tok
+  | Depth of int
+  | Units of int list
+
+let test_recovery () =
+  let cfg, id_of = build_cfg units_spec in
+  let table = Table.build cfg in
+  Alcotest.(check int) "no conflicts" 0 (List.length table.Table.conflicts);
+  let nest n = List.init n (fun _ -> "(") @ [ "x" ] @ List.init n (fun _ -> ")") in
+  let units =
+    [ nest 0; nest 40; [ "("; "x"; "x"; ")" ]; nest 0; []; nest 2 ]
+  in
+  let tokens =
+    List.concat
+      (List.mapi
+         (fun i body ->
+           List.map
+             (fun w -> { Driver.t_sym = id_of w; t_value = (); t_line = i + 1 })
+             (("unit" :: body) @ [ ";" ]))
+         units)
+  in
+  let remaining = ref tokens in
+  let lexer () =
+    match !remaining with
+    | t :: rest ->
+      remaining := rest;
+      t
+    | [] -> { Driver.t_sym = id_of "$"; t_value = (); t_line = 7 }
+  in
+  let depth = function Depth d -> d | Tok | Units _ -> assert false in
+  let reduce prod stack i =
+    match prod with
+    | 0 -> stack.(i)
+    | 1 -> (
+      match stack.(i) with
+      | Units ds -> Units (ds @ [ depth stack.(i + 1) ])
+      | Tok | Depth _ -> assert false)
+    | 2 -> Units [ depth stack.(i) ]
+    | 3 -> stack.(i + 1)
+    | 4 -> Depth (depth stack.(i + 1) + 1)
+    | 5 -> Depth 0
+    | _ -> assert false
+  in
+  let r =
+    Driver.parse_recovering table ~lexer ~eof:(id_of "$")
+      ~shift:(fun _ () _ -> Tok)
+      ~reduce
+      ~checkpoint:(fun prod -> prod = 1 || prod = 2)
+      ~classify:(fun sym ->
+        if sym = id_of "unit" then Driver.Sync_start
+        else if sym = id_of ";" then Driver.Sync_semi
+        else Driver.Sync_other)
+  in
+  Alcotest.(check (list (pair int string)))
+    "one error per malformed unit, at its line" [ (3, "x"); (5, ";") ]
+    (List.map (fun e -> (e.Driver.e_line, e.Driver.e_found)) r.Driver.r_errors);
+  Alcotest.(check (list (list string)))
+    "expected sets (LALR merges the two contexts of x)" [ [ ")"; ";" ]; [ "("; "x" ] ]
+    (List.map (fun e -> List.sort compare e.Driver.e_expected) r.Driver.r_errors);
+  Alcotest.(check (list int))
+    "tokens skipped to the next unit" [ 3; 1 ]
+    (List.map (fun e -> e.Driver.e_skipped) r.Driver.r_errors);
+  match r.Driver.r_root with
+  | Some (Units ds) ->
+    Alcotest.(check (list int)) "salvaged units, by nesting depth" [ 0; 40; 0; 2 ] ds
+  | Some (Tok | Depth _) | None -> Alcotest.fail "expected the salvaged unit list"
+
 let suite =
   [
     Alcotest.test_case "expression grammar parses and evaluates" `Quick test_expr_parse;
@@ -339,5 +426,7 @@ let suite =
       test_conflict_reported;
     Alcotest.test_case "LALR-not-SLR grammar is conflict free" `Quick test_lalr_power;
     Alcotest.test_case "LR(1)-not-LALR conflicts are reported" `Quick test_lr1_not_lalr_detected;
+    Alcotest.test_case "recovery past a deep nest: errors, skips, salvaged root" `Quick
+      test_recovery;
     QCheck_alcotest.to_alcotest arith_roundtrip;
   ]

@@ -94,9 +94,13 @@ let test_errors () =
   expect_error "16#GG#";
   expect_error "B\"012\"";
   expect_error "$";
-  (* a missing exponent, and integers past INTEGER'HIGH in each notation *)
+  (* a missing exponent, integers past INTEGER'HIGH in each notation, and
+     reals past REAL'HIGH *)
   List.iter expect_error
-    [ "1e"; "1.0E+"; "4611686018427387904"; "5E18"; "1E99999999999999999999"; "16#4000000000000000#" ]
+    [
+      "1e"; "1.0E+"; "4611686018427387904"; "5E18"; "1E99999999999999999999";
+      "16#4000000000000000#"; "1.0E999"; "9.9E99999999999999999999";
+    ]
 
 let roundtrip_ident =
   QCheck.Test.make ~name:"identifier lexing is total and stable" ~count:300

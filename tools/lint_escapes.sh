@@ -9,6 +9,11 @@
 # proven unreachable from user input live in tools/escape_allowlist.txt
 # with a justification; anything new fails this lint.
 #
+# It also rejects any use of the Obj module anywhere under lib/, with no
+# allowlist: the engine's plain representations (parent links without an
+# option, rule functions by arity) must stay type-checked, not unboxed
+# by casts.
+#
 # Usage: tools/lint_escapes.sh [REPO_ROOT]
 
 set -eu
@@ -19,6 +24,15 @@ hits=$(grep -rn -E 'failwith|invalid_arg|assert false|(int|float)_of_string([^_]
   "$root/lib/front" "$root/lib/sem" "$root/lib/elab" \
   --include='*.ml' 2>/dev/null \
   | sed "s#^$root/##" || true)
+
+obj=$(grep -rn -E '(^|[^A-Za-z0-9_])Obj\.|module +[A-Z][A-Za-z0-9_]* *= *(Stdlib\.)?Obj *$' \
+  "$root/lib" --include='*.ml' --include='*.mli' 2>/dev/null \
+  | sed "s#^$root/##" || true)
+if [ -n "$obj" ]; then
+  echo "lint_escapes: the Obj module is not allowed under lib/:" >&2
+  printf '%s\n' "$obj" >&2
+  exit 1
+fi
 
 bad=""
 while IFS= read -r line; do
